@@ -85,11 +85,9 @@ sim::FleetConfig MakeFleetConfig(double fraction, const SweepSpec& spec) {
   config.app_work = 800;  // non-database page generation per interaction
   config.think_time = 1.0;
   config.repl_poll_interval = 0.75;
-  // Replay the batched + parallel replication pipeline (exp6): profiling
-  // amortizes the per-delivery overhead over 32-txn batches, and the DES
-  // fans each poll's apply work over both cache cores.
+  // Replay the batched replication pipeline (exp6): profiling amortizes
+  // the per-delivery overhead over 32-txn batches.
   config.distribution_batch_size = 32;
-  config.apply_dop = 2;
   return config;
 }
 
@@ -396,7 +394,7 @@ int main(int argc, char** argv) {
       "delay (sys.dm_repl_lag_histogram).\",\n"
       "  \"machine_model\": {\"backend_cpus\": 2, \"cache_cpus\": 2, "
       "\"unit_rate\": 1000000, \"app_work\": 800, \"think_time\": 1.0, "
-      "\"distribution_batch_size\": 32, \"apply_dop\": 2},\n"
+      "\"distribution_batch_size\": 32},\n"
       "  \"fractions\": [" + fractions_json + "],\n"
       "  \"cache_counts\": [" + counts_json + "],\n"
       "  \"max_users\": " + std::to_string(max_users) + ",\n"

@@ -24,12 +24,12 @@
 #                             # per-slice series and per-cache workload
 #                             # sections of BENCH_exp3_tpcw.json
 #   scripts/check.sh repl     # replication-pipeline gate: the repl-labeled
-#                             # suites (batched distribution, parallel
-#                             # conflict-free apply, watermark dedup, the
-#                             # 200-seed randomized fault schedules), then
-#                             # the exp6 heavy-DML sweep in smoke mode,
-#                             # emitting BENCH_exp6_repl.json with its
-#                             # in-binary throughput/lag/sanity gates
+#                             # suites (batched distribution, commit-order
+#                             # batch apply, watermark dedup, the 200-seed
+#                             # randomized fault schedules), then the exp6
+#                             # heavy-DML sweep in smoke mode, emitting
+#                             # BENCH_exp6_repl.json with its in-binary
+#                             # sanity gate
 #   scripts/check.sh planqual # plan-quality gate: optimizer suites
 #                             # (ctest -L opt — cardinality, histogram, and
 #                             # calibration units plus the 40-query plan
@@ -183,24 +183,20 @@ case "$mode" in
     cmake --build --preset default -j "$(nproc)" --target \
       replication_test replication_fault_test mtcache_resync_test \
       exp6_repl_latency
-    # The replication suites: group-commit batching, conflict-chain
-    # construction, parallel apply vs the serial oracle, the crash-safe
-    # per-batch apply watermark, jittered-backoff determinism, bounded
-    # history, and the 200-seed randomized fault schedules with batching and
-    # parallel apply enabled.
+    # The replication suites: group-commit batching, commit-order apply
+    # within a batch, the crash-safe per-batch apply watermark,
+    # jittered-backoff determinism, bounded history, and the 200-seed
+    # randomized fault schedules with batching enabled.
     (cd build && ctest --output-on-failure -j "$(nproc)" -L repl)
-    # The heavy-DML sweep in smoke mode. The binary is its own gate: the
-    # sanity leg (every committed txn applied + ConsistencyChecker clean in
-    # every cell) always applies; the >=2x batched+parallel throughput gate
-    # and the lag-p99-monotone-in-DOP gate arm only on hosts with >=8 cores
-    # (recorded, not enforced, on smaller boxes — the JSON says which).
+    # The heavy-DML sweep in smoke mode. The binary is its own gate: every
+    # committed txn applied + ConsistencyChecker clean in every cell.
     ./build/bench/exp6_repl_latency --smoke --out build/BENCH_exp6_repl.json
     [ -s build/BENCH_exp6_repl.json ] || {
       echo "repl: BENCH_exp6_repl.json missing or empty" >&2
       exit 1
     }
-    for key in '"runs"' '"gates"' '"sanity_gate"' '"speedup_at_top_rate"' \
-               '"lag_p99"' '"avg_batch_size"'; do
+    for key in '"runs"' '"gates"' '"sanity_gate"' '"lag_p99"' \
+               '"avg_batch_size"'; do
       grep -q "$key" build/BENCH_exp6_repl.json || {
         echo "repl: BENCH_exp6_repl.json lacks $key" >&2
         exit 1

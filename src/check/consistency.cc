@@ -148,10 +148,10 @@ ConsistencyReport ConsistencyChecker::CheckInvariants() const {
       }
     }
     // The queue must hold exactly the distributed-but-unacked suffix. Txns
-    // applied ahead of their batch's ack (a crash in the ack window, or
-    // sibling chains of a partially-failed parallel batch) stay queued and
-    // are counted by the in-flight watermark instead of applied history, so
-    // the identity is exact — no slack window. Histories may be trimmed,
+    // applied ahead of their batch's ack (the committed prefix of a batch
+    // cut down mid-apply, or a crash in the ack window) stay queued and are
+    // counted by the in-flight watermark instead of applied history, so the
+    // identity is exact — no slack window. Histories may be trimmed,
     // but both lose the same settled prefix, so the size difference is
     // unaffected.
     int64_t outstanding = static_cast<int64_t>(sub.enqueued_txns.size()) -

@@ -35,8 +35,8 @@ struct ConsistencyReport {
 ///   2. Ordering: the transactions ACKED at each subscriber are a prefix of
 ///      the transactions distributed to it, in commit order — holds at ALL
 ///      times, faults or not, so it is checked mid-flight too. Batched
-///      distribution and parallel chain apply keep this invariant because
-///      the applied history is recorded at batch-ack time in commit order;
+///      distribution keeps this invariant because the applied history is
+///      recorded at batch-ack time in commit order;
 ///      txns locally committed ahead of their batch's ack are accounted by
 ///      the in-flight watermark (SubscriptionInfo::inflight_applied), which
 ///      must never exceed the queued txn count. Bounded histories

@@ -212,9 +212,6 @@ Row ReplMetricsRow(const DmvSource& src) {
       Value::Double(r.latency_p99),
       Value::Int(r.batches_distributed),
       Value::Double(r.avg_batch_size),
-      Value::Int(r.apply_dop),
-      Value::Int(r.conflict_chains),
-      Value::Double(r.parallel_apply_seconds),
   };
 }
 
@@ -479,10 +476,7 @@ DmvCatalog::DmvCatalog() {
        {"latency_p95", TypeId::kDouble},
        {"latency_p99", TypeId::kDouble},
        {"batches_distributed", TypeId::kInt64},
-       {"avg_batch_size", TypeId::kDouble},
-       {"apply_dop", TypeId::kInt64},
-       {"conflict_chains", TypeId::kInt64},
-       {"parallel_apply_seconds", TypeId::kDouble}});
+       {"avg_batch_size", TypeId::kDouble}});
   tables_[kReplLagHistogram] = MakeDmv(
       kReplLagHistogram,
       {{"bucket_lo", TypeId::kDouble},

@@ -58,12 +58,9 @@ struct ReplMetricsSnapshot {
   double latency_p50 = 0;
   double latency_p95 = 0;
   double latency_p99 = 0;
-  // Group-commit / parallel-apply observability (PR: batched distribution).
+  // Group-commit observability (batched distribution).
   int64_t batches_distributed = 0;
   double avg_batch_size = 0;
-  int64_t apply_dop = 0;        // configured apply parallelism knob
-  int64_t conflict_chains = 0;  // per-key dependency chains built
-  double parallel_apply_seconds = 0;  // wall clock inside parallel apply
   /// Non-empty commit→apply lag buckets (sys.dm_repl_lag_histogram).
   std::vector<ReplLagBucket> lag_buckets;
 };

@@ -63,9 +63,6 @@ StatusOr<std::unique_ptr<MTCache>> MTCache::Setup(Server* cache,
     snap.latency_p99 = m.lag_histogram.Percentile(0.99);
     snap.batches_distributed = m.batches_distributed;
     snap.avg_batch_size = m.AvgBatchSize();
-    snap.apply_dop = repl_raw->apply_dop();
-    snap.conflict_chains = m.conflict_chains;
-    snap.parallel_apply_seconds = m.parallel_apply_seconds;
     // Only occupied buckets cross the boundary: dm_repl_lag_histogram rows.
     for (int i = 0; i < LogHistogram::kBuckets; ++i) {
       int64_t count = m.lag_histogram.BucketCount(i);

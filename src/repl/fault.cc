@@ -22,8 +22,6 @@ const char* FaultSiteName(FaultSite site) {
       return "snapshot_row";
     case FaultSite::kDistributeBatch:
       return "distribute_batch";
-    case FaultSite::kApplyChain:
-      return "apply_chain";
     case FaultSite::kBatchAck:
       return "batch_ack";
   }

@@ -24,12 +24,10 @@ enum class FaultSite {
   kApplyChange,     // subscriber applying one change inside the local txn
   kApplyCommit,     // after the local commit, before the delivery is acked
   kSnapshotRow,     // copying one row of a cached-view snapshot
-  // Batched-distribution / parallel-apply sites (appended so older scripted
-  // schedules keep their site identities):
+  // Batched-distribution sites (appended so older scripted schedules keep
+  // their site identities):
   kDistributeBatch,  // log reader committing one formed batch to a queue
-  kApplyChain,       // start of one conflict chain's apply (crash/drop/delay
-                     // all surface as a failed batch delivery and back off)
-  kBatchAck,         // after every chain applied, before the batch is acked
+  kBatchAck,         // after every txn applied, before the batch is acked
 };
 
 enum class FaultAction {
@@ -52,11 +50,11 @@ const char* FaultActionName(FaultAction action);
 /// check).
 ///
 /// Thread-safety: Decide and the counter accessors take an internal spinlock,
-/// because the parallel applier consults apply-side sites from pool worker
-/// threads. Under apply_dop > 1 the VISIT ORDER of concurrent sites depends
-/// on thread interleaving, so scripted Nth-visit rules stay deterministic
-/// only for serial stages; randomized suites assert recovery and consistency,
-/// not fault placement.
+/// so one plan can be shared by components driven from different threads:
+/// the replication driver, a session snapshotting a cached view
+/// (kSnapshotRow), and a reader of the counters. The pipeline visits its
+/// sites only from the thread that polls it, so scripted Nth-visit rules
+/// stay deterministic.
 class FaultPlan {
  public:
   FaultPlan() : rng_(1) {}

@@ -1,7 +1,6 @@
 #include "repl/replication.h"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
@@ -358,7 +357,7 @@ Status ReplicationSystem::ApplyTxn(Subscription* sub, const PendingTxn& txn,
   // The apply watermark is recorded together with the commit (in a real
   // subscriber both live in the same database), so redelivery of the batch
   // after a crash before the ack is detected and skipped txn-by-txn —
-  // exactly-once apply even when only some chains of the batch finished.
+  // exactly-once apply even when only a prefix of the batch committed.
   {
     std::lock_guard<SpinLock> lock(sub->marks_lock);
     sub->applied_unacked.insert(txn.source_txn);
@@ -381,168 +380,35 @@ Status ReplicationSystem::ApplyTxn(Subscription* sub, const PendingTxn& txn,
   return Status::Ok();
 }
 
-Status ReplicationSystem::ApplyChain(Subscription* sub, const TxnBatch& batch,
-                                     const std::vector<int>& chain,
-                                     ExecStats* stats) {
-  FaultAction action = Decide(FaultSite::kApplyChain);
-  if (action == FaultAction::kCrash) {
-    return Crash("subscriber died at the start of a conflict chain into " +
-                 sub->target_table);
-  }
-  if (action == FaultAction::kDrop) {
-    ++metrics_.deliveries_dropped;
-    return Status::Unavailable("conflict chain dropped in transit to " +
-                               sub->target_table);
-  }
-  if (action == FaultAction::kDelay) {
-    return Status::Unavailable("conflict chain delivery stalled to " +
-                               sub->target_table);
-  }
-  for (int i : chain) {
-    MT_RETURN_IF_ERROR(ApplyTxn(sub, batch.txns[i], stats));
-  }
-  return Status::Ok();
-}
-
-std::vector<std::vector<int>> ReplicationSystem::BuildChains(
-    Subscription* sub, const TxnBatch& batch) {
-  StoredTable* table = sub->subscriber->db().GetStoredTable(sub->target_table);
-  if (table == nullptr) return {};
-  const TableDef& def = table->def();
-  bool keyed = !def.primary_key.empty() && !def.indexes.empty();
-
-  // Partition the batch's unapplied txns into per-key dependency chains:
-  // two txns conflict when they touch the same primary-key value (keys come
-  // from both images, so a PK-changing update links its old and new key
-  // ranges). Union-find over key slots; a txn touching several existing
-  // chains merges them. Txns are scanned in commit order and only ever
-  // appended, so each chain lists its txns in commit order — the per-key
-  // ordering invariant. Without a usable key the whole batch is one chain
-  // (strictly serial, exactly the pre-batching behavior).
-  std::vector<int> parent;
-  std::map<std::string, int> key_slot;
-  auto find = [&parent](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  auto key_string = [&def](const Row& image) {
-    std::string k;
-    for (int ord : def.primary_key) {
-      k += image[ord].ToSqlLiteral();
-      k += '|';
-    }
-    return k;
-  };
-  std::vector<int> txn_node(batch.txns.size(), -1);
-  std::vector<std::string> keys;
-  for (size_t i = 0; i < batch.txns.size(); ++i) {
-    {
-      std::lock_guard<SpinLock> lock(sub->marks_lock);
-      if (sub->applied_unacked.count(batch.txns[i].source_txn) > 0) {
-        continue;  // already applied before a crash in the ack window
-      }
-    }
-    keys.clear();
-    if (keyed) {
-      for (const ReplChange& c : batch.txns[i].changes) {
-        if (c.op != LogRecordType::kInsert) keys.push_back(key_string(c.before));
-        if (c.op != LogRecordType::kDelete) keys.push_back(key_string(c.after));
-      }
-    }
-    if (keys.empty()) keys.push_back(std::string());  // whole-table chain
-    int node = -1;
-    for (const std::string& k : keys) {
-      int slot;
-      auto it = key_slot.find(k);
-      if (it == key_slot.end()) {
-        slot = static_cast<int>(parent.size());
-        parent.push_back(slot);
-        key_slot[k] = slot;
-      } else {
-        slot = find(it->second);
-      }
-      if (node < 0) {
-        node = slot;
-      } else {
-        int a = find(node);
-        int b = find(slot);
-        if (a != b) parent[b] = a;
-        node = a;
-      }
-    }
-    txn_node[i] = node;
-  }
-  std::map<int, size_t> root_chain;
-  std::vector<std::vector<int>> chains;
-  for (size_t i = 0; i < batch.txns.size(); ++i) {
-    if (txn_node[i] < 0) continue;
-    int root = find(txn_node[i]);
-    auto [it, inserted] = root_chain.emplace(root, chains.size());
-    if (inserted) chains.emplace_back();
-    chains[it->second].push_back(static_cast<int>(i));
-  }
-  return chains;
-}
-
-Status ReplicationSystem::DeliverBatch(Subscription* sub,
-                                       const TxnBatch& batch,
+Status ReplicationSystem::DeliverBatch(Subscription* sub, TxnBatch* batch,
                                        ExecStats* stats) {
+  auto applied = [sub](const PendingTxn& txn) {
+    std::lock_guard<SpinLock> lock(sub->marks_lock);
+    return sub->applied_unacked.count(txn.source_txn) > 0;
+  };
+  for (PendingTxn& txn : batch->txns) {
+    if (applied(txn)) {
+      // Partially-applied batch being redelivered: the txn committed before
+      // the crash and is skipped below, but each skip is a re-attempt.
+      ++metrics_.txns_retried;
+      continue;
+    }
+    if (txn.attempts > 0) ++metrics_.txns_retried;
+    ++txn.attempts;
+  }
   if (sub->subscriber->db().GetStoredTable(sub->target_table) == nullptr) {
     return Status::NotFound("subscription target table vanished: " +
                             sub->target_table);
   }
-  std::vector<std::vector<int>> chains = BuildChains(sub, batch);
-  if (chains.empty()) return Status::Ok();
-  metrics_.conflict_chains += static_cast<int64_t>(chains.size());
   // Per-delivery-unit overhead, amortized over the batch by group commit.
   if (stats != nullptr) {
     stats->local_cost += CostModel::kReplDeliveryOverheadCost;
   }
-
-  ParallelRunner* runner = sub->subscriber;
-  int n = apply_dop_;
-  if (static_cast<int>(chains.size()) < n) {
-    n = static_cast<int>(chains.size());
-  }
-  if (runner->max_workers() < n) n = runner->max_workers();
-  if (n <= 1) {
-    for (const std::vector<int>& chain : chains) {
-      MT_RETURN_IF_ERROR(ApplyChain(sub, batch, chain, stats));
-    }
-    return Status::Ok();
-  }
-
-  // Fan independent chains over the subscriber's worker pool. Chains only
-  // touch disjoint key ranges, so concurrent appliers never reorder
-  // conflicting txns; storage-level safety comes from the per-table latch.
-  // A failed chain stops only its worker's remaining chains — completed
-  // txns stay in the watermark, and the whole batch is redelivered (with
-  // dedup) after the backoff.
-  auto wall_start = std::chrono::steady_clock::now();
-  std::vector<Status> worker_status(n, Status::Ok());
-  std::vector<ExecStats> worker_stats(n);
-  runner->RunParallel(n, [&](int w) {
-    for (size_t c = static_cast<size_t>(w); c < chains.size();
-         c += static_cast<size_t>(n)) {
-      Status s = ApplyChain(sub, batch, chains[c], &worker_stats[w]);
-      if (!s.ok()) {
-        worker_status[w] = s;
-        break;
-      }
-    }
-  });
-  metrics_.parallel_apply_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  if (stats != nullptr) {
-    for (const ExecStats& w : worker_stats) stats->local_cost += w.local_cost;
-  }
-  for (const Status& s : worker_status) {
-    if (!s.ok()) return s;
+  // Commit order within the batch: every key sees its changes in the order
+  // the publisher committed them.
+  for (const PendingTxn& txn : batch->txns) {
+    if (applied(txn)) continue;
+    MT_RETURN_IF_ERROR(ApplyTxn(sub, txn, stats));
   }
   return Status::Ok();
 }
@@ -555,9 +421,9 @@ void ReplicationSystem::AckBatch(Subscription* sub) {
       sub->applied_unacked.erase(txn.source_txn);
     }
   }
-  // The ack appends to the applied history in BATCH (commit) order, however
-  // the chains interleaved, so applied_history stays an element-wise prefix
-  // of enqueued_history at every observation point.
+  // The ack appends to the applied history in batch (commit) order, so
+  // applied_history stays an element-wise prefix of enqueued_history at
+  // every observation point.
   for (const PendingTxn& txn : batch.txns) {
     sub->applied_history.push_back(txn.source_txn);
   }
@@ -567,7 +433,6 @@ void ReplicationSystem::AckBatch(Subscription* sub) {
 
 Status ReplicationSystem::RunDistributionAgent(Server* subscriber,
                                                ExecStats* subscriber_stats) {
-  if (apply_dop_ > 1) return ParallelAgentPass(subscriber, subscriber_stats);
   double now = clock_ != nullptr ? clock_->Now() : 0.0;
   for (auto& [id, sub] : subscriptions_) {
     if (sub->subscriber != subscriber) continue;
@@ -588,51 +453,29 @@ Status ReplicationSystem::RunDistributionAgent(Server* subscriber,
         // Redelivery of a batch whose apply fully committed (the agent
         // crashed in the ack window): ack it without re-applying.
         metrics_.txns_retried += static_cast<int64_t>(marked);
-        if (Decide(FaultSite::kBatchAck) == FaultAction::kCrash) {
+      } else {
+        FaultAction delivery = Decide(FaultSite::kDeliverTxn);
+        if (delivery == FaultAction::kDrop) {
+          // Lost in transit. The distribution database still holds it, so
+          // it is redelivered after a backoff.
+          ++metrics_.deliveries_dropped;
           RecordFailure(sub.get());
-          return Crash("distribution agent died before acking batch to " +
+          break;
+        }
+        if (delivery == FaultAction::kDelay) break;  // stalls; next poll
+        if (delivery == FaultAction::kCrash) {
+          RecordFailure(sub.get());
+          return Crash("distribution agent died delivering to " +
                        subscriber->name());
         }
-        AckBatch(sub.get());
-        sub->consecutive_failures = 0;
-        sub->retry_after = 0;
-        ++acked_this_poll;
-        continue;
-      }
-      FaultAction delivery = Decide(FaultSite::kDeliverTxn);
-      if (delivery == FaultAction::kDrop) {
-        // Lost in transit. The distribution database still holds it, so it
-        // is redelivered after a backoff.
-        ++metrics_.deliveries_dropped;
-        RecordFailure(sub.get());
-        break;
-      }
-      if (delivery == FaultAction::kDelay) break;  // stalls; next poll
-      if (delivery == FaultAction::kCrash) {
-        RecordFailure(sub.get());
-        return Crash("distribution agent died delivering to " +
-                     subscriber->name());
-      }
-      {
-        std::lock_guard<SpinLock> lock(sub->marks_lock);
-        for (PendingTxn& txn : batch.txns) {
-          if (sub->applied_unacked.count(txn.source_txn) > 0) {
-            // Partially-applied batch being redelivered: the marked txns are
-            // skipped by the chain builder, but each skip is a re-attempt.
-            ++metrics_.txns_retried;
-            continue;
-          }
-          if (txn.attempts > 0) ++metrics_.txns_retried;
-          ++txn.attempts;
+        Status applied = DeliverBatch(sub.get(), &batch, subscriber_stats);
+        if (!applied.ok()) {
+          RecordFailure(sub.get());
+          return applied;
         }
       }
-      Status applied = DeliverBatch(sub.get(), batch, subscriber_stats);
-      if (!applied.ok()) {
-        RecordFailure(sub.get());
-        return applied;
-      }
       if (Decide(FaultSite::kBatchAck) == FaultAction::kCrash) {
-        // Every chain applied and committed, but the agent dies before the
+        // Every txn applied and committed, but the agent dies before the
         // ack: the batch stays queued fully marked; the next delivery acks
         // it through the watermark without re-applying anything.
         RecordFailure(sub.get());
@@ -657,205 +500,6 @@ Status ReplicationSystem::RunDistributionAgent(Server* subscriber,
     }
   }
   return Status::Ok();
-}
-
-Status ReplicationSystem::ParallelAgentPass(Server* subscriber,
-                                            ExecStats* stats) {
-  double now = clock_ != nullptr ? clock_->Now() : 0.0;
-  std::vector<Subscription*> subs;
-  for (auto& [id, sub] : subscriptions_) {
-    if (sub->subscriber == subscriber) subs.push_back(sub.get());
-  }
-  std::map<Subscription*, int> acked;
-  Status failure = Status::Ok();
-  auto ready = [&](Subscription* sub) {
-    if (sub->queue.empty()) return false;
-    if (sub->retry_after > now) return false;
-    return max_batches_per_poll_ == 0 || acked[sub] < max_batches_per_poll_;
-  };
-
-  bool progress = true;
-  while (progress && failure.ok()) {
-    progress = false;
-
-    // Phase A — dedup fast path: a front batch that is fully watermarked was
-    // applied before a crash in the ack window; ack it without re-applying.
-    for (Subscription* sub : subs) {
-      while (failure.ok() && ready(sub)) {
-        TxnBatch& batch = sub->queue.front();
-        size_t marked = 0;
-        {
-          std::lock_guard<SpinLock> lock(sub->marks_lock);
-          for (const PendingTxn& txn : batch.txns) {
-            if (sub->applied_unacked.count(txn.source_txn) > 0) ++marked;
-          }
-        }
-        if (marked != batch.txns.size()) break;
-        metrics_.txns_retried += static_cast<int64_t>(marked);
-        if (Decide(FaultSite::kBatchAck) == FaultAction::kCrash) {
-          RecordFailure(sub);
-          failure = Crash("distribution agent died before acking batch to " +
-                          subscriber->name());
-          break;
-        }
-        AckBatch(sub);
-        sub->consecutive_failures = 0;
-        sub->retry_after = 0;
-        ++acked[sub];
-        progress = true;
-      }
-      if (!failure.ok()) break;
-    }
-    if (!failure.ok()) break;
-
-    // Phase B — select the front batch of every ready subscription and build
-    // its conflict chains. Pooling across subscriptions is what makes the
-    // fan-out scale: chains of different subscriptions target different
-    // tables, so the per-table latch never serializes them.
-    struct Delivery {
-      Subscription* sub = nullptr;
-      const TxnBatch* batch = nullptr;
-      std::vector<std::vector<int>> chains;
-    };
-    std::vector<Delivery> deliveries;
-    for (Subscription* sub : subs) {
-      if (!ready(sub)) continue;
-      TxnBatch& batch = sub->queue.front();
-      FaultAction delivery = Decide(FaultSite::kDeliverTxn);
-      if (delivery == FaultAction::kDrop) {
-        ++metrics_.deliveries_dropped;
-        RecordFailure(sub);
-        continue;  // stays queued; other subscriptions proceed
-      }
-      if (delivery == FaultAction::kDelay) continue;  // stalls; next poll
-      if (delivery == FaultAction::kCrash) {
-        RecordFailure(sub);
-        failure = Crash("distribution agent died delivering to " +
-                        subscriber->name());
-        break;
-      }
-      if (subscriber->db().GetStoredTable(sub->target_table) == nullptr) {
-        RecordFailure(sub);
-        failure = Status::NotFound("subscription target table vanished: " +
-                                   sub->target_table);
-        break;
-      }
-      {
-        std::lock_guard<SpinLock> lock(sub->marks_lock);
-        for (PendingTxn& txn : batch.txns) {
-          if (sub->applied_unacked.count(txn.source_txn) > 0) {
-            ++metrics_.txns_retried;
-            continue;
-          }
-          if (txn.attempts > 0) ++metrics_.txns_retried;
-          ++txn.attempts;
-        }
-      }
-      Delivery d;
-      d.sub = sub;
-      d.batch = &batch;
-      d.chains = BuildChains(sub, batch);
-      metrics_.conflict_chains += static_cast<int64_t>(d.chains.size());
-      if (stats != nullptr) {
-        stats->local_cost += CostModel::kReplDeliveryOverheadCost;
-      }
-      deliveries.push_back(std::move(d));
-    }
-    if (!failure.ok() || deliveries.empty()) break;
-
-    // Phase C — flatten every delivery's chains into one work pool and fan
-    // it over the subscriber's worker pool. An item left unattempted (its
-    // worker broke on an earlier failure) keeps a non-ok status so its
-    // delivery is NOT acked — it is redelivered and dedups via the
-    // watermark.
-    struct Item {
-      int delivery = 0;
-      const std::vector<int>* chain = nullptr;
-    };
-    std::vector<Item> items;
-    for (size_t d = 0; d < deliveries.size(); ++d) {
-      for (const std::vector<int>& chain : deliveries[d].chains) {
-        items.push_back(Item{static_cast<int>(d), &chain});
-      }
-    }
-    std::vector<Status> item_status(items.size(),
-                                    Status::Unavailable("chain not attempted"));
-    ParallelRunner* runner = subscriber;
-    int n = apply_dop_;
-    if (static_cast<int>(items.size()) < n) n = static_cast<int>(items.size());
-    if (runner->max_workers() < n) n = runner->max_workers();
-    if (n < 1) n = 1;
-    std::vector<ExecStats> worker_stats(n);
-    auto run_stripe = [&](int w) {
-      for (size_t i = static_cast<size_t>(w); i < items.size();
-           i += static_cast<size_t>(n)) {
-        const Delivery& d = deliveries[items[i].delivery];
-        item_status[i] =
-            ApplyChain(d.sub, *d.batch, *items[i].chain, &worker_stats[w]);
-        if (!item_status[i].ok()) break;
-      }
-    };
-    if (n <= 1) {
-      run_stripe(0);
-    } else {
-      auto wall_start = std::chrono::steady_clock::now();
-      runner->RunParallel(n, run_stripe);
-      metrics_.parallel_apply_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        wall_start)
-              .count();
-    }
-    if (stats != nullptr) {
-      for (const ExecStats& w : worker_stats) {
-        stats->local_cost += w.local_cost;
-      }
-    }
-
-    // Phase D — per delivery: ack when every chain applied, else back off.
-    // Chains that did commit stay in the watermark either way, so a partial
-    // batch never re-applies its finished txns on redelivery.
-    for (size_t d = 0; d < deliveries.size(); ++d) {
-      Subscription* sub = deliveries[d].sub;
-      Status chain_failure = Status::Ok();
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (items[i].delivery != static_cast<int>(d)) continue;
-        if (!item_status[i].ok()) {
-          chain_failure = item_status[i];
-          break;
-        }
-      }
-      if (!chain_failure.ok()) {
-        RecordFailure(sub);
-        if (failure.ok()) failure = chain_failure;
-        continue;
-      }
-      if (Decide(FaultSite::kBatchAck) == FaultAction::kCrash) {
-        RecordFailure(sub);
-        failure = Crash("distribution agent died before acking batch to " +
-                        subscriber->name());
-        break;
-      }
-      AckBatch(sub);
-      sub->consecutive_failures = 0;
-      sub->retry_after = 0;
-      ++acked[sub];
-      progress = true;
-    }
-  }
-
-  // Freshness bookkeeping for drained subscriptions (§7 extension), exactly
-  // as the serial agent does.
-  for (Subscription* sub : subs) {
-    if (!sub->queue.empty()) continue;
-    auto pub = publishers_.find(sub->publisher);
-    if (pub != publishers_.end()) {
-      TableDef* target = subscriber->db().catalog().GetTable(sub->target_table);
-      if (target != nullptr) {
-        target->freshness_time.UpdateMax(pub->second.last_scan_time);
-      }
-    }
-  }
-  return failure;
 }
 
 Status ReplicationSystem::RunOnce(ExecStats* publisher_stats,

@@ -60,8 +60,8 @@ struct TxnBatch {
 };
 
 /// Relaxed atomics: the pipeline bumps these from the replication driver
-/// (and, under apply_dop > 1, from pool worker threads) while concurrent
-/// sessions read them through the sys.dm_repl_metrics provider.
+/// while concurrent sessions read them through the sys.dm_repl_metrics
+/// provider.
 struct ReplicationMetrics {
   RelaxedInt64 records_scanned = 0;     // log reader work
   RelaxedInt64 changes_enqueued = 0;    // distributor work
@@ -73,11 +73,9 @@ struct ReplicationMetrics {
   RelaxedDouble latency_sum = 0;        // commit-to-commit, seconds
   RelaxedDouble latency_max = 0;
   RelaxedInt64 latency_count = 0;
-  // Group-commit / parallel-apply counters.
+  // Group-commit counters.
   RelaxedInt64 batches_distributed = 0;  // delivery units formed by the reader
   RelaxedInt64 batch_txns_distributed = 0;  // txns inside those units
-  RelaxedInt64 conflict_chains = 0;  // per-key dependency chains built
-  RelaxedDouble parallel_apply_seconds = 0;  // wall clock inside RunParallel
   /// Full commit→apply lag distribution (simulated seconds): the source of
   /// sys.dm_repl_lag_histogram and the p50/p95/p99 in sys.dm_repl_metrics.
   LogHistogram lag_histogram;
@@ -109,8 +107,6 @@ struct ReplicationMetrics {
     latency_count.store(0);
     batches_distributed.store(0);
     batch_txns_distributed.store(0);
-    conflict_chains.store(0);
-    parallel_apply_seconds.store(0.0);
     lag_histogram.Reset();
   }
 };
@@ -142,18 +138,12 @@ struct SubscriptionInfo {
 /// explicitly (by tests, examples, or the multi-server simulation), never by
 /// background threads, so every run is deterministic.
 ///
-/// Two performance knobs relax the strictly serial pipeline without giving
-/// up its guarantees:
-///   - set_distribution_batch_size(N): the log reader groups up to N
-///     committed txns per scan into one TxnBatch per subscription —
-///     filtering/projection amortized over the scan, one shadow-state
-///     commit, one delivery unit, one ack.
-///   - set_apply_dop(D): the distribution agent partitions a batch's txns
-///     by the primary-key ranges they touch, builds per-key dependency
-///     chains, and fans independent chains out over the subscriber's
-///     ParallelRunner (its intra-query session pool). Commit order is
-///     preserved per key range — the per-key serializability contract —
-///     while unrelated chains apply concurrently.
+/// One performance knob relaxes the txn-at-a-time pipeline without giving up
+/// its guarantees: set_distribution_batch_size(N) makes the log reader group
+/// up to N committed txns per scan into one TxnBatch per subscription —
+/// filtering/projection amortized over the scan, one shadow-state commit, one
+/// delivery unit, one ack. The distribution agent applies a batch's txns one
+/// at a time in commit order, so every key sees its changes in commit order.
 ///
 /// Failure model: a FaultPlan (set_fault_plan) can crash any stage
 /// mid-operation, drop or delay deliveries, and stall WAL reads. Every stage
@@ -168,8 +158,8 @@ struct SubscriptionInfo {
 ///     a dropped or delayed delivery stays queued and is retried.
 ///   - The subscriber applies each txn inside a local transaction and
 ///     records the source txn id in the per-batch apply watermark in the
-///     same commit. A crash mid-batch rolls back only the chains that were
-///     cut down mid-transaction; txns already locally committed stay in the
+///     same commit. A crash mid-batch rolls back only the txn it cut down
+///     mid-transaction; txns already locally committed stay in the
 ///     watermark, and redelivery of the unacked batch skips them
 ///     (exactly-once apply). The watermark clears when the batch acks.
 ///   - A failed subscription backs off exponentially (with optional
@@ -203,8 +193,7 @@ class ReplicationSystem {
   Status RunLogReader(Server* publisher, ExecStats* publisher_stats);
 
   /// Push distribution agent for one subscriber: delivers every pending
-  /// batch, applying its txns — serially in commit order, or as parallel
-  /// conflict-free chains when apply_dop > 1 — inside subscriber-local
+  /// batch, applying its txns in commit order inside subscriber-local
   /// transactions, then acks the batch. Apply work is charged to
   /// `subscriber_stats` (§6.2.2 mid-tier overhead); commit-to-commit latency
   /// is recorded in the metrics (§6.2.3). Returns kUnavailable when an
@@ -259,17 +248,6 @@ class ReplicationSystem {
   }
   int distribution_batch_size() const { return distribution_batch_size_; }
 
-  /// Parallel-apply knob: max conflict-free chains applied concurrently on
-  /// the subscriber's worker pool. At DOP > 1 the agent rounds over ALL of
-  /// the subscriber's ready subscriptions, pooling each front batch's
-  /// chains into one fan-out — chains of different subscriptions touch
-  /// different target tables, so the per-table latch never serializes them.
-  /// Effective DOP is min(apply_dop, subscriber->max_workers(), pooled
-  /// chains); 1 (default) = the historical strictly serial agent (exact
-  /// delivery order and fault-site visit counts preserved).
-  void set_apply_dop(int dop) { apply_dop_ = dop < 1 ? 1 : dop; }
-  int apply_dop() const { return apply_dop_; }
-
   /// Caps batches acked per subscription per RunDistributionAgent call
   /// (0 = drain fully, the default). A pacing knob for pollers that advance
   /// a clock between polls — exp6 uses it to convert each poll's measured
@@ -321,14 +299,15 @@ class ReplicationSystem {
     /// atomically with its local commit — in a real subscriber both live in
     /// the same database). Redelivery of an unacked batch skips these
     /// (exactly-once apply); the set clears when the batch acks. Guarded by
-    /// `marks_lock` because parallel chains insert concurrently. This
-    /// generalizes the old single `last_applied_txn` marker to batches.
+    /// `marks_lock` so a DescribeSubscriptions snapshot taken off the
+    /// replication thread never reads the set mid-update. This generalizes
+    /// the old single `last_applied_txn` marker to batches.
     std::set<TxnId> applied_unacked;
     mutable SpinLock marks_lock;
     /// Histories in commit order, for the prefix invariant. `applied` is
     /// appended at batch ACK time (in batch commit order), so it is an exact
-    /// element-wise prefix of `enqueued` at every observation point even
-    /// when the batch itself applied out of order across chains.
+    /// element-wise prefix of `enqueued` at every observation point, even
+    /// while a batch is applied but not yet acked.
     std::vector<TxnId> enqueued_history;
     std::vector<TxnId> applied_history;
     int64_t history_trimmed = 0;
@@ -351,36 +330,13 @@ class ReplicationSystem {
   };
 
   /// Applies one txn inside a subscriber-local transaction and records it in
-  /// the batch watermark atomically with the commit. Thread-safe across
-  /// chains of the same batch (storage takes per-table latches; metrics are
-  /// relaxed atomics; the watermark takes marks_lock).
+  /// the batch watermark atomically with the commit.
   Status ApplyTxn(Subscription* sub, const PendingTxn& txn, ExecStats* stats);
 
-  /// Applies one conflict chain (txn indices into `batch`, commit order).
-  Status ApplyChain(Subscription* sub, const TxnBatch& batch,
-                    const std::vector<int>& chain, ExecStats* stats);
-
-  /// Delivers the front batch of `sub`: dedups against the watermark, builds
-  /// per-key chains, applies them (parallel when the effective DOP > 1).
-  /// Does NOT ack — the caller decides that after the kBatchAck fault site.
-  Status DeliverBatch(Subscription* sub, const TxnBatch& batch,
-                      ExecStats* stats);
-
-  /// Partitions the unapplied txns of `batch` into conflict-free chains:
-  /// union-find over the primary-key values each txn touches, chains emitted
-  /// in commit order. Returns one chain holding every unapplied txn when the
-  /// target has no usable key (whole-table conflict). Already-applied
-  /// (watermarked) txns are excluded.
-  std::vector<std::vector<int>> BuildChains(Subscription* sub,
-                                            const TxnBatch& batch);
-
-  /// The DOP>1 distribution agent: rounds over every ready subscription of
-  /// `subscriber`, pools the front batches' conflict chains across
-  /// subscriptions (different target tables => disjoint latches), and fans
-  /// the pool over the subscriber's ParallelRunner. Per-batch ack/failure
-  /// semantics match the serial agent; cross-subscription delivery order is
-  /// round-robin instead of strictly sequential.
-  Status ParallelAgentPass(Server* subscriber, ExecStats* stats);
+  /// Delivers the front batch of `sub`: applies its not-yet-watermarked txns
+  /// in commit order, stopping at the first failure. Does NOT ack — the
+  /// caller decides that after the kBatchAck fault site.
+  Status DeliverBatch(Subscription* sub, TxnBatch* batch, ExecStats* stats);
 
   /// Acks the front batch: appends its txns to applied_history in commit
   /// order, clears the watermark, pops the queue, trims histories.
@@ -404,7 +360,6 @@ class ReplicationSystem {
   double backoff_jitter_ = 0.0;
   Random backoff_rng_{0x5EEDBACCULL};
   int distribution_batch_size_ = 1;
-  int apply_dop_ = 1;
   int max_batches_per_poll_ = 0;
   int64_t history_limit_ = 0;
   std::map<Server*, PublisherState> publishers_;

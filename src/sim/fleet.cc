@@ -123,17 +123,10 @@ Status Fleet::BuildSystem() {
 
   repl_ = std::make_unique<ReplicationSystem>(&clock_);
   repl_->set_distribution_batch_size(config_.distribution_batch_size);
-  repl_->set_apply_dop(config_.apply_dop);
   for (int i = 0; i < config_.num_caches; ++i) {
-    ServerOptions cache_options{"cache" + std::to_string(i + 1), "dbo", {}};
-    // A cache that applies chains in parallel needs a worker pool; the
-    // default apply_dop = 1 leaves the options (and every existing replay
-    // byte stream) untouched.
-    if (config_.apply_dop > 1) {
-      cache_options.optimizer.max_dop = config_.apply_dop;
-    }
-    caches_.push_back(std::make_unique<Server>(std::move(cache_options),
-                                               &clock_, &links_));
+    caches_.push_back(std::make_unique<Server>(
+        ServerOptions{"cache" + std::to_string(i + 1), "dbo", {}}, &clock_,
+        &links_));
     auto setup =
         MTCache::Setup(caches_.back().get(), backend_.get(), repl_.get());
     MT_RETURN_IF_ERROR(setup.status());
@@ -445,17 +438,11 @@ StatusOr<FleetResult> Fleet::Simulate(const FleetLoad& load) {
     if (pending->pub_cost > 0 || !pending->commit_times.empty()) {
       auto batch = std::make_shared<ReplBatch>(std::move(*pending));
       *pending = ReplBatch{};
-      // Parallel conflict-free apply in the machine model: the poll's apply
-      // work splits into min(apply_dop, cache_cpus) concurrent chain jobs
-      // per cache; the batch's commit->apply lag is recorded when the LAST
-      // chain finishes (a txn is visible only once its chain committed, and
-      // the batch acks as one unit). apply_dop = 1 reproduces the previous
-      // single-job schedule exactly.
-      int apply_jobs = std::min(config_.apply_dop, config_.cache_cpus);
-      if (apply_jobs < 1) apply_jobs = 1;
-      backend.Submit(batch->pub_cost + 1, [&, batch, apply_jobs]() {
+      // Each cache applies the poll's batch as one job, in commit order;
+      // its txns become visible (and their lag is recorded) when it ends.
+      backend.Submit(batch->pub_cost + 1, [&, batch]() {
         for (int c = 0; c < num_caches; ++c) {
-          auto record_lag = [&, batch, c]() {
+          cache_machines[c]->Submit(batch->apply_cost + 1, [&, batch, c]() {
             if (des.now() < warmup_end || des.now() >= run_end) return;
             SliceAcc& acc = slice_acc[c][slice_of(des.now())];
             for (double commit_time : batch->commit_times) {
@@ -465,18 +452,7 @@ StatusOr<FleetResult> Fleet::Simulate(const FleetLoad& load) {
               acc.lag_sum += sample;
               acc.lag_max = std::max(acc.lag_max, sample);
             }
-          };
-          if (apply_jobs == 1) {
-            cache_machines[c]->Submit(batch->apply_cost + 1, record_lag);
-            continue;
-          }
-          auto remaining = std::make_shared<int>(apply_jobs);
-          double chunk = batch->apply_cost / apply_jobs;
-          for (int j = 0; j < apply_jobs; ++j) {
-            cache_machines[c]->Submit(chunk + 1, [remaining, record_lag]() {
-              if (--*remaining == 0) record_lag();
-            });
-          }
+          });
         }
       });
     }

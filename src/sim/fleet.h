@@ -52,12 +52,6 @@ struct FleetConfig {
   /// the profiled per-interaction repl costs amortize the per-delivery
   /// overhead the way the production pipeline would. 1 = serial pipeline.
   int distribution_batch_size = 1;
-  /// Parallel-apply DOP, threaded into the real pipeline AND the DES model:
-  /// Simulate() splits each replication poll's apply work into
-  /// min(apply_dop, cache_cpus) concurrent jobs per cache machine, so a
-  /// multi-core cache overlaps apply chains exactly like the real
-  /// distribution agent fanning chains over the subscriber's worker pool.
-  int apply_dop = 1;
 };
 
 /// One simulated closed-loop run over an initialized fleet's profile.

@@ -489,10 +489,7 @@ TEST_F(DmvTest, GoldenSchemas) {
                 {"latency_p95", D},
                 {"latency_p99", D},
                 {"batches_distributed", I},
-                {"avg_batch_size", D},
-                {"apply_dop", I},
-                {"conflict_chains", I},
-                {"parallel_apply_seconds", D}});
+                {"avg_batch_size", D}});
   ExpectSchema(&server_, "dm_repl_lag_histogram",
                {{"bucket_lo", D}, {"bucket_hi", D}, {"count", I},
                 {"cumulative", I}});

@@ -204,8 +204,8 @@ TEST_F(ReplicationFaultTest, CommitOrderPrefixInvariantHoldsMidFlight) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-boundary and parallel-apply fault sites (kDistributeBatch,
-// kApplyChain, kBatchAck).
+// Batch-boundary, mid-batch apply, and ack-window fault sites
+// (kDistributeBatch, kApplyChange/kApplyCommit inside a batch, kBatchAck).
 // ---------------------------------------------------------------------------
 
 TEST_F(ReplicationFaultTest, BatchBoundaryCrashRedistributesExactlyOnce) {
@@ -231,18 +231,19 @@ TEST_F(ReplicationFaultTest, BatchBoundaryCrashRedistributesExactlyOnce) {
   ExpectConsistent();
 }
 
-TEST_F(ReplicationFaultTest, ChainCrashMidBatchKeepsWatermarkAndDedups) {
+TEST_F(ReplicationFaultTest, ApplyCrashMidBatchKeepsWatermarkAndDedups) {
   repl_.set_distribution_batch_size(4);
-  repl_.set_apply_dop(2);  // exercises the pooled parallel agent pass
-  // The second conflict chain crashes; the first already committed locally.
-  plan_.AddRule(FaultSite::kApplyChain, FaultAction::kCrash, 2);
+  // The subscriber dies inside the 2nd txn of the 4-txn batch (one change
+  // per txn); the 1st already committed locally.
+  plan_.AddRule(FaultSite::kApplyChange, FaultAction::kCrash, 2);
   for (int i = 1; i <= 4; ++i) InsertEast(i);
   ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
   EXPECT_EQ(repl_.RunDistributionAgent(&cache_, nullptr).code(),
             StatusCode::kUnavailable);
-  // Chain 1's txn committed and is held by the apply watermark; the batch
-  // itself stays queued (not acked).
+  // Txn 1 committed and is held by the apply watermark; txn 2 rolled back;
+  // the batch itself stays queued (not acked).
   EXPECT_EQ(CountCacheRows(), 1);
+  EXPECT_EQ(repl_.metrics().txns_applied, 1);
   EXPECT_EQ(repl_.PendingChanges(), 4);
   std::vector<SubscriptionInfo> subs = repl_.DescribeSubscriptions();
   ASSERT_EQ(subs.size(), 1u);
@@ -251,7 +252,7 @@ TEST_F(ReplicationFaultTest, ChainCrashMidBatchKeepsWatermarkAndDedups) {
   ConsistencyReport invariants =
       ConsistencyChecker(&repl_).CheckInvariants();
   EXPECT_TRUE(invariants.ok()) << invariants.ToString();
-  // Redelivery applies only the three unapplied chains (exactly-once).
+  // Redelivery applies exactly the three unapplied txns (exactly-once).
   clock_.Advance(repl_.backoff_max());
   ASSERT_TRUE(repl_.RunDistributionAgent(&cache_, nullptr).ok());
   EXPECT_EQ(CountCacheRows(), 4);
@@ -260,20 +261,26 @@ TEST_F(ReplicationFaultTest, ChainCrashMidBatchKeepsWatermarkAndDedups) {
   ExpectConsistent();
 }
 
-TEST_F(ReplicationFaultTest, DroppedChainRetriesWholeBatchWithDedup) {
+TEST_F(ReplicationFaultTest, CommitCrashMidBatchRetriesRestWithDedup) {
   repl_.set_distribution_batch_size(3);
-  repl_.set_apply_dop(2);
-  plan_.AddRule(FaultSite::kApplyChain, FaultAction::kDrop, 3);
+  // The subscriber dies right after the 2nd txn's local commit.
+  plan_.AddRule(FaultSite::kApplyCommit, FaultAction::kCrash, 2);
   for (int i = 1; i <= 3; ++i) InsertEast(i);
   ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
-  Status dropped = repl_.RunDistributionAgent(&cache_, nullptr);
-  EXPECT_EQ(dropped.code(), StatusCode::kUnavailable) << dropped.ToString();
-  EXPECT_EQ(repl_.metrics().deliveries_dropped, 1);
-  EXPECT_EQ(CountCacheRows(), 2);  // chains 1 and 2 committed
+  EXPECT_EQ(repl_.RunDistributionAgent(&cache_, nullptr).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(CountCacheRows(), 2);  // txns 1 and 2 committed
+  EXPECT_EQ(repl_.metrics().txns_applied, 2);
+  std::vector<SubscriptionInfo> subs = repl_.DescribeSubscriptions();
+  ASSERT_EQ(subs.size(), 1u);
+  EXPECT_EQ(subs[0].inflight_applied, 2);
+  EXPECT_EQ(subs[0].queued_txns, 3);
+  // Redelivery skips the two watermarked txns and applies exactly one.
   clock_.Advance(repl_.backoff_max());
   ASSERT_TRUE(repl_.RunDistributionAgent(&cache_, nullptr).ok());
   EXPECT_EQ(CountCacheRows(), 3);
   EXPECT_EQ(repl_.metrics().txns_applied, 3);
+  EXPECT_EQ(repl_.metrics().txns_retried, 3);  // the whole batch redelivered
   ExpectConsistent();
 }
 
@@ -282,7 +289,7 @@ TEST_F(ReplicationFaultTest, AckCrashAcksViaWatermarkWithoutReapplying) {
   plan_.AddRule(FaultSite::kBatchAck, FaultAction::kCrash, 1);
   for (int i = 1; i <= 3; ++i) InsertEast(i);
   ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
-  // Every chain applies and commits; the agent dies in the ack window.
+  // Every txn applies and commits; the agent dies in the ack window.
   EXPECT_EQ(repl_.RunDistributionAgent(&cache_, nullptr).code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(CountCacheRows(), 3);
@@ -454,17 +461,9 @@ TEST(ReplicationFaultDesTest, EventDrivenScheduleConverges) {
 
 class RandomizedFaultHarness {
  public:
-  static ServerOptions CacheOptions() {
-    // A real compute pool so seeds with apply_dop > 1 fan chains over actual
-    // worker threads, not the inline fallback.
-    ServerOptions opts{"cache", "dbo", {}};
-    opts.optimizer.max_dop = 4;
-    return opts;
-  }
-
   explicit RandomizedFaultHarness(uint64_t seed)
       : backend_(ServerOptions{"backend", "dbo", {}}, &clock_, &links_),
-        cache_(CacheOptions(), &clock_, &links_),
+        cache_(ServerOptions{"cache", "dbo", {}}, &clock_, &links_),
         repl_(&clock_), rng_(seed * 0x9E3779B9ULL + 1), plan_(seed + 1) {}
 
   void Setup() {
@@ -525,24 +524,17 @@ class RandomizedFaultHarness {
                         rng_.NextDouble() * 0.15);
     plan_.AddRandomRule(FaultSite::kLogReadStall, FaultAction::kDelay,
                         rng_.NextDouble() * 0.05);
-    // Group commit, parallel apply, jittered backoff, and bounded histories
-    // are part of the randomized surface: most seeds run the batched (and
-    // often parallel) pipeline, so the new fault sites at batch boundaries,
-    // chain starts, and the ack window fire under every knob combination.
+    // Group commit, jittered backoff, and bounded histories are part of the
+    // randomized surface: most seeds run the batched pipeline, so the fault
+    // sites at batch boundaries, mid-batch applies, and the ack window fire
+    // under every knob combination.
     repl_.set_distribution_batch_size(
         static_cast<int>(rng_.Uniform(1, 8)));
-    repl_.set_apply_dop(static_cast<int>(rng_.Uniform(1, 4)));
     repl_.set_retry_backoff(0.05, 1.0, rng_.NextDouble() * 0.5);
     repl_.set_backoff_seed(rng_.NextU64());
     if (rng_.Bernoulli(0.5)) repl_.set_history_limit(8);
     plan_.AddRandomRule(FaultSite::kDistributeBatch, FaultAction::kCrash,
                         rng_.NextDouble() * 0.08);
-    plan_.AddRandomRule(FaultSite::kApplyChain, FaultAction::kCrash,
-                        rng_.NextDouble() * 0.08);
-    plan_.AddRandomRule(FaultSite::kApplyChain, FaultAction::kDrop,
-                        rng_.NextDouble() * 0.05);
-    plan_.AddRandomRule(FaultSite::kApplyChain, FaultAction::kDelay,
-                        rng_.NextDouble() * 0.05);
     plan_.AddRandomRule(FaultSite::kBatchAck, FaultAction::kCrash,
                         rng_.NextDouble() * 0.08);
     backend_.db().log().set_read_fault_hook(MakeLogReadStallHook(&plan_));

@@ -397,7 +397,8 @@ TEST_F(ReplicationTest, TwoSubscribersBothReceive) {
 }
 
 // ---------------------------------------------------------------------------
-// Group-commit batching, parallel apply, history bounding, and metrics reset.
+// Group-commit batching, in-batch commit order, history bounding, and
+// metrics reset.
 // ---------------------------------------------------------------------------
 
 TEST_F(ReplicationTest, BatchedDistributionGroupsTxnsAndPropagatesEquivalently) {
@@ -409,8 +410,6 @@ TEST_F(ReplicationTest, BatchedDistributionGroupsTxnsAndPropagatesEquivalently) 
   EXPECT_EQ(repl_.metrics().batches_distributed, 3);
   EXPECT_EQ(repl_.metrics().batch_txns_distributed, 10);
   EXPECT_NEAR(repl_.metrics().AvgBatchSize(), 10.0 / 3.0, 1e-9);
-  // Distinct keys => every txn is its own conflict chain.
-  EXPECT_EQ(repl_.metrics().conflict_chains, 10);
   EXPECT_EQ(repl_.metrics().txns_applied, 10);
   std::vector<SubscriptionInfo> subs = repl_.DescribeSubscriptions();
   ASSERT_EQ(subs.size(), 1u);
@@ -419,47 +418,27 @@ TEST_F(ReplicationTest, BatchedDistributionGroupsTxnsAndPropagatesEquivalently) 
   EXPECT_EQ(subs[0].inflight_applied, 0);
 }
 
-TEST_F(ReplicationTest, ParallelApplyMatchesSerialResultOnWorkerPool) {
-  // A subscriber with a real compute pool: chains of one batch fan out over
-  // RunParallel, and the result must be exactly what the serial pipeline
-  // produces (same rows, same counts, clean consistency report).
-  ServerOptions opts{"pcache", "dbo", {}};
-  opts.optimizer.max_dop = 4;
-  Server pcache(opts, &clock_, &links_);
-  ASSERT_TRUE(pcache
-                  .ExecuteScript(
-                      "CREATE TABLE customer_east (c_id INT PRIMARY KEY, "
-                      "c_name VARCHAR(30))")
-                  .ok());
-  Article article;
-  article.name = "parallel_article";
-  article.def.base_table = "customer";
-  article.def.columns = {"c_id", "c_name"};
-  article.def.predicates = {
-      {"c_region", CompareOp::kEq, Value::String("east")}};
-  ASSERT_TRUE(
-      repl_.Subscribe(&backend_, article, &pcache, "customer_east").ok());
+TEST_F(ReplicationTest, BatchedInsertAndUpdateOfSameKeyApplyInCommitOrder) {
+  // An insert and a later update of the same key share one delivery unit,
+  // with a txn on another key between them. The batch applies in commit
+  // order, so the cache ends on the update, never on the insert's image.
   repl_.set_distribution_batch_size(16);
-  repl_.set_apply_dop(4);
-  for (int i = 200; i < 212; ++i) InsertEastRow(i);
-  // A multi-change txn updating two of them (same chain as their inserts).
+  InsertEastRow(200);
+  InsertEastRow(201);
   ASSERT_TRUE(backend_
                   .ExecuteScript(
-                      "BEGIN TRANSACTION; "
-                      "UPDATE customer SET c_name = 'u1' WHERE c_id = 200; "
-                      "UPDATE customer SET c_name = 'u2' WHERE c_id = 201; "
-                      "COMMIT;")
+                      "UPDATE customer SET c_name = 'u200' WHERE c_id = 200")
                   .ok());
   ASSERT_TRUE(repl_.RunOnce(nullptr, nullptr).ok());
-  auto r = pcache.Execute(
-      "SELECT c_name FROM customer_east WHERE c_id = 200 OR c_id = 201 "
+  EXPECT_EQ(repl_.metrics().batches_distributed, 1);
+  EXPECT_EQ(repl_.metrics().txns_applied, 3);
+  auto r = cache_.Execute(
+      "SELECT c_id, c_name FROM customer_east WHERE c_id >= 200 "
       "ORDER BY c_id");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->rows.size(), 2u);
-  EXPECT_EQ(r->rows[0][0].AsString(), "u1");
-  EXPECT_EQ(r->rows[1][0].AsString(), "u2");
-  EXPECT_EQ(repl_.metrics().txns_applied, 26);  // 13 txns x 2 subscriptions
-  EXPECT_GT(repl_.metrics().conflict_chains, 0);
+  EXPECT_EQ(r->rows[0][1].AsString(), "u200");
+  EXPECT_EQ(r->rows[1][1].AsString(), "c201");
   // Invariants only: the fixture seeds the published table BEFORE
   // subscribing, so a full row diff would flag the un-snapshotted prefix.
   ConsistencyReport report = ConsistencyChecker(&repl_).CheckInvariants();
@@ -548,7 +527,6 @@ TEST_F(ReplicationTest, ResetMetricsClearsEveryCounter) {
   EXPECT_EQ(repl_.metrics().txns_applied, 0);
   EXPECT_EQ(repl_.metrics().batches_distributed, 0);
   EXPECT_EQ(repl_.metrics().batch_txns_distributed, 0);
-  EXPECT_EQ(repl_.metrics().conflict_chains, 0);
   EXPECT_EQ(repl_.metrics().AvgBatchSize(), 0.0);
   EXPECT_EQ(repl_.metrics().AvgLatency(), 0.0);
   EXPECT_EQ(repl_.metrics().lag_histogram.Count(), 0);
