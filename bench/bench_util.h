@@ -10,7 +10,7 @@
 
 #include "common/random.h"
 #include "common/trace.h"
-#include "sim/testbed.h"
+#include "sim/fleet.h"
 
 namespace mtcache {
 namespace bench {
@@ -164,8 +164,9 @@ inline void ThreadedLoop(int n_threads, Fn fn) {
 
 /// The standard experiment scale (laptop-sized stand-in for the paper's
 /// 10,000-item / 10,000-EB database; DESIGN.md documents the substitution).
-inline sim::TestbedConfig PaperConfig() {
-  sim::TestbedConfig config;
+/// Callers pick the deployment with `num_caches` (0 = backend only).
+inline sim::FleetConfig PaperConfig() {
+  sim::FleetConfig config;
   config.tpcw.num_items = 1000;
   config.tpcw.num_authors = 250;
   config.tpcw.num_customers = 2880;
@@ -173,6 +174,17 @@ inline sim::TestbedConfig PaperConfig() {
   config.tpcw.best_seller_window = 333;
   config.profile_samples = 20;
   return config;
+}
+
+/// The paper-table measurement window for `servers` web/cache machines;
+/// Fleet::FindMaxThroughput searches the user count.
+inline sim::FleetLoad PaperLoad(tpcw::WorkloadMix mix, int servers) {
+  sim::FleetLoad load;
+  load.mix = mix;
+  load.num_caches = servers;
+  load.warmup = 15;
+  load.measure = 80;
+  return load;
 }
 
 }  // namespace bench

@@ -15,13 +15,12 @@ int main() {
   Banner("E0", "Measured per-interaction work profile (with MTCache)",
          "section 6.1.1; input to experiments E1-E6");
 
-  sim::TestbedConfig config = PaperConfig();
-  config.caching = true;
-  config.num_web_servers = 1;
+  sim::FleetConfig config = PaperConfig();
+  config.num_caches = 1;
   config.profile_samples = 30;
-  sim::Testbed testbed(config);
-  Check(testbed.Initialize(), "init");
-  const sim::InteractionProfile& profile = testbed.profile();
+  sim::Fleet fleet(config);
+  Check(fleet.Initialize(), "init");
+  const sim::FleetProfile& profile = fleet.profile();
 
   std::printf("%-22s %-7s %12s %12s %12s %12s\n", "interaction", "class",
               "cache work", "backend", "repl(pub)", "repl(apply)");
@@ -31,9 +30,9 @@ int main() {
     auto kind = static_cast<tpcw::Interaction>(t);
     double web = 0;
     double backend = 0;
-    for (auto [w, b] : profile.samples[t]) {
-      web += w;
-      backend += b;
+    for (const sim::FleetProfile::Sample& sample : profile.samples[t]) {
+      web += sample.cache_cost;
+      backend += sample.backend_cost;
     }
     web /= profile.samples[t].size();
     backend /= profile.samples[t].size();

@@ -20,18 +20,18 @@ int main() {
   double wips[3][kMaxServers + 1] = {};
   double backend[3][kMaxServers + 1] = {};
 
+  // One real five-cache lab serves every cell: the profile depends on
+  // neither the mix nor the simulated server count.
+  sim::FleetConfig config = PaperConfig();
+  config.num_caches = kMaxServers;
+  sim::Fleet fleet(config);
+  Check(fleet.Initialize(), "fleet init");
   int mi = 0;
   for (auto mix : {tpcw::WorkloadMix::kBrowsing, tpcw::WorkloadMix::kShopping,
                    tpcw::WorkloadMix::kOrdering}) {
     for (int n = 1; n <= kMaxServers; ++n) {
-      sim::TestbedConfig config = PaperConfig();
-      config.mix = mix;
-      config.caching = true;
-      config.num_web_servers = n;
-      sim::Testbed testbed(config);
-      Check(testbed.Initialize(), "testbed init");
-      sim::TestbedResult r =
-          CheckOk(testbed.FindMaxThroughput(15, 80), "find max");
+      sim::FleetResult r =
+          CheckOk(fleet.FindMaxThroughput(PaperLoad(mix, n)), "find max");
       wips[mi][n] = r.wips;
       backend[mi][n] = r.backend_util * 100;
     }
@@ -65,5 +65,18 @@ int main() {
       "\nShape check: near-linear WIPS growth for Browsing/Shopping with a "
       "coasting backend;\nOrdering flat with the backend load climbing "
       "steeply (paper: 7.5%% / 15.9%% / 55.4%% at n=5).\n");
-  return 0;
+  // Gate: WIPS must rise strictly with servers for Browsing and Shopping.
+  bool ok = true;
+  for (int m = 0; m < 2; ++m) {
+    for (int n = 2; n <= kMaxServers; ++n) {
+      if (!(wips[m][n] > wips[m][n - 1])) {
+        std::printf("SHAPE FAIL: %s WIPS %.1f at %d servers <= %.1f at %d\n",
+                    names[m], wips[m][n], n, wips[m][n - 1], n - 1);
+        ok = false;
+      }
+    }
+  }
+  std::printf("Shape gate (Browsing/Shopping WIPS strictly rising): %s\n",
+              ok ? "ok" : "FAILED");
+  return ok ? 0 : 1;
 }

@@ -15,26 +15,22 @@ int main() {
               "FiveCaches", "BackendLoad", "Paper (nocache->5, load)");
   const char* paper[3] = {"50 -> 129, 7.5%", "82 -> 199, 15.9%",
                           "283 -> 271, 55.4%"};
+  // Two labs serve all three mixes: the profile does not depend on the mix.
+  sim::FleetConfig base = PaperConfig();
+  base.num_caches = 0;
+  sim::Fleet baseline(base);
+  Check(baseline.Initialize(), "baseline init");
+  sim::FleetConfig cached = PaperConfig();
+  cached.num_caches = 5;
+  sim::Fleet with_cache(cached);
+  Check(with_cache.Initialize(), "cached init");
   int i = 0;
   for (auto mix : {tpcw::WorkloadMix::kBrowsing, tpcw::WorkloadMix::kShopping,
                    tpcw::WorkloadMix::kOrdering}) {
-    sim::TestbedConfig base = PaperConfig();
-    base.mix = mix;
-    base.caching = false;
-    base.num_web_servers = 5;
-    sim::Testbed baseline(base);
-    Check(baseline.Initialize(), "baseline init");
-    sim::TestbedResult rb = CheckOk(baseline.FindMaxThroughput(15, 80), "run");
-
-    sim::TestbedConfig cached = PaperConfig();
-    cached.mix = mix;
-    cached.caching = true;
-    cached.num_web_servers = 5;
-    sim::Testbed with_cache(cached);
-    Check(with_cache.Initialize(), "cached init");
-    sim::TestbedResult rc =
-        CheckOk(with_cache.FindMaxThroughput(15, 80), "run");
-
+    sim::FleetResult rb =
+        CheckOk(baseline.FindMaxThroughput(PaperLoad(mix, 5)), "run");
+    sim::FleetResult rc =
+        CheckOk(with_cache.FindMaxThroughput(PaperLoad(mix, 5)), "run");
     std::printf("%-10s | %7.1f    | %13.1f    %12.1f%% | %s\n",
                 tpcw::MixName(mix), rb.wips, rc.wips, rc.backend_util * 100,
                 paper[i++]);

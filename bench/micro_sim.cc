@@ -1,10 +1,10 @@
 // M5 — micro-benchmark: the discrete-event simulator itself (event
-// throughput and a full closed-loop testbed run), establishing that the
+// throughput and a full closed-loop fleet run), establishing that the
 // multi-machine simulation is never the bottleneck of an experiment.
 
 #include <benchmark/benchmark.h>
 
-#include "sim/testbed.h"
+#include "sim/fleet.h"
 
 namespace mtcache {
 namespace sim {
@@ -41,33 +41,38 @@ void BM_MachineQueueing(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineQueueing)->Arg(100000);
 
-Testbed* SharedTestbed() {
-  static Testbed* testbed = [] {
-    TestbedConfig config;
+Fleet* SharedFleet() {
+  static Fleet* fleet = [] {
+    FleetConfig config;
     config.tpcw.num_items = 300;
     config.tpcw.num_authors = 75;
     config.tpcw.num_customers = 500;
     config.tpcw.num_orders = 450;
     config.tpcw.best_seller_window = 60;
-    config.num_web_servers = 3;
+    config.num_caches = 3;
     config.profile_samples = 8;
-    auto* t = new Testbed(config);
-    if (!t->Initialize().ok()) std::abort();
-    return t;
+    auto* f = new Fleet(config);
+    if (!f->Initialize().ok()) std::abort();
+    return f;
   }();
-  return testbed;
+  return fleet;
 }
 
-void BM_TestbedClosedLoopRun(benchmark::State& state) {
-  Testbed* testbed = SharedTestbed();
+void BM_FleetClosedLoopRun(benchmark::State& state) {
+  Fleet* fleet = SharedFleet();
+  FleetLoad load;
+  load.num_caches = 3;
+  load.users = static_cast<int>(state.range(0));
+  load.warmup = 10;
+  load.measure = 60;
   for (auto _ : state) {
-    auto r = testbed->Run(static_cast<int>(state.range(0)), 10, 60);
+    auto r = fleet->Simulate(load);
     if (!r.ok()) std::abort();
     benchmark::DoNotOptimize(r->wips);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TestbedClosedLoopRun)->Arg(50)->Arg(200);
+BENCHMARK(BM_FleetClosedLoopRun)->Arg(50)->Arg(200);
 
 }  // namespace
 }  // namespace sim

@@ -14,7 +14,7 @@
 
 #include "common/trace.h"
 #include "common/wait_stats.h"
-#include "sim/testbed.h"
+#include "sim/fleet.h"
 
 using namespace mtcache;
 
@@ -62,17 +62,18 @@ double Scalar(Server* server, const std::string& sql, const char* what) {
 }  // namespace
 
 int main() {
-  // A small TPC-W testbed: item/author/orders/order_line are cached on the
-  // web server, customer is not — so a customer query routes to the backend.
-  sim::TestbedConfig config;
+  // A small TPC-W lab: item/author/orders/order_line are cached on the web
+  // server, customer is not — so a customer query routes to the backend.
+  sim::FleetConfig config;
   config.tpcw.num_items = 100;
   config.tpcw.num_authors = 25;
   config.tpcw.num_customers = 60;
   config.tpcw.num_orders = 50;
+  config.num_caches = 1;
   config.profile_samples = 2;
-  sim::Testbed testbed(config);
-  Must(testbed.Initialize(), "testbed init");
-  Server* cache = testbed.cache(0);
+  sim::Fleet fleet(config);
+  Must(fleet.Initialize(), "fleet init");
+  Server* cache = fleet.cache(0);
 
   // 1. EXPLAIN ANALYZE on a locally served query (cached view over item):
   // per-operator actuals with a nonzero row count and a summary row.

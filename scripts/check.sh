@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command build + test.
 #
-#   scripts/check.sh          # configure + build + full test suite
+#   scripts/check.sh          # configure + build + full test suite, the DMV
+#                             # and exp1 smokes, and the E0/E2/E4/E5 tables
 #   scripts/check.sh asan     # same, under -fsanitize=address,undefined,
 #                             # running the fault-injection suites
 #   scripts/check.sh tsan     # -fsanitize=thread, running the concurrency
@@ -62,6 +63,14 @@ case "$mode" in
     grep -q '"backend_dmv"' <<<"$exp1_out"
     exp1_threads_out="$(./build/bench/exp1_baseline_throughput --threads 8 --smoke)"
     grep -q '"aggregate_speedup"' <<<"$exp1_threads_out"
+    # The paper tables on the simulated lab, a few seconds each. exp2_fig6
+    # (WIPS strictly rising with servers for Browsing/Shopping) and exp5
+    # (replication overhead under 15% on both tiers) gate their own shapes
+    # and exit nonzero on a miss.
+    for exp in exp0_interaction_profile exp2_fig6_scaleout \
+               exp4_fivecache_table exp5_repl_overhead; do
+      ./build/bench/"$exp"
+    done
     ;;
   asan)
     cmake --preset asan

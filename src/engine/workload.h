@@ -121,8 +121,8 @@ class WorkloadRepository {
   /// Seconds one optimizer cost unit represents, for the estimated-backend-
   /// seconds-saved columns. The calibration fit (PR 8) normalizes seq_row to
   /// 1.0, and the DES testbed maps units to seconds via unit_rate; the
-  /// default matches sim::TestbedConfig::unit_rate = 100000 units/sec. The
-  /// fleet harness overrides this with 1/unit_rate per cache.
+  /// default matches sim::FleetConfig::unit_rate = 100000 units/sec. The
+  /// fleet harness overrides this with 1/unit_rate per server.
   double cost_unit_seconds() const { return cost_unit_seconds_.load(); }
   void set_cost_unit_seconds(double s) { cost_unit_seconds_.store(s); }
 

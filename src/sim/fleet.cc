@@ -111,8 +111,8 @@ Fleet::~Fleet() {
 }
 
 Status Fleet::BuildSystem() {
-  if (config_.num_caches < 1) {
-    return Status::InvalidArgument("fleet needs at least one cache server");
+  if (config_.num_caches < 0) {
+    return Status::InvalidArgument("fleet cache count must be >= 0");
   }
   backend_ = std::make_unique<Server>(ServerOptions{"backend", "dbo", {}},
                                       &clock_, &links_);
@@ -161,7 +161,11 @@ Status Fleet::ReplicationRound() {
 }
 
 Status Fleet::ProfileInteractions() {
-  TpcwDriver driver(caches_[0].get(), config_.tpcw, config_.seed ^ 0xfeed,
+  // Backend-only and bypass drivers talk to the backend, so every statement
+  // and all of its work lands there.
+  const bool via_cache = !caches_.empty() && config_.drivers_use_cache;
+  TpcwDriver driver(via_cache ? caches_[0].get() : backend_.get(),
+                    config_.tpcw, config_.seed ^ 0xfeed,
                     /*driver_index=*/config_.num_caches,
                     /*driver_stride=*/config_.num_caches + 1);
   for (int t = 0; t < kNumInteractions; ++t) {
@@ -172,12 +176,19 @@ Status Fleet::ProfileInteractions() {
     for (int s = 0; s < config_.profile_samples; ++s) {
       int64_t statements_before = driver.statements_issued();
       MT_ASSIGN_OR_RETURN(ExecStats stats, driver.Run(kind));
+      int64_t statements = driver.statements_issued() - statements_before;
       FleetProfile::Sample sample;
-      sample.cache_cost = stats.local_cost;
-      sample.backend_cost = stats.remote_cost;
-      sample.cache_statements = driver.statements_issued() - statements_before;
-      sample.backend_statements = stats.remote_queries;
+      if (via_cache) {
+        sample.cache_cost = stats.local_cost;
+        sample.backend_cost = stats.remote_cost;
+        sample.cache_statements = statements;
+        sample.backend_statements = stats.remote_queries;
+      } else {
+        sample.backend_cost = stats.local_cost + stats.remote_cost;
+        sample.backend_statements = statements;
+      }
       profile_.samples[t].push_back(sample);
+      if (caches_.empty()) continue;  // backend-only: nothing replicates
 
       int64_t txns_before = repl_->metrics().txns_applied;
       ExecStats pub;
@@ -458,7 +469,7 @@ StatusOr<FleetResult> Fleet::Simulate(const FleetLoad& load) {
     }
     des.Schedule(des.now() + config_.repl_poll_interval, poll);
   };
-  des.Schedule(config_.repl_poll_interval, poll);
+  if (!caches_.empty()) des.Schedule(config_.repl_poll_interval, poll);
 
   // Warmup boundary: reset machine utilization counters.
   des.Schedule(warmup_end, [&]() {
@@ -488,6 +499,7 @@ StatusOr<FleetResult> Fleet::Simulate(const FleetLoad& load) {
     for (double l : latencies) sum += l;
     result.latency_avg = sum / latencies.size();
     result.latency_p50 = SortedPercentile(latencies, 0.50);
+    result.latency_p90 = SortedPercentile(latencies, 0.90);
     result.latency_p95 = SortedPercentile(latencies, 0.95);
     result.latency_p99 = SortedPercentile(latencies, 0.99);
   }
@@ -546,6 +558,43 @@ StatusOr<FleetResult> Fleet::Simulate(const FleetLoad& load) {
   // includes these samples (the DMV is served off the shared metrics).
   repl_->MergeLagHistogram(lag);
   return result;
+}
+
+StatusOr<FleetResult> Fleet::FindMaxThroughput(FleetLoad load) {
+  auto run = [&](int users) {
+    load.users = users;
+    return Simulate(load);
+  };
+  auto acceptable = [](const FleetResult& r) {
+    return r.latency_p90 <= kMaxP90Latency &&
+           std::max(r.backend_util, r.cache_util_max) <= kMaxBottleneckUtil;
+  };
+
+  MT_ASSIGN_OR_RETURN(FleetResult best, run(1));
+  if (!acceptable(best)) return best;
+
+  // Exponential growth until a bound is exceeded, then bisect to within
+  // 1/16 of the last acceptable user count.
+  int lo = 1;
+  int hi = 2;
+  while (hi <= 1 << 20) {
+    MT_ASSIGN_OR_RETURN(FleetResult r, run(hi));
+    if (!acceptable(r)) break;
+    best = std::move(r);
+    lo = hi;
+    hi *= 2;
+  }
+  while (hi - lo > std::max(1, lo / 16)) {
+    int mid = lo + (hi - lo) / 2;
+    MT_ASSIGN_OR_RETURN(FleetResult r, run(mid));
+    if (acceptable(r)) {
+      best = std::move(r);
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return best;
 }
 
 }  // namespace sim

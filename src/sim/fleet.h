@@ -16,18 +16,32 @@
 namespace mtcache {
 namespace sim {
 
-/// Configuration of a mid-tier cache fleet: one real backend Server plus
+/// Configuration of the simulated lab (§6.1.2): one real backend Server plus
 /// `num_caches` real MTCache servers (catalog clones, cached views at
 /// `cached_fraction`, replication subscriptions), and the machine model the
 /// discrete-event simulation replays measured work against. The real system
 /// is where interactions execute for real (profiling, consistency tests);
 /// the DES is where tens of thousands of closed-loop users replay the
 /// measured service demands against an arbitrarily large simulated fleet.
+///
+/// The lab has three deployments, chosen by config alone:
+///   - cached (num_caches >= 1, drivers_use_cache): the paper's MTCache
+///     setup; each web/cache box runs its share of the database work;
+///   - bypass (num_caches >= 1, !drivers_use_cache): the caches keep
+///     subscribing but the drivers query the backend (§6.2.2);
+///   - backend-only (num_caches = 0): no caches and no replication.
+/// In the last two the profile is measured on the backend and all database
+/// work and statements land there; the front-end machines carry app_work.
 struct FleetConfig {
   tpcw::TpcwConfig tpcw;
   /// Real MTCache servers built by Initialize(). Profiling and consistency
-  /// checks run against these; Simulate() may model more (FleetLoad).
+  /// checks run against these; Simulate() may model more (FleetLoad). 0 is
+  /// the backend-only deployment.
   int num_caches = 2;
+  /// Route the drivers at the cache servers. False is the §6.2.2 bypass
+  /// setup: beyond app_work, the cache machines only apply replicated
+  /// changes.
+  bool drivers_use_cache = true;
   /// Fraction of each cacheable table's rows covered by its cached view
   /// (see tpcw::SetupTpcwCache's fraction overload).
   double cached_fraction = 1.0;
@@ -57,8 +71,9 @@ struct FleetConfig {
 /// One simulated closed-loop run over an initialized fleet's profile.
 struct FleetLoad {
   tpcw::WorkloadMix mix = tpcw::WorkloadMix::kShopping;
-  /// Simulated cache machines. May exceed the real fleet: per-cache service
-  /// demands come from the profile, so the DES scales the topology freely.
+  /// Simulated web/cache machines (plain web servers in the backend-only
+  /// deployment). May exceed the real fleet: per-cache service demands come
+  /// from the profile, so the DES scales the topology freely.
   int num_caches = 1;
   /// Total closed-loop users, pinned user -> cache (user % num_caches): a
   /// session's statements all route through its cache, the §4 ODBC
@@ -81,7 +96,9 @@ struct FleetLoad {
 };
 
 /// Measured per-interaction service demands and statement routing, averaged
-/// or sampled from real executions through a cache server.
+/// or sampled from real executions through a cache server. In the
+/// backend-only and bypass deployments the drivers run on the backend, and
+/// every sample's work and statements are backend_cost/backend_statements.
 struct FleetProfile {
   struct Sample {
     double cache_cost = 0;    // work on the cache server (local_cost)
@@ -148,6 +165,9 @@ struct FleetResult {
 
   double latency_avg = 0;
   double latency_p50 = 0;
+  /// The paper's latency bound is on p90 (Fleet::FindMaxThroughput). Not
+  /// printed by ToJson, which stays byte-identical to earlier releases.
+  double latency_p90 = 0;
   double latency_p95 = 0;
   double latency_p99 = 0;
 
@@ -188,6 +208,11 @@ struct FleetResult {
   std::string SlicesJson() const;
 };
 
+/// The paper's operating point (§6.1.2): the 90th-percentile interaction
+/// latency stays within 3 s and the bottleneck machine below ~90% CPU.
+inline constexpr double kMaxP90Latency = 3.0;
+inline constexpr double kMaxBottleneckUtil = 0.92;
+
 /// A backend + N MTCache servers wired through replication, profiled once,
 /// then replayed at fleet scale on the discrete-event testbed. Everything is
 /// deterministic under a fixed seed: the real system (data generation,
@@ -207,6 +232,11 @@ class Fleet {
   /// simulated cache machines. Also folds the run's simulated commit->apply
   /// lag into the real pipeline's metrics (sys.dm_repl_lag_histogram).
   StatusOr<FleetResult> Simulate(const FleetLoad& load);
+
+  /// The paper's methodology: raises `load.users` (its own value is
+  /// ignored) until kMaxP90Latency or kMaxBottleneckUtil is exceeded and
+  /// returns the Simulate() result at the last acceptable user count.
+  StatusOr<FleetResult> FindMaxThroughput(FleetLoad load);
 
   /// Executes `per_cache` real interactions through each cache server's
   /// dedicated driver (disjoint client id spaces), interleaving a full

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <set>
 
 #include "common/string_util.h"
@@ -84,6 +85,21 @@ Status Parser::ErrorHere(const std::string& message) const {
                                  std::to_string(t.offset) + ")");
 }
 
+Status Parser::TooDeep() const {
+  return ErrorHere("nesting exceeds the limit of " +
+                   std::to_string(kMaxSqlNestingDepth) + " levels");
+}
+
+Status Parser::DescentScope::Check() const {
+  return parser_->depth_ > kMaxSqlNestingDepth ? parser_->TooDeep()
+                                               : Status::Ok();
+}
+
+Status Parser::SetHeight(int height) {
+  height_ = height;
+  return height > kMaxSqlNestingDepth ? TooDeep() : Status::Ok();
+}
+
 StatusOr<std::vector<StmtPtr>> Parser::ParseScript() {
   MT_ASSIGN_OR_RETURN(tokens_, Tokenize(sql_));
   pos_ = 0;
@@ -108,6 +124,8 @@ StatusOr<StmtPtr> Parser::ParseSingleStatement() {
 }
 
 StatusOr<StmtPtr> Parser::ParseStatement() {
+  DescentScope scope(this);
+  MT_RETURN_IF_ERROR(scope.Check());
   if (CheckIdent("select")) {
     MT_ASSIGN_OR_RETURN(auto sel, ParseSelect());
     return StmtPtr(std::move(sel));
@@ -171,6 +189,8 @@ StatusOr<StmtPtr> Parser::ParseStatement() {
 }
 
 StatusOr<std::unique_ptr<SelectStmt>> Parser::ParseSelect() {
+  DescentScope scope(this);
+  MT_RETURN_IF_ERROR(scope.Check());
   MT_RETURN_IF_ERROR(ExpectIdent("select"));
   auto stmt = std::make_unique<SelectStmt>();
   if (MatchIdent("distinct")) stmt->distinct = true;
@@ -705,10 +725,17 @@ StatusOr<StmtPtr> Parser::ParseIf() {
 // Expressions
 // ---------------------------------------------------------------------------
 
+// Each expression function leaves the height of the tree it returns in
+// height_; a node's height is one more than its tallest child's.
+
 StatusOr<ExprPtr> Parser::ParseExpr() {
+  DescentScope scope(this);
+  MT_RETURN_IF_ERROR(scope.Check());
   MT_ASSIGN_OR_RETURN(ExprPtr left, ParseAndExpr());
+  int height = height_;
   while (MatchIdent("or")) {
     MT_ASSIGN_OR_RETURN(ExprPtr right, ParseAndExpr());
+    MT_RETURN_IF_ERROR(SetHeight(height = std::max(height, height_) + 1));
     left = std::make_unique<BinaryExpr>(BinaryOp::kOr, std::move(left),
                                         std::move(right));
   }
@@ -717,8 +744,10 @@ StatusOr<ExprPtr> Parser::ParseExpr() {
 
 StatusOr<ExprPtr> Parser::ParseAndExpr() {
   MT_ASSIGN_OR_RETURN(ExprPtr left, ParseNotExpr());
+  int height = height_;
   while (MatchIdent("and")) {
     MT_ASSIGN_OR_RETURN(ExprPtr right, ParseNotExpr());
+    MT_RETURN_IF_ERROR(SetHeight(height = std::max(height, height_) + 1));
     left = std::make_unique<BinaryExpr>(BinaryOp::kAnd, std::move(left),
                                         std::move(right));
   }
@@ -726,19 +755,28 @@ StatusOr<ExprPtr> Parser::ParseAndExpr() {
 }
 
 StatusOr<ExprPtr> Parser::ParseNotExpr() {
-  if (MatchIdent("not")) {
-    MT_ASSIGN_OR_RETURN(ExprPtr e, ParseNotExpr());
-    return ExprPtr(std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(e)));
+  // Stacked NOTs are read in a loop rather than by recursion.
+  int nots = 0;
+  while (MatchIdent("not")) {
+    if (++nots > kMaxSqlNestingDepth) return TooDeep();
   }
-  return ParsePredicate();
+  MT_ASSIGN_OR_RETURN(ExprPtr e, ParsePredicate());
+  if (nots == 0) return e;
+  MT_RETURN_IF_ERROR(SetHeight(height_ + nots));
+  for (int i = 0; i < nots; ++i) {
+    e = std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(e));
+  }
+  return e;
 }
 
 StatusOr<ExprPtr> Parser::ParsePredicate() {
   MT_ASSIGN_OR_RETURN(ExprPtr left, ParseAdditive());
+  int height = height_;
   // IS [NOT] NULL
   if (MatchIdent("is")) {
     bool negated = MatchIdent("not");
     MT_RETURN_IF_ERROR(ExpectIdent("null"));
+    MT_RETURN_IF_ERROR(SetHeight(height + 1));
     return ExprPtr(std::make_unique<IsNullExpr>(std::move(left), negated));
   }
   bool negated = false;
@@ -750,6 +788,7 @@ StatusOr<ExprPtr> Parser::ParsePredicate() {
   }
   if (MatchIdent("like")) {
     MT_ASSIGN_OR_RETURN(ExprPtr pattern, ParseAdditive());
+    MT_RETURN_IF_ERROR(SetHeight(std::max(height, height_) + 1));
     return ExprPtr(std::make_unique<LikeExpr>(std::move(left),
                                               std::move(pattern), negated));
   }
@@ -758,16 +797,21 @@ StatusOr<ExprPtr> Parser::ParsePredicate() {
     std::vector<ExprPtr> list;
     do {
       MT_ASSIGN_OR_RETURN(ExprPtr e, ParseAdditive());
+      height = std::max(height, height_);
       list.push_back(std::move(e));
     } while (MatchSymbol(","));
     MT_RETURN_IF_ERROR(ExpectSymbol(")"));
+    MT_RETURN_IF_ERROR(SetHeight(height + 1));
     return ExprPtr(
         std::make_unique<InExpr>(std::move(left), std::move(list), negated));
   }
   if (MatchIdent("between")) {
     MT_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
+    height = std::max(height, height_);
     MT_RETURN_IF_ERROR(ExpectIdent("and"));
     MT_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
+    MT_RETURN_IF_ERROR(
+        SetHeight(std::max(height, height_) + (negated ? 2 : 1)));
     ExprPtr between = std::make_unique<BetweenExpr>(
         std::move(left), std::move(lo), std::move(hi));
     if (negated) {
@@ -788,6 +832,7 @@ StatusOr<ExprPtr> Parser::ParsePredicate() {
   for (const OpMap& m : kOps) {
     if (MatchSymbol(m.sym)) {
       MT_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
+      MT_RETURN_IF_ERROR(SetHeight(std::max(height, height_) + 1));
       return ExprPtr(std::make_unique<BinaryExpr>(m.op, std::move(left),
                                                   std::move(right)));
     }
@@ -797,6 +842,7 @@ StatusOr<ExprPtr> Parser::ParsePredicate() {
 
 StatusOr<ExprPtr> Parser::ParseAdditive() {
   MT_ASSIGN_OR_RETURN(ExprPtr left, ParseMultiplicative());
+  int height = height_;
   while (true) {
     BinaryOp op;
     if (MatchSymbol("+")) {
@@ -807,6 +853,7 @@ StatusOr<ExprPtr> Parser::ParseAdditive() {
       break;
     }
     MT_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
+    MT_RETURN_IF_ERROR(SetHeight(height = std::max(height, height_) + 1));
     left = std::make_unique<BinaryExpr>(op, std::move(left), std::move(right));
   }
   return left;
@@ -814,6 +861,7 @@ StatusOr<ExprPtr> Parser::ParseAdditive() {
 
 StatusOr<ExprPtr> Parser::ParseMultiplicative() {
   MT_ASSIGN_OR_RETURN(ExprPtr left, ParseUnaryExpr());
+  int height = height_;
   while (true) {
     BinaryOp op;
     if (MatchSymbol("*")) {
@@ -826,20 +874,29 @@ StatusOr<ExprPtr> Parser::ParseMultiplicative() {
       break;
     }
     MT_ASSIGN_OR_RETURN(ExprPtr right, ParseUnaryExpr());
+    MT_RETURN_IF_ERROR(SetHeight(height = std::max(height, height_) + 1));
     left = std::make_unique<BinaryExpr>(op, std::move(left), std::move(right));
   }
   return left;
 }
 
 StatusOr<ExprPtr> Parser::ParseUnaryExpr() {
-  if (MatchSymbol("-")) {
-    MT_ASSIGN_OR_RETURN(ExprPtr e, ParseUnaryExpr());
-    return ExprPtr(std::make_unique<UnaryExpr>(UnaryOp::kNeg, std::move(e)));
+  // Stacked minus signs are read in a loop rather than by recursion.
+  int negations = 0;
+  while (MatchSymbol("-")) {
+    if (++negations > kMaxSqlNestingDepth) return TooDeep();
   }
-  return ParsePrimary();
+  MT_ASSIGN_OR_RETURN(ExprPtr e, ParsePrimary());
+  if (negations == 0) return e;
+  MT_RETURN_IF_ERROR(SetHeight(height_ + negations));
+  for (int i = 0; i < negations; ++i) {
+    e = std::make_unique<UnaryExpr>(UnaryOp::kNeg, std::move(e));
+  }
+  return e;
 }
 
 StatusOr<ExprPtr> Parser::ParsePrimary() {
+  height_ = 1;  // leaves; nodes with children overwrite it
   const Token& t = Peek();
   switch (t.type) {
     case TokenType::kInt: {
@@ -898,13 +955,17 @@ StatusOr<ExprPtr> Parser::ParsePrimary() {
       if (name == "case") {
         Advance();
         auto expr = std::make_unique<CaseExpr>();
+        int height = 0;
         if (!CheckIdent("when")) {
           MT_ASSIGN_OR_RETURN(expr->operand, ParseExpr());
+          height = height_;
         }
         while (MatchIdent("when")) {
           MT_ASSIGN_OR_RETURN(ExprPtr when, ParseExpr());
+          height = std::max(height, height_);
           MT_RETURN_IF_ERROR(ExpectIdent("then"));
           MT_ASSIGN_OR_RETURN(ExprPtr then, ParseExpr());
+          height = std::max(height, height_);
           expr->branches.emplace_back(std::move(when), std::move(then));
         }
         if (expr->branches.empty()) {
@@ -912,8 +973,10 @@ StatusOr<ExprPtr> Parser::ParsePrimary() {
         }
         if (MatchIdent("else")) {
           MT_ASSIGN_OR_RETURN(expr->else_expr, ParseExpr());
+          height = std::max(height, height_);
         }
         MT_RETURN_IF_ERROR(ExpectIdent("end"));
+        MT_RETURN_IF_ERROR(SetHeight(height + 1));
         return ExprPtr(std::move(expr));
       }
       // Aggregates.
@@ -943,6 +1006,7 @@ StatusOr<ExprPtr> Parser::ParsePrimary() {
           }
           MT_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
           MT_RETURN_IF_ERROR(ExpectSymbol(")"));
+          MT_RETURN_IF_ERROR(SetHeight(height_ + 1));
           return ExprPtr(
               std::make_unique<AggregateExpr>(agg, std::move(arg)));
         }
@@ -950,13 +1014,16 @@ StatusOr<ExprPtr> Parser::ParsePrimary() {
         Advance();  // name
         Advance();  // (
         std::vector<ExprPtr> args;
+        int height = 0;
         if (!CheckSymbol(")")) {
           do {
             MT_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+            height = std::max(height, height_);
             args.push_back(std::move(e));
           } while (MatchSymbol(","));
         }
         MT_RETURN_IF_ERROR(ExpectSymbol(")"));
+        MT_RETURN_IF_ERROR(SetHeight(height + 1));
         return ExprPtr(
             std::make_unique<FunctionExpr>(name, std::move(args)));
       }

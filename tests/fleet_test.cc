@@ -1,11 +1,14 @@
 // Tests for the fleet layer (src/sim/fleet.*): deterministic replay of
 // DES fleet simulations, end-of-run consistency across every cache (with
 // and without fault injection), scaling/offload monotonicity at test scale,
-// and the simulated-lag -> sys.dm_repl_lag_histogram plumbing.
+// the simulated-lag -> sys.dm_repl_lag_histogram plumbing, and the
+// backend-only and bypass deployments the paper tables run on.
 
 #include "sim/fleet.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "check/consistency.h"
 #include "tpcw/workload.h"
@@ -220,6 +223,124 @@ TEST(FleetTest, UninitializedFleetRejectsUse) {
       fleet.Simulate(SmallLoad(tpcw::WorkloadMix::kShopping, 1, 10)).ok());
   EXPECT_FALSE(
       fleet.ExecuteInteractions(tpcw::WorkloadMix::kShopping, 1).ok());
+}
+
+// The backend-only (num_caches = 0) and bypass (!drivers_use_cache)
+// deployments: the profile is measured on the backend, all database work
+// and statements land there, and the front-end machines carry app work.
+
+TEST(FleetTest, ProfileMeasuresEveryInteraction) {
+  Fleet cached(SmallFleet());
+  ASSERT_TRUE(cached.Initialize().ok());
+  Fleet plain(SmallFleet(0));
+  ASSERT_TRUE(plain.Initialize().ok());
+  for (int t = 0; t < tpcw::kNumInteractions; ++t) {
+    const char* name = tpcw::InteractionName(static_cast<tpcw::Interaction>(t));
+    ASSERT_EQ(cached.profile().samples[t].size(), 4u) << name;
+    ASSERT_EQ(plain.profile().samples[t].size(), 4u) << name;
+    double cached_total = 0;
+    for (const auto& sample : cached.profile().samples[t]) {
+      cached_total += sample.cache_cost + sample.backend_cost;
+    }
+    EXPECT_GT(cached_total, 0) << name;
+    double backend_total = 0;
+    for (const auto& sample : plain.profile().samples[t]) {
+      EXPECT_EQ(sample.cache_cost, 0) << name;
+      EXPECT_EQ(sample.cache_statements, 0) << name;
+      EXPECT_GT(sample.backend_statements, 0) << name;
+      backend_total += sample.backend_cost;
+    }
+    EXPECT_GT(backend_total, 0) << name;
+    // Nothing replicates without caches.
+    EXPECT_EQ(plain.profile().repl_publisher_cost[t], 0) << name;
+    EXPECT_EQ(plain.profile().repl_txns[t], 0) << name;
+  }
+  // Update interactions cause replication work; pure reads do not.
+  EXPECT_GT(cached.profile().repl_publisher_cost[static_cast<int>(
+                tpcw::Interaction::kBuyConfirm)],
+            0);
+  EXPECT_DOUBLE_EQ(cached.profile().repl_publisher_cost[static_cast<int>(
+                       tpcw::Interaction::kProductDetail)],
+                   0);
+}
+
+TEST(FleetTest, RunProducesThroughputAndLatency) {
+  Fleet fleet(SmallFleet(0));
+  ASSERT_TRUE(fleet.Initialize().ok());
+  auto r = fleet.Simulate(SmallLoad(tpcw::WorkloadMix::kShopping, 2, 10));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r->wips, 0);
+  EXPECT_GT(r->latency_p90, 0);
+  EXPECT_GT(r->backend_util, 0);
+  EXPECT_GT(r->cache_util_max, 0);  // the front ends' app work
+  EXPECT_EQ(r->cache_qps, 0);
+  EXPECT_GT(r->backend_qps, 0);
+  EXPECT_EQ(r->offload_pct, 0);
+  EXPECT_EQ(r->lag_samples, 0);
+}
+
+TEST(FleetTest, DeterministicForSameSeed) {
+  Fleet a(SmallFleet(0));
+  Fleet b(SmallFleet(0));
+  ASSERT_TRUE(a.Initialize().ok());
+  ASSERT_TRUE(b.Initialize().ok());
+  FleetLoad load = SmallLoad(tpcw::WorkloadMix::kShopping, 2, 20);
+  auto ra = a.Simulate(load);
+  auto rb = b.Simulate(load);
+  ASSERT_TRUE(ra.ok() && rb.ok());
+  EXPECT_EQ(ra->trace, rb->trace);
+  EXPECT_EQ(ra->ToJson(), rb->ToJson());
+  EXPECT_DOUBLE_EQ(ra->latency_p90, rb->latency_p90);
+}
+
+TEST(FleetTest, MoreUsersMoreThroughputUntilSaturation) {
+  Fleet fleet(SmallFleet(0));
+  ASSERT_TRUE(fleet.Initialize().ok());
+  auto r10 = fleet.Simulate(SmallLoad(tpcw::WorkloadMix::kShopping, 2, 10));
+  auto r40 = fleet.Simulate(SmallLoad(tpcw::WorkloadMix::kShopping, 2, 40));
+  ASSERT_TRUE(r10.ok() && r40.ok());
+  EXPECT_GT(r40->wips, r10->wips);
+}
+
+TEST(FleetTest, CachingOffloadsBackend) {
+  Fleet plain(SmallFleet(0));
+  Fleet cached(SmallFleet());
+  ASSERT_TRUE(plain.Initialize().ok());
+  ASSERT_TRUE(cached.Initialize().ok());
+  FleetLoad load = SmallLoad(tpcw::WorkloadMix::kShopping, 2, 20);
+  auto rp = plain.Simulate(load);
+  auto rc = cached.Simulate(load);
+  ASSERT_TRUE(rp.ok() && rc.ok());
+  EXPECT_LT(rc->backend_util, rp->backend_util * 0.5)
+      << "cache servers should absorb most of the query load";
+}
+
+TEST(FleetTest, FindMaxThroughputRespectsLatencyBound) {
+  Fleet fleet(SmallFleet(0));
+  ASSERT_TRUE(fleet.Initialize().ok());
+  auto r = fleet.FindMaxThroughput(
+      SmallLoad(tpcw::WorkloadMix::kShopping, 2, /*users=*/1));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_LE(r->latency_p90, kMaxP90Latency);
+  EXPECT_GT(r->users, 1);
+  // At the operating point some tier is the busy resource.
+  EXPECT_GT(std::max(r->backend_util, r->cache_util_max), 0.5);
+  EXPECT_LE(std::max(r->backend_util, r->cache_util_max), kMaxBottleneckUtil);
+}
+
+TEST(FleetTest, BypassModeMeasuresApplyOverhead) {
+  FleetConfig config = SmallFleet();
+  config.drivers_use_cache = false;
+  Fleet fleet(config);
+  ASSERT_TRUE(fleet.Initialize().ok());
+  auto r = fleet.Simulate(SmallLoad(tpcw::WorkloadMix::kOrdering, 2, 30));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Cache machines run app work and apply replicated changes: some but
+  // little CPU. Every statement goes to the backend.
+  EXPECT_GT(r->cache_util_avg, 0);
+  EXPECT_LT(r->cache_util_avg, 0.5);
+  EXPECT_EQ(r->cache_qps, 0);
+  EXPECT_GT(r->lag_avg, 0);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "engine/server.h"
 #include "sql/parser.h"
 
 namespace mtcache {
@@ -525,6 +526,57 @@ TEST(ParserTest, ScriptSplitting) {
   auto r = ParseSqlScript("SELECT 1; SELECT 2; ; SELECT 3;");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 3u);
+}
+
+// Over-deep input ends in InvalidArgument, through the parser and through a
+// Server, instead of overflowing the stack: nested parentheses, stacked
+// NOTs and a long operator chain. The deepest accepted statement of each
+// shape parses, binds and executes.
+TEST(ParserTest, NestingDepthLimit) {
+  auto parens = [](int n) {
+    return "SELECT " + std::string(n, '(') + "1" + std::string(n, ')');
+  };
+  auto nots = [](int n) {
+    std::string sql = "SELECT 1 WHERE ";
+    for (int i = 0; i < n; ++i) sql += "NOT ";
+    return sql + "1 = 1";
+  };
+  auto sums = [](int n) {
+    std::string sql = "SELECT 1";
+    for (int i = 0; i < n; ++i) sql += " +1";
+    return sql;
+  };
+  SimClock clock;
+  Server server(ServerOptions{"backend", "dbo", {}}, &clock);
+  for (const std::string& sql : {parens(5000), nots(100000), sums(1000000)}) {
+    auto parsed = ParseSql(sql);
+    ASSERT_FALSE(parsed.ok()) << sql.substr(0, 40);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(server.ExecuteScript(sql).code(), StatusCode::kInvalidArgument);
+  }
+
+  // The statement, the SELECT and its select item take three levels of
+  // descent; the comparison under the NOTs is two levels high.
+  const int max_parens = kMaxSqlNestingDepth - 3;
+  const int max_nots = kMaxSqlNestingDepth - 2;
+  const int max_terms = kMaxSqlNestingDepth - 1;
+  auto result = server.Execute(parens(max_parens));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(result->rows[0][0].AsInt(), 1);
+  result = server.Execute(nots(max_nots));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), max_nots % 2 == 0 ? 1u : 0u);
+  result = server.Execute(sums(max_terms));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(result->rows[0][0].AsInt(), max_terms + 1);
+
+  // One level deeper is refused.
+  for (const std::string& sql :
+       {parens(max_parens + 1), nots(max_nots + 1), sums(max_terms + 1)}) {
+    EXPECT_EQ(ParseSql(sql).status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

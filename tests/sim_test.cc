@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "sim/testbed.h"
+#include "sim/des.h"
 
 namespace mtcache {
 namespace sim {
@@ -70,108 +70,6 @@ TEST(MachineTest, UtilizationReflectsLoad) {
   m.Submit(500, nullptr);  // 5 seconds of work
   des.RunUntil(10.0);
   EXPECT_NEAR(m.Utilization(10.0), 0.5, 1e-9);
-}
-
-class TestbedTest : public ::testing::Test {
- protected:
-  static TestbedConfig SmallConfig(bool caching) {
-    TestbedConfig config;
-    config.tpcw.num_items = 200;
-    config.tpcw.num_authors = 50;
-    config.tpcw.num_customers = 300;
-    config.tpcw.num_orders = 260;
-    config.tpcw.best_seller_window = 40;
-    config.num_web_servers = 2;
-    config.caching = caching;
-    config.profile_samples = 5;
-    return config;
-  }
-};
-
-TEST_F(TestbedTest, ProfileMeasuresEveryInteraction) {
-  Testbed testbed(SmallConfig(/*caching=*/true));
-  ASSERT_TRUE(testbed.Initialize().ok());
-  for (int t = 0; t < tpcw::kNumInteractions; ++t) {
-    ASSERT_EQ(testbed.profile().samples[t].size(), 5u);
-    double total = 0;
-    for (auto [w, b] : testbed.profile().samples[t]) total += w + b;
-    EXPECT_GT(total, 0) << tpcw::InteractionName(static_cast<tpcw::Interaction>(t));
-  }
-  // Update interactions cause replication work; pure reads do not.
-  EXPECT_GT(testbed.profile().repl_publisher_cost[static_cast<int>(
-                tpcw::Interaction::kBuyConfirm)],
-            0);
-  EXPECT_DOUBLE_EQ(testbed.profile().repl_publisher_cost[static_cast<int>(
-                       tpcw::Interaction::kProductDetail)],
-                   0);
-}
-
-TEST_F(TestbedTest, RunProducesThroughputAndLatency) {
-  Testbed testbed(SmallConfig(/*caching=*/false));
-  ASSERT_TRUE(testbed.Initialize().ok());
-  auto r = testbed.Run(10, 5, 20);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GT(r->wips, 0);
-  EXPECT_GT(r->p90_latency, 0);
-  EXPECT_GT(r->backend_util, 0);
-}
-
-TEST_F(TestbedTest, DeterministicForSameSeed) {
-  Testbed a(SmallConfig(false));
-  Testbed b(SmallConfig(false));
-  ASSERT_TRUE(a.Initialize().ok());
-  ASSERT_TRUE(b.Initialize().ok());
-  auto ra = a.Run(20, 5, 20);
-  auto rb = b.Run(20, 5, 20);
-  ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_DOUBLE_EQ(ra->wips, rb->wips);
-  EXPECT_DOUBLE_EQ(ra->p90_latency, rb->p90_latency);
-}
-
-TEST_F(TestbedTest, MoreUsersMoreThroughputUntilSaturation) {
-  Testbed testbed(SmallConfig(false));
-  ASSERT_TRUE(testbed.Initialize().ok());
-  auto r10 = testbed.Run(10, 5, 20);
-  auto r40 = testbed.Run(40, 5, 20);
-  ASSERT_TRUE(r10.ok() && r40.ok());
-  EXPECT_GT(r40->wips, r10->wips);
-}
-
-TEST_F(TestbedTest, CachingOffloadsBackend) {
-  Testbed plain(SmallConfig(false));
-  Testbed cached(SmallConfig(true));
-  ASSERT_TRUE(plain.Initialize().ok());
-  ASSERT_TRUE(cached.Initialize().ok());
-  auto rp = plain.Run(20, 5, 20);
-  auto rc = cached.Run(20, 5, 20);
-  ASSERT_TRUE(rp.ok() && rc.ok());
-  EXPECT_LT(rc->backend_util, rp->backend_util * 0.5)
-      << "cache servers should absorb most of the query load";
-}
-
-TEST_F(TestbedTest, FindMaxThroughputRespectsLatencyBound) {
-  Testbed testbed(SmallConfig(false));
-  ASSERT_TRUE(testbed.Initialize().ok());
-  auto r = testbed.FindMaxThroughput(5, 20);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_LE(r->p90_latency, testbed.config().latency_limit);
-  EXPECT_GT(r->users, 1);
-  // At the operating point some tier is the busy resource.
-  EXPECT_GT(std::max(r->backend_util, r->max_web_util), 0.5);
-}
-
-TEST_F(TestbedTest, BypassModeMeasuresApplyOverhead) {
-  TestbedConfig config = SmallConfig(true);
-  config.drivers_use_cache = false;
-  config.mix = tpcw::WorkloadMix::kOrdering;
-  Testbed testbed(config);
-  ASSERT_TRUE(testbed.Initialize().ok());
-  auto r = testbed.Run(30, 5, 20);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  // Cache machines only apply replicated changes: some but little CPU.
-  EXPECT_GT(r->cache_apply_util, 0);
-  EXPECT_LT(r->cache_apply_util, 0.5);
-  EXPECT_GT(r->repl_avg_latency, 0);
 }
 
 }  // namespace
