@@ -39,10 +39,15 @@
 #                             # smoke mode, emitting
 #                             # BENCH_exp4_calibration.json and
 #                             # plan_quality_report.txt
+#   scripts/check.sh perfbench # real cache + backend gate: one 5 s TPC-W
+#                             # ordering run of perfbench/run.py, which
+#                             # fails on a ConsistencyChecker diff or a
+#                             # failed repeat
 #
 # The asan mode exercises the crash/restart paths with memory checking on:
 # replication_fault_test (incl. the 200-seed randomized schedules),
-# mtcache_resync_test, and property_test. The tsan mode runs every test
+# mtcache_resync_test, and property_test; engine_test (plan cache, view
+# matching) and fleet_test (the simulated lab, checked for leaks) ride along. The tsan mode runs every test
 # labeled `concurrency` (ctest -L) — the multi-session engine tests and the
 # DMV-read-during-execution tests — plus the threaded bench smoke.
 set -euo pipefail
@@ -76,9 +81,9 @@ case "$mode" in
     cmake --preset asan
     cmake --build --preset asan -j "$(nproc)" --target \
       replication_fault_test mtcache_resync_test property_test \
-      replication_test mtcache_test dmv_smoke
+      replication_test mtcache_test engine_test fleet_test dmv_smoke
     (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache')
+      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest')
     # The DMV walk under ASan: catches lifetime bugs in the virtual-table
     # row materialization that the plain build would miss.
     ./build-asan/examples/dmv_smoke
@@ -239,8 +244,15 @@ case "$mode" in
     grep -q '"r_squared"' build/BENCH_exp4_calibration.json
     grep -q '"coefficients"' build/BENCH_exp4_calibration.json
     ;;
+  perfbench)
+    # TPC-W through a real cache + backend pair (perfbench builds its own
+    # Release tree). Exits non-zero when a repeat fails or when any repeat's
+    # ConsistencyChecker pass finds a cached view that diverged from the
+    # backend.
+    python3 perfbench/run.py --workload ordering --seed 1 --seconds 5
+    ;;
   *)
-    echo "usage: $0 [default|asan|tsan|profile|batch|exp3|workload|repl|planqual]" >&2
+    echo "usage: $0 [default|asan|tsan|profile|batch|exp3|workload|repl|planqual|perfbench]" >&2
     exit 2
     ;;
 esac

@@ -60,6 +60,7 @@ Row PlanCacheRow(const DmvSource& src) {
       Value::Int(m.plan_cache.misses),
       Value::Int(m.plan_cache.uncacheable),
       Value::Int(m.plan_cache.invalidations),
+      Value::Int(m.plan_cache.evictions),
       Value::Double(m.plan_cache.HitRate()),
       Value::Int(src.cached_statements),
       Value::Int(src.cached_procedure_plans),
@@ -390,6 +391,7 @@ DmvCatalog::DmvCatalog() {
        {"misses", TypeId::kInt64},
        {"uncacheable", TypeId::kInt64},
        {"invalidations", TypeId::kInt64},
+       {"evictions", TypeId::kInt64},
        {"hit_rate", TypeId::kDouble},
        {"cached_statements", TypeId::kInt64},
        {"cached_procedure_plans", TypeId::kInt64},

@@ -27,6 +27,9 @@ struct PlanCacheStats {
   RelaxedInt64 uncacheable = 0;
   /// Times the whole cache was flushed (DDL, stats refresh, option change).
   RelaxedInt64 invalidations = 0;
+  /// Ad-hoc statement plans dropped by the clock to stay within
+  /// Server::kStatementPlanCacheCapacity entries.
+  RelaxedInt64 evictions = 0;
 
   double HitRate() const {
     int64_t h = hits, m = misses;

@@ -89,7 +89,7 @@ void Server::set_optimizer_options(const OptimizerOptions& opts) {
     // shared_ptr, so nothing is destroyed out from under them, and a session
     // that is mid-optimization against the old options discards its insert
     // when it sees the generation moved.
-    statement_plan_cache_.clear();
+    statement_plan_cache_.Clear();
     for (auto& [name, proc] : procedure_cache_) proc.plans.clear();
     ++plan_cache_generation_;
   }
@@ -121,10 +121,47 @@ void Server::RunParallel(int n, const std::function<void(int)>& fn) {
   for (auto& f : futures) f.get();
 }
 
+Server::CachedPlanPtr Server::StatementPlanCache::Find(
+    const std::string& sql) const {
+  auto it = entries_.find(sql);
+  if (it == entries_.end()) return nullptr;
+  it->second.referenced.store(true, std::memory_order_relaxed);
+  return it->second.plan;
+}
+
+Server::CachedPlanPtr Server::StatementPlanCache::Insert(
+    const std::string& sql, CachedPlanPtr plan, RelaxedInt64* evictions) {
+  auto found = entries_.find(sql);
+  if (found != entries_.end()) return found->second.plan;
+  if (clock_.size() < kStatementPlanCacheCapacity) {
+    auto [it, inserted] = entries_.try_emplace(sql, std::move(plan));
+    clock_.push_back(&*it);
+    return it->second.plan;
+  }
+  // Second chance: clear reference bits until the hand reaches an entry no
+  // hit has touched since the hand last passed it, and reuse its slot.
+  while (clock_[hand_]->second.referenced.exchange(
+      false, std::memory_order_relaxed)) {
+    hand_ = (hand_ + 1) % clock_.size();
+  }
+  entries_.erase(entries_.find(clock_[hand_]->first));
+  ++*evictions;
+  auto [it, inserted] = entries_.try_emplace(sql, std::move(plan));
+  clock_[hand_] = &*it;
+  hand_ = (hand_ + 1) % clock_.size();
+  return it->second.plan;
+}
+
+void Server::StatementPlanCache::Clear() {
+  entries_.clear();
+  clock_.clear();
+  hand_ = 0;
+}
+
 void Server::InvalidatePlanCache() {
   {
     ExclusiveLatchWait lock(plan_cache_mu_, WaitSite::kPlanCacheExclusive);
-    statement_plan_cache_.clear();
+    statement_plan_cache_.Clear();
     for (auto& [name, proc] : procedure_cache_) proc.plans.clear();
     ++plan_cache_generation_;
   }
@@ -243,13 +280,25 @@ StatusOr<QueryResult> Server::Execute(const std::string& sql,
 StatusOr<QueryResult> Server::ExecuteOnSession(Session* session,
                                                const std::string& sql,
                                                ExecStats* stats) {
-  MT_ASSIGN_OR_RETURN(std::vector<StmtPtr> stmts, ParseSqlScript(sql));
+  // Single-SELECT scripts use the statement plan cache keyed by SQL text,
+  // probed before parsing: a hit runs the statement its plan owns.
+  CachedPlanPtr hit = FindStatementPlan(sql);
+  std::vector<StmtPtr> stmts;
+  std::shared_ptr<const SelectStmt> select;
+  if (hit == nullptr) {
+    MT_ASSIGN_OR_RETURN(stmts, ParseSqlScript(sql));
+    if (stmts.size() == 1 && stmts[0]->kind == StmtKind::kSelect) {
+      select.reset(static_cast<const SelectStmt*>(stmts[0].release()));
+    }
+  }
   session->ResetForBatch();
-  // Single-SELECT scripts use the statement plan cache keyed by SQL text.
-  if (stmts.size() == 1 && stmts[0]->kind == StmtKind::kSelect) {
+  if (hit != nullptr || select != nullptr) {
     if (stats != nullptr) stats->local_cost += CostModel::kStatementOverhead;
-    const auto& select = static_cast<const SelectStmt&>(*stmts[0]);
-    MT_RETURN_IF_ERROR(ExecSelect(select, session, stats, nullptr, sql));
+    // `select` stays referenced here: when another session published this
+    // text first, the plan ExecSelect runs owns that session's AST, not ours.
+    const SelectStmt& stmt = hit != nullptr ? *hit->stmt : *select;
+    MT_RETURN_IF_ERROR(
+        ExecSelect(stmt, session, stats, nullptr, sql, select, std::move(hit)));
     if (session->has_result) return std::move(session->result);
     QueryResult empty;
     return empty;
@@ -513,16 +562,24 @@ Status Server::ExecuteStmt(const Stmt& stmt, Session* session,
 // SELECT
 // ---------------------------------------------------------------------------
 
+Server::CachedPlanPtr Server::FindStatementPlan(const std::string& sql) {
+  SpanScope lookup_span("plan_cache_lookup");
+  SharedLatchWait lock(plan_cache_mu_, WaitSite::kPlanCacheShared);
+  CachedPlanPtr plan = statement_plan_cache_.Find(sql);
+  if (plan != nullptr) ++metrics_.plan_cache.hits;
+  return plan;
+}
+
 StatusOr<Server::CachedPlanPtr> Server::PlanSelect(
     const SelectStmt& stmt, Session* session, CompiledProcedure* proc,
-    const std::string& cache_key) {
+    const std::string& cache_key, std::shared_ptr<const SelectStmt> owned) {
   (void)session;
   // Queries with a freshness requirement (§7 extension) are not cacheable:
   // whether a cached view qualifies depends on its staleness *now*.
   bool cacheable = stmt.max_staleness < 0;
-  // Procedure-body statements cache by statement identity; ad-hoc statements
-  // by SQL text. Lookup runs under the shared lock; many sessions hit the
-  // cache in parallel.
+  // Procedure-body statements cache by statement identity, looked up here
+  // under the shared lock; many sessions hit the cache in parallel. Ad-hoc
+  // statements cache by SQL text, which FindStatementPlan already probed.
   int64_t generation_at_lookup = 0;
   size_t proc_plan_count = 0;
   {
@@ -533,12 +590,6 @@ StatusOr<Server::CachedPlanPtr> Server::PlanSelect(
       proc_plan_count = proc->plans.size();
       auto it = proc->plans.find(&stmt);
       if (it != proc->plans.end()) {
-        ++metrics_.plan_cache.hits;
-        return it->second;
-      }
-    } else if (cacheable && !cache_key.empty()) {
-      auto it = statement_plan_cache_.find(cache_key);
-      if (it != statement_plan_cache_.end()) {
         ++metrics_.plan_cache.hits;
         return it->second;
       }
@@ -590,6 +641,7 @@ StatusOr<Server::CachedPlanPtr> Server::PlanSelect(
       NormalizeStatement(!cache_key.empty() ? cache_key : cached.label);
   cached.fingerprint_hash = FingerprintHash(cached.fingerprint);
   cached.plan = std::move(optimized.plan);
+  cached.stmt = std::move(owned);
   CachedPlanPtr plan = std::make_shared<const CachedPlan>(std::move(cached));
   if (cacheable && (proc != nullptr || !cache_key.empty())) {
     ExclusiveLatchWait lock(plan_cache_mu_, WaitSite::kPlanCacheExclusive);
@@ -605,8 +657,8 @@ StatusOr<Server::CachedPlanPtr> Server::PlanSelect(
       auto [it, inserted] = proc->plans.emplace(&stmt, plan);
       return it->second;
     }
-    auto [it, inserted] = statement_plan_cache_.emplace(cache_key, plan);
-    return it->second;
+    return statement_plan_cache_.Insert(cache_key, std::move(plan),
+                                        &metrics_.plan_cache.evictions);
   }
   // Freshness-constrained, or no stable key (multi-statement ad-hoc script):
   // the plan belongs to this execution alone and is never published.
@@ -615,7 +667,9 @@ StatusOr<Server::CachedPlanPtr> Server::PlanSelect(
 
 Status Server::ExecSelect(const SelectStmt& stmt, Session* session,
                           ExecStats* stats, CompiledProcedure* proc,
-                          const std::string& text) {
+                          const std::string& text,
+                          std::shared_ptr<const SelectStmt> owned,
+                          CachedPlanPtr plan) {
   // Root span for the whole statement; children (plan_cache_lookup, optimize,
   // execute, remote_roundtrip) attach through the thread-local span stack.
   // The ternaries avoid building detail strings when tracing is off.
@@ -624,8 +678,11 @@ Status Server::ExecSelect(const SelectStmt& stmt, Session* session,
   const auto wall_start = std::chrono::steady_clock::now();
   // The shared_ptr keeps the plan alive for the whole execution even if the
   // cache is invalidated (and cleared) concurrently.
-  MT_ASSIGN_OR_RETURN(CachedPlanPtr cached,
-                      PlanSelect(stmt, session, proc, text));
+  CachedPlanPtr cached = std::move(plan);
+  if (cached == nullptr) {
+    MT_ASSIGN_OR_RETURN(cached,
+                        PlanSelect(stmt, session, proc, text, std::move(owned)));
+  }
   // Execute against a private ExecStats so the trace records exactly this
   // statement's cost, then fold it into the caller's totals.
   ExecStats stmt_stats;

@@ -8,6 +8,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "binder/binder.h"
@@ -108,7 +109,8 @@ class Server : public RemoteExecutor,
   /// Executes a script on an existing connection's Session, so local
   /// variables and an open explicit transaction persist across calls. The
   /// caller must not use the same Session from two threads at once; distinct
-  /// Sessions may execute concurrently.
+  /// Sessions may execute concurrently. A single-SELECT text this server
+  /// has planned before runs from its cached plan without being parsed.
   StatusOr<QueryResult> ExecuteOnSession(Session* session,
                                          const std::string& sql,
                                          ExecStats* stats);
@@ -152,6 +154,9 @@ class Server : public RemoteExecutor,
   void set_cached_view_drop_handler(CachedViewDropHandler handler) {
     cached_view_drop_handler_ = std::move(handler);
   }
+
+  /// Entries the ad-hoc statement plan cache holds before it evicts by clock.
+  static constexpr size_t kStatementPlanCacheCapacity = 4096;
 
   const PlanCacheStats& plan_cache_stats() const {
     return metrics_.plan_cache;
@@ -214,12 +219,45 @@ class Server : public RemoteExecutor,
     // saving in cost units. Empty/0 for the overwhelming majority of plans.
     std::vector<std::string> matched_views;
     double est_saved_units = 0;
+    // The parsed statement of an ad-hoc text plan, so a later execution of
+    // the same text runs without parsing. Null for procedure-body plans,
+    // whose AST CompiledProcedure::body owns.
+    std::shared_ptr<const SelectStmt> stmt;
   };
   /// Plans are handed out as shared_ptr-to-const: an executing session keeps
   /// its plan alive even if the cache is invalidated mid-flight (epoch-based
   /// invalidation — the cache drops its reference and bumps the generation;
   /// it never destroys a plan someone is running).
   using CachedPlanPtr = std::shared_ptr<const CachedPlan>;
+
+  /// The ad-hoc statement plan cache: exact SQL text -> plan, at most
+  /// kStatementPlanCacheCapacity entries, evicted by clock (second chance).
+  /// Find runs under the shared latch and sets the entry's reference bit, a
+  /// relaxed atomic; Insert and Clear run under the exclusive latch.
+  class StatementPlanCache {
+   public:
+    CachedPlanPtr Find(const std::string& sql) const;
+    /// Insert-or-keep: returns the plan published for `sql`, which is an
+    /// earlier session's when one won the race. When full, first evicts the
+    /// entry the clock hand stops at and counts it in `*evictions`.
+    CachedPlanPtr Insert(const std::string& sql, CachedPlanPtr plan,
+                         RelaxedInt64* evictions);
+    void Clear();
+    size_t size() const { return entries_.size(); }
+
+   private:
+    struct Entry {
+      explicit Entry(CachedPlanPtr p) : plan(std::move(p)) {}
+      CachedPlanPtr plan;
+      mutable std::atomic<bool> referenced{false};
+    };
+    using Map = std::unordered_map<std::string, Entry>;
+    Map entries_;
+    // The clock ring: every entry once, in slot order. Map nodes never move,
+    // so the pointers survive rehashing.
+    std::vector<Map::value_type*> clock_;
+    size_t hand_ = 0;
+  };
 
   struct CompiledProcedure {
     const ProcedureDef* def = nullptr;
@@ -236,9 +274,13 @@ class Server : public RemoteExecutor,
   Status ExecuteStmt(const Stmt& stmt, Session* session, ExecStats* stats,
                      CompiledProcedure* proc);
   /// `text` is the statement's SQL when known (single-statement ad-hoc
-  /// scripts); it doubles as the plan-cache key and the trace label.
+  /// scripts); it doubles as the plan-cache key and the trace label. `owned`
+  /// is that script's AST, kept by the plan if it is published. `plan` is a
+  /// plan the caller already found by text; PlanSelect runs only without one.
   Status ExecSelect(const SelectStmt& stmt, Session* session, ExecStats* stats,
-                    CompiledProcedure* proc, const std::string& text = "");
+                    CompiledProcedure* proc, const std::string& text = "",
+                    std::shared_ptr<const SelectStmt> owned = nullptr,
+                    CachedPlanPtr plan = nullptr);
   Status ExecInsert(const InsertStmt& stmt, Session* session, ExecStats* stats);
   Status ExecUpdate(const UpdateStmt& stmt, Session* session, ExecStats* stats);
   Status ExecDelete(const DeleteStmt& stmt, Session* session, ExecStats* stats);
@@ -281,16 +323,24 @@ class Server : public RemoteExecutor,
                                                 Session* session,
                                                 ExecStats* stats);
 
-  /// Returns the plan for `stmt`: a cache hit under a shared lock, or the
-  /// result of optimizing outside any lock. Cacheable plans are inserted
+  /// Probes the statement plan cache by exact SQL text, before any parsing:
+  /// one shared-latch lookup, counted as a hit when it finds a plan.
+  CachedPlanPtr FindStatementPlan(const std::string& sql);
+
+  /// Returns the plan for `stmt`: a procedure-plan hit under a shared lock,
+  /// or the result of optimizing outside any lock. Ad-hoc statements are not
+  /// looked up here (ExecuteOnSession probed by text before parsing), so
+  /// reaching this with a `cache_key` is a miss. Cacheable plans are inserted
   /// under the exclusive lock with insert-or-discard semantics — if another
   /// session optimized the same statement first, or the cache generation
   /// changed (an invalidation ran while we optimized), this session simply
   /// executes its own freshly-optimized plan without caching it. Uncacheable
-  /// (freshness-constrained) statements never enter the shared cache.
+  /// (freshness-constrained) statements never enter the shared cache. An
+  /// ad-hoc plan keeps `owned`, the statement's AST.
   StatusOr<CachedPlanPtr> PlanSelect(const SelectStmt& stmt, Session* session,
                                      CompiledProcedure* proc,
-                                     const std::string& cache_key);
+                                     const std::string& cache_key,
+                                     std::shared_ptr<const SelectStmt> owned);
 
   StatusOr<CompiledProcedure*> CompileProcedure(const std::string& name);
 
@@ -323,7 +373,7 @@ class Server : public RemoteExecutor,
   /// replace concurrently). Shared on the hit path, exclusive on
   /// insert/invalidate; never held during optimization.
   mutable std::shared_mutex plan_cache_mu_;
-  std::map<std::string, CachedPlanPtr> statement_plan_cache_;
+  StatementPlanCache statement_plan_cache_;
   std::map<std::string, CompiledProcedure> procedure_cache_;
   /// Bumped by every invalidation. A session that optimized against an older
   /// generation discards its insert (its view of statistics/options may be

@@ -1834,7 +1834,8 @@ class RemoteQueryExec : public ExecNode {
     if (ctx->remote == nullptr) {
       return Status::Internal("no linked-server registry for remote query");
     }
-    ParamMap params = ctx->params != nullptr ? *ctx->params : ParamMap{};
+    static const ParamMap kNoParams;
+    const ParamMap& params = ctx->params != nullptr ? *ctx->params : kNoParams;
     MT_ASSIGN_OR_RETURN(
         QueryResult result,
         ctx->remote->ExecuteRemote(op_.server, op_.sql, params, ctx->stats));

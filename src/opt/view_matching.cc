@@ -187,6 +187,12 @@ std::vector<ViewMatch> MatchViews(
     CollectColumnRefs(*c, &refs);
     required.insert(refs.begin(), refs.end());
   }
+  // Ordinals come from the caller; one outside the table matches no view.
+  const int num_columns = get.schema.num_columns();
+  if (!required.empty() &&
+      (*required.begin() < 0 || *required.rbegin() >= num_columns)) {
+    return matches;
+  }
 
   const RelStats base_stats = EstimateLogical(get);
 

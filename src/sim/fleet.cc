@@ -479,6 +479,9 @@ StatusOr<FleetResult> Fleet::Simulate(const FleetLoad& load) {
   });
 
   des.RunUntil(run_end);
+  // Each user callback holds `fns` itself; break that cycle so the closures
+  // are freed with the run.
+  *fns = UserFns{};
 
   FleetResult result;
   result.mix = tpcw::MixName(load.mix);

@@ -139,6 +139,51 @@ TEST_F(ConcurrencyTest, PlanCacheSurvivesConcurrentEpochInvalidation) {
   EXPECT_GE(server_.plan_cache_stats().invalidations, 50);
 }
 
+TEST_F(ConcurrencyTest, ParseFreeHitsRaceInvalidation) {
+  // Eight sessions run one text, so most executions are text-probe hits
+  // that skip the parser, while another thread flushes the cache in a loop:
+  // every hit must run a plan (and the AST it owns) that stays alive, and
+  // every miss must re-plan and republish cleanly.
+  const std::string text = "SELECT @c = i_cost FROM item WHERE i_id = @id";
+  constexpr int kSessions = 8;
+  constexpr int kIterations = 200;
+  ThreadErrors errors;
+  std::atomic<int> running{kSessions};
+  std::vector<std::thread> sessions;
+  for (int t = 0; t < kSessions; ++t) {
+    sessions.emplace_back([this, t, &text, &errors, &running] {
+      Session session;
+      ExecStats stats;
+      for (int i = 0; i < kIterations; ++i) {
+        const int64_t id = (t * kIterations + i) % 100 + 1;
+        session.vars["@id"] = Value::Int(id);
+        auto r = server_.ExecuteOnSession(&session, text, &stats);
+        if (!r.ok()) {
+          errors.Record(r.status().ToString());
+          break;
+        }
+        if (session.vars["@c"].AsDouble() != id * 1.5) {
+          errors.Record("wrong @c for id " + std::to_string(id));
+          break;
+        }
+      }
+      running.fetch_sub(1, std::memory_order_relaxed);
+    });
+  }
+  int64_t flushes = 0;
+  while (running.load(std::memory_order_relaxed) > 0) {
+    server_.InvalidatePlanCache();
+    ++flushes;
+    std::this_thread::yield();
+  }
+  for (std::thread& t : sessions) t.join();
+  EXPECT_EQ(errors.count(), 0) << errors.first();
+  const PlanCacheStats& stats = server_.plan_cache_stats();
+  EXPECT_GT(flushes, 0);
+  EXPECT_GT(stats.misses, 0);
+  EXPECT_EQ(stats.hits + stats.misses, kSessions * kIterations);
+}
+
 TEST_F(ConcurrencyTest, DmvReadsRaceWithStatementExecution) {
   ThreadErrors errors;
   std::atomic<bool> stop{false};

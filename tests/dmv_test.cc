@@ -408,6 +408,7 @@ TEST_F(DmvTest, GoldenSchemas) {
                 {"misses", I},
                 {"uncacheable", I},
                 {"invalidations", I},
+                {"evictions", I},
                 {"hit_rate", D},
                 {"cached_statements", I},
                 {"cached_procedure_plans", I},

@@ -176,6 +176,119 @@ TEST_F(EngineTest, PlanCacheHitsOnRepeatedStatement) {
   EXPECT_GT(server_.plan_cache_stats().hits, 0);
 }
 
+TEST_F(EngineTest, ParseFreeHitMatchesParsedExecution) {
+  SetUpBasicTables();
+  const std::string text =
+      "SELECT i_id, i_title FROM item WHERE i_cost > 30 ORDER BY i_id";
+  QueryResult parsed = Query(text);
+  const int64_t hits = server_.plan_cache_stats().hits;
+  const int64_t misses = server_.plan_cache_stats().misses;
+  QueryResult hit = Query(text);
+  // One probe, one hit, no second lookup or miss behind it.
+  EXPECT_EQ(server_.plan_cache_stats().hits, hits + 1);
+  EXPECT_EQ(server_.plan_cache_stats().misses, misses);
+  ASSERT_EQ(hit.rows.size(), parsed.rows.size());
+  ASSERT_FALSE(parsed.rows.empty());
+  for (size_t i = 0; i < parsed.rows.size(); ++i) {
+    EXPECT_EQ(hit.rows[i], parsed.rows[i]) << "row " << i;
+  }
+
+  // SELECT @v = ... assigns through the AST the cached plan owns.
+  const std::string assign = "SELECT @t = i_title FROM item WHERE i_id = @id";
+  Session session;
+  ExecStats stats;
+  session.vars["@id"] = Value::Int(3);
+  ASSERT_TRUE(server_.ExecuteOnSession(&session, assign, &stats).ok());
+  EXPECT_EQ(session.vars["@t"].AsString(), "title3");
+  const int64_t hits_before = server_.plan_cache_stats().hits;
+  session.vars["@id"] = Value::Int(5);
+  ASSERT_TRUE(server_.ExecuteOnSession(&session, assign, &stats).ok());
+  EXPECT_EQ(server_.plan_cache_stats().hits, hits_before + 1);
+  EXPECT_EQ(session.vars["@t"].AsString(), "title5");
+}
+
+TEST_F(EngineTest, ParseFreeHitNeverRunsAStalePlan) {
+  SetUpBasicTables();
+  const std::string text = "SELECT o_id FROM orders WHERE o_c_id = 4";
+  auto last_plan = [this] { return server_.metrics().trace().back().plan; };
+  ASSERT_EQ(Query(text).rows.size(), 3u);
+  EXPECT_EQ(last_plan().find("IndexSeek"), std::string::npos) << last_plan();
+
+  // CREATE INDEX: the same text re-plans onto the new index.
+  Exec("CREATE INDEX orders_cust ON orders (o_c_id)");
+  int64_t misses = server_.plan_cache_stats().misses;
+  ASSERT_EQ(Query(text).rows.size(), 3u);
+  EXPECT_EQ(server_.plan_cache_stats().misses, misses + 1);
+  EXPECT_NE(last_plan().find("IndexSeek(orders.orders_cust)"),
+            std::string::npos)
+      << last_plan();
+
+  // New statistics: re-planned, not served from the old entry.
+  server_.RecomputeStats();
+  misses = server_.plan_cache_stats().misses;
+  ASSERT_EQ(Query(text).rows.size(), 3u);
+  EXPECT_EQ(server_.plan_cache_stats().misses, misses + 1);
+
+  // DROP TABLE: the error a server that never had the table gives.
+  Exec("DROP TABLE orders");
+  const int64_t hits = server_.plan_cache_stats().hits;
+  auto dropped = server_.Execute(text);
+  ASSERT_FALSE(dropped.ok());
+  EXPECT_EQ(server_.plan_cache_stats().hits, hits);
+  SimClock fresh_clock;
+  Server fresh(ServerOptions{"backend", "dbo", {}}, &fresh_clock);
+  auto never = fresh.Execute(text);
+  ASSERT_FALSE(never.ok());
+  EXPECT_EQ(dropped.status().ToString(), never.status().ToString());
+}
+
+TEST_F(EngineTest, UnparsableTextFailsAlikeAndIsNeverCached) {
+  SetUpBasicTables();
+  const std::string count_sql =
+      "SELECT cached_statements FROM sys.dm_plan_cache";
+  const int64_t cached = Query(count_sql).rows[0][0].AsInt();
+  const std::string bad = "SELECT i_id FROM item WHERE";
+  auto first = server_.Execute(bad);
+  ASSERT_FALSE(first.ok());
+  const PlanCacheStats before = server_.plan_cache_stats();
+  for (int i = 0; i < 3; ++i) {
+    auto again = server_.Execute(bad);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().ToString(), first.status().ToString());
+  }
+  EXPECT_EQ(server_.plan_cache_stats().hits, before.hits);
+  EXPECT_EQ(server_.plan_cache_stats().misses, before.misses);
+  EXPECT_EQ(Query(count_sql).rows[0][0].AsInt(), cached);
+}
+
+TEST_F(EngineTest, StatementPlanCacheIsBoundedByClock) {
+  SetUpBasicTables();  // ends with RecomputeStats: the cache starts empty
+  constexpr int kDistinct = 20000;
+  constexpr int64_t kCap = Server::kStatementPlanCacheCapacity;
+  const std::string hot = "SELECT i_title FROM item WHERE i_id = 7";
+  ASSERT_EQ(Query(hot).rows.size(), 1u);
+  const int64_t misses = server_.plan_cache_stats().misses;
+  for (int i = 0; i < kDistinct; ++i) {
+    auto r = server_.Execute("SELECT i_cost FROM item WHERE i_id = " +
+                             std::to_string(i));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    // Hit well within one sweep of the clock hand, the hot entry keeps its
+    // reference bit and is never the one evicted.
+    if (i % 1000 == 0) {
+      ASSERT_EQ(Query(hot).rows.size(), 1u);
+    }
+  }
+  EXPECT_EQ(server_.plan_cache_stats().misses, misses + kDistinct);
+  // The DMV query is one more insert, so it sees itself evict one entry.
+  QueryResult r =
+      Query("SELECT cached_statements, evictions FROM sys.dm_plan_cache");
+  const int64_t inserts = 1 + kDistinct + 1;
+  EXPECT_LE(r.rows[0][0].AsInt(), kCap);
+  EXPECT_EQ(r.rows[0][0].AsInt(), kCap);
+  EXPECT_EQ(r.rows[0][1].AsInt(), inserts - kCap);
+  EXPECT_EQ(server_.plan_cache_stats().evictions, inserts - kCap);
+}
+
 TEST_F(EngineTest, InsertSelect) {
   SetUpBasicTables();
   Exec("CREATE TABLE expensive (e_id INT PRIMARY KEY, e_cost FLOAT)");
@@ -432,7 +545,7 @@ TEST_F(EngineTest, MixedResultPlanExecutesCorrectly) {
   std::vector<const BoundExpr*> conjuncts;
   CollectConjuncts(*static_cast<LogicalFilter*>(filter)->predicate,
                    &conjuncts);
-  std::set<int> used = {0, 1, 6};  // i_id, i_title, i_cost... and conjunct col
+  std::set<int> used = {0, 1, 3};  // i_id, i_title, i_cost
   auto matches = MatchViews(*get, conjuncts, used, server_.db().catalog(),
                             /*allow_mixed_results=*/true);
   const ViewMatch* with_mixed = nullptr;
@@ -460,6 +573,36 @@ TEST_F(EngineTest, MixedResultPlanExecutesCorrectly) {
               direct->rows[0][0].AsInt())
         << "@p = " << p;
   }
+}
+
+TEST_F(EngineTest, MatchViewsRejectsOutOfRangeOrdinals) {
+  SetUpBasicTables();
+  Exec("CREATE MATERIALIZED VIEW cheap_items AS "
+       "SELECT i_id, i_title, i_cost FROM item WHERE i_cost <= 30");
+  auto stmt = ParseSql("SELECT i_id FROM item WHERE i_cost <= 10");
+  ASSERT_TRUE(stmt.ok());
+  Binder binder(&server_.db().catalog(), "dbo");
+  auto logical = binder.BindSelect(static_cast<const SelectStmt&>(**stmt));
+  ASSERT_TRUE(logical.ok());
+  LogicalOp* filter = (*logical)->children[0].get();
+  ASSERT_EQ(filter->kind, LogicalKind::kFilter);
+  const auto* get = static_cast<const LogicalGet*>(filter->children[0].get());
+  std::vector<const BoundExpr*> conjuncts;
+  CollectConjuncts(*static_cast<LogicalFilter*>(filter)->predicate,
+                   &conjuncts);
+  EXPECT_FALSE(
+      MatchViews(*get, conjuncts, {0, 3}, server_.db().catalog(),
+                 /*allow_mixed_results=*/false)
+          .empty());
+  // item has 4 columns: ordinals 4 and -1 name none of them.
+  EXPECT_TRUE(
+      MatchViews(*get, conjuncts, {0, 4}, server_.db().catalog(),
+                 /*allow_mixed_results=*/false)
+          .empty());
+  EXPECT_TRUE(
+      MatchViews(*get, conjuncts, {-1, 0}, server_.db().catalog(),
+                 /*allow_mixed_results=*/false)
+          .empty());
 }
 
 TEST_F(EngineTest, CaseExpressionSearchedAndSimple) {
