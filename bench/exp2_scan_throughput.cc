@@ -8,31 +8,24 @@
 // The workload is SELECT id, a FROM scan_t WHERE a < K with K chosen for
 // 1% / 10% / 100% selectivity, plus vectorized-aggregate shapes (a scalar
 // COUNT/SUM/MIN/MAX and a 16-group GROUP BY) over the same table. Rows
-// carry a ~96-byte pad column so row-copy costs are visible. Every cell is
-// measured twice — row-at-a-time and batched execution on the same server —
-// and reported as a speedup, which is the regression gate: batched must
-// never lose to the row path (it used to, 0.90x at full selectivity,
-// before the typed-column kernels and the move-based result drain).
+// carry a ~96-byte pad column so row-copy costs are visible. Each cell
+// reports absolute QPS; regressions show against the committed trajectory
+// in BENCH_exp2_scan.json and EXPERIMENTS.md E2.
 //
-// Additional legs on the largest table:
-//  - an 8-thread closed loop (no think time) on the 1% point, asserting
-//    each thread's warm result cardinality matches the single-thread run
-//    (this used to report result_rows: 0 because workers discarded rows);
-//  - a morsel-parallel leg: dop=8 vs dop=1 on the full-selectivity scan,
-//    with the core count recorded. The ≥4x expectation only applies on
-//    hardware with ≥8 cores; a 1-CPU box measures ~1.0x by construction.
+// The largest table adds an 8-thread closed loop (no think time) on the 1%
+// point, asserting each thread's warm result cardinality matches the
+// single-thread run (this used to report result_rows: 0 because workers
+// discarded rows).
 //
-// `--smoke` shrinks the grid for CI and keeps the speedup gate at >= 1.0x.
-// Output ends with one JSON line, committed as BENCH_exp2_scan.json.
+// `--smoke` shrinks the grid for CI. Output ends with one JSON line,
+// committed as BENCH_exp2_scan.json.
 //
-// Single-CPU box caveat: run with the build idle; concurrent compiles
-// easily halve these numbers.
+// Run with the machine idle; concurrent compiles easily halve these
+// numbers.
 
 #include <chrono>
 #include <cstring>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -96,31 +89,6 @@ Measurement MeasureQps(Server* server, const std::string& sql,
   return m;
 }
 
-// Measures `sql` on both executor paths of one server (row first, then
-// batched, restoring batched afterwards — it is the production default).
-struct PathPair {
-  Measurement row;
-  Measurement batch;
-  double speedup = 0;  // batch.qps / row.qps
-};
-
-PathPair MeasureBothPaths(Server* server, const std::string& sql,
-                          int64_t table_rows, double min_seconds,
-                          int min_iters) {
-  PathPair p;
-  server->set_use_batch_execution(false);
-  p.row = MeasureQps(server, sql, table_rows, min_seconds, min_iters);
-  server->set_use_batch_execution(true);
-  p.batch = MeasureQps(server, sql, table_rows, min_seconds, min_iters);
-  if (p.batch.result_rows != p.row.result_rows) {
-    std::fprintf(stderr, "FATAL: batch/row cardinality split %zu vs %zu\n",
-                 p.batch.result_rows, p.row.result_rows);
-    std::exit(1);
-  }
-  p.speedup = p.batch.qps / p.row.qps;
-  return p;
-}
-
 // Closed-loop variant of MeasureQps on `n_threads` concurrent sessions.
 // Every thread runs its own warm query and records the cardinality it saw;
 // the caller asserts those against the single-thread measurement (workers
@@ -180,27 +148,27 @@ int main(int argc, char** argv) {
   const std::vector<double> selectivities = {0.01, 0.10, 1.00};
   const double min_seconds = smoke ? 0.05 : 0.5;
   const int min_iters = smoke ? 3 : 10;
-  const int cores = static_cast<int>(std::thread::hardware_concurrency());
-  bool gate_failed = false;
 
-  std::printf("%-10s %-22s %8s %12s %12s %9s %12s\n", "Rows", "Query",
-              "Threads", "RowQPS", "BatchQPS", "Speedup", "ResultRows");
+  std::printf("%-10s %-22s %8s %12s %12s\n", "Rows", "Query", "Threads",
+              "QPS", "ResultRows");
   std::string json_results;
   auto append_json = [&](const std::string& fields) {
     if (!json_results.empty()) json_results += ", ";
     json_results += "{" + fields + "}";
   };
-  auto grid_json = [&](int64_t rows, const char* query, double sel,
-                       const PathPair& p) {
-    char buf[320];
-    std::snprintf(
-        buf, sizeof(buf),
-        "\"rows\": %lld, \"query\": \"%s\", \"selectivity\": %.2f, "
-        "\"threads\": 1, \"qps\": %.2f, \"row_qps\": %.2f, "
-        "\"speedup\": %.2f, \"scanned_rows_per_sec\": %.0f, "
-        "\"result_rows\": %zu",
-        static_cast<long long>(rows), query, sel, p.batch.qps, p.row.qps,
-        p.speedup, p.batch.scanned_rows_per_sec, p.batch.result_rows);
+  // One single-thread cell: measured, printed, and appended to the JSON.
+  auto cell = [&](Server* server, int64_t rows, const char* label,
+                  const char* query, double sel, const std::string& sql) {
+    Measurement m = MeasureQps(server, sql, rows, min_seconds, min_iters);
+    std::printf("%-10lld %-22s %8d %12.1f %12zu\n",
+                static_cast<long long>(rows), label, 1, m.qps, m.result_rows);
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "\"rows\": %lld, \"query\": \"%s\", \"selectivity\": %.2f, "
+                  "\"threads\": 1, \"qps\": %.2f, "
+                  "\"scanned_rows_per_sec\": %.0f, \"result_rows\": %zu",
+                  static_cast<long long>(rows), query, sel, m.qps,
+                  m.scanned_rows_per_sec, m.result_rows);
     append_json(buf);
   };
 
@@ -210,54 +178,18 @@ int main(int argc, char** argv) {
     LoadTable(&server, rows);
 
     for (double sel : selectivities) {
-      PathPair p = MeasureBothPaths(&server, ScanSql(sel), rows, min_seconds,
-                                    min_iters);
       char label[32];
       std::snprintf(label, sizeof(label), "scan sel=%.2f", sel);
-      std::printf("%-10lld %-22s %8d %12.1f %12.1f %8.2fx %12zu\n",
-                  static_cast<long long>(rows), label, 1, p.row.qps,
-                  p.batch.qps, p.speedup, p.batch.result_rows);
-      grid_json(rows, "scan", sel, p);
-      // The regression gate this experiment exists for: at full selectivity
-      // the batched path used to lose to the row path (0.90x) by paying a
-      // projection-eval plus two row copies per emitted row. Vectorized
-      // kernels + the move-based drain must keep it at or above parity
-      // everywhere, and well above on the 100k full scan.
-      if (sel == 1.00 && p.speedup < 1.0) {
-        std::fprintf(stderr,
-                     "GATE FAILED: batch/row speedup %.2fx < 1.0x at "
-                     "sel=1.0, rows=%lld\n",
-                     p.speedup, static_cast<long long>(rows));
-        gate_failed = true;
-      }
-      if (!smoke && rows == 100000 && sel == 1.00 && p.speedup < 1.5) {
-        std::fprintf(stderr,
-                     "GATE FAILED: batch/row speedup %.2fx < 1.5x at "
-                     "sel=1.0, rows=100000\n",
-                     p.speedup);
-        gate_failed = true;
-      }
+      cell(&server, rows, label, "scan", sel, ScanSql(sel));
     }
 
     // Vectorized-aggregate shapes: the scan feeds the aggregate typed
-    // column batches (no row materialization at all on the batch path).
-    const std::string agg_scalar =
-        "SELECT COUNT(*), SUM(a), MIN(a), MAX(a) FROM scan_t WHERE a < " +
-        std::to_string(kValueDomain / 2);
-    const std::string agg_group =
-        "SELECT g, COUNT(*), SUM(a) FROM scan_t GROUP BY g";
-    PathPair ps = MeasureBothPaths(&server, agg_scalar, rows, min_seconds,
-                                   min_iters);
-    std::printf("%-10lld %-22s %8d %12.1f %12.1f %8.2fx %12zu\n",
-                static_cast<long long>(rows), "agg scalar", 1, ps.row.qps,
-                ps.batch.qps, ps.speedup, ps.batch.result_rows);
-    grid_json(rows, "agg_scalar", 0.50, ps);
-    PathPair pg = MeasureBothPaths(&server, agg_group, rows, min_seconds,
-                                   min_iters);
-    std::printf("%-10lld %-22s %8d %12.1f %12.1f %8.2fx %12zu\n",
-                static_cast<long long>(rows), "agg group", 1, pg.row.qps,
-                pg.batch.qps, pg.speedup, pg.batch.result_rows);
-    grid_json(rows, "agg_group", 1.00, pg);
+    // column batches (no row materialization at all).
+    cell(&server, rows, "agg scalar", "agg_scalar", 0.50,
+         "SELECT COUNT(*), SUM(a), MIN(a), MAX(a) FROM scan_t WHERE a < " +
+             std::to_string(kValueDomain / 2));
+    cell(&server, rows, "agg group", "agg_group", 1.00,
+         "SELECT g, COUNT(*), SUM(a) FROM scan_t GROUP BY g");
 
     if (rows != sizes.back()) continue;
 
@@ -277,9 +209,9 @@ int main(int argc, char** argv) {
                      tm.result_rows, single.result_rows);
         return 1;
       }
-      std::printf("%-10lld %-22s %8d %12s %12.1f %9s %12zu\n",
+      std::printf("%-10lld %-22s %8d %12.1f %12zu\n",
                   static_cast<long long>(rows), "scan sel=0.01", n_threads,
-                  "-", tm.qps, "-", tm.result_rows);
+                  tm.qps, tm.result_rows);
       char buf[256];
       std::snprintf(buf, sizeof(buf),
                     "\"rows\": %lld, \"query\": \"scan\", "
@@ -289,70 +221,12 @@ int main(int argc, char** argv) {
                     tm.qps * static_cast<double>(rows), tm.result_rows);
       append_json(buf);
     }
-
-    // Morsel-parallel leg: the same full scan with a dop=8 Gather over the
-    // worker pool, against dop=1 on the same server. Output order and
-    // charged costs are contractually identical; only wall clock may move.
-    // The headline ≥4x expectation presumes ≥8 cores — `cores` is recorded
-    // so readers (and the gate below) can interpret a ~1.0x on small boxes.
-    {
-      OptimizerOptions par = server.optimizer_options();
-      par.max_dop = 8;
-      server.set_optimizer_options(par);
-      Measurement dop8 = MeasureQps(&server, ScanSql(1.00), rows, min_seconds,
-                                    min_iters);
-      int64_t parallel_scans = server.metrics().vector_exec.parallel_scans;
-      par.max_dop = 1;
-      server.set_optimizer_options(par);
-      Measurement dop1 = MeasureQps(&server, ScanSql(1.00), rows, min_seconds,
-                                    min_iters);
-      double par_speedup = dop8.qps / dop1.qps;
-      // 2000 smoke rows are below parallel_scan_min_rows, so the smoke leg
-      // measures the Gather post-pass staying out of the way (no scans
-      // counted); real sizes must actually fan out.
-      bool fanned_out = parallel_scans > 0;
-      char label[32];
-      std::snprintf(label, sizeof(label), "scan sel=1.00 dop=8");
-      std::printf("%-10lld %-22s %8d %12.1f %12.1f %8.2fx %12zu\n",
-                  static_cast<long long>(rows), label, 1, dop1.qps, dop8.qps,
-                  par_speedup, dop8.result_rows);
-      char buf[320];
-      std::snprintf(
-          buf, sizeof(buf),
-          "\"rows\": %lld, \"query\": \"scan\", \"selectivity\": 1.00, "
-          "\"threads\": 1, \"dop\": 8, \"qps\": %.2f, \"dop1_qps\": %.2f, "
-          "\"parallel_speedup\": %.2f, \"parallel_scans\": %lld, "
-          "\"cores\": %d, \"result_rows\": %zu",
-          static_cast<long long>(rows), dop8.qps, dop1.qps, par_speedup,
-          static_cast<long long>(parallel_scans), cores, dop8.result_rows);
-      append_json(buf);
-      if (!smoke && !fanned_out) {
-        std::fprintf(stderr, "GATE FAILED: dop=8 leg never ran a parallel "
-                             "scan\n");
-        gate_failed = true;
-      }
-      // Hardware-aware scaling gate: morsel parallelism cannot beat the
-      // core count. Only demand real scaling where the cores exist.
-      if (!smoke && cores >= 8 && par_speedup < 4.0) {
-        std::fprintf(stderr,
-                     "GATE FAILED: parallel speedup %.2fx < 4.0x with %d "
-                     "cores\n",
-                     par_speedup, cores);
-        gate_failed = true;
-      }
-    }
   }
 
-  std::printf("\nShape check: QPS falls with table size; batched execution "
-              "wins or ties everywhere (the speedup column is the gate); "
-              "parallel scaling tracks the core count.\n");
+  std::printf("\nShape check: QPS falls with table size and with "
+              "selectivity; compare each cell with BENCH_exp2_scan.json.\n");
   std::printf("JSON: {\"experiment\": \"exp2_scan_throughput\", "
-              "\"smoke\": %s, \"pad_bytes\": 96, \"cores\": %d, "
-              "\"results\": [%s]}\n",
-              smoke ? "true" : "false", cores, json_results.c_str());
-  if (gate_failed) {
-    std::fprintf(stderr, "exp2_scan_throughput: perf gate FAILED\n");
-    return 1;
-  }
+              "\"smoke\": %s, \"pad_bytes\": 96, \"results\": [%s]}\n",
+              smoke ? "true" : "false", json_results.c_str());
   return 0;
 }

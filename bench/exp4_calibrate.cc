@@ -127,13 +127,6 @@ int main(int argc, char** argv) {
   cache.RecomputeStats();
 
   cache.metrics().set_profiling_enabled(true);
-  // Calibrate against the row-at-a-time executor: it is the path whose
-  // per-row work the abstract cost model describes. (The batched path
-  // short-circuits shapes like COUNT(*) over a copy-free snapshot to
-  // near-zero per-row cost, which would poison the fit; plan *choice* is
-  // shared by both paths, so the fitted ranking serves both.)
-  cache.set_use_batch_execution(false);
-  backend.set_use_batch_execution(false);
 
   std::vector<CalibrationProbe> probes = MakeCalibrationProbes(cfg);
   std::vector<CalibrationSample> samples;

@@ -241,9 +241,6 @@ Row VectorStatsRow(const DmvSource& src) {
       Value::Int(v.vectorized_batches),
       Value::Int(v.vectorized_rows),
       Value::Int(v.vector_fallbacks),
-      Value::Int(v.parallel_scans),
-      Value::Int(v.parallel_morsels),
-      Value::Int(v.parallel_rows),
   };
 }
 
@@ -496,10 +493,7 @@ DmvCatalog::DmvCatalog() {
       kVectorStats,
       {{"vectorized_batches", TypeId::kInt64},
        {"vectorized_rows", TypeId::kInt64},
-       {"vector_fallbacks", TypeId::kInt64},
-       {"parallel_scans", TypeId::kInt64},
-       {"parallel_morsels", TypeId::kInt64},
-       {"parallel_rows", TypeId::kInt64}});
+       {"vector_fallbacks", TypeId::kInt64}});
   tables_[kColumnHistograms] = MakeDmv(
       kColumnHistograms,
       {{"table_name", TypeId::kString},

@@ -66,21 +66,11 @@ Server::Server(ServerOptions options, SimClock* clock,
                LinkedServerRegistry* links)
     : options_(std::move(options)), clock_(clock), links_(links),
       db_(options_.name + "_db", clock) {
-  if (options_.optimizer.max_dop > 1) {
-    scan_pool_ =
-        std::make_unique<SessionPool>(this, options_.optimizer.max_dop - 1);
-  }
+  // A capacity below 1 would leave scans unable to advance.
+  assert(options_.exec_batch_capacity >= 1);
 }
 
 void Server::set_optimizer_options(const OptimizerOptions& opts) {
-  // Resize the morsel-scan pool outside the plan-cache lock (pool teardown
-  // joins threads). Only called during setup, never mid-query.
-  const int want = opts.max_dop > 1 ? opts.max_dop - 1 : 0;
-  const int have = scan_pool_ != nullptr ? scan_pool_->num_workers() : 0;
-  if (want != have) {
-    scan_pool_.reset();
-    if (want > 0) scan_pool_ = std::make_unique<SessionPool>(this, want);
-  }
   {
     ExclusiveLatchWait lock(plan_cache_mu_, WaitSite::kPlanCacheExclusive);
     options_.optimizer = opts;
@@ -94,31 +84,6 @@ void Server::set_optimizer_options(const OptimizerOptions& opts) {
     ++plan_cache_generation_;
   }
   ++metrics_.plan_cache.invalidations;
-}
-
-void Server::set_use_batch_execution(bool on) {
-  options_.use_batch_execution = on;
-  InvalidatePlanCache();
-}
-
-int Server::max_workers() const {
-  return scan_pool_ != nullptr ? scan_pool_->num_workers() + 1 : 1;
-}
-
-void Server::RunParallel(int n, const std::function<void(int)>& fn) {
-  std::vector<std::future<StatusOr<QueryResult>>> futures;
-  if (scan_pool_ != nullptr) {
-    futures.reserve(n > 1 ? n - 1 : 0);
-    for (int i = 1; i < n; ++i) {
-      futures.push_back(scan_pool_->SubmitJob([&fn, i] { fn(i); }));
-    }
-  } else {
-    // No pool: every slot runs inline. Correct (morsels are claimed off a
-    // shared atomic counter) just not parallel.
-    for (int i = 1; i < n; ++i) fn(i);
-  }
-  fn(0);  // slot 0 always runs on the calling thread
-  for (auto& f : futures) f.get();
 }
 
 Server::CachedPlanPtr Server::StatementPlanCache::Find(
@@ -201,11 +166,8 @@ ExecContext Server::MakeContext(Session* session, ExecStats* stats) {
   ctx.stats = stats;
   ctx.virtual_tables = this;
   ctx.branch_stats = &metrics_.chooseplan;
-  ctx.use_batch = options_.use_batch_execution;
+  ctx.batch_capacity = options_.exec_batch_capacity;
   ctx.vector_stats = &metrics_.vector_exec;
-  // Morsel-parallel fan-out only when a pool exists; GatherExec degenerates
-  // to the serial scan when this stays null.
-  if (scan_pool_ != nullptr) ctx.parallel = this;
   return ctx;
 }
 

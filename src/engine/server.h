@@ -57,20 +57,17 @@ struct ServerOptions {
   std::string name = "server";
   std::string default_user = "dbo";
   OptimizerOptions optimizer;
-  /// When false, every ExecContext this server builds runs the executor in
-  /// row-at-a-time mode instead of the default batched mode. The row path is
-  /// the semantics oracle: differential tests flip this to prove the batch
-  /// path produces byte-identical results.
-  bool use_batch_execution = true;
+  /// ExecContext::batch_capacity for every statement this server runs.
+  /// Differential tests lower it to prove results do not depend on where
+  /// batch boundaries fall; nothing else should change it.
+  int exec_batch_capacity = RowBatch::kMaxRows;
 };
 
 /// One SQL server instance: a database, an optimizer, an executor, a plan
 /// cache, and stored-procedure support. A backend server stands alone; an
 /// MTCache server additionally has `optimizer.backend_server` set and its
 /// database configured as a shadow (see src/mtcache).
-class Server : public RemoteExecutor,
-               public VirtualTableProvider,
-               public ParallelRunner {
+class Server : public RemoteExecutor, public VirtualTableProvider {
  public:
   explicit Server(ServerOptions options, SimClock* clock = nullptr,
                   LinkedServerRegistry* links = nullptr);
@@ -82,22 +79,8 @@ class Server : public RemoteExecutor,
   const OptimizerOptions& optimizer_options() const {
     return options_.optimizer;
   }
-  /// Changing optimizer options invalidates all cached plans. When
-  /// `opts.max_dop` changes, the morsel-scan worker pool is resized too;
-  /// callers must not change it while queries are executing concurrently.
+  /// Changing optimizer options invalidates all cached plans.
   void set_optimizer_options(const OptimizerOptions& opts);
-
-  /// Toggles row-at-a-time vs batched execution for subsequently built
-  /// contexts (benchmarks flip this to measure both paths on one server).
-  /// Invalidates cached plans like any options change, for symmetry.
-  void set_use_batch_execution(bool on);
-
-  // ParallelRunner: fan-out for morsel-parallel scans (GatherExec). The
-  // workers come from a dedicated compute pool sized to optimizer.max_dop-1
-  // (slot 0 always runs on the calling thread); without a pool RunParallel
-  // degenerates to running every slot inline, serially.
-  int max_workers() const override;
-  void RunParallel(int n, const std::function<void(int)>& fn) override;
 
   /// Executes a script (one or more ';'-separated statements). Returns the
   /// last SELECT's result (or rows_affected of the last DML). Each call runs
@@ -387,11 +370,6 @@ class Server : public RemoteExecutor,
   /// capture, so concurrent sessions never capture the same slice twice.
   std::atomic<double> workload_capture_interval_{0};
   std::atomic<double> workload_next_capture_{0};
-  /// Compute-only workers for morsel-parallel scans; created when
-  /// optimizer.max_dop > 1 and resized by set_optimizer_options. Jobs are
-  /// pure closures (never SQL), so a worker can never recursively fan out —
-  /// GatherExec clears ExecContext::parallel in worker contexts.
-  std::unique_ptr<SessionPool> scan_pool_;
 };
 
 /// Renders DML ASTs back to SQL text for forwarding to the backend.

@@ -37,19 +37,6 @@ std::future<StatusOr<QueryResult>> SessionPool::Submit(std::string sql,
   return future;
 }
 
-std::future<StatusOr<QueryResult>> SessionPool::SubmitJob(
-    std::function<void()> job) {
-  Task task;
-  task.job = std::move(job);
-  std::future<StatusOr<QueryResult>> future = task.promise.get_future();
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-  return future;
-}
-
 void SessionPool::WorkerLoop() {
   Session session;  // this worker's connection state
   while (true) {
@@ -60,12 +47,6 @@ void SessionPool::WorkerLoop() {
       if (queue_.empty()) return;  // shutdown with a drained queue
       task = std::move(queue_.front());
       queue_.pop_front();
-    }
-    if (task.job) {
-      // Morsel-scan (or other compute-only) job: no session state involved.
-      task.job();
-      task.promise.set_value(QueryResult());
-      continue;
     }
     // Batch-scoped parameters overlay the worker's persistent variables.
     for (const auto& [name, value] : task.params) session.vars[name] = value;

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -65,19 +64,10 @@ class SessionPool {
   std::future<StatusOr<QueryResult>> Submit(std::string sql,
                                             ParamMap params = {});
 
-  /// Enqueues a plain closure instead of a SQL batch; the future resolves
-  /// (with an empty result) once a worker has run it. This is how the
-  /// engine fans morsel-parallel scan work out to the pool: jobs are pure
-  /// compute and must not execute SQL or submit further work to the pool.
-  std::future<StatusOr<QueryResult>> SubmitJob(std::function<void()> job);
-
-  int num_workers() const { return static_cast<int>(workers_.size()); }
-
  private:
   struct Task {
     std::string sql;
     ParamMap params;
-    std::function<void()> job;  // when set, run instead of `sql`
     std::promise<StatusOr<QueryResult>> promise;
   };
 

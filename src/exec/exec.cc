@@ -21,6 +21,13 @@ Row ConcatRows(const Row& left, const Row& right) {
   return out;
 }
 
+// An outer join's unmatched left row, padded with NULLs to `width` columns.
+Row NullExtended(const Row& left, int width) {
+  Row out = left;
+  out.resize(static_cast<size_t>(width), Value::Null());
+  return out;
+}
+
 int64_t RowsBytes(const std::vector<Row>& rows) {
   double bytes = 0;
   for (const Row& r : rows) bytes += RowSizeBytes(r);
@@ -69,32 +76,23 @@ void BumpFallback(ExecContext* ctx) {
   if (ctx->vector_stats != nullptr) ++ctx->vector_stats->vector_fallbacks;
 }
 
-// Drains every row of `child` (already opened) through `fn`, using whichever
-// drive mode the context selects. Used by pipeline breakers that materialize
-// their whole input anyway (hash build, aggregation, sort, NL inner), so the
-// subtree below them still runs its batch path.
+// Drains every row of `child` (already opened) through `fn`. Used by
+// pipeline breakers that materialize their whole input anyway (hash build,
+// aggregation, sort, NL inner).
 template <typename Fn>
 Status DrainRows(ExecNode* child, ExecContext* ctx, const Fn& fn) {
-  if (ctx->use_batch) {
-    RowBatch batch;
-    while (true) {
-      MT_ASSIGN_OR_RETURN(bool more, child->NextBatch(ctx, &batch));
-      if (!more) return Status::Ok();
-      for (const Row* row : batch.rows) MT_RETURN_IF_ERROR(fn(*row));
-    }
-  }
-  Row row;
+  RowBatch batch;
   while (true) {
-    MT_ASSIGN_OR_RETURN(bool more, child->Next(ctx, &row));
+    MT_ASSIGN_OR_RETURN(bool more, child->NextBatch(ctx, &batch));
     if (!more) return Status::Ok();
-    MT_RETURN_IF_ERROR(fn(row));
+    for (const Row* row : batch.rows) MT_RETURN_IF_ERROR(fn(*row));
   }
 }
 
-// Pulls rows one at a time over a child's NextBatch stream: operators with
-// inherently row-at-a-time control flow (nested-loops outer sides) still
-// drive their input through the batch path. The returned pointer is valid
-// until the next Pull; nullptr signals end of stream.
+// Pulls rows one at a time over a child's NextBatch stream, for operators
+// with inherently row-at-a-time control flow (nested-loops outer sides). The
+// returned pointer is valid until the next Pull; nullptr signals end of
+// stream.
 class BatchRowReader {
  public:
   void Reset(ExecNode* child) {
@@ -130,10 +128,11 @@ class DualScanExec : public ExecNode {
     done_ = false;
     return Status::Ok();
   }
-  StatusOr<bool> Next(ExecContext*, Row* row) override {
+  StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
+    batch->Reset(ctx->batch_capacity);
     if (done_) return false;
     done_ = true;
-    row->clear();
+    batch->PushOwned(Row{});
     return true;
   }
 
@@ -144,9 +143,9 @@ class DualScanExec : public ExecNode {
 // Sequential scan over an immutable table snapshot. Open pins the table's
 // refcounted row-version snapshot (O(1) when cached, one pointer-copy pass
 // under a briefly-held shared latch otherwise) and never touches storage
-// again: no latch is held across Next, concurrent DML installs fresh row
-// versions without disturbing the pinned ones, and no payload is copied —
-// the batch path hands parents pointers straight into the snapshot.
+// again: no latch is held across NextBatch, concurrent DML installs fresh
+// row versions without disturbing the pinned ones, and no payload is copied —
+// batches hand parents pointers straight into the snapshot.
 //
 // A predicate/projection folded into the scan by the optimizer is applied
 // here: non-qualifying rows never leave the operator, and projected rows are
@@ -209,43 +208,8 @@ class SeqScanExec : public ExecNode {
     return Status::Ok();
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    if (op_.def->virtual_table) {
-      if (pos_ >= virtual_rows_.size()) return false;
-      Row& r = virtual_rows_[pos_++];
-      ctx->Charge(PerEmittedRowCost());
-      if (!op_.pushed_projection.empty()) {
-        MT_RETURN_IF_ERROR(ProjectInto(r, ctx, row));
-      } else {
-        // Rows are re-rendered on every Open, so hand this one off.
-        *row = std::move(r);
-      }
-      return true;
-    }
-    const std::vector<RowPtr>& rows = snapshot_->rows;
-    while (pos_ < rows.size()) {
-      const Row& r = *rows[pos_++];
-      ctx->Charge(CostModel::kSeqRowCost);
-      if (op_.pushed_predicate != nullptr) {
-        ctx->Charge(CostModel::kFilterRowCost);
-        MT_ASSIGN_OR_RETURN(
-            bool pass, EvalPredicate(*op_.pushed_predicate, &r, ctx->Eval()));
-        if (!pass) continue;
-      }
-      if (!op_.pushed_projection.empty()) {
-        ctx->Charge(CostModel::kProjectRowCost);
-        MT_RETURN_IF_ERROR(ProjectInto(r, ctx, row));
-      } else {
-        *row = r;
-      }
-      return true;
-    }
-    ChargeTail(ctx);
-    return false;
-  }
-
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
-    batch->Clear();
+    batch->Reset(ctx->batch_capacity);
     if (op_.def->virtual_table) {
       while (pos_ < virtual_rows_.size() && !batch->full()) {
         if (!op_.pushed_projection.empty()) {
@@ -264,7 +228,7 @@ class SeqScanExec : public ExecNode {
     // Loop chunks until at least one row qualifies (a selective pushed
     // predicate may reject a whole chunk) or the snapshot is exhausted.
     while (batch->size() == 0 && pos_ < rows.size()) {
-      size_t chunk = std::min(static_cast<size_t>(RowBatch::kMaxRows),
+      size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
                               rows.size() - pos_);
       ctx->Charge(CostModel::kSeqRowCost * static_cast<double>(chunk));
       scratch_.clear();
@@ -335,13 +299,13 @@ class SeqScanExec : public ExecNode {
     const std::vector<RowPtr>& rows = snapshot_->rows;
     batch->Reset(op_.schema.num_columns());
     while (batch->size == 0 && pos_ < rows.size()) {
-      size_t chunk = std::min(static_cast<size_t>(RowBatch::kMaxRows),
+      size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
                               rows.size() - pos_);
       if (op_.pushed_predicate == nullptr) {
         // Extract straight from the pinned RowPtr span. Nothing is charged
         // or advanced until every wanted column extracts, so a mixed-type
-        // column leaves the cursor (and the cost ledger) exactly where the
-        // row path will resume.
+        // column leaves the cursor (and the cost ledger) exactly where
+        // NextBatch will resume.
         for (int w : col_wanted_) {
           if (!ExtractSnapshotColumn(*snapshot_, pos_, pos_ + chunk,
                                      SourceOrdinal(w), WantedType(w),
@@ -373,8 +337,8 @@ class SeqScanExec : public ExecNode {
                              WantedType(w), &batch->cols[w])) {
             BumpFallback(ctx);
             *fallback = true;
-            return false;  // pos_ untouched: predicate re-runs on the row
-                           // path, which is also where it gets charged
+            return false;  // pos_ untouched: predicate re-runs in
+                           // NextBatch, which is also where it gets charged
           }
         }
         ctx->Charge((CostModel::kSeqRowCost + CostModel::kFilterRowCost) *
@@ -538,32 +502,10 @@ class IndexSeekExec : public ExecNode {
     return Status::Ok();
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    while (pos_ < rows_.size()) {
-      const Row& r = *rows_[pos_++];
-      ctx->Charge(CostModel::kIndexRowCost);
-      if (op_.pushed_predicate != nullptr) {
-        ctx->Charge(CostModel::kFilterRowCost);
-        MT_ASSIGN_OR_RETURN(
-            bool pass, EvalPredicate(*op_.pushed_predicate, &r, ctx->Eval()));
-        if (!pass) continue;
-      }
-      if (!op_.pushed_projection.empty()) {
-        ctx->Charge(CostModel::kProjectRowCost);
-        MT_RETURN_IF_ERROR(ProjectInto(r, ctx, row));
-      } else {
-        *row = r;
-      }
-      return true;
-    }
-    ChargeTail(ctx);
-    return false;
-  }
-
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
-    batch->Clear();
+    batch->Reset(ctx->batch_capacity);
     while (batch->size() == 0 && pos_ < rows_.size()) {
-      size_t chunk = std::min(static_cast<size_t>(RowBatch::kMaxRows),
+      size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
                               rows_.size() - pos_);
       ctx->Charge(CostModel::kIndexRowCost * static_cast<double>(chunk));
       scratch_.clear();
@@ -628,7 +570,7 @@ class IndexSeekExec : public ExecNode {
     *fallback = false;
     batch->Reset(op_.schema.num_columns());
     while (batch->size == 0 && pos_ < rows_.size()) {
-      size_t chunk = std::min(static_cast<size_t>(RowBatch::kMaxRows),
+      size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
                               rows_.size() - pos_);
       scratch_.clear();
       scratch_.reserve(chunk);
@@ -649,7 +591,7 @@ class IndexSeekExec : public ExecNode {
       for (int w : col_wanted_) {
         if (!ExtractColumn(scratch_.data(), out, SourceOrdinal(w),
                            WantedType(w), &batch->cols[w])) {
-          // Nothing charged, pos_ untouched: the row path resumes (and is
+          // Nothing charged, pos_ untouched: NextBatch resumes (and is
           // charged) exactly here.
           BumpFallback(ctx);
           *fallback = true;
@@ -762,21 +704,8 @@ class FilterExec : public ExecNode {
     return child_->Open(ctx);
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    if (!open_) return false;
-    while (true) {
-      MT_ASSIGN_OR_RETURN(bool more, child_->Next(ctx, row));
-      if (!more) return false;
-      if (op_.startup) return true;  // rows pass through
-      ctx->Charge(CostModel::kFilterRowCost);
-      MT_ASSIGN_OR_RETURN(bool pass,
-                          EvalPredicate(*op_.predicate, row, ctx->Eval()));
-      if (pass) return true;
-    }
-  }
-
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
-    batch->Clear();
+    batch->Reset(ctx->batch_capacity);
     if (!open_) return false;
     if (op_.startup) return child_->NextBatch(ctx, batch);
     // Surviving rows are passed through by reference; they stay owned by
@@ -821,22 +750,8 @@ class ProjectExec : public ExecNode {
 
   Status Open(ExecContext* ctx) override { return child_->Open(ctx); }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    Row input;
-    MT_ASSIGN_OR_RETURN(bool more, child_->Next(ctx, &input));
-    if (!more) return false;
-    ctx->Charge(CostModel::kProjectRowCost);
-    row->clear();
-    row->reserve(op_.exprs.size());
-    for (const BExprPtr& e : op_.exprs) {
-      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e, &input, ctx->Eval()));
-      row->push_back(std::move(v));
-    }
-    return true;
-  }
-
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
-    batch->Clear();
+    batch->Reset(ctx->batch_capacity);
     MT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, &input_));
     if (!more) return false;
     ctx->Charge(CostModel::kProjectRowCost *
@@ -865,8 +780,8 @@ class ProjectExec : public ExecNode {
 };
 
 // Block nested loops: the inner (right) input is materialized at Open. The
-// outer side streams through BatchRowReader under batch drive, so scans
-// below it still run copy-free.
+// outer side streams through BatchRowReader, so scans below it still run
+// copy-free.
 class NLJoinExec : public ExecNode {
  public:
   NLJoinExec(const PhysNLJoin& op, std::unique_ptr<ExecNode> left,
@@ -883,30 +798,24 @@ class NLJoinExec : public ExecNode {
     }));
     right_->Close();
     reader_.Reset(left_.get());
-    have_outer_ = false;
+    outer_ = nullptr;
     inner_pos_ = 0;
     return Status::Ok();
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    while (true) {
-      if (!have_outer_) {
-        if (ctx->use_batch) {
-          MT_ASSIGN_OR_RETURN(const Row* o, reader_.Pull(ctx));
-          if (o == nullptr) return false;
-          outer_ = *o;
-        } else {
-          MT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &outer_));
-          if (!more) return false;
-        }
-        have_outer_ = true;
+  StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
+    batch->Reset(ctx->batch_capacity);
+    while (!batch->full()) {
+      if (outer_ == nullptr) {
+        MT_ASSIGN_OR_RETURN(outer_, reader_.Pull(ctx));
+        if (outer_ == nullptr) break;
         outer_matched_ = false;
         inner_pos_ = 0;
       }
-      while (inner_pos_ < inner_.size()) {
+      while (inner_pos_ < inner_.size() && !batch->full()) {
         const Row& inner = inner_[inner_pos_++];
         ctx->Charge(CostModel::kNLInnerRowCost);
-        Row combined = ConcatRows(outer_, inner);
+        Row combined = ConcatRows(*outer_, inner);
         bool pass = true;
         if (op_.condition != nullptr) {
           MT_ASSIGN_OR_RETURN(
@@ -914,22 +823,18 @@ class NLJoinExec : public ExecNode {
         }
         if (pass) {
           outer_matched_ = true;
-          *row = std::move(combined);
-          return true;
+          batch->PushOwned(std::move(combined));
         }
       }
-      // Inner exhausted for this outer row.
-      bool emit_null_extended =
-          op_.join_kind == JoinKind::kLeftOuter && !outer_matched_;
-      have_outer_ = false;
-      if (emit_null_extended) {
-        *row = outer_;
-        int right_width =
-            op_.schema.num_columns() - static_cast<int>(outer_.size());
-        for (int i = 0; i < right_width; ++i) row->push_back(Value::Null());
-        return true;
+      if (inner_pos_ < inner_.size()) break;  // batch full; resume here
+      // Inner exhausted for this outer row. A full batch here means the
+      // last inner row matched, so no NULL-extended row is owed.
+      if (op_.join_kind == JoinKind::kLeftOuter && !outer_matched_) {
+        batch->PushOwned(NullExtended(*outer_, op_.schema.num_columns()));
       }
+      outer_ = nullptr;
     }
+    return batch->size() > 0;
   }
 
   void Close() override {
@@ -945,8 +850,7 @@ class NLJoinExec : public ExecNode {
   std::unique_ptr<ExecNode> right_;
   std::vector<Row> inner_;
   BatchRowReader reader_;
-  Row outer_;
-  bool have_outer_ = false;
+  const Row* outer_ = nullptr;  // current outer row, owned by reader_
   bool outer_matched_ = false;
   size_t inner_pos_ = 0;
 };
@@ -968,50 +872,22 @@ class IndexNLJoinExec : public ExecNode {
     }
     MT_RETURN_IF_ERROR(outer_->Open(ctx));
     reader_.Reset(outer_.get());
-    have_outer_ = false;
+    outer_row_ = nullptr;
+    matches_.clear();
+    match_pos_ = 0;
     return Status::Ok();
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    while (true) {
-      if (!have_outer_) {
-        if (ctx->use_batch) {
-          MT_ASSIGN_OR_RETURN(const Row* o, reader_.Pull(ctx));
-          if (o == nullptr) return false;
-          outer_row_ = *o;
-        } else {
-          MT_ASSIGN_OR_RETURN(bool more, outer_->Next(ctx, &outer_row_));
-          if (!more) return false;
-        }
-        have_outer_ = true;
+  StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
+    batch->Reset(ctx->batch_capacity);
+    while (!batch->full()) {
+      if (outer_row_ == nullptr) {
+        MT_ASSIGN_OR_RETURN(outer_row_, reader_.Pull(ctx));
+        if (outer_row_ == nullptr) break;
         outer_matched_ = false;
-        matches_.clear();
-        match_pos_ = 0;
-        const Value& key = outer_row_[op_.outer_key];
-        ctx->Charge(CostModel::kIndexSeekCost);
-        if (!key.is_null()) {  // NULL keys never match
-          // Pin this outer row's matching inner row versions under one
-          // shared latch; predicates/projections are evaluated below, after
-          // the latch is released.
-          Row seek_key{key};
-          int64_t entries = 0;
-          {
-            SharedLatchWait latch(table_->latch(),
-                                  WaitSite::kTableLatchShared);
-            for (auto it = table_->index(op_.index_ordinal).SeekGe(seek_key);
-                 it.Valid() &&
-                 BPlusTree::ComparePrefix(it.key(), seek_key) == 0;
-                 it.Next()) {
-              ++entries;
-              RowId rid = it.rowid();
-              if (!table_->heap().IsLive(rid)) continue;
-              matches_.push_back(table_->heap().GetRef(rid));
-            }
-          }
-          ctx->Charge(CostModel::kIndexRowCost * static_cast<double>(entries));
-        }
+        SeekInner(ctx);
       }
-      while (match_pos_ < matches_.size()) {
+      while (match_pos_ < matches_.size() && !batch->full()) {
         const Row& inner = *matches_[match_pos_++];
         if (op_.inner_predicate != nullptr) {
           MT_ASSIGN_OR_RETURN(
@@ -1029,7 +905,7 @@ class IndexNLJoinExec : public ExecNode {
         } else {
           inner_out = inner;
         }
-        Row combined = ConcatRows(outer_row_, inner_out);
+        Row combined = ConcatRows(*outer_row_, inner_out);
         if (op_.residual != nullptr) {
           MT_ASSIGN_OR_RETURN(
               bool pass,
@@ -1037,20 +913,16 @@ class IndexNLJoinExec : public ExecNode {
           if (!pass) continue;
         }
         outer_matched_ = true;
-        *row = std::move(combined);
-        return true;
+        batch->PushOwned(std::move(combined));
       }
-      bool emit_null_extended =
-          op_.join_kind == JoinKind::kLeftOuter && !outer_matched_;
-      have_outer_ = false;
-      if (emit_null_extended) {
-        *row = outer_row_;
-        int right_width = op_.schema.num_columns() -
-                          static_cast<int>(outer_row_.size());
-        for (int i = 0; i < right_width; ++i) row->push_back(Value::Null());
-        return true;
+      if (match_pos_ < matches_.size()) break;  // batch full; resume here
+      // As in NLJoinExec, a full batch here implies a match.
+      if (op_.join_kind == JoinKind::kLeftOuter && !outer_matched_) {
+        batch->PushOwned(NullExtended(*outer_row_, op_.schema.num_columns()));
       }
+      outer_row_ = nullptr;
     }
+    return batch->size() > 0;
   }
 
   void Close() override {
@@ -1063,14 +935,38 @@ class IndexNLJoinExec : public ExecNode {
   }
 
  private:
+  // Pins the current outer row's matching inner row versions under one
+  // shared latch; predicates/projections are evaluated by the caller, after
+  // the latch is released.
+  void SeekInner(ExecContext* ctx) {
+    matches_.clear();
+    match_pos_ = 0;
+    const Value& key = (*outer_row_)[op_.outer_key];
+    ctx->Charge(CostModel::kIndexSeekCost);
+    if (key.is_null()) return;  // NULL keys never match
+    Row seek_key{key};
+    int64_t entries = 0;
+    {
+      SharedLatchWait latch(table_->latch(), WaitSite::kTableLatchShared);
+      for (auto it = table_->index(op_.index_ordinal).SeekGe(seek_key);
+           it.Valid() && BPlusTree::ComparePrefix(it.key(), seek_key) == 0;
+           it.Next()) {
+        ++entries;
+        RowId rid = it.rowid();
+        if (!table_->heap().IsLive(rid)) continue;
+        matches_.push_back(table_->heap().GetRef(rid));
+      }
+    }
+    ctx->Charge(CostModel::kIndexRowCost * static_cast<double>(entries));
+  }
+
   const PhysIndexNLJoin& op_;
   std::unique_ptr<ExecNode> outer_;
   StoredTable* table_ = nullptr;
   BatchRowReader reader_;
   std::vector<RowPtr> matches_;
   size_t match_pos_ = 0;
-  Row outer_row_;
-  bool have_outer_ = false;
+  const Row* outer_row_ = nullptr;  // current outer row, owned by reader_
   bool outer_matched_ = false;
 };
 
@@ -1105,61 +1001,8 @@ class HashJoinExec : public ExecNode {
     return Status::Ok();
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    while (true) {
-      if (match_list_ != nullptr) {
-        while (match_pos_ < match_list_->size()) {
-          const Row& build_row = (*match_list_)[match_pos_++];
-          Row combined = ConcatRows(probe_row_, build_row);
-          bool pass = true;
-          if (op_.residual != nullptr) {
-            MT_ASSIGN_OR_RETURN(
-                pass, EvalPredicate(*op_.residual, &combined, ctx->Eval()));
-          }
-          if (pass) {
-            probe_matched_ = true;
-            *row = std::move(combined);
-            return true;
-          }
-        }
-        bool emit_null_extended =
-            op_.join_kind == JoinKind::kLeftOuter && !probe_matched_;
-        match_list_ = nullptr;
-        if (emit_null_extended) {
-          *row = NullExtended(probe_row_);
-          return true;
-        }
-      }
-      MT_ASSIGN_OR_RETURN(bool more, probe_->Next(ctx, &probe_row_));
-      if (!more) return false;
-      ctx->Charge(CostModel::kHashProbeRowCost);
-      probe_matched_ = false;
-      Row key;
-      bool has_null = false;
-      for (int k : op_.probe_keys) {
-        if (probe_row_[k].is_null()) has_null = true;
-        key.push_back(probe_row_[k]);
-      }
-      if (has_null) {
-        if (op_.join_kind == JoinKind::kLeftOuter) {
-          *row = NullExtended(probe_row_);
-          return true;
-        }
-        continue;
-      }
-      auto it = table_.find(key);
-      if (it != table_.end()) {
-        match_list_ = &it->second;
-        match_pos_ = 0;
-      } else if (op_.join_kind == JoinKind::kLeftOuter) {
-        *row = NullExtended(probe_row_);
-        return true;
-      }
-    }
-  }
-
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
-    batch->Clear();
+    batch->Reset(ctx->batch_capacity);
     while (!batch->full()) {
       if (match_list_ != nullptr) {
         while (match_pos_ < match_list_->size() && !batch->full()) {
@@ -1180,7 +1023,9 @@ class HashJoinExec : public ExecNode {
             op_.join_kind == JoinKind::kLeftOuter && !probe_matched_;
         if (emit_null_extended && batch->full()) break;  // resume here
         match_list_ = nullptr;
-        if (emit_null_extended) batch->PushOwned(NullExtended(*probe_ptr_));
+        if (emit_null_extended) {
+          batch->PushOwned(NullExtended(*probe_ptr_, op_.schema.num_columns()));
+        }
         continue;
       }
       if (probe_pos_ >= probe_batch_.size()) {
@@ -1199,7 +1044,7 @@ class HashJoinExec : public ExecNode {
       }
       if (has_null) {
         if (op_.join_kind == JoinKind::kLeftOuter) {
-          batch->PushOwned(NullExtended(*probe_ptr_));
+          batch->PushOwned(NullExtended(*probe_ptr_, op_.schema.num_columns()));
         }
         continue;
       }
@@ -1208,7 +1053,7 @@ class HashJoinExec : public ExecNode {
         match_list_ = &it->second;
         match_pos_ = 0;
       } else if (op_.join_kind == JoinKind::kLeftOuter) {
-        batch->PushOwned(NullExtended(*probe_ptr_));
+        batch->PushOwned(NullExtended(*probe_ptr_, op_.schema.num_columns()));
       }
     }
     return batch->size() > 0;
@@ -1230,20 +1075,11 @@ class HashJoinExec : public ExecNode {
   }
 
  private:
-  Row NullExtended(const Row& left) const {
-    Row out = left;
-    int right_width =
-        op_.schema.num_columns() - static_cast<int>(left.size());
-    for (int i = 0; i < right_width; ++i) out.push_back(Value::Null());
-    return out;
-  }
-
   const PhysHashJoin& op_;
   std::unique_ptr<ExecNode> probe_;
   std::unique_ptr<ExecNode> build_;
   std::unordered_map<Row, std::vector<Row>, RowHasher, RowEq> table_;
-  Row probe_row_;                      // row-path probe cursor
-  RowBatch probe_batch_;               // batch-path probe cursor
+  RowBatch probe_batch_;               // probe cursor
   int64_t probe_pos_ = 0;
   const Row* probe_ptr_ = nullptr;     // into probe_batch_
   bool probe_matched_ = false;
@@ -1273,9 +1109,9 @@ class HashAggregateExec : public ExecNode {
     // and aggregate-argument columns as typed vectors, accumulate straight
     // off the payload arrays (no EvalBound / StatusOr<Value> per cell). A
     // mid-stream type-mix fallback leaves the child's cursor in place and
-    // the row-at-a-time drain below finishes the remainder.
+    // the row drain below finishes the remainder.
     bool absorbed_all = false;
-    if (ctx->use_batch && ColumnarShapes()) {
+    if (ColumnarShapes()) {
       std::vector<int> wanted = WantedOrdinals();
       if (child_->PrepareColumnScan(ctx, wanted)) {
         MT_RETURN_IF_ERROR(AbsorbColumnar(ctx, &absorbed_all));
@@ -1298,41 +1134,18 @@ class HashAggregateExec : public ExecNode {
     return Status::Ok();
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    if (emit_pos_ >= order_.size()) return false;
-    ctx->Charge(CostModel::kProjectRowCost);
-    const auto& [key, states] = *order_[emit_pos_++];
-    *row = key;
-    for (size_t i = 0; i < op_.aggs.size(); ++i) {
-      const AggItem& item = op_.aggs[i];
-      const AggState& st = states[i];
-      switch (item.func) {
-        case AggFunc::kCountStar:
-        case AggFunc::kCount:
-          row->push_back(Value::Int(st.count));
-          break;
-        case AggFunc::kSum:
-          if (st.count == 0) {
-            row->push_back(Value::Null());
-          } else if (st.sum_is_int) {
-            row->push_back(Value::Int(static_cast<int64_t>(std::llround(st.sum))));
-          } else {
-            row->push_back(Value::Double(st.sum));
-          }
-          break;
-        case AggFunc::kAvg:
-          row->push_back(st.count == 0 ? Value::Null()
-                                       : Value::Double(st.sum / st.count));
-          break;
-        case AggFunc::kMin:
-          row->push_back(st.count == 0 ? Value::Null() : st.min);
-          break;
-        case AggFunc::kMax:
-          row->push_back(st.count == 0 ? Value::Null() : st.max);
-          break;
+  StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
+    batch->Reset(ctx->batch_capacity);
+    while (emit_pos_ < order_.size() && !batch->full()) {
+      ctx->Charge(CostModel::kProjectRowCost);
+      const auto& [key, states] = *order_[emit_pos_++];
+      Row row = key;
+      for (size_t i = 0; i < op_.aggs.size(); ++i) {
+        row.push_back(Finalize(op_.aggs[i].func, states[i]));
       }
+      batch->PushOwned(std::move(row));
     }
-    return true;
+    return batch->size() > 0;
   }
 
   int64_t MemoryBytes() const override {
@@ -1385,11 +1198,32 @@ class HashAggregateExec : public ExecNode {
     return Status::Ok();
   }
 
+  static Value Finalize(AggFunc func, const AggState& st) {
+    switch (func) {
+      case AggFunc::kCountStar:
+      case AggFunc::kCount:
+        return Value::Int(st.count);
+      case AggFunc::kSum:
+        if (st.count == 0) return Value::Null();
+        if (st.sum_is_int) {
+          return Value::Int(static_cast<int64_t>(std::llround(st.sum)));
+        }
+        return Value::Double(st.sum);
+      case AggFunc::kAvg:
+        return st.count == 0 ? Value::Null() : Value::Double(st.sum / st.count);
+      case AggFunc::kMin:
+        return st.count == 0 ? Value::Null() : st.min;
+      case AggFunc::kMax:
+        return st.count == 0 ? Value::Null() : st.max;
+    }
+    return Value::Null();
+  }
+
   // --- Columnar absorb ------------------------------------------------------
 
   // True iff every group-by item and aggregate argument is a bare column
   // reference — the shapes the typed accumulate loops handle. Anything else
-  // (expressions, COUNT(DISTINCT)-style rewrites) takes the row path.
+  // (expressions, COUNT(DISTINCT)-style rewrites) absorbs row batches.
   bool ColumnarShapes() const {
     for (const BExprPtr& g : op_.group_by) {
       if (g->kind != BoundExprKind::kColumnRef) return false;
@@ -1501,7 +1335,7 @@ class HashAggregateExec : public ExecNode {
   // MIN/MAX over a typed column. Replacement uses strict </>: for NaN
   // payloads both probes fail, exactly like Value::Compare's probe form, so
   // a NaN that arrives first sticks and one that arrives later never
-  // replaces — identical to the row path. kBool/kString values go through
+  // replaces — identical to Absorb. kBool/kString values go through
   // GetValue so the stored Value keeps its original type tag.
   void AbsorbMinMax(const ColumnVector& col, size_t n, bool is_min,
                     AggState* st) {
@@ -1641,16 +1475,8 @@ class SortExec : public ExecNode {
     return Status::Ok();
   }
 
-  StatusOr<bool> Next(ExecContext*, Row* row) override {
-    if (pos_ >= rows_.size()) return false;
-    // The buffer is rebuilt on every Open, so hand rows off instead of
-    // copying them a second time.
-    *row = std::move(rows_[pos_++]);
-    return true;
-  }
-
-  StatusOr<bool> NextBatch(ExecContext*, RowBatch* batch) override {
-    batch->Clear();
+  StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
+    batch->Reset(ctx->batch_capacity);
     while (pos_ < rows_.size() && !batch->full()) {
       batch->PushRef(&rows_[pos_++]);
     }
@@ -1669,12 +1495,9 @@ class SortExec : public ExecNode {
 };
 
 // Limit clamps its own output and stops pulling the child the moment the
-// quota is met. On the row path that is exact demand-driven behavior; on the
-// batch path the child may still produce up to kMaxRows-1 rows beyond the
-// limit inside the final partial batch (the batch is the unit of demand —
-// see ExecNode::NextBatch), but never a whole extra batch: the earlier
-// inherited adapter kept pulling fresh child batches to fill its output,
-// charging the child for rows Limit then discarded.
+// quota is met. The child may still produce up to batch_capacity-1 rows
+// beyond the limit inside the final partial batch (the batch is the unit of
+// demand — see ExecNode::NextBatch), but never a whole extra batch.
 class LimitExec : public ExecNode {
  public:
   LimitExec(const PhysLimit& op, std::unique_ptr<ExecNode> child)
@@ -1685,16 +1508,8 @@ class LimitExec : public ExecNode {
     return child_->Open(ctx);
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    if (emitted_ >= op_.limit) return false;
-    MT_ASSIGN_OR_RETURN(bool more, child_->Next(ctx, row));
-    if (!more) return false;
-    ++emitted_;
-    return true;
-  }
-
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
-    batch->Clear();
+    batch->Reset(ctx->batch_capacity);
     if (emitted_ >= op_.limit) return false;  // child is never pulled again
     MT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, &input_));
     if (!more) return false;
@@ -1729,17 +1544,8 @@ class DistinctExec : public ExecNode {
     return child_->Open(ctx);
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    while (true) {
-      MT_ASSIGN_OR_RETURN(bool more, child_->Next(ctx, row));
-      if (!more) return false;
-      ctx->Charge(CostModel::kDistinctRowCost);
-      if (seen_.insert(*row).second) return true;
-    }
-  }
-
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
-    batch->Clear();
+    batch->Reset(ctx->batch_capacity);
     while (batch->size() == 0) {
       MT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, &input_));
       if (!more) return false;
@@ -1788,23 +1594,8 @@ class UnionAllExec : public ExecNode {
     return Status::Ok();
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    while (current_ < children_.size()) {
-      if (!opened_) {
-        MT_RETURN_IF_ERROR(children_[current_]->Open(ctx));
-        opened_ = true;
-      }
-      MT_ASSIGN_OR_RETURN(bool more, children_[current_]->Next(ctx, row));
-      if (more) return true;
-      children_[current_]->Close();
-      ++current_;
-      opened_ = false;
-    }
-    return false;
-  }
-
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
-    batch->Clear();
+    batch->Reset(ctx->batch_capacity);
     while (current_ < children_.size()) {
       if (!opened_) {
         MT_RETURN_IF_ERROR(children_[current_]->Open(ctx));
@@ -1854,15 +1645,8 @@ class RemoteQueryExec : public ExecNode {
     return Status::Ok();
   }
 
-  StatusOr<bool> Next(ExecContext*, Row* row) override {
-    if (pos_ >= rows_.size()) return false;
-    // Re-fetched on every Open; hand rows off instead of copying.
-    *row = std::move(rows_[pos_++]);
-    return true;
-  }
-
-  StatusOr<bool> NextBatch(ExecContext*, RowBatch* batch) override {
-    batch->Clear();
+  StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
+    batch->Reset(ctx->batch_capacity);
     while (pos_ < rows_.size() && !batch->full()) {
       batch->PushRef(&rows_[pos_++]);
     }
@@ -1879,232 +1663,13 @@ class RemoteQueryExec : public ExecNode {
   size_t pos_ = 0;
 };
 
-// Morsel-parallel scan: children[0] is a SeqScan over a stored table. At
-// Open the table snapshot is split into fixed row-range morsels; workers
-// claim morsels off an atomic counter and run the scan's filter/projection
-// chunk loop privately (per-worker cost stats and predicate scratch), and
-// the per-morsel outputs are concatenated in morsel order — so row order,
-// and every cost charged, is identical to running the child serially.
-// Without a ParallelRunner (or with dop<=1, row-at-a-time drive, a virtual
-// table, or a table too small to split) every call transparently delegates
-// to the serial child executor, including the columnar serving interface.
-class GatherExec : public ExecNode {
- public:
-  static constexpr size_t kMorselRows = 32768;
-
-  GatherExec(const PhysGather& op, std::unique_ptr<ExecNode> child)
-      : op_(op),
-        scan_(static_cast<const PhysSeqScan&>(*op.children[0])),
-        child_(std::move(child)) {
-    fast_proj_ =
-        !scan_.pushed_projection.empty() &&
-        FastProjection(scan_.pushed_projection, &proj_ords_, &proj_types_);
-    if (!fast_proj_) {
-      proj_ords_.clear();
-      proj_types_.clear();
-    }
-  }
-
-  Status Open(ExecContext* ctx) override {
-    serial_ = true;
-    snapshot_.reset();
-    morsels_.clear();
-    merged_.clear();
-    pos_ = 0;
-    int workers = ctx->parallel != nullptr
-                      ? std::min(op_.dop, ctx->parallel->max_workers())
-                      : 1;
-    if (!ctx->use_batch || workers <= 1 || scan_.def->virtual_table) {
-      return child_->Open(ctx);
-    }
-    StoredTable* table = ctx->storage != nullptr
-                             ? ctx->storage->GetStoredTable(scan_.def->name)
-                             : nullptr;
-    if (table == nullptr) {
-      return Status::Internal("no storage for table " + scan_.def->name);
-    }
-    snapshot_ = table->ScanSnapshot();
-    const size_t n = snapshot_->rows.size();
-    const size_t num_morsels = (n + kMorselRows - 1) / kMorselRows;
-    if (num_morsels < 2) {
-      snapshot_.reset();
-      return child_->Open(ctx);
-    }
-    serial_ = false;
-    morsels_.resize(num_morsels);
-    workers = std::min(workers, static_cast<int>(num_morsels));
-    std::atomic<size_t> next_morsel{0};
-    std::vector<ExecStats> worker_stats(workers);
-    std::vector<Status> worker_status(workers, Status::Ok());
-    ctx->parallel->RunParallel(workers, [&](int w) {
-      // Workers charge into private stats (merged below, so the query's
-      // total cost matches the serial plan) and share nothing mutable else.
-      ExecContext wctx = *ctx;
-      wctx.stats = &worker_stats[w];
-      wctx.parallel = nullptr;
-      worker_status[w] = ScanMorsels(&wctx, &next_morsel);
-    });
-    for (int w = 0; w < workers; ++w) {
-      if (ctx->stats != nullptr) ctx->stats->Add(worker_stats[w]);
-    }
-    for (int w = 0; w < workers; ++w) {
-      if (!worker_status[w].ok()) return worker_status[w];
-    }
-    // Dead-slot remainder: charged once, exactly like the serial scan.
-    ctx->Charge(CostModel::kSeqRowCost *
-                static_cast<double>(snapshot_->dead_slots));
-    size_t total = 0;
-    for (const Morsel& m : morsels_) total += m.refs.size();
-    merged_.reserve(total);
-    for (const Morsel& m : morsels_) {
-      merged_.insert(merged_.end(), m.refs.begin(), m.refs.end());
-    }
-    if (ctx->vector_stats != nullptr) {
-      ++ctx->vector_stats->parallel_scans;
-      ctx->vector_stats->parallel_morsels +=
-          static_cast<int64_t>(num_morsels);
-      ctx->vector_stats->parallel_rows += static_cast<int64_t>(total);
-    }
-    return Status::Ok();
-  }
-
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    if (serial_) return child_->Next(ctx, row);
-    if (pos_ >= merged_.size()) return false;
-    *row = *merged_[pos_++];
-    return true;
-  }
-
-  StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
-    if (serial_) return child_->NextBatch(ctx, batch);
-    batch->Clear();
-    while (pos_ < merged_.size() && !batch->full()) {
-      batch->PushRef(merged_[pos_++]);
-    }
-    return batch->size() > 0;
-  }
-
-  bool PrepareColumnScan(ExecContext* ctx,
-                         const std::vector<int>& wanted) override {
-    return serial_ ? child_->PrepareColumnScan(ctx, wanted) : false;
-  }
-
-  StatusOr<bool> NextColumnBatch(ExecContext* ctx, ColumnBatch* batch,
-                                 bool* fallback) override {
-    if (serial_) return child_->NextColumnBatch(ctx, batch, fallback);
-    *fallback = true;
-    return false;
-  }
-
-  void Close() override {
-    if (serial_) child_->Close();
-    snapshot_.reset();
-    morsels_.clear();
-    merged_.clear();
-    pos_ = 0;
-  }
-
-  int64_t MemoryBytes() const override {
-    if (serial_) return child_->MemoryBytes();
-    int64_t bytes = 0;
-    if (snapshot_ != nullptr) {
-      bytes += static_cast<int64_t>(snapshot_->rows.size() * sizeof(RowPtr));
-    }
-    bytes += static_cast<int64_t>(merged_.size() * sizeof(const Row*));
-    for (const Morsel& m : morsels_) {
-      for (const Row& r : m.arena) {
-        bytes += static_cast<int64_t>(RowSizeBytes(r));
-      }
-    }
-    return bytes;
-  }
-
- private:
-  // One morsel's output: qualifying row pointers, plus the arena that owns
-  // projected rows (deque: stable addresses as rows append). Workers write
-  // disjoint slots, so no locking anywhere on the scan path.
-  struct Morsel {
-    std::vector<const Row*> refs;
-    std::deque<Row> arena;
-  };
-
-  Status ScanMorsels(ExecContext* ctx, std::atomic<size_t>* next) {
-    const std::vector<RowPtr>& rows = snapshot_->rows;
-    std::vector<const Row*> scratch;
-    std::vector<char> keep;
-    PredicateBatchScratch pred_scratch;
-    while (true) {
-      const size_t m = next->fetch_add(1, std::memory_order_relaxed);
-      if (m >= morsels_.size()) return Status::Ok();
-      Morsel& out = morsels_[m];
-      const size_t begin = m * kMorselRows;
-      const size_t end = std::min(begin + kMorselRows, rows.size());
-      for (size_t p = begin; p < end;) {
-        const size_t chunk =
-            std::min(static_cast<size_t>(RowBatch::kMaxRows), end - p);
-        ctx->Charge(CostModel::kSeqRowCost * static_cast<double>(chunk));
-        scratch.clear();
-        scratch.reserve(chunk);
-        for (size_t i = 0; i < chunk; ++i) {
-          scratch.push_back(rows[p + i].get());
-        }
-        p += chunk;
-        if (scan_.pushed_predicate != nullptr) {
-          ctx->Charge(CostModel::kFilterRowCost * static_cast<double>(chunk));
-          MT_RETURN_IF_ERROR(EvalPredicateBatch(*scan_.pushed_predicate,
-                                                scratch.data(), chunk,
-                                                ctx->Eval(), &keep,
-                                                &pred_scratch));
-          size_t kept = 0;
-          for (size_t i = 0; i < chunk; ++i) {
-            if (keep[i]) scratch[kept++] = scratch[i];
-          }
-          scratch.resize(kept);
-        }
-        if (!scan_.pushed_projection.empty()) {
-          ctx->Charge(CostModel::kProjectRowCost *
-                      static_cast<double>(scratch.size()));
-          for (const Row* r : scratch) {
-            Row proj;
-            proj.reserve(scan_.pushed_projection.size());
-            if (fast_proj_) {
-              for (int ord : proj_ords_) proj.push_back((*r)[ord]);
-            } else {
-              for (const BExprPtr& e : scan_.pushed_projection) {
-                MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e, r, ctx->Eval()));
-                proj.push_back(std::move(v));
-              }
-            }
-            out.arena.push_back(std::move(proj));
-            out.refs.push_back(&out.arena.back());
-          }
-        } else {
-          for (const Row* r : scratch) out.refs.push_back(r);
-        }
-      }
-    }
-  }
-
-  const PhysGather& op_;
-  const PhysSeqScan& scan_;
-  std::unique_ptr<ExecNode> child_;
-  bool fast_proj_ = false;
-  std::vector<int> proj_ords_;
-  std::vector<TypeId> proj_types_;
-  bool serial_ = true;
-  HeapSnapshotPtr snapshot_;
-  std::vector<Morsel> morsels_;
-  std::vector<const Row*> merged_;  // morsel-order concatenation
-  size_t pos_ = 0;
-};
-
 // Timing/counting decorator around any ExecNode, writing into its mirrored
-// OperatorProfile node. Timings are recursive (a parent's Next time includes
-// its children's); EXPLAIN ANALYZE renders them as-is, like SQL Server's
-// actual execution plans. Memory is sampled after Open (materialize-at-Open
-// operators peak there) and before Close (operators that accumulate during
-// Next, e.g. Distinct), which brackets every operator's high-water mark
-// without per-row O(n) walks.
+// OperatorProfile node. Timings are recursive (a parent's NextBatch time
+// includes its children's); EXPLAIN ANALYZE renders them as-is, like SQL
+// Server's actual execution plans. Memory is sampled after Open
+// (materialize-at-Open operators peak there) and before Close (operators
+// that accumulate during NextBatch, e.g. Distinct), which brackets every
+// operator's high-water mark without per-row O(n) walks.
 class ProfiledNode : public ExecNode {
  public:
   ProfiledNode(std::unique_ptr<ExecNode> inner, OperatorProfile* prof)
@@ -2119,17 +1684,7 @@ class ProfiledNode : public ExecNode {
     return s;
   }
 
-  StatusOr<bool> Next(ExecContext* ctx, Row* row) override {
-    ++prof_->next_calls;
-    auto t0 = std::chrono::steady_clock::now();
-    StatusOr<bool> more = inner_->Next(ctx, row);
-    prof_->next_seconds += Elapsed(t0);
-    if (more.ok() && more.value()) ++prof_->actual_rows;
-    return more;
-  }
-
-  // actual_rows stays an exact output-row count under either drive mode;
-  // next_calls counts NextBatch invocations on the batch path.
+  // next_calls counts NextBatch pulls; actual_rows the rows they returned.
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
     ++prof_->next_calls;
     auto t0 = std::chrono::steady_clock::now();
@@ -2248,10 +1803,6 @@ StatusOr<std::unique_ptr<ExecNode>> BuildNode(const PhysicalOp& plan,
       node = std::make_unique<RemoteQueryExec>(
           static_cast<const PhysRemoteQuery&>(plan));
       break;
-    case PhysicalKind::kGather:
-      node = std::make_unique<GatherExec>(static_cast<const PhysGather&>(plan),
-                                          std::move(children[0]));
-      break;
   }
   if (node == nullptr) return Status::Internal("unhandled physical operator");
   if (profile != nullptr) {
@@ -2290,23 +1841,14 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalOp& plan, ExecContext* ctx,
   MT_RETURN_IF_ERROR(root->Open(ctx));
   QueryResult result;
   result.schema = plan.schema;
-  if (ctx->use_batch) {
-    RowBatch batch;
-    while (true) {
-      MT_ASSIGN_OR_RETURN(bool more, root->NextBatch(ctx, &batch));
-      if (!more) break;
-      // Arena-owned rows (projections) move into the result instead of
-      // being copied a second time; referenced rows still copy (they are
-      // borrowed from storage or operator state).
-      batch.MoveInto(&result.rows);
-    }
-  } else {
-    Row row;
-    while (true) {
-      MT_ASSIGN_OR_RETURN(bool more, root->Next(ctx, &row));
-      if (!more) break;
-      result.rows.push_back(row);
-    }
+  RowBatch batch;
+  while (true) {
+    MT_ASSIGN_OR_RETURN(bool more, root->NextBatch(ctx, &batch));
+    if (!more) break;
+    // Arena-owned rows (projections) move into the result instead of being
+    // copied a second time; referenced rows still copy (they are borrowed
+    // from storage or operator state).
+    batch.MoveInto(&result.rows);
   }
   root->Close();
   return result;

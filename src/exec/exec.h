@@ -76,31 +76,14 @@ struct ChoosePlanRuntimeStats {
   RelaxedInt64 remote_branches = 0;   // guard passed, branch ships RemoteQuery
 };
 
-/// Counters for the vectorized / parallel executor paths, bumped by scans
-/// and Gather. The engine points ExecContext at the copy inside its
-/// MetricsRegistry; relaxed atomics, since every session's executor bumps
-/// the same instance. Rendered by sys.dm_exec_vector_stats.
+/// Counters for the vectorized executor path, bumped by scans. The engine
+/// points ExecContext at the copy inside its MetricsRegistry; relaxed
+/// atomics, since every session's executor bumps the same instance. Rendered
+/// by sys.dm_exec_vector_stats.
 struct VectorExecStats {
   RelaxedInt64 vectorized_batches = 0;  // ColumnBatches served by scans
   RelaxedInt64 vectorized_rows = 0;     // rows delivered in those batches
   RelaxedInt64 vector_fallbacks = 0;    // columnar scans that hit mixed types
-  RelaxedInt64 parallel_scans = 0;      // Gather executions that fanned out
-  RelaxedInt64 parallel_morsels = 0;    // morsels claimed by scan workers
-  RelaxedInt64 parallel_rows = 0;       // rows produced by parallel scans
-};
-
-/// Fans work out to engine-owned worker threads. Implemented by
-/// engine::Server on top of its intra-query session pool; a null
-/// ExecContext::parallel (or max_workers() <= 1) means Gather degenerates to
-/// a serial scan. RunParallel runs fn(0..n-1) concurrently — fn(0) on the
-/// calling thread — and returns after all invocations finish, so `fn` may
-/// capture stack state. `fn` must not execute SQL or touch the pool again
-/// (workers are a fixed set; a nested fan-out would deadlock on itself).
-class ParallelRunner {
- public:
-  virtual ~ParallelRunner() = default;
-  virtual int max_workers() const = 0;
-  virtual void RunParallel(int n, const std::function<void(int)>& fn) = 0;
 };
 
 /// Executes shipped SQL on a linked server. Implemented by engine::Server.
@@ -115,33 +98,7 @@ class RemoteExecutor {
                                               ExecStats* stats) = 0;
 };
 
-struct ExecContext {
-  const ParamMap* params = nullptr;
-  double now = 0;  // GETDATE() on the simulated clock
-  StorageProvider* storage = nullptr;
-  RemoteExecutor* remote = nullptr;
-  ExecStats* stats = nullptr;
-  VirtualTableProvider* virtual_tables = nullptr;
-  ChoosePlanRuntimeStats* branch_stats = nullptr;  // may be null
-  VectorExecStats* vector_stats = nullptr;         // may be null
-  ParallelRunner* parallel = nullptr;              // may be null (serial)
-  /// Batch-at-a-time execution (NextBatch) vs the row-at-a-time Volcano
-  /// path. The row path is kept fully functional as the differential-test
-  /// oracle and for embedders that drive Next directly.
-  bool use_batch = true;
-
-  void Charge(double cost) const {
-    if (stats != nullptr) stats->local_cost += cost;
-  }
-  EvalContext Eval() const {
-    EvalContext ctx;
-    ctx.params = params;
-    ctx.current_time = now;
-    return ctx;
-  }
-};
-
-/// A batch of rows flowing between operators on the NextBatch path. Rows are
+/// A batch of rows flowing between operators through NextBatch. Rows are
 /// exposed as `const Row*`: an operator that merely passes stored or
 /// child-owned rows along pushes pointers (PushRef, copy-free), while an
 /// operator that creates rows (projection, aggregation) parks them in the
@@ -157,14 +114,22 @@ struct RowBatch {
   /// may therefore be moved out by MoveInto). Byte flags, not vector<bool>,
   /// so PushRef/PushOwned stay branch-free stores.
   std::vector<uint8_t> owned;
+  /// Row count at which full() turns true; set by Reset from the producing
+  /// operator's ExecContext::batch_capacity.
+  size_t capacity = kMaxRows;
 
   void Clear() {
     rows.clear();
     arena.clear();
     owned.clear();
   }
+  /// Clears the batch for a producer that fills it up to `max_rows` rows.
+  void Reset(int max_rows) {
+    Clear();
+    capacity = static_cast<size_t>(max_rows);
+  }
   int64_t size() const { return static_cast<int64_t>(rows.size()); }
-  bool full() const { return rows.size() >= static_cast<size_t>(kMaxRows); }
+  bool full() const { return rows.size() >= capacity; }
   void PushRef(const Row* row) {
     rows.push_back(row);
     owned.push_back(0);
@@ -190,39 +155,49 @@ struct RowBatch {
   }
 };
 
-/// Volcano-style iterator. Open may be called again after Close (nested
-/// loops rescan their inner input).
+struct ExecContext {
+  const ParamMap* params = nullptr;
+  double now = 0;  // GETDATE() on the simulated clock
+  StorageProvider* storage = nullptr;
+  RemoteExecutor* remote = nullptr;
+  ExecStats* stats = nullptr;
+  VirtualTableProvider* virtual_tables = nullptr;
+  ChoosePlanRuntimeStats* branch_stats = nullptr;  // may be null
+  VectorExecStats* vector_stats = nullptr;         // may be null
+  /// Most rows any operator puts in one RowBatch (and rows per scan chunk).
+  /// Results do not depend on it; differential tests run the same plans at
+  /// 1 (one row per batch), a prime, and the default to prove that.
+  int batch_capacity = RowBatch::kMaxRows;
+
+  void Charge(double cost) const {
+    if (stats != nullptr) stats->local_cost += cost;
+  }
+  EvalContext Eval() const {
+    EvalContext ctx;
+    ctx.params = params;
+    ctx.current_time = now;
+    return ctx;
+  }
+};
+
+/// Pull-based operator, driven batch-at-a-time on the calling thread. Open
+/// may be called again after Close (nested loops rescan their inner input).
 class ExecNode {
  public:
   virtual ~ExecNode() = default;
   virtual Status Open(ExecContext* ctx) = 0;
-  /// Returns true and fills *row, or false at end of stream.
-  virtual StatusOr<bool> Next(ExecContext* ctx, Row* row) = 0;
-  /// Batch-at-a-time variant: clears *batch, fills it with up to
-  /// RowBatch::kMaxRows rows, and returns true iff at least one row was
-  /// produced (short, non-empty batches are allowed mid-stream). Row pointers
-  /// remain valid until the next NextBatch/Close on this node. The default
-  /// adapts row-at-a-time Next, so every operator works under either drive
-  /// mode; hot operators override with a native batch implementation.
+  /// Resets *batch to ctx->batch_capacity, fills it with up to that many
+  /// rows, and returns true iff at least one row was produced (short,
+  /// non-empty batches are allowed mid-stream). Row pointers remain valid
+  /// until the next NextBatch/Close on this node.
   ///
-  /// Demand semantics: batches are still pulled on demand, but the unit of
-  /// demand is a batch, so a consumer that stops early (Limit, EXISTS-style
-  /// probes) may cause its child to produce — and the profile to count — up
-  /// to kMaxRows-1 rows beyond what the consumer emits. Operators that cut
-  /// off the stream (LimitExec) override NextBatch to clamp their own output
-  /// and to stop pulling the child once satisfied, bounding the over-pull to
-  /// a single partial batch rather than one extra batch per call.
-  virtual StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) {
-    batch->Clear();
-    Row row;
-    while (!batch->full()) {
-      auto more = Next(ctx, &row);
-      if (!more.ok()) return more.status();
-      if (!more.value()) break;
-      batch->PushOwned(std::move(row));
-    }
-    return batch->size() > 0;
-  }
+  /// Demand semantics: the unit of demand is a batch, so a consumer that
+  /// stops early (Limit, EXISTS-style probes) may cause its child to produce
+  /// — and the profile to count — up to batch_capacity-1 rows beyond what
+  /// the consumer emits. LimitExec clamps its own output and stops pulling
+  /// the child once satisfied, bounding the over-pull to a single partial
+  /// batch rather than one extra batch per call.
+  virtual StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) = 0;
   /// Columnar drive mode, implemented by scans. Called after Open: returns
   /// true iff this node can serve NextColumnBatch producing typed vectors
   /// for exactly the output ordinals in `wanted` (other ordinals of the
@@ -238,8 +213,8 @@ class ExecNode {
   /// true). Returns true with *batch filled, or false at end of stream. If
   /// the node hits data the typed vectors cannot represent (a column with
   /// mixed type tags), it returns false with *fallback set, leaving its
-  /// cursor where row-at-a-time NextBatch calls will resume exactly there —
-  /// the consumer switches to the row path for the remainder.
+  /// cursor where NextBatch calls will resume exactly there — the consumer
+  /// switches to row batches for the remainder.
   virtual StatusOr<bool> NextColumnBatch(ExecContext* ctx, ColumnBatch* batch,
                                          bool* fallback) {
     (void)ctx;
@@ -263,11 +238,11 @@ struct OperatorProfile {
   std::string op_name;  // PhysicalOpLabel of the mirrored plan node
   double est_rows = 0;
   double est_cost = 0;
-  int64_t actual_rows = 0;  // rows emitted by Next
+  int64_t actual_rows = 0;  // rows in the batches NextBatch returned
   int64_t opens = 0;        // Open calls (inner of a rescanning join > 1)
-  int64_t next_calls = 0;
+  int64_t next_calls = 0;   // NextBatch (or NextColumnBatch) pulls
   double open_seconds = 0;   // real time inside Open (recursive)
-  double next_seconds = 0;   // real time inside Next (recursive)
+  double next_seconds = 0;   // real time inside NextBatch (recursive)
   double close_seconds = 0;  // real time inside Close (recursive)
   int64_t mem_peak_bytes = 0;
   std::vector<OperatorProfile> children;

@@ -127,9 +127,12 @@ std::vector<CalibrationProbe> MakeCalibrationProbes(
       "IndexSeek(cal_big.",
       {{"index_seek", 1}, {"index_row", N / 10}, {"project_row", N / 10}});
 
-  // --- Hash joins: build side is the smaller input; val domains are subsets
-  // of the inner id range so every probe matches exactly one row. Asymmetric
-  // sizes at two scales decorrelate build from probe. ---
+  // --- Hash joins: build side is the smaller input. In the first two, val
+  // domains are subsets of the inner id range, so every probe row matches
+  // exactly one build row and hash_probe_row == agg_row; asymmetric sizes
+  // at two scales decorrelate build from probe. The third probes cal_big
+  // against cal_tiny, whose ids cover only part of cal_big's val domain,
+  // so most probe rows find no match: that separates probe from agg. ---
   add("hash_join_big",
       "SELECT COUNT(*) FROM cal_big JOIN cal_small "
       "ON cal_big.val = cal_small.id",
@@ -146,6 +149,17 @@ std::vector<CalibrationProbe> MakeCalibrationProbes(
        {"hash_build_row", T},
        {"hash_probe_row", M},
        {"agg_row", M}});
+  const double partial_match =
+      std::min(T, static_cast<double>(cfg.big_val_domain)) /
+      cfg.big_val_domain;
+  add("hash_join_partial",
+      "SELECT COUNT(*) FROM cal_big JOIN cal_tiny "
+      "ON cal_big.val = cal_tiny.id",
+      "HashJoin",
+      {{"seq_row", N + T},
+       {"hash_build_row", T},
+       {"hash_probe_row", N},
+       {"agg_row", partial_match * N}});
 
   // --- Nested loops (non-equi join, no usable index): T^2 inner-row visits;
   // P(a.val < b.val) ~ 1/2 of the cross product reaches the aggregate. ---

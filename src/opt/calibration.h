@@ -28,7 +28,8 @@ namespace mtcache {
 ///   cal_remote = cal_big's schema, homed on the backend      rows_remote
 /// `val` is uniform over [0, val domain); domains are chosen so equi-joins
 /// big⋈small on (val = id) and small⋈tiny on (val = id) match exactly one
-/// inner row per outer row.
+/// inner row per outer row, while big⋈tiny on (val = id) matches only the
+/// rows_tiny / big_val_domain fraction of cal_big.
 struct CalibrationConfig {
   int rows_big = 40000;
   int rows_small = 4000;

@@ -1127,30 +1127,6 @@ SiteInfo InspectSite(LogicalPtr* slot) {
   return info;
 }
 
-// Parallel-scan post-pass: wraps full scans of stored tables whose catalog
-// cardinality clears `parallel_scan_min_rows` in a Gather(dop=max_dop).
-// Runs after plan choice so it never perturbs costing or routing decisions —
-// Gather preserves the child's output order, row count, and charged cost
-// exactly, it only changes which threads do the work.
-void MaybeGather(PhysicalPtr* slot, const OptimizerOptions& opts) {
-  PhysicalOp* op = slot->get();
-  for (auto& child : op->children) MaybeGather(&child, opts);
-  if (op->kind != PhysicalKind::kSeqScan) return;
-  const auto& scan = static_cast<const PhysSeqScan&>(*op);
-  if (scan.def == nullptr || scan.def->virtual_table) return;
-  if (static_cast<double>(scan.def->stats.row_count) <
-      opts.parallel_scan_min_rows) {
-    return;
-  }
-  auto gather = std::make_unique<PhysGather>();
-  gather->dop = opts.max_dop;
-  gather->schema = op->schema;
-  gather->est_rows = op->est_rows;
-  gather->est_cost = op->est_cost;
-  gather->children.push_back(std::move(*slot));
-  *slot = std::move(gather);
-}
-
 }  // namespace
 
 StatusOr<OptimizeResult> Optimizer::Optimize(const LogicalOp& query) const {
@@ -1356,7 +1332,6 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const LogicalOp& query) const {
   MT_ASSIGN_OR_RETURN(PlanChoice choice, planner.DeliverLocal(std::move(root)));
 
   out.plan = std::move(choice.plan);
-  if (options_.max_dop > 1) MaybeGather(&out.plan, options_);
   out.est_cost = choice.cost;
   out.est_rows = root_rows;
   out.plan_size = PhysicalPlanSize(*out.plan);

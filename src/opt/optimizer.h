@@ -47,17 +47,6 @@ struct OptimizerOptions {
   /// When non-null, Optimize() records its view-matching / routing decisions
   /// here (the engine points this at its MetricsRegistry). Not owned.
   OptimizerDecisionStats* decision_stats = nullptr;
-  /// Maximum degree of parallelism for morsel-parallel scans. 1 (default)
-  /// disables the Gather post-pass entirely; N > 1 wraps full scans of
-  /// stored tables whose catalog cardinality is at least
-  /// `parallel_scan_min_rows` in a Gather(dop=N). The executor additionally
-  /// caps the fan-out at the engine's worker-pool size at run time and
-  /// degenerates to the serial scan when no pool is available.
-  int max_dop = 1;
-  /// Minimum stored-table cardinality (per catalog statistics) before a
-  /// scan is considered worth parallelizing. Defaults to two morsels' worth
-  /// of rows — below that Gather cannot split the work anyway.
-  double parallel_scan_min_rows = 65536;
   /// Coefficients used to cost plan alternatives. Defaults to the CostModel
   /// constants; a calibration run (scripts/check.sh planqual, E4) replaces
   /// them with measured least-squares fits. Executor charging is unaffected.

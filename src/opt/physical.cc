@@ -77,9 +77,6 @@ std::string PhysicalOpLabel(const PhysicalOp& op) {
       const auto& o = static_cast<const PhysRemoteQuery&>(op);
       return "RemoteQuery[" + o.server + "](" + o.sql + ")";
     }
-    case PhysicalKind::kGather:
-      return "Gather(dop=" +
-             std::to_string(static_cast<const PhysGather&>(op).dop) + ")";
   }
   return "?";
 }

@@ -33,7 +33,6 @@ enum class PhysicalKind {
   kDistinct,
   kUnionAll,     // concatenates children; implements ChoosePlan (Fig. 2(b))
   kRemoteQuery,  // DataTransfer boundary: ships SQL text to a linked server
-  kGather,       // morsel-parallel scan: fans the child scan out to workers
 };
 
 /// Physical operator tree. Expressions reference child output ordinals; for
@@ -159,18 +158,6 @@ struct PhysRemoteQuery : PhysicalOp {
   PhysRemoteQuery() : PhysicalOp(PhysicalKind::kRemoteQuery) {}
   std::string server;
   std::string sql;
-};
-
-/// Morsel-parallel scan. children[0] is a PhysSeqScan over a stored table;
-/// Gather splits the table's snapshot into fixed-size row-range morsels,
-/// runs the scan's filter+projection over them on up to `dop` workers (via
-/// ExecContext::parallel), and merges the results in morsel order, so the
-/// output row order — and every charged cost — is identical to running the
-/// child serially. With no ParallelRunner (or dop <= 1) it transparently
-/// delegates every call to the child.
-struct PhysGather : PhysicalOp {
-  PhysGather() : PhysicalOp(PhysicalKind::kGather) {}
-  int dop = 1;  // requested degree of parallelism (including the caller)
 };
 
 /// Single-node label ("SeqScan(item)", "RemoteQuery[backend](...)"), shared

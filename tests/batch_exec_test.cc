@@ -1,11 +1,22 @@
-// Differential and memory-regression tests for the batched executor path.
+// Differential and memory-regression tests for the batch executor.
 //
-// The executor has two drain modes sharing one operator tree: the
-// row-at-a-time Volcano path (the semantics oracle, ExecContext::use_batch =
-// false) and the batched path (the default). Every query here runs on two
-// servers that differ only in that flag and must produce identical results —
-// first over a hand-written corpus that exercises every operator with a
-// native NextBatch, then over a seeded stream of randomly generated queries.
+// Every plan runs batch-at-a-time; what may vary is where batch boundaries
+// fall. Every query here runs on three servers that differ only in
+// ExecContext::batch_capacity (ServerOptions::exec_batch_capacity) and must
+// produce identical results:
+//   1    one row per batch — row-at-a-time control flow through every
+//        operator, the reference the "RowPath" test names refer to;
+//   7    a prime that splits almost every input mid-batch, so each operator
+//        that carries state across NextBatch calls (hash-join match lists,
+//        nested-loop cursors, Limit quotas, aggregate emission) must resume
+//        exactly where it stopped;
+//   1024 the production default (RowBatch::kMaxRows).
+// The corpus is a hand-written set that exercises every operator, then a
+// seeded stream of randomly generated queries. Two more oracles check the
+// vectorized pieces against their per-row counterparts: EvalPredicateBatch
+// against EvalPredicate over the random corpus's pushed predicates, and the
+// columnar aggregate absorb against the same aggregate over an input the
+// columnar path cannot serve.
 //
 // The memory test pins down the copy-free snapshot scan: a 1%-selective
 // scan over a 100k-row table with ~100-byte rows must report an operator
@@ -13,11 +24,11 @@
 // through sys.dm_exec_query_profiles.
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <memory>
 #include <random>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,130 +80,28 @@ std::vector<std::string> Canon(const QueryResult& r, bool ordered) {
   return keys;
 }
 
-class BatchDiffTest : public ::testing::Test {
- protected:
-  BatchDiffTest()
-      : batch_(MakeOptions(true)), row_(MakeOptions(false)) {}
+// The batch capacities every differential case runs at; the last is the
+// production default, which the others are compared against.
+constexpr int kCapacities[] = {1, 7, RowBatch::kMaxRows};
 
-  static ServerOptions MakeOptions(bool use_batch) {
-    ServerOptions opts;
-    opts.name = use_batch ? "batch" : "row";
-    opts.use_batch_execution = use_batch;
-    return opts;
-  }
-
-  void SetUp() override {
-    Load(&batch_);
-    Load(&row_);
-  }
-
-  // ~500 item rows and ~800 orders rows, loaded through the storage layer
-  // (the INSERT path would spend the fixture parsing). Deterministic
-  // contents, including NULLs in nullable columns.
-  static void Load(Server* server) {
-    ASSERT_TRUE(server
-                    ->ExecuteScript(
-                        "CREATE TABLE item (i_id INT PRIMARY KEY, "
-                        "i_subject VARCHAR(16), i_cost FLOAT, i_qty INT); "
-                        "CREATE INDEX item_qty ON item (i_qty); "
-                        "CREATE TABLE orders (o_id INT PRIMARY KEY, "
-                        "o_item INT, o_total FLOAT)")
-                    .ok());
-    static const char* kSubjects[] = {"history", "poetry", "travel", "crime"};
-    StoredTable* item = server->db().GetStoredTable("item");
-    StoredTable* orders = server->db().GetStoredTable("orders");
-    auto txn = server->db().txn_manager().Begin();
-    for (int i = 1; i <= 500; ++i) {
-      Row r = {Value::Int(i), Value::String(kSubjects[i % 4]),
-               i % 11 == 0 ? Value::Null() : Value::Double((i * 7) % 100),
-               i % 13 == 0 ? Value::Null() : Value::Int(i % 20)};
-      ASSERT_TRUE(item->Insert(r, txn.get()).ok());
-    }
-    for (int o = 1; o <= 800; ++o) {
-      // o_item deliberately overshoots [1, 500] so joins see dangling keys.
-      Row r = {Value::Int(o), Value::Int((o * 3) % 600),
-               Value::Double((o % 50) * 1.25)};
-      ASSERT_TRUE(orders->Insert(r, txn.get()).ok());
-    }
-    server->db().txn_manager().Commit(txn.get(), 0.0);
-    server->RecomputeStats();
-  }
-
-  // Runs `sql` on both servers and requires identical results. `ordered` =
-  // the query pins its output order, so the sequence must match exactly.
-  void ExpectSame(const std::string& sql, bool ordered = false) {
-    auto b = batch_.Execute(sql);
-    auto r = row_.Execute(sql);
-    ASSERT_EQ(b.ok(), r.ok()) << sql << "\nbatch: "
-                              << (b.ok() ? "ok" : b.status().ToString())
-                              << "\nrow:   "
-                              << (r.ok() ? "ok" : r.status().ToString());
-    if (!b.ok()) return;  // both failed identically: fine for random corpus
-    EXPECT_EQ(Canon(*b, ordered), Canon(*r, ordered)) << sql;
-    EXPECT_GE(b->rows.size(), 0u);
-  }
-
-  Server batch_;
-  Server row_;
-};
-
-TEST_F(BatchDiffTest, OperatorCorpusMatchesRowPath) {
-  // Scans, predicate/projection pushdown, index seeks with residuals.
-  ExpectSame("SELECT * FROM item");
-  ExpectSame("SELECT i_id, i_cost FROM item WHERE i_cost < 25.0");
-  ExpectSame("SELECT i_id FROM item WHERE i_cost >= 90.0 AND i_qty < 10");
-  ExpectSame("SELECT i_subject FROM item WHERE i_id = 37");
-  ExpectSame("SELECT i_id, i_subject FROM item WHERE i_id > 100 AND "
-             "i_id < 120");
-  ExpectSame("SELECT i_id FROM item WHERE i_id > 400 AND i_cost < 50.0");
-  ExpectSame("SELECT i_id FROM item WHERE i_qty = 7");
-  ExpectSame("SELECT i_id FROM item WHERE i_qty = 7 AND i_cost > 30.0");
-  ExpectSame("SELECT i_id FROM item WHERE i_cost IS NULL");
-  ExpectSame("SELECT i_id FROM item WHERE i_qty IS NOT NULL AND i_qty > 15");
-  ExpectSame("SELECT i_id FROM item WHERE i_subject LIKE 'hist%'");
-  // Joins (hash, index-nested-loop, outer) across batch boundaries.
-  ExpectSame("SELECT o.o_id, i.i_subject FROM orders o JOIN item i "
-             "ON o.o_item = i.i_id");
-  ExpectSame("SELECT o.o_id, i.i_cost FROM orders o JOIN item i "
-             "ON o.o_item = i.i_id WHERE i.i_cost > 50.0 AND o.o_total < 20.0");
-  ExpectSame("SELECT i.i_id, o.o_total FROM item i LEFT OUTER JOIN orders o "
-             "ON i.i_id = o.o_item WHERE i.i_id < 50");
-  // Aggregation, distinct, sort/limit, unions, subqueries.
-  ExpectSame("SELECT i_subject, COUNT(*) cnt, SUM(i_cost) s, AVG(i_qty) a "
-             "FROM item GROUP BY i_subject");
-  ExpectSame("SELECT COUNT(*), MIN(i_cost), MAX(i_cost) FROM item");
-  ExpectSame("SELECT DISTINCT i_subject FROM item");
-  ExpectSame("SELECT DISTINCT i_qty FROM item WHERE i_cost > 60.0");
-  ExpectSame("SELECT TOP 7 i_id, i_cost FROM item ORDER BY i_cost DESC, i_id",
-             /*ordered=*/true);
-  ExpectSame("SELECT i_id FROM item ORDER BY i_id", /*ordered=*/true);
-  ExpectSame("SELECT i_id FROM item WHERE i_id < 5 UNION ALL "
-             "SELECT o_id FROM orders WHERE o_id < 5");
-  ExpectSame("SELECT COUNT(*) FROM (SELECT TOP 50 o_id FROM orders "
-             "ORDER BY o_total DESC) recent");
-  // DMV scan with a pushed-down filter applied at materialization.
-  ExpectSame("SELECT name FROM sys.dm_mtcache_views WHERE kind = 'table'");
+std::unique_ptr<Server> MakeServer(int capacity) {
+  ServerOptions opts;
+  opts.name = "cap" + std::to_string(capacity);
+  opts.exec_batch_capacity = capacity;
+  return std::make_unique<Server>(opts);
 }
 
-// One batch is 1024 rows: a 500-row table fits in one, an 800-row table and
-// every join fan-out crosses the boundary only via multi-table plans above.
-// Force multi-batch scans explicitly through a cross-join-sized UNION chain.
-TEST_F(BatchDiffTest, MultiBatchResultsMatch) {
-  ExpectSame("SELECT i.i_id, o.o_id FROM item i JOIN orders o "
-             "ON i.i_qty = o.o_item WHERE i.i_qty < 20");
-  ExpectSame("SELECT o_id FROM orders UNION ALL SELECT o_id FROM orders "
-             "UNION ALL SELECT i_id FROM item");
-}
-
-// 100 seeded random queries over templates that compose projection, range
-// and equality predicates (index-seekable and not), joins, aggregates,
-// DISTINCT, and ORDER BY ... TOP. The row path is the oracle.
-TEST_F(BatchDiffTest, RandomQueryCorpusMatchesRowPath) {
+// The seeded random corpus: 100 queries over templates that compose
+// projection, range and equality predicates (index-seekable and not),
+// joins, aggregates, DISTINCT, and ORDER BY ... TOP. Each entry is the SQL
+// and whether it pins its output order.
+std::vector<std::pair<std::string, bool>> RandomCorpus() {
   std::mt19937 rng(424242);
   auto pick = [&rng](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(rng);
   };
   static const char* kCmp[] = {"<", "<=", ">", ">=", "="};
+  std::vector<std::pair<std::string, bool>> corpus;
   for (int q = 0; q < 100; ++q) {
     std::string sql;
     bool ordered = false;
@@ -237,15 +146,157 @@ TEST_F(BatchDiffTest, RandomQueryCorpusMatchesRowPath) {
         break;
       }
     }
+    corpus.emplace_back(std::move(sql), ordered);
+  }
+  return corpus;
+}
+
+class BatchDiffTest : public ::testing::Test {
+ protected:
+  BatchDiffTest() {
+    for (int capacity : kCapacities) servers_.push_back(MakeServer(capacity));
+  }
+
+  void SetUp() override {
+    for (auto& server : servers_) Load(server.get());
+  }
+
+  // ~500 item rows and ~800 orders rows, loaded through the storage layer
+  // (the INSERT path would spend the fixture parsing). Deterministic
+  // contents, including NULLs in nullable columns.
+  static void Load(Server* server) {
+    ASSERT_TRUE(server
+                    ->ExecuteScript(
+                        "CREATE TABLE item (i_id INT PRIMARY KEY, "
+                        "i_subject VARCHAR(16), i_cost FLOAT, i_qty INT); "
+                        "CREATE INDEX item_qty ON item (i_qty); "
+                        "CREATE TABLE orders (o_id INT PRIMARY KEY, "
+                        "o_item INT, o_total FLOAT)")
+                    .ok());
+    static const char* kSubjects[] = {"history", "poetry", "travel", "crime"};
+    StoredTable* item = server->db().GetStoredTable("item");
+    StoredTable* orders = server->db().GetStoredTable("orders");
+    auto txn = server->db().txn_manager().Begin();
+    for (int i = 1; i <= 500; ++i) {
+      Row r = {Value::Int(i), Value::String(kSubjects[i % 4]),
+               i % 11 == 0 ? Value::Null() : Value::Double((i * 7) % 100),
+               i % 13 == 0 ? Value::Null() : Value::Int(i % 20)};
+      ASSERT_TRUE(item->Insert(r, txn.get()).ok());
+    }
+    for (int o = 1; o <= 800; ++o) {
+      // o_item deliberately overshoots [1, 500] so joins see dangling keys.
+      Row r = {Value::Int(o), Value::Int((o * 3) % 600),
+               Value::Double((o % 50) * 1.25)};
+      ASSERT_TRUE(orders->Insert(r, txn.get()).ok());
+    }
+    server->db().txn_manager().Commit(txn.get(), 0.0);
+    server->RecomputeStats();
+  }
+
+  // Runs `sql` at every capacity and requires results identical to the
+  // default capacity's. `ordered` = the query pins its output order, so the
+  // sequence must match exactly.
+  void ExpectSame(const std::string& sql, bool ordered = false) {
+    Server& reference = *servers_.back();
+    auto want = reference.Execute(sql);
+    for (size_t i = 0; i + 1 < servers_.size(); ++i) {
+      auto got = servers_[i]->Execute(sql);
+      ASSERT_EQ(got.ok(), want.ok())
+          << sql << "\n" << servers_[i]->name() << ": "
+          << (got.ok() ? "ok" : got.status().ToString()) << "\n"
+          << reference.name() << ": "
+          << (want.ok() ? "ok" : want.status().ToString());
+      if (!want.ok()) continue;  // all failed identically: fine for the
+                                 // random corpus
+      EXPECT_EQ(Canon(*got, ordered), Canon(*want, ordered))
+          << sql << " at capacity " << kCapacities[i];
+    }
+  }
+
+  // sys.dm_exec_vector_stats.vectorized_batches on `server`.
+  static int64_t VectorizedBatches(Server* server) {
+    auto r = server->Execute(
+        "SELECT vectorized_batches FROM sys.dm_exec_vector_stats");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok() || r->rows.size() != 1) return -1;
+    return r->rows[0][0].AsInt();
+  }
+
+  std::vector<std::unique_ptr<Server>> servers_;
+};
+
+TEST_F(BatchDiffTest, OperatorCorpusMatchesRowPath) {
+  // Scans, predicate/projection pushdown, index seeks with residuals.
+  ExpectSame("SELECT * FROM item");
+  ExpectSame("SELECT i_id, i_cost FROM item WHERE i_cost < 25.0");
+  ExpectSame("SELECT i_id FROM item WHERE i_cost >= 90.0 AND i_qty < 10");
+  ExpectSame("SELECT i_subject FROM item WHERE i_id = 37");
+  ExpectSame("SELECT i_id, i_subject FROM item WHERE i_id > 100 AND "
+             "i_id < 120");
+  ExpectSame("SELECT i_id FROM item WHERE i_id > 400 AND i_cost < 50.0");
+  ExpectSame("SELECT i_id FROM item WHERE i_qty = 7");
+  ExpectSame("SELECT i_id FROM item WHERE i_qty = 7 AND i_cost > 30.0");
+  ExpectSame("SELECT i_id FROM item WHERE i_cost IS NULL");
+  ExpectSame("SELECT i_id FROM item WHERE i_qty IS NOT NULL AND i_qty > 15");
+  ExpectSame("SELECT i_id FROM item WHERE i_subject LIKE 'hist%'");
+  // Joins (hash, index-nested-loop, outer) across batch boundaries.
+  ExpectSame("SELECT o.o_id, i.i_subject FROM orders o JOIN item i "
+             "ON o.o_item = i.i_id");
+  ExpectSame("SELECT o.o_id, i.i_cost FROM orders o JOIN item i "
+             "ON o.o_item = i.i_id WHERE i.i_cost > 50.0 AND o.o_total < 20.0");
+  ExpectSame("SELECT i.i_id, o.o_total FROM item i LEFT OUTER JOIN orders o "
+             "ON i.i_id = o.o_item WHERE i.i_id < 50");
+  // Nested loops (non-equi), inner and left outer; index nested loops with
+  // an inner predicate, inner and left outer (unmatched rows NULL-extend).
+  ExpectSame("SELECT a.i_id, b.i_id FROM item a JOIN item b "
+             "ON a.i_qty < b.i_qty WHERE a.i_id < 20 AND b.i_id < 30");
+  ExpectSame("SELECT a.i_id, o.o_id FROM item a LEFT OUTER JOIN orders o "
+             "ON a.i_qty > o.o_total AND o.o_id < 40 WHERE a.i_id < 15");
+  ExpectSame("SELECT o.o_id, i.i_cost FROM orders o JOIN item i "
+             "ON o.o_item = i.i_id WHERE o.o_id < 60 AND i.i_cost > 30.0");
+  ExpectSame("SELECT o.o_id, i.i_cost FROM orders o LEFT OUTER JOIN item i "
+             "ON o.o_item = i.i_id AND i.i_cost > 50.0 WHERE o.o_id < 10");
+  // Aggregation, distinct, sort/limit, unions, subqueries.
+  ExpectSame("SELECT i_subject, COUNT(*) cnt, SUM(i_cost) s, AVG(i_qty) a "
+             "FROM item GROUP BY i_subject");
+  ExpectSame("SELECT COUNT(*), MIN(i_cost), MAX(i_cost) FROM item");
+  ExpectSame("SELECT DISTINCT i_subject FROM item");
+  ExpectSame("SELECT DISTINCT i_qty FROM item WHERE i_cost > 60.0");
+  ExpectSame("SELECT TOP 7 i_id, i_cost FROM item ORDER BY i_cost DESC, i_id",
+             /*ordered=*/true);
+  ExpectSame("SELECT i_id FROM item ORDER BY i_id", /*ordered=*/true);
+  ExpectSame("SELECT i_id FROM item WHERE i_id < 5 UNION ALL "
+             "SELECT o_id FROM orders WHERE o_id < 5");
+  ExpectSame("SELECT COUNT(*) FROM (SELECT TOP 50 o_id FROM orders "
+             "ORDER BY o_total DESC) recent");
+  // No FROM clause: a one-row DualScan.
+  ExpectSame("SELECT 1 + 2");
+  // DMV scan with a pushed-down filter applied at materialization.
+  ExpectSame("SELECT name FROM sys.dm_mtcache_views WHERE kind = 'table'");
+}
+
+// At the default capacity a 500-row table fits in one batch; force
+// multi-batch streams there too, through a many-to-many join and a UNION
+// chain longer than 1024 rows.
+TEST_F(BatchDiffTest, MultiBatchResultsMatch) {
+  ExpectSame("SELECT i.i_id, o.o_id FROM item i JOIN orders o "
+             "ON i.i_qty = o.o_item WHERE i.i_qty < 20");
+  ExpectSame("SELECT o_id FROM orders UNION ALL SELECT o_id FROM orders "
+             "UNION ALL SELECT i_id FROM item");
+}
+
+// The 100-query seeded random corpus at every capacity.
+TEST_F(BatchDiffTest, RandomQueryCorpusMatchesRowPath) {
+  for (const auto& [sql, ordered] : RandomCorpus()) {
     ExpectSame(sql, ordered);
     if (HasFatalFailure()) return;
   }
 }
 
-// DML between executions must be visible to both paths identically (each
-// Execute opens a fresh snapshot).
+// DML between executions must be visible at every capacity identically
+// (each Execute opens a fresh snapshot).
 TEST_F(BatchDiffTest, ResultsTrackDmlOnBothPaths) {
-  for (Server* s : {&batch_, &row_}) {
+  for (auto& s : servers_) {
     ASSERT_TRUE(s->Execute("UPDATE item SET i_cost = 999.0 WHERE i_id <= 3")
                     .ok());
     ASSERT_TRUE(s->Execute("DELETE FROM orders WHERE o_id > 790").ok());
@@ -526,33 +577,135 @@ TEST(VectorKernelTest, RandomizedCompareMatchesValueCompare) {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate shapes: the vectorized absorb (COUNT/SUM/AVG/MIN/MAX, scalar and
-// grouped) against the row path, over NULL-bearing and empty inputs.
+// The random corpus's pushed predicates through EvalPredicateBatch, against
+// per-row EvalPredicate over every row of the scanned table: the vectorized
+// kernels must agree with the scalar evaluator on the predicates the engine
+// actually pushes into scans, not only on hand-built ones.
 // ---------------------------------------------------------------------------
 
+// Appends every scan predicate in `op` (folded into a SeqScan or IndexSeek,
+// so its ordinals address the stored row) with the table it scans.
+void CollectScanPredicates(
+    const PhysicalOp& op,
+    std::vector<std::pair<const BoundExpr*, std::string>>* out) {
+  const BoundExpr* pred = nullptr;
+  const TableDef* def = nullptr;
+  if (op.kind == PhysicalKind::kSeqScan) {
+    const auto& scan = static_cast<const PhysSeqScan&>(op);
+    pred = scan.pushed_predicate.get();
+    def = scan.def;
+  } else if (op.kind == PhysicalKind::kIndexSeek) {
+    const auto& seek = static_cast<const PhysIndexSeek&>(op);
+    pred = seek.pushed_predicate.get();
+    def = seek.def;
+  }
+  if (pred != nullptr && def != nullptr && !def->virtual_table) {
+    out->emplace_back(pred, def->name);
+  }
+  for (const auto& child : op.children) CollectScanPredicates(*child, out);
+}
+
+TEST_F(BatchDiffTest, CorpusPredicatesBatchKernelsMatchPerRowEval) {
+  Server& server = *servers_.back();
+  int compared = 0;
+  for (const auto& [sql, ordered] : RandomCorpus()) {
+    auto plan = server.Explain(sql);
+    ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+    std::vector<std::pair<const BoundExpr*, std::string>> preds;
+    CollectScanPredicates(*plan->plan, &preds);
+    for (const auto& [pred, table] : preds) {
+      std::vector<Row> rows;
+      for (const RowPtr& row :
+           server.db().GetStoredTable(table)->ScanSnapshot()->rows) {
+        rows.push_back(*row);
+      }
+      SCOPED_TRACE(sql);
+      ExpectBatchMatchesRowOracle(*pred, rows);
+      if (HasFatalFailure()) return;
+      ++compared;
+    }
+  }
+  // Cases 0, 1, 3 and 4 of the corpus (~2/3 of it) push a predicate into a
+  // scan; a much lower count means the harness stopped finding them.
+  EXPECT_GE(compared, 50);
+}
+
+// ---------------------------------------------------------------------------
+// Aggregate shapes: the vectorized absorb (COUNT/SUM/AVG/MIN/MAX, scalar and
+// grouped) over NULL-bearing and empty inputs, at every capacity, and
+// against the row absorb of the same aggregate.
+// ---------------------------------------------------------------------------
+
+struct AggregateCase {
+  const char* select;  // select list
+  const char* rest;    // text after FROM item (WHERE / GROUP BY), or ""
+  bool vectorizes;     // the direct form feeds at least one column batch
+};
+
+const AggregateCase kAggregateCases[] = {
+    {"COUNT(i_cost), COUNT(*)", "", true},
+    {"SUM(i_qty), AVG(i_cost)", "", true},
+    {"MIN(i_cost), MAX(i_cost), MIN(i_subject), MAX(i_subject)", "", true},
+    {"MIN(i_qty), MAX(i_qty)", "WHERE i_cost > 40.0", true},
+    // All-NULL aggregate input: COUNT 0, the others NULL.
+    {"COUNT(i_cost), SUM(i_cost), MIN(i_cost), MAX(i_cost)",
+     "WHERE i_cost IS NULL", true},
+    // Empty input: scalar aggregates still emit their one row, and no
+    // column batch is ever produced.
+    {"COUNT(*), SUM(i_cost), MIN(i_qty)", "WHERE i_id > 10000", false},
+    // Nullable group key: the NULL group must survive identically.
+    {"i_qty, COUNT(*) c, SUM(i_cost) s, MIN(i_cost) mn, MAX(i_cost) mx",
+     "GROUP BY i_qty", true},
+    {"i_subject, AVG(i_qty)", "WHERE i_cost > 30.0 GROUP BY i_subject", true},
+};
+
+std::string AggregateSql(const AggregateCase& c, const char* from) {
+  std::string sql = std::string("SELECT ") + c.select + " FROM " + from;
+  if (*c.rest != '\0') sql += std::string(" ") + c.rest;
+  return sql;
+}
+
 TEST_F(BatchDiffTest, AggregateShapesMatchRowPath) {
-  ExpectSame("SELECT COUNT(i_cost), COUNT(*) FROM item");
-  ExpectSame("SELECT SUM(i_qty), AVG(i_cost) FROM item");
-  ExpectSame("SELECT MIN(i_cost), MAX(i_cost), MIN(i_subject), "
-             "MAX(i_subject) FROM item");
-  ExpectSame("SELECT MIN(i_qty), MAX(i_qty) FROM item WHERE i_cost > 40.0");
-  // All-NULL aggregate input: COUNT 0, the others NULL.
-  ExpectSame("SELECT COUNT(i_cost), SUM(i_cost), MIN(i_cost), MAX(i_cost) "
-             "FROM item WHERE i_cost IS NULL");
-  // Empty input: scalar aggregates still emit their one row.
-  ExpectSame("SELECT COUNT(*), SUM(i_cost), MIN(i_qty) FROM item "
-             "WHERE i_id > 10000");
-  // Nullable group key: the NULL group must survive both paths identically.
-  ExpectSame("SELECT i_qty, COUNT(*) c, SUM(i_cost) s, MIN(i_cost) mn, "
-             "MAX(i_cost) mx FROM item GROUP BY i_qty");
-  ExpectSame("SELECT i_subject, AVG(i_qty) FROM item WHERE i_cost > 30.0 "
-             "GROUP BY i_subject");
+  for (const AggregateCase& c : kAggregateCases) {
+    ExpectSame(AggregateSql(c, "item"));
+  }
+}
+
+// The same aggregate over a derived table: the TOP keeps the optimizer from
+// merging it into the base scan, so the aggregate's child is a Limit, which
+// cannot serve column batches, and the aggregate absorbs row batches
+// instead. Exactly one side may vectorize, read off the DMV.
+TEST_F(BatchDiffTest, ColumnarAggregatesMatchRowAbsorb) {
+  const char* kRowOnly = "(SELECT TOP 1000000 * FROM item) item";
+  for (auto& server : servers_) {
+    for (const AggregateCase& c : kAggregateCases) {
+      const std::string direct = AggregateSql(c, "item");
+      const std::string rows = AggregateSql(c, kRowOnly);
+      const int64_t before = VectorizedBatches(server.get());
+      auto want = server->Execute(rows);
+      const int64_t after_rows = VectorizedBatches(server.get());
+      auto got = server->Execute(direct);
+      const int64_t after_direct = VectorizedBatches(server.get());
+      ASSERT_TRUE(want.ok()) << rows << ": " << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << direct << ": " << got.status().ToString();
+      EXPECT_EQ(Canon(*got, false), Canon(*want, false))
+          << direct << " at " << server->name();
+      EXPECT_EQ(after_rows, before) << rows << " vectorized";
+      if (c.vectorizes) {
+        EXPECT_GT(after_direct, after_rows) << direct << " did not vectorize";
+      } else {
+        EXPECT_EQ(after_direct, after_rows) << direct;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Scale: a large table through the same differential harness. Covers
 // multi-batch columnar extraction, kernel filtering, and vectorized
-// aggregation far past the 1024-row batch size.
+// aggregation far past the default batch size. One server is loaded at a
+// time (each capacity in turn), so the peak holds a single copy of the
+// table.
 // ---------------------------------------------------------------------------
 
 #ifdef MT_TSAN_BUILD
@@ -579,39 +732,18 @@ void LoadLarge(Server* server, int64_t rows) {
 }
 
 TEST(BatchDiffLargeTest, LargeScanAndAggregatesMatchRowPath) {
-  ServerOptions batch_opts;
-  batch_opts.name = "batch";
-  ServerOptions row_opts;
-  row_opts.name = "row";
-  row_opts.use_batch_execution = false;
-  Server batch(batch_opts);
-  Server row(row_opts);
-  LoadLarge(&batch, kLargeRows);
-  LoadLarge(&row, kLargeRows);
-
-  auto same = [&](const std::string& sql) {
-    auto b = batch.Execute(sql);
-    auto r = row.Execute(sql);
-    ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
-    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
-    EXPECT_EQ(Canon(*b, false), Canon(*r, false)) << sql;
+  const std::vector<std::string> queries = {
+      // Vectorized scalar + grouped aggregates over the full table.
+      "SELECT COUNT(*), COUNT(b), SUM(a), MIN(b), MAX(b) FROM big",
+      "SELECT g, COUNT(*) c, SUM(b) s, MIN(a) mn, MAX(a) mx FROM big "
+      "GROUP BY g",
+      // Kernel-filtered selective projection, compared row for row.
+      "SELECT id, a FROM big WHERE a < 10",
+      "SELECT COUNT(*), SUM(b) FROM big WHERE a < 5000 AND b > 100.0",
   };
-  // Vectorized scalar + grouped aggregates over the full table.
-  same("SELECT COUNT(*), COUNT(b), SUM(a), MIN(b), MAX(b) FROM big");
-  same("SELECT g, COUNT(*) c, SUM(b) s, MIN(a) mn, MAX(a) mx FROM big "
-       "GROUP BY g");
-  // Kernel-filtered selective projection, compared row for row.
-  same("SELECT id, a FROM big WHERE a < 10");
-  same("SELECT COUNT(*), SUM(b) FROM big WHERE a < 5000 AND b > 100.0");
-
   // Full-selectivity scan: compare cardinality and an order-insensitive
-  // checksum instead of sorting a seven-figure row set twice.
+  // checksum instead of sorting a seven-figure row set at every capacity.
   const std::string full = "SELECT id, a FROM big WHERE a >= 0";
-  auto b = batch.Execute(full);
-  auto r = row.Execute(full);
-  ASSERT_TRUE(b.ok() && r.ok());
-  ASSERT_EQ(b->rows.size(), static_cast<size_t>(kLargeRows));
-  ASSERT_EQ(b->rows.size(), r->rows.size());
   auto checksum = [](const QueryResult& res) {
     uint64_t h = 0;
     for (const Row& row : res.rows) {
@@ -619,106 +751,41 @@ TEST(BatchDiffLargeTest, LargeScanAndAggregatesMatchRowPath) {
     }
     return h;
   };
-  EXPECT_EQ(checksum(*b), checksum(*r));
-}
 
-// ---------------------------------------------------------------------------
-// Morsel-parallel scans: a max_dop=8 server against a serial one. The
-// Gather contract is serial-identical output (morsel-order merge), so even
-// the row *sequence* must match, not just the multiset.
-// ---------------------------------------------------------------------------
-
-#ifdef MT_TSAN_BUILD
-constexpr int64_t kParallelRows = 80000;  // still >= 2 morsels of 32768
-#else
-constexpr int64_t kParallelRows = 200000;
-#endif
-
-TEST(ParallelScanTest, ParallelResultsIdenticalToSerial) {
-  ServerOptions par_opts;
-  par_opts.name = "par";
-  par_opts.optimizer.max_dop = 8;
-  ServerOptions ser_opts;
-  ser_opts.name = "ser";
-  Server par(par_opts);
-  Server ser(ser_opts);
-  LoadLarge(&par, kParallelRows);
-  LoadLarge(&ser, kParallelRows);
-
-  auto same_sequence = [&](const std::string& sql) {
-    auto p = par.Execute(sql);
-    auto s = ser.Execute(sql);
-    ASSERT_TRUE(p.ok()) << sql << ": " << p.status().ToString();
-    ASSERT_TRUE(s.ok()) << sql << ": " << s.status().ToString();
-    EXPECT_EQ(Canon(*p, /*ordered=*/true), Canon(*s, /*ordered=*/true)) << sql;
+  struct Outcome {
+    std::vector<std::vector<std::string>> canon;
+    size_t full_rows = 0;
+    uint64_t full_checksum = 0;
   };
-  same_sequence("SELECT id, a FROM big WHERE a < 100");
-  same_sequence("SELECT id, a, b FROM big WHERE a >= 0");
-  same_sequence("SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM big");
-  same_sequence("SELECT g, COUNT(*) c, SUM(b) s FROM big GROUP BY g");
-  // The parallel path actually ran (and charged identical costs: the cost
-  // ledgers are merged per worker, so dm_exec_query_stats stays consistent).
-  EXPECT_GT(static_cast<int64_t>(par.metrics().vector_exec.parallel_scans), 0);
-  EXPECT_GT(static_cast<int64_t>(par.metrics().vector_exec.parallel_morsels),
-            static_cast<int64_t>(par.metrics().vector_exec.parallel_scans));
-  EXPECT_EQ(static_cast<int64_t>(ser.metrics().vector_exec.parallel_scans), 0);
-}
-
-TEST(ParallelScanTest, DegeneratesBelowMinRowsAndWithoutPool) {
-  // Table below parallel_scan_min_rows: no Gather in the plan, counters
-  // untouched, results fine.
-  ServerOptions opts;
-  opts.optimizer.max_dop = 8;
-  Server server(opts);
-  ASSERT_TRUE(server
-                  .ExecuteScript("CREATE TABLE small (id INT PRIMARY KEY, "
-                                 "a INT)")
-                  .ok());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(server
-                    .Execute("INSERT INTO small VALUES (" +
-                             std::to_string(i) + ", " + std::to_string(i % 7) +
-                             ")")
-                    .ok());
-  }
-  server.RecomputeStats();
-  auto r = server.Execute("SELECT COUNT(*) FROM small WHERE a < 5");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(static_cast<int64_t>(server.metrics().vector_exec.parallel_scans),
-            0);
-}
-
-// Parallel scans racing DML on other sessions: the scan pins a snapshot, so
-// results are per-query consistent; under TSan this doubles as the data-race
-// gate for the morsel claim counter, the per-worker stats merge, and the
-// shared storage layer.
-TEST(ParallelScanConcurrencyTest, ScansRaceWithDml) {
-  ServerOptions opts;
-  opts.optimizer.max_dop = 4;
-  Server server(opts);
-  LoadLarge(&server, 80000);
-
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    int i = 0;
-    while (!stop.load()) {
-      std::string sql = "UPDATE big SET a = " + std::to_string(i % 10000) +
-                        " WHERE id = " + std::to_string((i * 131) % 80000);
-      ASSERT_TRUE(server.Execute(sql).ok());
-      ++i;
+  std::vector<Outcome> outcomes;
+  for (int capacity : kCapacities) {
+    std::unique_ptr<Server> server = MakeServer(capacity);
+    LoadLarge(server.get(), kLargeRows);
+    if (HasFatalFailure()) return;
+    Outcome out;
+    for (const std::string& sql : queries) {
+      auto r = server->Execute(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      out.canon.push_back(Canon(*r, false));
     }
-  });
-  for (int q = 0; q < 20; ++q) {
-    auto r = server.Execute("SELECT COUNT(*), SUM(a) FROM big WHERE a >= 0");
+    auto r = server->Execute(full);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    // DML never changes cardinality here, and a < 10000 always holds: every
-    // snapshot the scan pins must agree on the count.
-    EXPECT_EQ(r->rows[0][0].AsInt(), 80000);
+    out.full_rows = r->rows.size();
+    out.full_checksum = checksum(*r);
+    outcomes.push_back(std::move(out));
   }
-  stop.store(true);
-  writer.join();
-  EXPECT_GT(static_cast<int64_t>(server.metrics().vector_exec.parallel_scans),
-            0);
+  const Outcome& want = outcomes.back();
+  ASSERT_EQ(want.full_rows, static_cast<size_t>(kLargeRows));
+  for (size_t c = 0; c + 1 < outcomes.size(); ++c) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(outcomes[c].canon[q], want.canon[q])
+          << queries[q] << " at capacity " << kCapacities[c];
+    }
+    EXPECT_EQ(outcomes[c].full_rows, want.full_rows)
+        << "capacity " << kCapacities[c];
+    EXPECT_EQ(outcomes[c].full_checksum, want.full_checksum)
+        << "capacity " << kCapacities[c];
+  }
 }
 
 }  // namespace

@@ -503,10 +503,7 @@ TEST_F(DmvTest, GoldenSchemas) {
   ExpectSchema(&server_, "dm_exec_vector_stats",
                {{"vectorized_batches", I},
                 {"vectorized_rows", I},
-                {"vector_fallbacks", I},
-                {"parallel_scans", I},
-                {"parallel_morsels", I},
-                {"parallel_rows", I}});
+                {"vector_fallbacks", I}});
   ExpectSchema(&server_, "dm_db_column_histograms",
                {{"table_name", S},
                 {"column_name", S},
@@ -599,8 +596,6 @@ TEST_F(DmvTest, VectorStatsCountVectorizedAggregates) {
   EXPECT_GE(IntCol(*stats, "vectorized_batches"), 1);
   EXPECT_GE(IntCol(*stats, "vectorized_rows"), 20);
   EXPECT_EQ(IntCol(*stats, "vector_fallbacks"), 0);
-  // No Gather in these plans (max_dop defaults to 1).
-  EXPECT_EQ(IntCol(*stats, "parallel_scans"), 0);
 }
 
 TEST_F(DmvTest, EntriesDroppedSurfacesRingEviction) {
