@@ -1,13 +1,15 @@
-// E4-calibrate — measurement-driven cost model (ROADMAP item 3). The probe
-// set from src/opt/calibration covers every operator shape the optimizer
-// costs (sequential scan, filtered scan, projection, index point/range seek,
-// hash join, nested loops, aggregate, sort, distinct, and remote
-// round-trips against the backend). Each probe runs repeatedly through the
-// profiling layer on a warm plan cache; the median profiled elapsed time
-// becomes one least-squares equation `sum(features * coefficients) ~=
-// seconds`, and the fitted coefficients — normalized so seq_row == 1.0 —
-// form the CalibratedCostModel the optimizer consumes (scripts/check.sh
-// planqual applies it before the plan-quality corpus).
+// E4-calibrate — audit of the one cost model. The probe set from
+// src/opt/calibration covers every operator shape the optimizer costs
+// (sequential scan, filtered scan, projection, index point/range seek, hash
+// join, nested loops, aggregate, sort, distinct, and remote round-trips
+// against the backend). The probes run in interleaved rounds through the
+// profiling layer on a warm plan cache; each probe's median profiled elapsed
+// time becomes one least-squares equation
+// `sum(features * coefficients) ~= seconds`. The fitted coefficients,
+// normalized so seq_row == kSeqRowCost, are reported beside the CostModel
+// constants the optimizer and executor both use (constant, value,
+// ratio = value / constant). Nothing is handed back to the optimizer: the
+// report only shows how far each constant is from measured time.
 //
 // Before timing, each probe's EXPLAIN output must contain the expected
 // operator: a plan flip would attribute the measurement to the wrong
@@ -57,15 +59,11 @@ void LoadRows(Server* server, const std::string& table, int rows,
   server->db().txn_manager().Commit(txn.get(), 0.0);
 }
 
-// Median of the profiled total_seconds for `sql` retained in the ring.
-double MedianProfiledSeconds(Server* server, const std::string& sql) {
-  std::vector<double> times;
-  for (const QueryProfileRecord& rec : server->metrics().SnapshotProfiles()) {
-    if (rec.text == sql) times.push_back(rec.total_seconds);
-  }
-  if (times.empty()) return -1;
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+// Profiled total_seconds of the latest execution, which must be `sql`'s.
+double LastProfiledSeconds(Server* server, const std::string& sql) {
+  std::vector<QueryProfileRecord> ring = server->metrics().SnapshotProfiles();
+  if (ring.empty() || ring.back().text != sql) return -1;
+  return ring.back().total_seconds;
 }
 
 }  // namespace
@@ -81,7 +79,7 @@ int main(int argc, char** argv) {
   }
 
   Banner("E4-calibrate",
-         "cost-model calibration: probe queries -> least-squares fit",
+         "cost-model audit: probe queries -> least-squares fit vs constants",
          "S5 (cost-based local/remote decisions need believable costs)");
 
   CalibrationConfig cfg;
@@ -92,7 +90,7 @@ int main(int argc, char** argv) {
     cfg.rows_remote = 3000;
   }
   const double min_probe_seconds = smoke ? 0.03 : 0.2;
-  const int min_iters = 3;
+  const int min_rounds = 3;
 
   // One backend (owning cal_remote) + one cache configured per S4; the
   // probe tables live locally on the cache.
@@ -131,8 +129,7 @@ int main(int argc, char** argv) {
   std::vector<CalibrationProbe> probes = MakeCalibrationProbes(cfg);
   std::vector<CalibrationSample> samples;
   std::vector<std::string> skipped;
-  std::printf("%-18s %-12s %10s %8s\n", "probe", "expected-op", "med-ms",
-              "iters");
+  std::vector<const CalibrationProbe*> kept;
   for (const CalibrationProbe& probe : probes) {
     // The plan must contain the operator the feature vector was derived
     // for; otherwise the measurement would be attributed to the wrong
@@ -141,68 +138,64 @@ int main(int argc, char** argv) {
     Check(explain.status(), probe.name.c_str());
     std::string plan_text = PhysicalToString(*explain->plan, 0);
     if (plan_text.find(probe.expect_op) == std::string::npos) {
-      std::printf("%-18s %-12s %10s %8s  (skipped: plan lacks %s)\n",
-                  probe.name.c_str(), probe.expect_op.c_str(), "-", "-",
+      std::printf("skipped %s: plan lacks %s\n", probe.name.c_str(),
                   probe.expect_op.c_str());
       skipped.push_back(probe.name);
       continue;
     }
-    // Warm the plan cache, then time repeated executions through the
-    // profiling layer (per-operator actuals + elapsed per run).
-    CheckOk(cache.Execute(probe.sql), probe.name.c_str());
-    int iters = 0;
-    auto start = std::chrono::steady_clock::now();
-    double elapsed = 0;
-    while (iters < min_iters || elapsed < min_probe_seconds) {
-      CheckOk(cache.Execute(probe.sql), probe.name.c_str());
-      ++iters;
-      elapsed = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
+    CheckOk(cache.Execute(probe.sql), probe.name.c_str());  // warm the plan
+    kept.push_back(&probe);
+  }
+
+  // Time in interleaved rounds, one profiled execution of every kept probe
+  // per round, so host speed drift lands on all probes alike instead of
+  // biasing whichever probe ran through a slow stretch. A probe's sample is
+  // the median of its per-round times.
+  std::vector<std::vector<double>> times(kept.size());
+  const double budget = min_probe_seconds * static_cast<double>(kept.size());
+  const auto start = std::chrono::steady_clock::now();
+  int rounds = 0;
+  while (rounds < min_rounds ||
+         std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+                 .count() < budget) {
+    for (size_t i = 0; i < kept.size(); ++i) {
+      CheckOk(cache.Execute(kept[i]->sql), kept[i]->name.c_str());
+      double seconds = LastProfiledSeconds(&cache, kept[i]->sql);
+      if (seconds < 0) {
+        std::fprintf(stderr, "FATAL: no profile retained for %s\n",
+                     kept[i]->name.c_str());
+        return 1;
+      }
+      times[i].push_back(seconds);
     }
-    double seconds = MedianProfiledSeconds(&cache, probe.sql);
-    if (seconds < 0) {
-      std::fprintf(stderr, "FATAL: no profile retained for %s\n",
-                   probe.name.c_str());
-      return 1;
-    }
-    samples.push_back({probe.name, probe.features, seconds});
-    std::printf("%-18s %-12s %10.3f %8d\n", probe.name.c_str(),
-                probe.expect_op.c_str(), seconds * 1e3, iters);
+    ++rounds;
+  }
+  std::printf("%-18s %-24s %10s (%d rounds)\n", "probe", "expected-op",
+              "med-ms", rounds);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    std::vector<double>& t = times[i];
+    std::sort(t.begin(), t.end());
+    const double seconds = t[t.size() / 2];
+    samples.push_back({kept[i]->name, kept[i]->features, seconds});
+    std::printf("%-18s %-24s %10.3f\n", kept[i]->name.c_str(),
+                kept[i]->expect_op.c_str(), seconds * 1e3);
   }
 
   CalibrationReport report = FitCostModel(samples);
-  std::printf("\nfit: samples=%d r_squared=%.4f calibrated=%s\n",
+  std::printf("\nfit: samples=%d r_squared=%.4f anchored=%s\n",
               report.samples, report.r_squared,
-              report.model.calibrated ? "yes" : "no");
-  std::printf("%-18s %12s %12s %s\n", "coefficient", "value", "fallback",
-              "source");
+              report.anchored ? "yes" : "no");
+  std::printf("%-18s %12s %12s %8s %s\n", "coefficient", "constant", "value",
+              "ratio", "source");
   for (const std::string& name : CalibrationCoefficientNames()) {
     const CoefficientFit& fit = report.coefficients[name];
-    std::printf("%-18s %12.4f %12.4f %s\n", name.c_str(), fit.value,
-                fit.fallback, fit.used_fallback ? "fallback" : "fitted");
+    std::printf("%-18s %12.4f %12.4f %8.3f %s\n", name.c_str(), fit.constant,
+                fit.value, fit.ratio,
+                fit.used_fallback ? "fallback" : "fitted");
   }
 
-  // Close the loop: hand the fitted model to the optimizer and count how
-  // many probe plans change shape under calibrated costs.
-  OptimizerOptions opts = cache.optimizer_options();
-  opts.cost_model = report.model;
-  cache.set_optimizer_options(opts);
-  int plan_flips = 0;
-  for (const CalibrationProbe& probe : probes) {
-    auto explain = cache.Explain(probe.sql);
-    Check(explain.status(), "re-explain under calibrated model");
-    if (PhysicalToString(*explain->plan, 0).find(probe.expect_op) ==
-        std::string::npos) {
-      ++plan_flips;
-    }
-  }
-  std::printf("plan shapes changed under calibrated model: %d/%zu\n",
-              plan_flips, probes.size());
-
-  std::string extra = "\"smoke\": " + std::string(smoke ? "true" : "false") +
-                      ", \"plan_flips_after_calibration\": " +
-                      std::to_string(plan_flips);
+  std::string extra = "\"smoke\": " + std::string(smoke ? "true" : "false");
   std::string json = CalibrationReportJson(report, samples, skipped, extra);
   std::printf("JSON: %s\n", json.c_str());
   if (!out_path.empty()) {
@@ -216,7 +209,7 @@ int main(int argc, char** argv) {
 
   // Gates.
   bool failed = false;
-  if (!report.model.calibrated) {
+  if (!report.anchored) {
     std::fprintf(stderr, "GATE: fit did not anchor (seq_row <= 0)\n");
     failed = true;
   }

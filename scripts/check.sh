@@ -36,8 +36,10 @@
 #                             # (ctest -L opt — cardinality, histogram, and
 #                             # calibration units plus the 40-query plan
 #                             # regression corpus vs its committed golden),
-#                             # then the cost-model calibration bench in
-#                             # smoke mode, emitting
+#                             # then the cost-model audit bench in smoke
+#                             # mode (measured per-unit costs beside the
+#                             # CostModel constants the optimizer and
+#                             # executor share), emitting
 #                             # BENCH_exp4_calibration.json and
 #                             # plan_quality_report.txt
 #   scripts/check.sh perfbench # real cache + backend gate: one 5 s TPC-W
@@ -229,12 +231,18 @@ case "$mode" in
       exit 1
     }
     echo "planqual: plan-choice report at build/plan_quality_report.txt ($(grep -c '^q' build/plan_quality_report.txt) queries)"
-    # Calibration smoke: fits the cost model from profiled probe queries and
-    # gates in-binary on fit quality (anchored seq_row, R^2 floor, skipped
-    # probes, core coefficients fitted). The JSON line is the artifact.
+    # Cost-model audit smoke: fits per-unit costs from profiled probe
+    # queries, reports each beside its CostModel constant (constant, value,
+    # ratio), and gates in-binary on fit quality (anchored seq_row, R^2
+    # floor, skipped probes, core coefficients fitted). Nothing is fed back
+    # to the optimizer. The JSON line is the artifact.
     ./build/bench/exp4_calibrate --smoke --out build/BENCH_exp4_calibration.json
-    grep -q '"r_squared"' build/BENCH_exp4_calibration.json
-    grep -q '"coefficients"' build/BENCH_exp4_calibration.json
+    for key in '"r_squared"' '"coefficients"' '"constant"' '"ratio"'; do
+      grep -q "$key" build/BENCH_exp4_calibration.json || {
+        echo "planqual: BENCH_exp4_calibration.json lacks $key" >&2
+        exit 1
+      }
+    done
     ;;
   perfbench)
     # TPC-W through a real cache + backend pair (perfbench builds its own

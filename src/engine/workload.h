@@ -119,8 +119,8 @@ class WorkloadRepository {
   int64_t slices_captured() const { return slices_captured_.load(); }
 
   /// Seconds one optimizer cost unit represents, for the estimated-backend-
-  /// seconds-saved columns. The calibration fit (PR 8) normalizes seq_row to
-  /// 1.0, and the DES testbed maps units to seconds via unit_rate; the
+  /// seconds-saved columns. Optimizer units are the CostModel work units the
+  /// executor charges, and the DES maps units to seconds via unit_rate; the
   /// default matches sim::FleetConfig::unit_rate = 100000 units/sec. The
   /// fleet harness overrides this with 1/unit_rate per server.
   double cost_unit_seconds() const { return cost_unit_seconds_.load(); }

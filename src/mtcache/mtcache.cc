@@ -24,7 +24,6 @@ StatusOr<std::unique_ptr<MTCache>> MTCache::Setup(Server* cache,
 
   OptimizerOptions opt = cache->optimizer_options();
   opt.backend_server = options.backend_link_name;
-  opt.remote_cost_factor = options.remote_cost_factor;
   cache->set_optimizer_options(opt);
 
   std::unique_ptr<MTCache> mtcache(

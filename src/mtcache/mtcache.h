@@ -12,8 +12,6 @@ namespace mtcache {
 struct MTCacheOptions {
   /// Linked-server name under which the backend is registered.
   std::string backend_link_name = "backend";
-  /// Remote cost multiplier (§5: the backend is assumed loaded).
-  double remote_cost_factor = 1.25;
 };
 
 /// The MTCache layer for one cache server attached to one backend server.

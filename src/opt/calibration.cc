@@ -8,27 +8,27 @@ namespace mtcache {
 
 namespace {
 
-// Coefficient slug -> CalibratedCostModel member, in fit order. seq_row is
-// first: it is the normalization anchor.
+// Coefficient slug -> CostModel constant, in fit order. seq_row is first:
+// it is the normalization anchor.
 struct CoefficientSlot {
   const char* name;
-  double CalibratedCostModel::*member;
+  double constant;
 };
 
 const CoefficientSlot kSlots[] = {
-    {"seq_row", &CalibratedCostModel::seq_row},
-    {"index_seek", &CalibratedCostModel::index_seek},
-    {"index_row", &CalibratedCostModel::index_row},
-    {"filter_row", &CalibratedCostModel::filter_row},
-    {"project_row", &CalibratedCostModel::project_row},
-    {"hash_build_row", &CalibratedCostModel::hash_build_row},
-    {"hash_probe_row", &CalibratedCostModel::hash_probe_row},
-    {"nl_inner_row", &CalibratedCostModel::nl_inner_row},
-    {"agg_row", &CalibratedCostModel::agg_row},
-    {"sort_row", &CalibratedCostModel::sort_row},
-    {"distinct_row", &CalibratedCostModel::distinct_row},
-    {"transfer_startup", &CalibratedCostModel::transfer_startup},
-    {"transfer_byte", &CalibratedCostModel::transfer_byte},
+    {"seq_row", CostModel::kSeqRowCost},
+    {"index_seek", CostModel::kIndexSeekCost},
+    {"index_row", CostModel::kIndexRowCost},
+    {"filter_row", CostModel::kFilterRowCost},
+    {"project_row", CostModel::kProjectRowCost},
+    {"hash_build_row", CostModel::kHashBuildRowCost},
+    {"hash_probe_row", CostModel::kHashProbeRowCost},
+    {"nl_inner_row", CostModel::kNLInnerRowCost},
+    {"agg_row", CostModel::kAggRowCost},
+    {"sort_row", CostModel::kSortRowCost},
+    {"distinct_row", CostModel::kDistinctRowCost},
+    {"transfer_startup", CostModel::kTransferStartup},
+    {"transfer_byte", CostModel::kTransferByteCost},
 };
 constexpr int kNumCoefficients = sizeof(kSlots) / sizeof(kSlots[0]);
 
@@ -62,12 +62,17 @@ std::vector<CalibrationProbe> MakeCalibrationProbes(
                       std::move(features)});
   };
 
-  // Result materialization (copying emitted rows out of the executor) is
-  // real, selectivity-dependent work the abstract model has no slot for; it
-  // is charged to project_row (one "projection" per emitted row), so every
-  // probe's feature vector carries project_row = rows it drains. Probes
-  // whose interesting operator sits below a COUNT(*) drain ~nothing, which
-  // keeps their measurement attributable to the operator itself.
+  // Feature vectors count the work the executor's batch path really does,
+  // which is not always what it charges:
+  //  - Result materialization (copying emitted rows out of the executor) is
+  //    real, selectivity-dependent work the abstract model has no slot for;
+  //    it is counted as project_row (one "projection" per emitted row), so
+  //    every probe's feature vector carries project_row = rows it drains.
+  //  - A scalar aggregate whose arguments are bare columns absorbs straight
+  //    off the scan's column vectors, and COUNT there adds batch sizes:
+  //    COUNT(*) touches no row, and COUNT(col) of a NULL-free column reads
+  //    one value per row. Such probes carry no agg_row; agg_row is the
+  //    per-row group lookup of the row and grouped paths.
 
   // --- Sequential scans: two sizes separate per-row cost from overhead. ---
   add("scan_full_big", "SELECT * FROM cal_big", "SeqScan(cal_big)",
@@ -75,29 +80,29 @@ std::vector<CalibrationProbe> MakeCalibrationProbes(
   add("scan_full_small", "SELECT * FROM cal_small", "SeqScan(cal_small)",
       {{"seq_row", M}, {"project_row", M}});
 
-  // --- Filtered scans under COUNT(*): identical scan+filter work at two
-  // very different qualifying fractions, so the filter coefficient
-  // decorrelates from the aggregate's. The [pred: suffix asserts the
+  // --- Filtered scans under COUNT(*): every row is gathered and tested,
+  // and the count adds the qualifying batch sizes, so the work is the same
+  // at a low and a high qualifying fraction. The [pred: suffix asserts the
   // predicate was folded into the scan. ---
   add("scan_filter_low",
       "SELECT COUNT(*) FROM cal_big WHERE val < " +
           std::to_string(cfg.big_val_domain / 10),
-      "SeqScan(cal_big) [pred:",
-      {{"seq_row", N}, {"filter_row", N}, {"agg_row", 0.1 * N}});
+      "SeqScan(cal_big) [pred:", {{"seq_row", N}, {"filter_row", N}});
   add("scan_filter_high",
       "SELECT COUNT(*) FROM cal_big WHERE val < " +
           std::to_string(cfg.big_val_domain * 9 / 10),
-      "SeqScan(cal_big) [pred:",
-      {{"seq_row", N}, {"filter_row", N}, {"agg_row", 0.9 * N}});
+      "SeqScan(cal_big) [pred:", {{"seq_row", N}, {"filter_row", N}});
 
   // --- Projection over a computed expression (folds into the scan as a
   // pushed projection; the work is the same either way). ---
   add("project_big", "SELECT id + val FROM cal_big", "proj:",
       {{"seq_row", N}, {"project_row", N}});
 
-  // --- Aggregation: scalar and grouped. ---
-  add("agg_count_big", "SELECT COUNT(*) FROM cal_big", "HashAggregate",
-      {{"seq_row", N}, {"agg_row", N}});
+  // --- Aggregation. The scalar COUNT(val) reads one column value per row
+  // and nothing else, which makes it the seq_row anchor; the grouped one
+  // adds a group lookup per row. ---
+  add("agg_count_big", "SELECT COUNT(val) FROM cal_big", "HashAggregate",
+      {{"seq_row", N}});
   add("agg_group_small",
       "SELECT grp, COUNT(*) FROM cal_small GROUP BY grp", "HashAggregate",
       {{"seq_row", M}, {"agg_row", M}});
@@ -188,11 +193,10 @@ std::vector<CalibrationProbe> MakeCalibrationProbes(
        {"project_row", 1},
        {"transfer_startup", 1},
        {"transfer_byte", cfg.remote_row_bytes}});
+  // The backend answers COUNT(*) without touching a row, so this one
+  // isolates the round trip itself.
   add("remote_agg", "SELECT COUNT(*) FROM cal_remote", "RemoteQuery",
-      {{"seq_row", R},
-       {"agg_row", R},
-       {"transfer_startup", 1},
-       {"transfer_byte", 12}});
+      {{"transfer_startup", 1}, {"transfer_byte", 12}});
 
   return probes;
 }
@@ -272,27 +276,25 @@ CalibrationReport FitCostModel(const std::vector<CalibrationSample>& samples) {
   }
   report.r_squared = ss_tot > 0 ? 1.0 - ss_res / ss_tot : 0.0;
 
-  // Export: normalize so seq_row == 1.0 (index 0 is the anchor); per-
-  // coefficient fallback to the constants when the fit is unusable.
+  // Export: normalize so seq_row == kSeqRowCost (index 0 is the anchor);
+  // per-coefficient fallback to the constants when the fit is unusable.
   const double anchor = c[0];
-  const bool anchored = std::isfinite(anchor) && anchor > 0;
-  CalibratedCostModel defaults;
+  report.anchored = std::isfinite(anchor) && anchor > 0;
   for (int k = 0; k < K; ++k) {
     CoefficientFit fit;
     fit.fitted_seconds = c[k];
-    fit.fallback = defaults.*(kSlots[k].member);
+    fit.constant = kSlots[k].constant;
     const bool usable =
-        anchored && covered[k] && std::isfinite(c[k]) && c[k] > 0;
+        report.anchored && covered[k] && std::isfinite(c[k]) && c[k] > 0;
     if (usable) {
-      fit.value = c[k] / anchor;
+      fit.value = c[k] / anchor * CostModel::kSeqRowCost;
     } else {
-      fit.value = fit.fallback;
+      fit.value = fit.constant;
       fit.used_fallback = true;
     }
-    report.model.*(kSlots[k].member) = fit.value;
+    fit.ratio = fit.value / fit.constant;
     report.coefficients[kSlots[k].name] = fit;
   }
-  report.model.calibrated = anchored;
   return report;
 }
 
@@ -303,8 +305,8 @@ std::string CalibrationReportJson(const CalibrationReport& report,
   std::string json = "{\"experiment\": \"exp4_calibration\"";
   json += ", \"samples\": " + std::to_string(report.samples);
   json += ", \"r_squared\": " + FormatDouble(report.r_squared);
-  json += ", \"calibrated\": ";
-  json += report.model.calibrated ? "true" : "false";
+  json += ", \"anchored\": ";
+  json += report.anchored ? "true" : "false";
   json += ", \"coefficients\": {";
   bool first = true;
   for (const std::string& name : CalibrationCoefficientNames()) {
@@ -313,10 +315,11 @@ std::string CalibrationReportJson(const CalibrationReport& report,
     const CoefficientFit& fit = it->second;
     if (!first) json += ", ";
     first = false;
-    json += "\"" + name + "\": {\"value\": " + FormatDouble(fit.value) +
+    json += "\"" + name + "\": {\"constant\": " + FormatDouble(fit.constant) +
+            ", \"value\": " + FormatDouble(fit.value) +
+            ", \"ratio\": " + FormatDouble(fit.ratio) +
             ", \"fitted_seconds_per_unit\": " +
             FormatDouble(fit.fitted_seconds) +
-            ", \"fallback\": " + FormatDouble(fit.fallback) +
             ", \"used_fallback\": " + (fit.used_fallback ? "true" : "false") +
             "}";
   }

@@ -9,11 +9,13 @@
 
 namespace mtcache {
 
-/// Cost-model calibration (ROADMAP item 3, pattern from hyrise's
-/// cost_model_calibration): parameterized probe queries with *analytically
-/// known* operator feature counts are timed through the profiling layer, and
-/// the CostModel coefficients are fitted by least squares so the optimizer
-/// ranks alternatives with measured rather than hand-guessed constants.
+/// Cost-model audit (pattern from hyrise's cost_model_calibration):
+/// parameterized probe queries with *analytically known* operator feature
+/// counts are timed through the profiling layer, and per-unit costs are
+/// fitted by least squares. The fit does not replace anything: the optimizer
+/// and executor both keep pricing with the CostModel constants, and the
+/// report sets each measured value beside its constant so a drifting
+/// constant shows up as a ratio far from 1.
 ///
 /// This module is deliberately executor-free (mt_exec links mt_opt, not the
 /// reverse): it generates the probe specs, fits the coefficient vector, and
@@ -71,19 +73,24 @@ struct CoefficientFit {
   /// Raw least-squares estimate in seconds per unit (meaningless when the
   /// coefficient had no covering probe or the solve went non-positive).
   double fitted_seconds = 0;
-  /// Exported value in seq-row units (fitted / fitted seq_row), or the
-  /// CostModel fallback constant when the fit was unusable.
+  /// The CostModel constant the optimizer and executor price this
+  /// coefficient with.
+  double constant = 0;
+  /// Measured value in seq-row units (fitted / fitted seq_row), or
+  /// `constant` when the fit was unusable.
   double value = 0;
-  /// The compile-time CostModel constant for this coefficient.
-  double fallback = 0;
+  /// value / constant: 1.0 when the measurement agrees with the constant.
+  double ratio = 1.0;
   bool used_fallback = false;
 };
 
-/// Full calibration outcome: the cost model to hand the optimizer plus the
-/// audit trail for BENCH_exp4_calibration.json.
+/// Full calibration outcome: the audit trail for
+/// BENCH_exp4_calibration.json.
 struct CalibrationReport {
-  CalibratedCostModel model;
   std::map<std::string, CoefficientFit> coefficients;
+  /// True when the seq_row anchor itself fitted (> 0); without it no value
+  /// can be normalized and every coefficient falls back.
+  bool anchored = false;
   /// Goodness of fit of the raw least-squares solution over the samples.
   double r_squared = 0;
   int samples = 0;
@@ -91,10 +98,9 @@ struct CalibrationReport {
 
 /// Fits the 13 optimizer coefficients to the samples by ridge-regularized
 /// least squares (normal equations), then normalizes so seq_row == 1.0 —
-/// keeping the calibrated magnitudes commensurable with the executor's
-/// charged work units. Coefficients whose fit is non-positive or uncovered
-/// fall back to the CostModel constants; model.calibrated is set only when
-/// the seq_row anchor itself fitted.
+/// the CostModel's kSeqRowCost — so each value compares directly with its
+/// constant. Coefficients whose fit is non-positive or uncovered fall back
+/// to the constants.
 CalibrationReport FitCostModel(const std::vector<CalibrationSample>& samples);
 
 /// Renders the report as the BENCH_exp4_calibration.json payload. `skipped`

@@ -6,10 +6,12 @@
 
 namespace mtcache {
 
-/// Cost-model constants, in abstract "work units". The executor charges the
-/// same constants for actual rows processed, so estimated and measured costs
-/// are commensurable and the multi-server simulation can turn measured work
-/// into CPU service time.
+/// The one cost model, in abstract "work units". The optimizer prices plan
+/// alternatives with these constants and the executor charges the same ones
+/// for the rows it actually processes, so estimated and measured costs are
+/// commensurable and the multi-server simulation can turn measured work into
+/// CPU service time. bench/exp4_calibrate audits the constants against
+/// measured per-operator timings; it does not replace them.
 struct CostModel {
   // Per-row operator charges.
   static constexpr double kSeqRowCost = 1.0;
@@ -30,6 +32,10 @@ struct CostModel {
   // plus a constant startup cost."
   static constexpr double kTransferStartup = 300.0;
   static constexpr double kTransferByteCost = 0.02;
+  /// Multiplier (> 1) on the optimizer's estimate of remote execution cost:
+  /// "even though the backend server may be powerful, it is likely to be
+  /// heavily loaded so we will only get a fraction of its capacity" (§5).
+  static constexpr double kRemoteCostFactor = 1.25;
 
   // DML charges (engine side). Writes are far more expensive than reads in
   // an OLTP engine (logging, locking, page writes); these constants reflect
@@ -61,41 +67,6 @@ struct CostModel {
   }
   static double TransferCost(double rows, double bytes_per_row) {
     return kTransferStartup + rows * bytes_per_row * kTransferByteCost;
-  }
-};
-
-/// Instance cost model the *optimizer* consumes. Every coefficient defaults
-/// to the corresponding CostModel constant (the documented fallback), and a
-/// calibration run (bench/exp4_calibrate, src/opt/calibration) overwrites
-/// them with least-squares fits from measured per-operator timings,
-/// normalized so seq_row == 1.0 keeps the magnitudes commensurable with the
-/// executor's charged work units. The executor and replication pipeline keep
-/// charging the CostModel constants: they define simulated work, while this
-/// struct only ranks plan alternatives.
-struct CalibratedCostModel {
-  double seq_row = CostModel::kSeqRowCost;
-  double index_seek = CostModel::kIndexSeekCost;
-  double index_row = CostModel::kIndexRowCost;
-  double filter_row = CostModel::kFilterRowCost;
-  double project_row = CostModel::kProjectRowCost;
-  double hash_build_row = CostModel::kHashBuildRowCost;
-  double hash_probe_row = CostModel::kHashProbeRowCost;
-  double nl_inner_row = CostModel::kNLInnerRowCost;
-  double agg_row = CostModel::kAggRowCost;
-  double sort_row = CostModel::kSortRowCost;
-  double distinct_row = CostModel::kDistinctRowCost;
-  double transfer_startup = CostModel::kTransferStartup;
-  double transfer_byte = CostModel::kTransferByteCost;
-  /// True once the coefficients came from a calibration fit rather than the
-  /// compile-time defaults.
-  bool calibrated = false;
-
-  double SortCost(double rows) const {
-    double n = std::max(rows, 2.0);
-    return sort_row * n * std::log2(n);
-  }
-  double TransferCost(double rows, double bytes_per_row) const {
-    return transfer_startup + rows * bytes_per_row * transfer_byte;
   }
 };
 

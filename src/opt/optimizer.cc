@@ -319,7 +319,7 @@ class Planner {
     double remote_total = kInf;
     if (result.remote_ok) {
       remote_total = result.remote_exec_cost +
-                     options_.cost_model.TransferCost(result.rows, result.row_bytes);
+                     CostModel::TransferCost(result.rows, result.row_bytes);
     }
     if (result.local_cost <= remote_total) {
       if (result.local_plan == nullptr) {
@@ -430,12 +430,12 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
     scan->def = get.def;
     scan->schema = get.schema;
     scan->est_rows = rows;
-    double cost = rows * options_.cost_model.seq_row;
+    double cost = rows * CostModel::kSeqRowCost;
     if (predicate != nullptr) {
       // Same cost formula as the unfused Filter(SeqScan) pair, but
       // non-qualifying rows are rejected inside the scan (batchwise on the
       // batch path) and never materialized or emitted.
-      cost += rows * options_.cost_model.filter_row;
+      cost += rows * CostModel::kFilterRowCost;
       scan->pushed_predicate = CloneBound(*predicate);
       scan->est_rows = out_rows;
     }
@@ -508,7 +508,8 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
         seek_sel *= EstimateSelectivity(*sc->source, stats);
       }
       double fetched = std::max(rows * seek_sel, 0.5);
-      double cost = options_.cost_model.index_seek + fetched * options_.cost_model.index_row;
+      double cost =
+          CostModel::kIndexSeekCost + fetched * CostModel::kIndexRowCost;
 
       auto seek = std::make_unique<PhysIndexSeek>();
       seek->def = get.def;
@@ -534,7 +535,7 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
         if (!was_used) residual.push_back(CloneBound(*c));
       }
       if (!residual.empty()) {
-        cost += fetched * options_.cost_model.filter_row;
+        cost += fetched * CostModel::kFilterRowCost;
         seek->pushed_predicate = AndTogether(std::move(residual));
         seek->est_rows = out_rows;
       }
@@ -577,7 +578,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
     if (cost.ok()) {
       result.remote_ok = true;
       result.remote_server = *ship;
-      result.remote_exec_cost = *cost * options_.remote_cost_factor;
+      result.remote_exec_cost = *cost * CostModel::kRemoteCostFactor;
     }
   }
 
@@ -616,7 +617,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
       double child_rows = child.rows;
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
-      double cost = delivered.cost + child_rows * options_.cost_model.filter_row;
+      double cost = delivered.cost + child_rows * CostModel::kFilterRowCost;
       auto phys = std::make_unique<PhysFilter>();
       phys->predicate = CloneBound(*filter.predicate);
       phys->schema = node.schema;
@@ -631,7 +632,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       const auto& project = static_cast<const LogicalProject&>(node);
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
-      double cost = delivered.cost + result.rows * options_.cost_model.project_row;
+      double cost = delivered.cost + result.rows * CostModel::kProjectRowCost;
       // Fold the projection into a local scan directly below: qualifying
       // rows are rewritten at the scan and intermediate full-width rows are
       // never produced. Expressions stay valid because a (possibly
@@ -784,9 +785,9 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
                     : 1.0;
             double cost =
                 lplan.cost +
-                left_rows * (options_.cost_model.index_seek +
-                             per_probe * (options_.cost_model.index_row +
-                                          options_.cost_model.filter_row));
+                left_rows * (CostModel::kIndexSeekCost +
+                             per_probe * (CostModel::kIndexRowCost +
+                                          CostModel::kFilterRowCost));
             ++*alternatives_;
             if (cost >= inlj_cost) continue;
             auto phys = std::make_unique<PhysIndexNLJoin>();
@@ -835,20 +836,20 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       ++*alternatives_;
       if (!probe_keys.empty()) {
         double hash_cost = lplan.cost + rplan.cost +
-                           right_rows * options_.cost_model.hash_build_row +
-                           left_rows * options_.cost_model.hash_probe_row +
-                           result.rows * options_.cost_model.filter_row;
+                           right_rows * CostModel::kHashBuildRowCost +
+                           left_rows * CostModel::kHashProbeRowCost +
+                           result.rows * CostModel::kFilterRowCost;
         // Commuted alternative (inner joins only): build on the LEFT input
         // and probe with the right, restoring column order with a Project.
         double swapped_cost = kInf;
         if (join.join_kind == JoinKind::kInner) {
           ++*alternatives_;
           swapped_cost = lplan.cost + rplan.cost +
-                         left_rows * options_.cost_model.hash_build_row +
-                         right_rows * options_.cost_model.hash_probe_row +
+                         left_rows * CostModel::kHashBuildRowCost +
+                         right_rows * CostModel::kHashProbeRowCost +
                          result.rows *
-                             (options_.cost_model.filter_row +
-                              options_.cost_model.project_row);
+                             (CostModel::kFilterRowCost +
+                              CostModel::kProjectRowCost);
         }
         if (inlj_plan != nullptr && inlj_cost < hash_cost &&
             inlj_cost < swapped_cost) {
@@ -919,7 +920,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
         result.local_cost = hash_cost;
       } else {
         double cost = lplan.cost + rplan.cost +
-                      left_rows * right_rows * options_.cost_model.nl_inner_row;
+                      left_rows * right_rows * CostModel::kNLInnerRowCost;
         auto phys = std::make_unique<PhysNLJoin>();
         phys->join_kind = join.join_kind;
         phys->condition =
@@ -939,7 +940,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
       double child_rows = child.rows;
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
-      double cost = delivered.cost + child_rows * options_.cost_model.agg_row;
+      double cost = delivered.cost + child_rows * CostModel::kAggRowCost;
       auto phys = std::make_unique<PhysHashAggregate>();
       for (const auto& g : agg.group_by) {
         phys->group_by.push_back(CloneBound(*g));
@@ -963,7 +964,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
       double child_rows = child.rows;
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
-      double cost = delivered.cost + options_.cost_model.SortCost(child_rows);
+      double cost = delivered.cost + CostModel::SortCost(child_rows);
       auto phys = std::make_unique<PhysSort>();
       for (const auto& k : sort.keys) {
         SortKey key;
@@ -997,7 +998,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
       double child_rows = child.rows;
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
-      double cost = delivered.cost + child_rows * options_.cost_model.distinct_row;
+      double cost = delivered.cost + child_rows * CostModel::kDistinctRowCost;
       auto phys = std::make_unique<PhysDistinct>();
       phys->schema = node.schema;
       phys->est_rows = result.rows;

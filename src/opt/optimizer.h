@@ -6,7 +6,6 @@
 
 #include "catalog/catalog.h"
 #include "common/status.h"
-#include "opt/cost_model.h"
 #include "opt/logical.h"
 #include "opt/optimizer_stats.h"
 #include "opt/physical.h"
@@ -32,10 +31,6 @@ struct OptimizerOptions {
   /// Allow mixed-result plans for regular materialized views (§5.1.1).
   /// Cached views never produce mixed results (transactional consistency).
   bool allow_mixed_results = true;
-  /// Multiplier (> 1) applied to remote execution costs: "even though the
-  /// backend server may be powerful, it is likely to be heavily loaded so we
-  /// will only get a fraction of its capacity" (§5).
-  double remote_cost_factor = 1.25;
   /// Linked-server name of the backend that owns the shadow tables. Empty on
   /// a standalone/backend server (no shadow tables resolve anywhere).
   std::string backend_server;
@@ -47,10 +42,6 @@ struct OptimizerOptions {
   /// When non-null, Optimize() records its view-matching / routing decisions
   /// here (the engine points this at its MetricsRegistry). Not owned.
   OptimizerDecisionStats* decision_stats = nullptr;
-  /// Coefficients used to cost plan alternatives. Defaults to the CostModel
-  /// constants; a calibration run (scripts/check.sh planqual, E4) replaces
-  /// them with measured least-squares fits. Executor charging is unaffected.
-  CalibratedCostModel cost_model;
 };
 
 struct OptimizeResult {

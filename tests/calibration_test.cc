@@ -1,10 +1,9 @@
-// Unit tests for the cost-model calibration fitter (src/opt/calibration):
+// Unit tests for the cost-model audit fitter (src/opt/calibration):
 // synthetic samples with *known* ground-truth coefficients must be recovered
-// (normalized to seq_row == 1), uncovered or non-positive coefficients must
-// fall back to the documented CostModel constants, probe feature vectors
-// must reference only fitted coefficient slugs, and the CalibratedCostModel
-// defaults must exactly mirror the CostModel constants so an uncalibrated
-// optimizer costs plans the way it always has.
+// (normalized to seq_row == kSeqRowCost) and reported beside their CostModel
+// constants, uncovered or non-positive coefficients must fall back to those
+// constants, and probe feature vectors must reference only fitted
+// coefficient slugs.
 
 #include <algorithm>
 #include <cmath>
@@ -37,27 +36,6 @@ CalibrationSample Synthetic(const std::string& name,
     s.seconds += units * it->second;
   }
   return s;
-}
-
-TEST(CalibrationTest, DefaultsMirrorCostModelConstants) {
-  CalibratedCostModel m;
-  EXPECT_FALSE(m.calibrated);
-  EXPECT_DOUBLE_EQ(m.seq_row, CostModel::kSeqRowCost);
-  EXPECT_DOUBLE_EQ(m.index_seek, CostModel::kIndexSeekCost);
-  EXPECT_DOUBLE_EQ(m.index_row, CostModel::kIndexRowCost);
-  EXPECT_DOUBLE_EQ(m.filter_row, CostModel::kFilterRowCost);
-  EXPECT_DOUBLE_EQ(m.project_row, CostModel::kProjectRowCost);
-  EXPECT_DOUBLE_EQ(m.hash_build_row, CostModel::kHashBuildRowCost);
-  EXPECT_DOUBLE_EQ(m.hash_probe_row, CostModel::kHashProbeRowCost);
-  EXPECT_DOUBLE_EQ(m.nl_inner_row, CostModel::kNLInnerRowCost);
-  EXPECT_DOUBLE_EQ(m.agg_row, CostModel::kAggRowCost);
-  EXPECT_DOUBLE_EQ(m.sort_row, CostModel::kSortRowCost);
-  EXPECT_DOUBLE_EQ(m.distinct_row, CostModel::kDistinctRowCost);
-  EXPECT_DOUBLE_EQ(m.transfer_startup, CostModel::kTransferStartup);
-  EXPECT_DOUBLE_EQ(m.transfer_byte, CostModel::kTransferByteCost);
-  // Instance formulas agree with the static ones on the defaults.
-  EXPECT_DOUBLE_EQ(m.SortCost(1000), CostModel::SortCost(1000));
-  EXPECT_DOUBLE_EQ(m.TransferCost(500, 48), CostModel::TransferCost(500, 48));
 }
 
 TEST(CalibrationTest, RecoversKnownCoefficients) {
@@ -94,35 +72,46 @@ TEST(CalibrationTest, RecoversKnownCoefficients) {
                           {"agg_row", 4000}});
 
   CalibrationReport report = FitCostModel(samples);
-  EXPECT_TRUE(report.model.calibrated);
+  EXPECT_TRUE(report.anchored);
   EXPECT_GT(report.r_squared, 0.999);
   EXPECT_EQ(report.samples, static_cast<int>(samples.size()));
+  auto& fits = report.coefficients;
   // Exported values are normalized to seq_row units.
-  EXPECT_NEAR(report.model.seq_row, 1.0, 1e-6);
+  EXPECT_NEAR(fits["seq_row"].value, CostModel::kSeqRowCost, 1e-6);
   const double anchor = truth.at("seq_row");
-  EXPECT_NEAR(report.model.filter_row, truth.at("filter_row") / anchor, 0.05);
-  EXPECT_NEAR(report.model.project_row, truth.at("project_row") / anchor, 0.05);
-  EXPECT_NEAR(report.model.agg_row, truth.at("agg_row") / anchor, 0.05);
-  EXPECT_NEAR(report.model.sort_row, truth.at("sort_row") / anchor, 0.05);
-  EXPECT_NEAR(report.model.hash_build_row, truth.at("hash_build_row") / anchor,
-              0.2);
-  EXPECT_NEAR(report.model.hash_probe_row, truth.at("hash_probe_row") / anchor,
+  EXPECT_NEAR(fits["filter_row"].value, truth.at("filter_row") / anchor, 0.05);
+  EXPECT_NEAR(fits["project_row"].value, truth.at("project_row") / anchor,
               0.05);
-  EXPECT_FALSE(report.coefficients["seq_row"].used_fallback);
-  EXPECT_FALSE(report.coefficients["filter_row"].used_fallback);
+  EXPECT_NEAR(fits["agg_row"].value, truth.at("agg_row") / anchor, 0.05);
+  EXPECT_NEAR(fits["sort_row"].value, truth.at("sort_row") / anchor, 0.05);
+  EXPECT_NEAR(fits["hash_build_row"].value,
+              truth.at("hash_build_row") / anchor, 0.2);
+  EXPECT_NEAR(fits["hash_probe_row"].value,
+              truth.at("hash_probe_row") / anchor, 0.05);
+  EXPECT_FALSE(fits["seq_row"].used_fallback);
+  EXPECT_FALSE(fits["filter_row"].used_fallback);
+  // Each fit sits beside the constant the optimizer and executor use, with
+  // the ratio between them.
+  EXPECT_DOUBLE_EQ(fits["filter_row"].constant, CostModel::kFilterRowCost);
+  EXPECT_DOUBLE_EQ(fits["filter_row"].ratio,
+                   fits["filter_row"].value / CostModel::kFilterRowCost);
+  EXPECT_DOUBLE_EQ(fits["hash_build_row"].constant,
+                   CostModel::kHashBuildRowCost);
   // Coefficients with no covering probe keep the documented constants.
-  EXPECT_TRUE(report.coefficients["nl_inner_row"].used_fallback);
-  EXPECT_DOUBLE_EQ(report.model.nl_inner_row,
-                   CostModel::kNLInnerRowCost);
-  EXPECT_TRUE(report.coefficients["transfer_byte"].used_fallback);
-  EXPECT_DOUBLE_EQ(report.model.transfer_byte, CostModel::kTransferByteCost);
+  EXPECT_TRUE(fits["nl_inner_row"].used_fallback);
+  EXPECT_DOUBLE_EQ(fits["nl_inner_row"].value, CostModel::kNLInnerRowCost);
+  EXPECT_DOUBLE_EQ(fits["nl_inner_row"].ratio, 1.0);
+  EXPECT_TRUE(fits["transfer_byte"].used_fallback);
+  EXPECT_DOUBLE_EQ(fits["transfer_byte"].value, CostModel::kTransferByteCost);
 }
 
 TEST(CalibrationTest, EmptyOrUnanchoredFitFallsBackEverywhere) {
   CalibrationReport report = FitCostModel({});
-  EXPECT_FALSE(report.model.calibrated);
+  EXPECT_FALSE(report.anchored);
   for (const std::string& name : CalibrationCoefficientNames()) {
-    EXPECT_TRUE(report.coefficients[name].used_fallback) << name;
+    const CoefficientFit& fit = report.coefficients[name];
+    EXPECT_TRUE(fit.used_fallback) << name;
+    EXPECT_DOUBLE_EQ(fit.value, fit.constant) << name;
   }
   // No seq_row coverage -> the anchor cannot fit -> everything falls back,
   // even coefficients that appear in the samples.
@@ -133,9 +122,10 @@ TEST(CalibrationTest, EmptyOrUnanchoredFitFallsBackEverywhere) {
   s.seconds = 1e-4;
   no_anchor.push_back(s);
   report = FitCostModel(no_anchor);
-  EXPECT_FALSE(report.model.calibrated);
+  EXPECT_FALSE(report.anchored);
   EXPECT_TRUE(report.coefficients["sort_row"].used_fallback);
-  EXPECT_DOUBLE_EQ(report.model.sort_row, CostModel::kSortRowCost);
+  EXPECT_DOUBLE_EQ(report.coefficients["sort_row"].value,
+                   CostModel::kSortRowCost);
 }
 
 TEST(CalibrationTest, ProbesReferenceOnlyFittedCoefficients) {
@@ -187,8 +177,10 @@ TEST(CalibrationTest, ReportJsonIsWellFormedEnough) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_FALSE(in_string);
-  for (const char* key : {"\"r_squared\"", "\"coefficients\"", "\"probes\"",
-                          "\"skipped_probes\"", "\"smoke\"", "\"seq_row\""}) {
+  for (const char* key :
+       {"\"r_squared\"", "\"coefficients\"", "\"probes\"",
+        "\"skipped_probes\"", "\"smoke\"", "\"seq_row\"", "\"constant\"",
+        "\"value\"", "\"ratio\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/server.h"
+#include "opt/cost_model.h"
 #include "opt/view_matching.h"
 
 namespace mtcache {
@@ -69,6 +70,41 @@ TEST_F(EngineTest, PrimaryKeyLookupUsesIndexSeek) {
   QueryResult r = Query("SELECT i_title FROM item WHERE i_id = 7");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].AsString(), "title7");
+}
+
+// The optimizer prices plans with the CostModel constants the executor
+// charges. On plans whose cardinalities are exact, the root estimate equals
+// the measured work less the per-statement overhead, which only the
+// executor charges.
+TEST_F(EngineTest, EstimatedCostEqualsChargedCost) {
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, val INT)");
+  std::string insert = "INSERT INTO t VALUES ";
+  for (int i = 0; i < 200; ++i) {
+    if (i > 0) insert += ", ";
+    insert += "(" + std::to_string(i) + ", " + std::to_string(i * 3) + ")";
+  }
+  Exec(insert);
+  server_.RecomputeStats();
+  struct Case {
+    const char* sql;
+    const char* op;
+  };
+  for (const Case& c : {Case{"SELECT * FROM t", "SeqScan(t)"},
+                        Case{"SELECT * FROM t WHERE val = 42", "[pred:"},
+                        Case{"SELECT * FROM t WHERE id = 42",
+                             "IndexSeek(t.t_pk)"}}) {
+    SCOPED_TRACE(c.sql);
+    auto plan = server_.Explain(c.sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    std::string text = PhysicalToString(*plan->plan);
+    EXPECT_NE(text.find(c.op), std::string::npos) << text;
+    ExecStats stats;
+    auto r = server_.Execute(c.sql, {}, &stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_DOUBLE_EQ(plan->est_cost,
+                     stats.local_cost - CostModel::kStatementOverhead)
+        << text;
+  }
 }
 
 TEST_F(EngineTest, JoinQuery) {
