@@ -43,9 +43,9 @@
 #                             # BENCH_exp4_calibration.json and
 #                             # plan_quality_report.txt
 #   scripts/check.sh perfbench # real cache + backend gate: one 5 s TPC-W
-#                             # ordering run of perfbench/run.py, which
-#                             # fails on a ConsistencyChecker diff or a
-#                             # failed repeat
+#                             # run of perfbench/run.py per workload
+#                             # (ordering, shopping_half), which fails on a
+#                             # ConsistencyChecker diff or a failed repeat
 #
 # The asan mode exercises the crash/restart paths with memory checking on:
 # replication_fault_test (incl. the 200-seed randomized schedules),
@@ -248,8 +248,10 @@ case "$mode" in
     # TPC-W through a real cache + backend pair (perfbench builds its own
     # Release tree). Exits non-zero when a repeat fails or when any repeat's
     # ConsistencyChecker pass finds a cached view that diverged from the
-    # backend.
+    # backend. ordering serves almost everything from fully cached views;
+    # shopping_half takes the dynamic-plan and remote branches.
     python3 perfbench/run.py --workload ordering --seed 1 --seconds 5
+    python3 perfbench/run.py --workload shopping_half --seed 1 --seconds 5
     ;;
   *)
     echo "usage: $0 [default|asan|tsan|profile|batch|exp3|workload|repl|planqual|perfbench]" >&2

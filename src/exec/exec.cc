@@ -150,12 +150,16 @@ class DualScanExec : public ExecNode {
 // A predicate/projection folded into the scan by the optimizer is applied
 // here: non-qualifying rows never leave the operator, and projected rows are
 // built directly into the output batch. Costing stays commensurate with the
-// unfused Filter/Project plan: kSeqRowCost per live row visited,
-// kFilterRowCost per pushed-predicate test, kProjectRowCost per projected
-// output row, and the dead-slot remainder charged once at exhaustion.
+// unfused Filter/Project plan: ReadRowCost(kSeqRowCost, row_bytes) per slot
+// visited, kFilterRowCost per pushed-predicate test, kProjectRowCost per
+// projected output row, and the dead-slot remainder charged once at
+// exhaustion.
 class SeqScanExec : public ExecNode {
  public:
-  explicit SeqScanExec(const PhysSeqScan& op) : op_(op) {
+  explicit SeqScanExec(const PhysSeqScan& op)
+      : op_(op),
+        read_cost_(CostModel::ReadRowCost(CostModel::kSeqRowCost,
+                                          op.row_bytes)) {
     fast_proj_ =
         !op_.pushed_projection.empty() &&
         FastProjection(op_.pushed_projection, &proj_ords_, &proj_types_);
@@ -193,7 +197,7 @@ class SeqScanExec : public ExecNode {
       // charge them now (kept rows are charged as they are emitted).
       int64_t rejected = tested - static_cast<int64_t>(virtual_rows_.size());
       if (rejected > 0) {
-        ctx->Charge((CostModel::kSeqRowCost + CostModel::kFilterRowCost) *
+        ctx->Charge((read_cost_ + CostModel::kFilterRowCost) *
                     static_cast<double>(rejected));
       }
       return Status::Ok();
@@ -230,7 +234,7 @@ class SeqScanExec : public ExecNode {
     while (batch->size() == 0 && pos_ < rows.size()) {
       size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
                               rows.size() - pos_);
-      ctx->Charge(CostModel::kSeqRowCost * static_cast<double>(chunk));
+      ctx->Charge(read_cost_ * static_cast<double>(chunk));
       scratch_.clear();
       scratch_.reserve(chunk);
       for (size_t i = 0; i < chunk; ++i) {
@@ -341,7 +345,7 @@ class SeqScanExec : public ExecNode {
                            // NextBatch, which is also where it gets charged
           }
         }
-        ctx->Charge((CostModel::kSeqRowCost + CostModel::kFilterRowCost) *
+        ctx->Charge((read_cost_ + CostModel::kFilterRowCost) *
                     static_cast<double>(chunk));
         if (!op_.pushed_projection.empty()) {
           ctx->Charge(CostModel::kProjectRowCost * static_cast<double>(out));
@@ -376,7 +380,7 @@ class SeqScanExec : public ExecNode {
 
  private:
   double PerEmittedRowCost() const {
-    double c = CostModel::kSeqRowCost;
+    double c = read_cost_;
     if (op_.pushed_predicate != nullptr) c += CostModel::kFilterRowCost;
     if (!op_.pushed_projection.empty()) c += CostModel::kProjectRowCost;
     return c;
@@ -395,7 +399,7 @@ class SeqScanExec : public ExecNode {
   void ChargeTail(ExecContext* ctx) {
     if (charged_tail_) return;
     int64_t dead = snapshot_ != nullptr ? snapshot_->dead_slots : 0;
-    ctx->Charge(CostModel::kSeqRowCost * static_cast<double>(dead));
+    ctx->Charge(read_cost_ * static_cast<double>(dead));
     charged_tail_ = true;
   }
 
@@ -408,6 +412,7 @@ class SeqScanExec : public ExecNode {
   }
 
   const PhysSeqScan& op_;
+  const double read_cost_;  // per slot visited
   HeapSnapshotPtr snapshot_;
   std::vector<Row> virtual_rows_;  // DMV rows (owned; stored scans share)
   std::vector<const Row*> scratch_;
@@ -426,7 +431,10 @@ class SeqScanExec : public ExecNode {
 // emission exactly as in SeqScanExec.
 class IndexSeekExec : public ExecNode {
  public:
-  explicit IndexSeekExec(const PhysIndexSeek& op) : op_(op) {
+  explicit IndexSeekExec(const PhysIndexSeek& op)
+      : op_(op),
+        read_cost_(CostModel::ReadRowCost(CostModel::kIndexRowCost,
+                                          op.row_bytes)) {
     fast_proj_ =
         !op_.pushed_projection.empty() &&
         FastProjection(op_.pushed_projection, &proj_ords_, &proj_types_);
@@ -507,7 +515,7 @@ class IndexSeekExec : public ExecNode {
     while (batch->size() == 0 && pos_ < rows_.size()) {
       size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
                               rows_.size() - pos_);
-      ctx->Charge(CostModel::kIndexRowCost * static_cast<double>(chunk));
+      ctx->Charge(read_cost_ * static_cast<double>(chunk));
       scratch_.clear();
       scratch_.reserve(chunk);
       for (size_t i = 0; i < chunk; ++i) {
@@ -598,7 +606,7 @@ class IndexSeekExec : public ExecNode {
           return false;
         }
       }
-      ctx->Charge(CostModel::kIndexRowCost * static_cast<double>(chunk));
+      ctx->Charge(read_cost_ * static_cast<double>(chunk));
       if (op_.pushed_predicate != nullptr) {
         ctx->Charge(CostModel::kFilterRowCost * static_cast<double>(chunk));
       }
@@ -639,7 +647,7 @@ class IndexSeekExec : public ExecNode {
 
   void ChargeTail(ExecContext* ctx) {
     if (charged_tail_) return;
-    ctx->Charge(CostModel::kIndexRowCost * static_cast<double>(dead_entries_));
+    ctx->Charge(read_cost_ * static_cast<double>(dead_entries_));
     charged_tail_ = true;
   }
 
@@ -649,6 +657,7 @@ class IndexSeekExec : public ExecNode {
   }
 
   const PhysIndexSeek& op_;
+  const double read_cost_;  // per index entry visited
   std::vector<RowPtr> rows_;
   std::vector<const Row*> scratch_;
   std::vector<char> keep_;
@@ -895,17 +904,17 @@ class IndexNLJoinExec : public ExecNode {
               EvalPredicate(*op_.inner_predicate, &inner, ctx->Eval()));
           if (!pass) continue;
         }
-        Row inner_out;
+        const Row* inner_out = &inner;
+        Row projected;
         if (!op_.inner_projection.empty()) {
-          inner_out.reserve(op_.inner_projection.size());
+          projected.reserve(op_.inner_projection.size());
           for (const BExprPtr& e : op_.inner_projection) {
             MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e, &inner, ctx->Eval()));
-            inner_out.push_back(std::move(v));
+            projected.push_back(std::move(v));
           }
-        } else {
-          inner_out = inner;
+          inner_out = &projected;
         }
-        Row combined = ConcatRows(*outer_row_, inner_out);
+        Row combined = ConcatRows(*outer_row_, *inner_out);
         if (op_.residual != nullptr) {
           MT_ASSIGN_OR_RETURN(
               bool pass,
@@ -957,7 +966,9 @@ class IndexNLJoinExec : public ExecNode {
         matches_.push_back(table_->heap().GetRef(rid));
       }
     }
-    ctx->Charge(CostModel::kIndexRowCost * static_cast<double>(entries));
+    ctx->Charge(
+        CostModel::ReadRowCost(CostModel::kIndexRowCost, op_.inner_row_bytes) *
+        static_cast<double>(entries));
   }
 
   const PhysIndexNLJoin& op_;

@@ -138,6 +138,44 @@ Value EvalLogic(BinaryOp op, const Value& l, const Value& r) {
   return Value::TypedNull(TypeId::kBool);
 }
 
+// Evaluates `expr` like EvalBound, but a column ref, literal or parameter
+// yields a pointer to the stored value instead of a copy; anything else is
+// evaluated into `*storage`. The result lives as long as `row`, `expr`,
+// `ctx.params` and `storage`.
+StatusOr<const Value*> EvalRef(const BoundExpr& expr, const Row* row,
+                               const EvalContext& ctx, Value* storage) {
+  switch (expr.kind) {
+    case BoundExprKind::kLiteral:
+      return &static_cast<const BoundLiteral&>(expr).value;
+    case BoundExprKind::kColumnRef: {
+      int ordinal = static_cast<const BoundColumnRef&>(expr).ordinal;
+      if (row != nullptr && ordinal >= 0 &&
+          ordinal < static_cast<int>(row->size())) {
+        return &(*row)[ordinal];
+      }
+      break;  // EvalBound reports the error
+    }
+    case BoundExprKind::kParam:
+      if (ctx.params != nullptr) {
+        auto it = ctx.params->find(static_cast<const BoundParam&>(expr).name);
+        if (it != ctx.params->end()) return &it->second;
+      }
+      break;
+    default:
+      break;
+  }
+  MT_ASSIGN_OR_RETURN(*storage, EvalBound(expr, row, ctx));
+  return storage;
+}
+
+// LIKE operand text: a string's own bytes; any other value rendered into
+// `*storage`.
+std::string_view LikeText(const Value& v, std::string* storage) {
+  if (v.type() == TypeId::kString) return v.AsString();
+  *storage = v.ToString();
+  return *storage;
+}
+
 }  // namespace
 
 StatusOr<Value> EvalBound(const BoundExpr& expr, const Row* row,
@@ -209,10 +247,18 @@ StatusOr<Value> EvalBound(const BoundExpr& expr, const Row* row,
     }
     case BoundExprKind::kLike: {
       const auto& e = static_cast<const BoundLike&>(expr);
-      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e.input, row, ctx));
-      MT_ASSIGN_OR_RETURN(Value p, EvalBound(*e.pattern, row, ctx));
-      if (v.is_null() || p.is_null()) return Value::TypedNull(TypeId::kBool);
-      bool match = LikeMatch(v.ToString(), p.ToString());
+      Value v_storage;
+      Value p_storage;
+      MT_ASSIGN_OR_RETURN(const Value* v,
+                          EvalRef(*e.input, row, ctx, &v_storage));
+      MT_ASSIGN_OR_RETURN(const Value* p,
+                          EvalRef(*e.pattern, row, ctx, &p_storage));
+      if (v->is_null() || p->is_null()) {
+        return Value::TypedNull(TypeId::kBool);
+      }
+      std::string v_text;
+      std::string p_text;
+      bool match = LikeMatch(LikeText(*v, &v_text), LikeText(*p, &p_text));
       return Value::Bool(e.negated ? !match : match);
     }
     case BoundExprKind::kIsNull: {
@@ -347,6 +393,38 @@ Status EvalPredicateBatch(const BoundExpr& expr, const Row* const* rows,
           }
           continue;
         }
+      }
+    }
+    // Fast shape: <column> [NOT] LIKE <row-free pattern>. The pattern is
+    // evaluated once per batch and matched against each row's stored string
+    // in place; a NULL on either side is unknown, which rejects the row.
+    if (conjunct->kind == BoundExprKind::kLike) {
+      const auto& like = static_cast<const BoundLike&>(*conjunct);
+      if (like.input->kind == BoundExprKind::kColumnRef &&
+          IsRowFree(*like.pattern)) {
+        MT_ASSIGN_OR_RETURN(Value p, EvalBound(*like.pattern, nullptr, ctx));
+        if (p.is_null()) {
+          keep->assign(n, 0);
+          return Status::Ok();
+        }
+        std::string p_text;
+        const std::string_view pattern = LikeText(p, &p_text);
+        const int ordinal =
+            static_cast<const BoundColumnRef&>(*like.input).ordinal;
+        std::string v_text;
+        for (size_t i = 0; i < n; ++i) {
+          if (!(*keep)[i]) continue;
+          if (ordinal < 0 || ordinal >= static_cast<int>(rows[i]->size())) {
+            return Status::Internal("column reference without a row (ordinal " +
+                                    std::to_string(ordinal) + ")");
+          }
+          const Value& v = (*rows[i])[ordinal];
+          if (v.is_null() ||
+              LikeMatch(LikeText(v, &v_text), pattern) == like.negated) {
+            (*keep)[i] = 0;
+          }
+        }
+        continue;
       }
     }
     // General conjunct: per-row evaluation on the rows still alive. AND of

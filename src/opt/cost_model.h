@@ -19,6 +19,12 @@ struct CostModel {
   // Per row fetched through an index: dearer than a sequential-scan row
   // (random heap access), so full-relation reads prefer the scan.
   static constexpr double kIndexRowCost = 2.0;
+  // Per byte of each stored row a scan, seek or index-NL fetch reads, at the
+  // relation's avg_row_bytes: of two views that answer a query in the same
+  // rows, the narrower one is cheaper to read. Sized as streaming a byte
+  // from memory (~0.1 ns) against one work unit (~0.15 us on a 4-vCPU
+  // host, perfbench's exec.us_per_local_unit): a 100-byte row adds 0.05.
+  static constexpr double kReadByteCost = 0.0005;
   static constexpr double kFilterRowCost = 0.2;    // per input row
   static constexpr double kProjectRowCost = 0.2;   // per output row
   static constexpr double kHashBuildRowCost = 1.5;
@@ -61,6 +67,11 @@ struct CostModel {
   /// term the DES fleet model prices when exp3 replays a batched pipeline.
   static constexpr double kReplDeliveryOverheadCost = 30.0;
 
+  /// Per-row charge of reading a stored row of `row_bytes` bytes through an
+  /// access whose per-row charge is `row_cost` (kSeqRowCost/kIndexRowCost).
+  static double ReadRowCost(double row_cost, double row_bytes) {
+    return row_cost + row_bytes * kReadByteCost;
+  }
   static double SortCost(double rows) {
     double n = std::max(rows, 2.0);
     return kSortRowCost * n * std::log2(n);

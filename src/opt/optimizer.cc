@@ -25,6 +25,41 @@ double EstimateRowBytes(const Schema& schema) {
   return bytes;
 }
 
+// Bytes per stored row of `def`, from its statistics; 0 without them
+// (virtual tables).
+double StoredRowBytes(const TableDef* def) {
+  return def != nullptr && !def->stats.empty() ? def->stats.avg_row_bytes : 0;
+}
+
+// A column remap: every expression is a column ref or a literal. View
+// substitution's compensation (BuildSubstitute) has this shape.
+bool IsColumnRemap(const std::vector<BExprPtr>& exprs) {
+  for (const auto& e : exprs) {
+    if (e->kind != BoundExprKind::kColumnRef &&
+        e->kind != BoundExprKind::kLiteral) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The identity over `input`: output column i is input column i, same type,
+// over the full width. It plans as no projection at all, so the input's rows
+// pass through by reference.
+bool IsIdentityProjection(const std::vector<BExprPtr>& exprs,
+                          const Schema& input) {
+  if (static_cast<int>(exprs.size()) != input.num_columns()) return false;
+  for (int i = 0; i < input.num_columns(); ++i) {
+    const BoundExpr& e = *exprs[i];
+    if (e.kind != BoundExprKind::kColumnRef ||
+        static_cast<const BoundColumnRef&>(e).ordinal != i ||
+        e.type != input.column(i).type) {
+      return false;
+    }
+  }
+  return true;
+}
+
 LogicalPtr WrapFilter(LogicalPtr node, std::vector<BExprPtr> conjuncts) {
   if (conjuncts.empty()) return node;
   auto filter = std::make_unique<LogicalFilter>();
@@ -416,6 +451,7 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
                                                const BoundExpr* predicate) {
   RelStats stats = EstimateLogical(get);
   double rows = stats.rows;
+  const double row_bytes = StoredRowBytes(get.def);
   double total_sel =
       predicate != nullptr ? EstimateSelectivity(*predicate, stats) : 1.0;
   double out_rows = std::max(rows * total_sel, 0.5);
@@ -430,7 +466,9 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
     scan->def = get.def;
     scan->schema = get.schema;
     scan->est_rows = rows;
-    double cost = rows * CostModel::kSeqRowCost;
+    scan->row_bytes = row_bytes;
+    double cost =
+        rows * CostModel::ReadRowCost(CostModel::kSeqRowCost, row_bytes);
     if (predicate != nullptr) {
       // Same cost formula as the unfused Filter(SeqScan) pair, but
       // non-qualifying rows are rejected inside the scan (batchwise on the
@@ -508,8 +546,9 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
         seek_sel *= EstimateSelectivity(*sc->source, stats);
       }
       double fetched = std::max(rows * seek_sel, 0.5);
-      double cost =
-          CostModel::kIndexSeekCost + fetched * CostModel::kIndexRowCost;
+      double cost = CostModel::kIndexSeekCost +
+                    fetched * CostModel::ReadRowCost(CostModel::kIndexRowCost,
+                                                     row_bytes);
 
       auto seek = std::make_unique<PhysIndexSeek>();
       seek->def = get.def;
@@ -521,6 +560,7 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
       seek->hi_inclusive = hi_incl;
       seek->schema = get.schema;
       seek->est_rows = fetched;
+      seek->row_bytes = row_bytes;
 
       // Residual conjuncts (not used by the seek) fold into the seek too.
       std::vector<BExprPtr> residual;
@@ -562,10 +602,8 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
   result.rows = stats.rows;
   result.row_bytes = EstimateRowBytes(node.schema);
   if (node.kind == LogicalKind::kGet) {
-    const auto& get = static_cast<const LogicalGet&>(node);
-    if (get.def != nullptr && !get.def->stats.empty()) {
-      result.row_bytes = get.def->stats.avg_row_bytes;
-    }
+    double stored = StoredRowBytes(static_cast<const LogicalGet&>(node).def);
+    if (stored > 0) result.row_bytes = stored;
   }
 
   // Remote option: the whole subtree executes on one remote server. Cost is
@@ -630,8 +668,34 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
     }
     case LogicalKind::kProject: {
       const auto& project = static_cast<const LogicalProject&>(node);
-      MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
+      std::vector<BExprPtr> exprs;
+      for (const auto& e : project.exprs) exprs.push_back(CloneBound(*e));
+      // Compose through a column remap directly below (a view substitution's
+      // compensation): substituting this projection's expressions through it
+      // leaves one projection of only the consumed columns. A remap over a
+      // subtree that can ship whole stays, so it may ship with that subtree.
+      const LogicalOp* input = node.children[0].get();
+      while (input->kind == LogicalKind::kProject &&
+             IsColumnRemap(static_cast<const LogicalProject&>(*input).exprs) &&
+             !ShipServer(*input).has_value()) {
+        const auto& remap = static_cast<const LogicalProject&>(*input);
+        bool ok = true;
+        std::vector<BExprPtr> composed;
+        for (const auto& e : exprs) {
+          composed.push_back(SubstituteThroughProject(*e, remap.exprs, &ok));
+        }
+        if (!ok) break;
+        exprs = std::move(composed);
+        input = input->children[0].get();
+      }
+      MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*input));
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
+      if (IsIdentityProjection(exprs, input->schema)) {
+        delivered.plan->schema = node.schema;
+        result.local_plan = std::move(delivered.plan);
+        result.local_cost = delivered.cost;
+        return result;
+      }
       double cost = delivered.cost + result.rows * CostModel::kProjectRowCost;
       // Fold the projection into a local scan directly below: qualifying
       // rows are rewritten at the scan and intermediate full-width rows are
@@ -645,7 +709,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
         slot = &static_cast<PhysIndexSeek*>(dp)->pushed_projection;
       }
       if (slot != nullptr && slot->empty()) {
-        for (const auto& e : project.exprs) slot->push_back(CloneBound(*e));
+        *slot = std::move(exprs);
         dp->schema = node.schema;
         dp->est_rows = result.rows;
         dp->est_cost = cost;
@@ -654,7 +718,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
         return result;
       }
       auto phys = std::make_unique<PhysProject>();
-      for (const auto& e : project.exprs) phys->exprs.push_back(CloneBound(*e));
+      phys->exprs = std::move(exprs);
       phys->schema = node.schema;
       phys->est_rows = result.rows;
       phys->est_cost = cost;
@@ -716,27 +780,22 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       InnerAccess inner;
       {
         const LogicalOp* right_node = node.children[1].get();
-        // See through a pure remap/null-pad Project (view substitution).
-        if (right_node->kind == LogicalKind::kProject) {
+        // See through a column remap (view substitution's compensation);
+        // the identity needs no inner projection at all.
+        if (right_node->kind == LogicalKind::kProject &&
+            IsColumnRemap(
+                static_cast<const LogicalProject&>(*right_node).exprs)) {
           const auto* project =
               static_cast<const LogicalProject*>(right_node);
-          bool pure = true;
-          std::vector<int> mapping;
-          for (const auto& e : project->exprs) {
-            if (e->kind == BoundExprKind::kColumnRef) {
-              mapping.push_back(
-                  static_cast<const BoundColumnRef&>(*e).ordinal);
-            } else if (e->kind == BoundExprKind::kLiteral) {
-              mapping.push_back(-1);
-            } else {
-              pure = false;
-              break;
-            }
-          }
-          if (pure) {
+          right_node = right_node->children[0].get();
+          if (!IsIdentityProjection(project->exprs, right_node->schema)) {
             inner.project = project;
-            inner.out_to_inner = std::move(mapping);
-            right_node = right_node->children[0].get();
+            for (const auto& e : project->exprs) {
+              inner.out_to_inner.push_back(
+                  e->kind == BoundExprKind::kColumnRef
+                      ? static_cast<const BoundColumnRef&>(*e).ordinal
+                      : -1);
+            }
           }
         }
         if (right_node->kind == LogicalKind::kFilter &&
@@ -783,16 +842,20 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
                 inner.predicate != nullptr
                     ? EstimateSelectivity(*inner.predicate, inner_stats)
                     : 1.0;
+            const double inner_bytes = StoredRowBytes(inner.get->def);
             double cost =
                 lplan.cost +
-                left_rows * (CostModel::kIndexSeekCost +
-                             per_probe * (CostModel::kIndexRowCost +
-                                          CostModel::kFilterRowCost));
+                left_rows *
+                    (CostModel::kIndexSeekCost +
+                     per_probe * (CostModel::ReadRowCost(
+                                      CostModel::kIndexRowCost, inner_bytes) +
+                                  CostModel::kFilterRowCost));
             ++*alternatives_;
             if (cost >= inlj_cost) continue;
             auto phys = std::make_unique<PhysIndexNLJoin>();
             phys->join_kind = join.join_kind;
             phys->inner_def = inner.get->def;
+            phys->inner_row_bytes = inner_bytes;
             phys->index_ordinal = static_cast<int>(idx);
             phys->outer_key = probe_keys[k];
             phys->inner_predicate = inner.predicate != nullptr
@@ -1091,20 +1154,23 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
 // View-matching rewrite driver.
 // ---------------------------------------------------------------------------
 
-// Collects rewrite sites: slots holding Filter(Get) or bare Get.
-void CollectSites(LogicalPtr* slot, std::vector<LogicalPtr*>* sites) {
+// Collects rewrite sites: slots holding Filter(Get) or bare Get. When
+// `under_project` is given, it receives for each site whether its parent is
+// a Project, into which a view substitute's compensation composes.
+void CollectSites(LogicalPtr* slot, std::vector<LogicalPtr*>* sites,
+                  std::vector<bool>* under_project = nullptr,
+                  bool parent_is_project = false) {
   LogicalOp* node = slot->get();
-  if (node->kind == LogicalKind::kGet) {
+  if (node->kind == LogicalKind::kGet ||
+      (node->kind == LogicalKind::kFilter &&
+       node->children[0]->kind == LogicalKind::kGet)) {
     sites->push_back(slot);
-    return;
-  }
-  if (node->kind == LogicalKind::kFilter &&
-      node->children[0]->kind == LogicalKind::kGet) {
-    sites->push_back(slot);
+    if (under_project != nullptr) under_project->push_back(parent_is_project);
     return;
   }
   for (auto& child : node->children) {
-    CollectSites(&child, sites);
+    CollectSites(&child, sites, under_project,
+                 node->kind == LogicalKind::kProject);
   }
 }
 
@@ -1143,10 +1209,12 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const LogicalOp& query) const {
     // mimicking DBCache-style routing).
     Planner cmp(catalog_, options_, /*pretend_local=*/false, &alternatives);
     std::vector<LogicalPtr*> sites;
-    CollectSites(&work, &sites);
+    std::vector<bool> under_project;
+    CollectSites(&work, &sites, &under_project);
     UsedMap used;
     ComputeUsed(*work, AllColumns(work->schema), &used);
-    for (LogicalPtr* slot : sites) {
+    for (size_t site = 0; site < sites.size(); ++site) {
+      LogicalPtr* slot = sites[site];
       SiteInfo info = InspectSite(slot);
       auto it = used.find(info.get);
       std::set<int> used_cols =
@@ -1174,7 +1242,13 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const LogicalOp& query) const {
           chosen = &m;
           break;
         }
-        auto cost = cmp.DeliveredCost(*m.substitute);
+        // A compensation is priced only where it runs: under a Project it
+        // composes into the consumer's projection (and an identity never
+        // runs), so there the view access alone is compared.
+        const LogicalOp& priced = under_project[site]
+                                      ? *m.substitute->children[0]
+                                      : *m.substitute;
+        auto cost = cmp.DeliveredCost(priced);
         if (cost.ok() && *cost < best_cost) {
           best_cost = *cost;
           chosen = &m;

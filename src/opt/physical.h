@@ -63,6 +63,10 @@ struct PhysSeqScan : PhysicalOp {
   /// rows are rewritten to these expressions at the scan. Empty = emit
   /// stored rows unchanged. When set, `schema` is the projected schema.
   std::vector<BExprPtr> pushed_projection;
+  /// Bytes per stored row the plan was priced with (the table's
+  /// avg_row_bytes; 0 without statistics). Each row read is charged
+  /// CostModel::ReadRowCost(kSeqRowCost, row_bytes).
+  double row_bytes = 0;
 };
 
 /// B+-tree range access: equality on a key prefix, then an optional range on
@@ -77,9 +81,11 @@ struct PhysIndexSeek : PhysicalOp {
   BExprPtr hi;                      // optional upper bound on next column
   bool hi_inclusive = true;
   /// Residual filter / projection folded into the seek; same contract as
-  /// PhysSeqScan's pushed_predicate / pushed_projection.
+  /// PhysSeqScan's pushed_predicate / pushed_projection / row_bytes (priced
+  /// at kIndexRowCost per entry).
   BExprPtr pushed_predicate;
   std::vector<BExprPtr> pushed_projection;
+  double row_bytes = 0;
 };
 
 struct PhysFilter : PhysicalOp {
@@ -112,9 +118,12 @@ struct PhysIndexNLJoin : PhysicalOp {
   int outer_key = 0;          // ordinal in the outer (left) output
   BExprPtr inner_predicate;   // residual over the inner table schema
   /// Projection applied to fetched inner rows before concatenation (view
-  /// substitution wraps table accesses in a column-remap/null-pad Project;
-  /// the join sees through it). Empty = inner rows used as-is.
+  /// substitution wraps a narrower view in a column-remap/null-pad Project;
+  /// the join sees through it). Empty = inner rows used as-is, which is how
+  /// an identity compensation plans.
   std::vector<BExprPtr> inner_projection;
+  /// As PhysIndexSeek::row_bytes, for the inner rows each seek fetches.
+  double inner_row_bytes = 0;
   BExprPtr residual;          // over concat(left, projected inner)
 };
 

@@ -481,6 +481,43 @@ TEST(PredicateBatchNullTest, IsNullConjunctsUseComplexFallback) {
   ExpectBatchMatchesRowOracle(*pred, rows);
 }
 
+TEST(PredicateBatchNullTest, LikeShapesMatchRowOracle) {
+  // <column> [NOT] LIKE <row-free pattern> runs the batch LIKE kernel over
+  // the stored strings in place; a NULL cell or a NULL pattern is unknown,
+  // and a non-string column matches on its rendered text.
+  static const char* kWords[] = {"ab", "xaby", "a", "", "abc", "cab", "b",
+                                 "AB"};
+  std::vector<Row> rows;
+  for (int i = 0; i < 160; ++i) {
+    rows.push_back({i % 9 == 0 ? Value::Null() : Value::String(kWords[i % 8]),
+                    i % 13 == 0 ? Value::Null() : Value::Int(i)});
+  }
+  auto like = [](int ord, TypeId type, Value pattern, bool negated) {
+    return std::make_unique<BoundLike>(ColRef(ord, type),
+                                       Lit(std::move(pattern)), negated);
+  };
+  for (const char* pattern : {"%ab%", "ab%", "_", "%", ""}) {
+    SCOPED_TRACE(pattern);
+    for (bool negated : {false, true}) {
+      ExpectBatchMatchesRowOracle(
+          *like(0, TypeId::kString, Value::String(pattern), negated), rows);
+    }
+  }
+  for (bool negated : {false, true}) {
+    ExpectBatchMatchesRowOracle(
+        *like(0, TypeId::kString, Value::Null(), negated), rows, 0);
+  }
+  // 1, 10..19 and 100..159, less the NULLs at multiples of 13.
+  ExpectBatchMatchesRowOracle(
+      *like(1, TypeId::kInt64, Value::String("1%"), false), rows, 65);
+  // After a compare kernel, on the rows it kept.
+  auto both = Bin(BinaryOp::kAnd,
+                  Bin(BinaryOp::kLt, ColRef(1, TypeId::kInt64),
+                      Lit(Value::Int(80))),
+                  like(0, TypeId::kString, Value::String("%b"), true));
+  ExpectBatchMatchesRowOracle(*both, rows);
+}
+
 // ---------------------------------------------------------------------------
 // FilterCompareColumn against a per-row Value::Compare reference, over
 // randomized typed vectors with NULLs — including NaN, where the kernel must

@@ -458,6 +458,30 @@ TEST_F(MTCacheTest, OverlappingViewsChosenCostBased) {
             std::string::npos);
 }
 
+TEST_F(MTCacheTest, NarrowerViewCompensationComposesIntoOneProjection) {
+  // A view narrower than its base table is substituted behind a column
+  // remap (caddress: base column 2, view column 1) that null-pads the
+  // missing columns. The select list composes with it into one projection
+  // of the consumed column, pushed into the seek.
+  ASSERT_TRUE(mtcache_
+                  ->CreateCachedView("cust_addr",
+                                     "SELECT cid, caddress FROM customer "
+                                     "WHERE cid <= 100")
+                  .ok());
+  const std::string sql = "SELECT caddress FROM customer WHERE cid = 50";
+  auto plan = cache_.Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::string text = PhysicalToString(*plan->plan);
+  EXPECT_EQ(PhysicalPlanSize(*plan->plan), 1) << text;
+  EXPECT_EQ(PhysicalOpLabel(*plan->plan),
+            "IndexSeek(cust_addr.cust_addr_pk) [proj: cust_addr.caddress]")
+      << text;
+  auto r = cache_.Execute(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsString(), "addr50");
+}
+
 TEST_F(MTCacheTest, DropCachedViewViaDdl) {
   ASSERT_TRUE(mtcache_
                   ->CreateCachedView("cust1000",

@@ -275,18 +275,174 @@ TEST_F(TpcwCacheTest, BrowseProceduresRunFullyLocally) {
   EXPECT_DOUBLE_EQ(stats.remote_cost, 0) << "best sellers offloaded";
 }
 
+// Renders one result row; NULLs render distinctly from empty strings.
+std::string RowText(const Row& row) {
+  std::string text;
+  for (const Value& v : row) {
+    text += v.is_null() ? "<null>" : v.ToString();
+    text += '|';
+  }
+  return text;
+}
+
+// Every TPC-W read procedure returns on the cache exactly the rows the
+// backend returns, compared whole, and in the same order of its ORDER BY
+// keys where it orders. Half-cached tables send the parameterized lookups
+// down both ChoosePlan branches, and batch capacities 1, 7 and 1024 move
+// every batch boundary.
 TEST_F(TpcwCacheTest, CacheResultsMatchBackendResults) {
-  for (const char* subject : {"arts", "history", "travel"}) {
-    auto local = cache_.CallProcedure("getnewproducts",
-                                      {Value::String(subject)}, nullptr);
-    auto remote = backend_.CallProcedure("getnewproducts",
-                                         {Value::String(subject)}, nullptr);
-    ASSERT_TRUE(local.ok() && remote.ok());
-    ASSERT_EQ(local->rows.size(), remote->rows.size()) << subject;
-    for (size_t i = 0; i < local->rows.size(); ++i) {
-      EXPECT_EQ(local->rows[i][0].AsInt(), remote->rows[i][0].AsInt());
+  // Carts live only on the backend; getcart joins them with cached items.
+  constexpr int kCarts = 3;
+  for (int cart = 1; cart <= kCarts; ++cart) {
+    ASSERT_TRUE(backend_.CallProcedure("createemptycart", {Value::Int(cart)},
+                                       nullptr)
+                    .ok());
+    for (int line = 0; line < 2 * cart; ++line) {
+      int item = 1 + (67 * cart + 41 * line) % config_.num_items;
+      ASSERT_TRUE(backend_
+                      .CallProcedure("additem",
+                                     {Value::Int(cart), Value::Int(item),
+                                      Value::Int(line + 1)},
+                                     nullptr)
+                      .ok());
     }
   }
+  struct ProcCall {
+    std::string proc;
+    Value arg;
+    std::vector<int> order_by;  // output columns of the ORDER BY; empty = none
+  };
+  std::vector<ProcCall> calls;
+  for (const char* subject : {"arts", "history", "travel"}) {
+    calls.push_back({"dosubjectsearch", Value::String(subject), {1}});
+    calls.push_back({"getnewproducts", Value::String(subject), {2, 1}});
+    calls.push_back({"getbestsellers", Value::String(subject), {4}});
+  }
+  for (size_t w = 0; w < 3; ++w) {
+    const std::string& word = TitleWords()[w];
+    calls.push_back({"dotitlesearch", Value::String("%" + word + "%"), {1}});
+    calls.push_back({"doauthorsearch", Value::String(word + "%"), {1}});
+  }
+  // Ids on both sides of the half-cache bound (num_items / 2).
+  for (int id : {1, 7, 100, 101, 200}) {
+    calls.push_back({"getbook", Value::Int(id), {}});
+    calls.push_back({"getrelated", Value::Int(id), {}});
+  }
+  for (int cart = 1; cart <= kCarts; ++cart) {
+    calls.push_back({"getcart", Value::Int(cart), {}});
+  }
+
+  for (double fraction : {1.0, 0.5}) {
+    for (int capacity : {1, 7, RowBatch::kMaxRows}) {
+      SCOPED_TRACE("cached fraction " + std::to_string(fraction) +
+                   ", batch capacity " + std::to_string(capacity));
+      LinkedServerRegistry links;
+      ServerOptions options{"cache2", "dbo", {}};
+      options.exec_batch_capacity = capacity;
+      Server cache(options, &clock_, &links);
+      ReplicationSystem repl(&clock_);
+      auto setup = MTCache::Setup(&cache, &backend_, &repl);
+      ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+      auto mtcache = setup.ConsumeValue();
+      Status s = SetupTpcwCache(mtcache.get(), config_, fraction);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      size_t rows_compared = 0;
+      for (const ProcCall& call : calls) {
+        SCOPED_TRACE(call.proc + "(" + call.arg.ToString() + ")");
+        auto local = cache.CallProcedure(call.proc, {call.arg}, nullptr);
+        auto remote = backend_.CallProcedure(call.proc, {call.arg}, nullptr);
+        ASSERT_TRUE(local.ok()) << local.status().ToString();
+        ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+        ASSERT_EQ(local->rows.size(), remote->rows.size());
+        // Rows tied on the ORDER BY keys may come in either order, so the
+        // key sequence is compared in order and the rows as a multiset.
+        std::vector<std::string> local_rows;
+        std::vector<std::string> remote_rows;
+        for (size_t i = 0; i < local->rows.size(); ++i) {
+          for (int col : call.order_by) {
+            EXPECT_EQ(local->rows[i][col].ToString(),
+                      remote->rows[i][col].ToString())
+                << "row " << i << ", column " << col;
+          }
+          local_rows.push_back(RowText(local->rows[i]));
+          remote_rows.push_back(RowText(remote->rows[i]));
+        }
+        std::sort(local_rows.begin(), local_rows.end());
+        std::sort(remote_rows.begin(), remote_rows.end());
+        EXPECT_EQ(local_rows, remote_rows);
+        rows_compared += local_rows.size();
+      }
+      EXPECT_GT(rows_compared, 100u);
+    }
+  }
+}
+
+// No plan on the TPC-W cache copies a cached view's rows only to rebuild
+// them unchanged: an identity projection never reaches a view scan, seek or
+// index-NL inner.
+bool IsIdentityProjection(const std::vector<BExprPtr>& exprs, int width) {
+  if (static_cast<int>(exprs.size()) != width) return false;
+  for (int i = 0; i < width; ++i) {
+    if (exprs[i]->kind != BoundExprKind::kColumnRef ||
+        static_cast<const BoundColumnRef&>(*exprs[i]).ordinal != i) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Counts the view accesses under `op` and fails on any that carries an
+// identity projection.
+void ExpectNoIdentityViewProjection(const PhysicalOp& op, int* view_accesses) {
+  const TableDef* def = nullptr;
+  const std::vector<BExprPtr>* projection = nullptr;
+  if (op.kind == PhysicalKind::kSeqScan) {
+    def = static_cast<const PhysSeqScan&>(op).def;
+    projection = &static_cast<const PhysSeqScan&>(op).pushed_projection;
+  } else if (op.kind == PhysicalKind::kIndexSeek) {
+    def = static_cast<const PhysIndexSeek&>(op).def;
+    projection = &static_cast<const PhysIndexSeek&>(op).pushed_projection;
+  } else if (op.kind == PhysicalKind::kIndexNLJoin) {
+    def = static_cast<const PhysIndexNLJoin&>(op).inner_def;
+    projection = &static_cast<const PhysIndexNLJoin&>(op).inner_projection;
+  }
+  if (def != nullptr && def->kind == RelationKind::kCachedView) {
+    ++*view_accesses;
+    EXPECT_FALSE(IsIdentityProjection(*projection, def->schema.num_columns()))
+        << PhysicalOpLabel(op);
+  }
+  for (const auto& child : op.children) {
+    ExpectNoIdentityViewProjection(*child, view_accesses);
+  }
+}
+
+TEST_F(TpcwCacheTest, ViewServedPlansCarryNoIdentityProjection) {
+  int view_accesses = 0;
+  for (const std::string& proc : ProceduresToCopy()) {
+    const ProcedureDef* def = cache_.db().catalog().GetProcedure(proc);
+    ASSERT_NE(def, nullptr) << proc;
+    // getmostrecentorder's body is a script; every other body is one SELECT.
+    if (proc == "getmostrecentorder") continue;
+    auto plan = cache_.Explain(def->body_source);
+    ASSERT_TRUE(plan.ok()) << proc << ": " << plan.status().ToString();
+    SCOPED_TRACE(proc + ":\n" + PhysicalToString(*plan->plan));
+    ExpectNoIdentityViewProjection(*plan->plan, &view_accesses);
+  }
+  EXPECT_GE(view_accesses, 10);
+}
+
+TEST_F(TpcwCacheTest, ViewServedPlansMatchBackendShapes) {
+  // The cache plans a query over a cached table as the backend plans it
+  // over the table: one scan with one pushed projection, or none at all.
+  auto plan = cache_.Explain("SELECT o_id FROM orders");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(PhysicalOpLabel(*plan->plan),
+            "SeqScan(orders_cache) [proj: orders_cache.o_id]");
+  EXPECT_EQ(PhysicalPlanSize(*plan->plan), 1);
+  auto all = cache_.Explain("SELECT * FROM item");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(PhysicalOpLabel(*all->plan), "SeqScan(item_cache)");
+  EXPECT_EQ(PhysicalPlanSize(*all->plan), 1);
 }
 
 TEST_F(TpcwCacheTest, UpdatesFlowThroughCacheToBackendAndBack) {
