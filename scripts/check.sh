@@ -50,7 +50,10 @@
 # The asan mode exercises the crash/restart paths with memory checking on:
 # replication_fault_test (incl. the 200-seed randomized schedules),
 # mtcache_resync_test, and property_test; engine_test (plan cache, view
-# matching) and fleet_test (the simulated lab, checked for leaks) ride along. The tsan mode runs every test
+# matching) and fleet_test (the simulated lab, checked for leaks) ride along,
+# and so do the executor suites (batch_exec_test, exec_test, tpcw_test): hash
+# joins, sorts and nested loops hold their inputs' rows by reference, so a
+# row kept past its lifetime is a use-after-free here. The tsan mode runs every test
 # labeled `concurrency` (ctest -L) — the multi-session engine tests and the
 # DMV-read-during-execution tests — plus the threaded bench smoke.
 set -euo pipefail
@@ -84,9 +87,10 @@ case "$mode" in
     cmake --preset asan
     cmake --build --preset asan -j "$(nproc)" --target \
       replication_fault_test mtcache_resync_test property_test \
-      replication_test mtcache_test engine_test fleet_test dmv_smoke
+      replication_test mtcache_test engine_test fleet_test dmv_smoke \
+      batch_exec_test exec_test tpcw_test
     (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest')
+      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|VectorKernel|ExecTest\.|Tpcw')
     # The DMV walk under ASan: catches lifetime bugs in the virtual-table
     # row materialization that the plain build would miss.
     ./build-asan/examples/dmv_smoke
@@ -124,11 +128,13 @@ case "$mode" in
   batch)
     cmake --preset default
     cmake --build --preset default -j "$(nproc)" --target \
-      batch_exec_test exec_test exp2_scan_throughput
+      batch_exec_test exec_test exec_alloc_test exp2_scan_throughput
     # The differential corpus proves results do not depend on batch
     # capacity (1, 7 and 1024), plus the kernel-vs-EvalPredicate and
     # columnar-vs-row aggregate oracles and the NULL-logic kernel tests; the
-    # memory test pins the copy-free snapshot high-water; the exec suite
+    # memory tests pin the copy-free scan, sort and hash-join high-waters;
+    # the allocation ceilings hold TPC-W's searches and BestSellers to the
+    # heap allocations of reference-holding operators; the exec suite
     # re-checks operator semantics and cost parity.
     (cd build && ctest --output-on-failure -L batch)
     (cd build && ctest --output-on-failure -R 'Exec')

@@ -34,8 +34,8 @@ std::string Join(const std::vector<std::string>& pieces, std::string_view sep) {
 
 namespace {
 
-// Recursive matcher over (value position, pattern position). Patterns in our
-// workloads are short, so the worst-case backtracking is irrelevant.
+// Recursive matcher over (value position, pattern position); the general
+// case, for patterns with '_' or an inner '%'.
 bool LikeMatchAt(std::string_view value, size_t vi, std::string_view pattern,
                  size_t pi) {
   while (pi < pattern.size()) {
@@ -60,6 +60,28 @@ bool LikeMatchAt(std::string_view value, size_t vi, std::string_view pattern,
 }  // namespace
 
 bool LikeMatch(std::string_view value, std::string_view pattern) {
+  // A pattern with no '_' and '%' only in a leading and a trailing run is a
+  // substring, prefix, suffix or equality test: no backtracking.
+  const size_t lead = pattern.find_first_not_of('%');
+  if (lead == std::string_view::npos) {
+    return !pattern.empty() || value.empty();  // all '%', or empty pattern
+  }
+  const size_t last = pattern.find_last_not_of('%');
+  std::string_view core = pattern.substr(lead, last + 1 - lead);
+  if (core.find_first_of("%_") != std::string_view::npos) {
+    return LikeMatchAt(value, 0, pattern, 0);
+  }
+  const bool any_prefix = lead > 0;
+  const bool any_suffix = last + 1 < pattern.size();
+  if (any_prefix && any_suffix) {
+    return value.find(core) != std::string_view::npos;
+  }
+  if (any_prefix) return value.ends_with(core);
+  if (any_suffix) return value.starts_with(core);
+  return value == core;
+}
+
+bool LikeMatchBacktracking(std::string_view value, std::string_view pattern) {
   return LikeMatchAt(value, 0, pattern, 0);
 }
 

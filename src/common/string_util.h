@@ -20,6 +20,10 @@ std::string Join(const std::vector<std::string>& pieces, std::string_view sep);
 /// SQL LIKE pattern matching with '%' (any run) and '_' (any single char).
 bool LikeMatch(std::string_view value, std::string_view pattern);
 
+/// The general backtracking matcher LikeMatch uses for patterns with '_' or
+/// an inner '%'; exposed as the oracle for LikeMatch's plain-pattern paths.
+bool LikeMatchBacktracking(std::string_view value, std::string_view pattern);
+
 /// Quotes a string as a SQL literal: abc -> 'abc', with '' doubling.
 std::string SqlQuote(std::string_view s);
 

@@ -15,23 +15,108 @@ namespace mtcache {
 
 namespace {
 
-Row ConcatRows(const Row& left, const Row& right) {
-  Row out = left;
-  out.insert(out.end(), right.begin(), right.end());
-  return out;
-}
+// Builds a join's output rows straight from its two input rows: the
+// ordinals of concat(left, right) in the plan's output list (all of them
+// when the list is empty), so no full-width row is built only to be
+// projected. A null right row is an outer join's NULL extension.
+class JoinRowBuilder {
+ public:
+  JoinRowBuilder(const std::vector<int>& output, int left_width, int width)
+      : output_(output), left_width_(left_width), width_(width) {}
 
-// An outer join's unmatched left row, padded with NULLs to `width` columns.
-Row NullExtended(const Row& left, int width) {
-  Row out = left;
-  out.resize(static_cast<size_t>(width), Value::Null());
-  return out;
-}
+  Row Build(const Row& left, const Row* right) const {
+    Row out;
+    if (output_.empty()) {
+      out.reserve(static_cast<size_t>(width_));
+      out.insert(out.end(), left.begin(), left.end());
+      if (right != nullptr) {
+        out.insert(out.end(), right->begin(), right->end());
+      } else {
+        out.resize(static_cast<size_t>(width_), Value::Null());
+      }
+      return out;
+    }
+    out.reserve(output_.size());
+    for (int ord : output_) {
+      if (ord < left_width_) {
+        out.push_back(left[ord]);
+      } else if (right != nullptr) {
+        out.push_back((*right)[ord - left_width_]);
+      } else {
+        out.push_back(Value::Null());
+      }
+    }
+    return out;
+  }
 
-int64_t RowsBytes(const std::vector<Row>& rows) {
+  // The full concatenation into *scratch (reusing its capacity), for join
+  // conditions, which are bound over concat(left, right).
+  static void Concat(const Row& left, const Row& right, Row* scratch) {
+    scratch->assign(left.begin(), left.end());
+    scratch->insert(scratch->end(), right.begin(), right.end());
+  }
+
+  // The output row of a pair whose concatenation is already in *combined;
+  // consumes *combined when the output is the whole concatenation.
+  Row FromCombined(Row* combined) const {
+    if (output_.empty()) return std::move(*combined);
+    Row out;
+    out.reserve(output_.size());
+    for (int ord : output_) out.push_back((*combined)[ord]);
+    return out;
+  }
+
+ private:
+  const std::vector<int>& output_;
+  const int left_width_;
+  const int width_;  // of the full concatenation
+};
+
+template <typename Rows>
+int64_t RowsBytes(const Rows& rows) {
   double bytes = 0;
   for (const Row& r : rows) bytes += RowSizeBytes(r);
   return static_cast<int64_t>(bytes);
+}
+
+// The rows a pipeline breaker holds across its child's pulls, by the
+// RowBatch ownership rule: a referenced row is kept as a pointer (valid
+// while the breaker keeps its child open), an arena row is moved into the
+// breaker's own arena. No row is copied.
+class HeldRows {
+ public:
+  const Row* Hold(RowBatch* batch, size_t i) {
+    if (batch->owned[i] == 0) return batch->rows[i];
+    arena_.push_back(std::move(const_cast<Row&>(*batch->rows[i])));
+    return &arena_.back();
+  }
+  void Clear() { arena_.clear(); }
+  // Payload of the moved rows; referenced rows belong to the child.
+  int64_t OwnedBytes() const { return RowsBytes(arena_); }
+
+ private:
+  std::deque<Row> arena_;
+};
+
+// Hash of the key columns `keys` of `row`, mixed so that the low bits index
+// a power-of-two bucket array.
+uint64_t HashKeys(const Row& row, const std::vector<int>& keys) {
+  uint64_t h = 1469598103934665603ULL;
+  for (int k : keys) {
+    h ^= row[k].Hash();
+    h *= 1099511628211ULL;
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h;
+}
+
+bool HasNullKey(const Row& row, const std::vector<int>& keys) {
+  for (int k : keys) {
+    if (row[k].is_null()) return true;
+  }
+  return false;
 }
 
 struct RowHasher {
@@ -76,16 +161,18 @@ void BumpFallback(ExecContext* ctx) {
   if (ctx->vector_stats != nullptr) ++ctx->vector_stats->vector_fallbacks;
 }
 
-// Drains every row of `child` (already opened) through `fn`. Used by
-// pipeline breakers that materialize their whole input anyway (hash build,
-// aggregation, sort, NL inner).
+// Drains every row of `child` (already opened) through fn(batch, i), for
+// the pipeline breakers: a consumer that keeps row i past the call takes it
+// with HeldRows::Hold.
 template <typename Fn>
 Status DrainRows(ExecNode* child, ExecContext* ctx, const Fn& fn) {
   RowBatch batch;
   while (true) {
     MT_ASSIGN_OR_RETURN(bool more, child->NextBatch(ctx, &batch));
     if (!more) return Status::Ok();
-    for (const Row* row : batch.rows) MT_RETURN_IF_ERROR(fn(*row));
+    for (size_t i = 0; i < batch.rows.size(); ++i) {
+      MT_RETURN_IF_ERROR(fn(&batch, i));
+    }
   }
 }
 
@@ -717,8 +804,9 @@ class FilterExec : public ExecNode {
     batch->Reset(ctx->batch_capacity);
     if (!open_) return false;
     if (op_.startup) return child_->NextBatch(ctx, batch);
-    // Surviving rows are passed through by reference; they stay owned by
-    // input_, which lives until our next NextBatch/Close.
+    // Surviving rows pass through by the ownership rule: references stay
+    // references, and input_'s arena rows move into ours, since input_ is
+    // refilled on the next pull.
     while (batch->size() == 0) {
       MT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, &input_));
       if (!more) return false;
@@ -728,7 +816,7 @@ class FilterExec : public ExecNode {
                                             input_.rows.size(), ctx->Eval(),
                                             &keep_, &pred_scratch_));
       for (size_t i = 0; i < input_.rows.size(); ++i) {
-        if (keep_[i]) batch->PushRef(input_.rows[i]);
+        if (keep_[i]) batch->PushFrom(&input_, i);
       }
     }
     return true;
@@ -788,24 +876,30 @@ class ProjectExec : public ExecNode {
   RowBatch input_;
 };
 
-// Block nested loops: the inner (right) input is materialized at Open. The
-// outer side streams through BatchRowReader, so scans below it still run
-// copy-free.
+// Block nested loops: the inner (right) input is held at Open (referenced
+// rows by pointer, with the inner child kept open until Close; arena rows
+// moved). The outer side streams through BatchRowReader, so scans below it
+// still run copy-free.
 class NLJoinExec : public ExecNode {
  public:
   NLJoinExec(const PhysNLJoin& op, std::unique_ptr<ExecNode> left,
              std::unique_ptr<ExecNode> right)
-      : op_(op), left_(std::move(left)), right_(std::move(right)) {}
+      : op_(op), left_(std::move(left)), right_(std::move(right)),
+        rows_(op.output, op.children[0]->schema.num_columns(),
+              op.children[0]->schema.num_columns() +
+                  op.children[1]->schema.num_columns()) {}
 
   Status Open(ExecContext* ctx) override {
     MT_RETURN_IF_ERROR(left_->Open(ctx));
     MT_RETURN_IF_ERROR(right_->Open(ctx));
+    right_open_ = true;
     inner_.clear();
-    MT_RETURN_IF_ERROR(DrainRows(right_.get(), ctx, [this](const Row& row) {
-      inner_.push_back(row);
-      return Status::Ok();
-    }));
-    right_->Close();
+    held_.Clear();
+    MT_RETURN_IF_ERROR(
+        DrainRows(right_.get(), ctx, [this](RowBatch* batch, size_t i) {
+          inner_.push_back(held_.Hold(batch, i));
+          return Status::Ok();
+        }));
     reader_.Reset(left_.get());
     outer_ = nullptr;
     inner_pos_ = 0;
@@ -822,24 +916,26 @@ class NLJoinExec : public ExecNode {
         inner_pos_ = 0;
       }
       while (inner_pos_ < inner_.size() && !batch->full()) {
-        const Row& inner = inner_[inner_pos_++];
+        const Row* inner = inner_[inner_pos_++];
         ctx->Charge(CostModel::kNLInnerRowCost);
-        Row combined = ConcatRows(*outer_, inner);
-        bool pass = true;
-        if (op_.condition != nullptr) {
-          MT_ASSIGN_OR_RETURN(
-              pass, EvalPredicate(*op_.condition, &combined, ctx->Eval()));
+        if (op_.condition == nullptr) {
+          outer_matched_ = true;
+          batch->PushOwned(rows_.Build(*outer_, inner));
+          continue;
         }
+        JoinRowBuilder::Concat(*outer_, *inner, &combined_);
+        MT_ASSIGN_OR_RETURN(
+            bool pass, EvalPredicate(*op_.condition, &combined_, ctx->Eval()));
         if (pass) {
           outer_matched_ = true;
-          batch->PushOwned(std::move(combined));
+          batch->PushOwned(rows_.FromCombined(&combined_));
         }
       }
       if (inner_pos_ < inner_.size()) break;  // batch full; resume here
       // Inner exhausted for this outer row. A full batch here means the
       // last inner row matched, so no NULL-extended row is owed.
       if (op_.join_kind == JoinKind::kLeftOuter && !outer_matched_) {
-        batch->PushOwned(NullExtended(*outer_, op_.schema.num_columns()));
+        batch->PushOwned(rows_.Build(*outer_, nullptr));
       }
       outer_ = nullptr;
     }
@@ -848,16 +944,26 @@ class NLJoinExec : public ExecNode {
 
   void Close() override {
     left_->Close();
+    if (right_open_) right_->Close();
+    right_open_ = false;
     inner_.clear();
+    held_.Clear();
   }
 
-  int64_t MemoryBytes() const override { return RowsBytes(inner_); }
+  int64_t MemoryBytes() const override {
+    return held_.OwnedBytes() +
+           static_cast<int64_t>(inner_.size() * sizeof(const Row*));
+  }
 
  private:
   const PhysNLJoin& op_;
   std::unique_ptr<ExecNode> left_;
   std::unique_ptr<ExecNode> right_;
-  std::vector<Row> inner_;
+  JoinRowBuilder rows_;
+  bool right_open_ = false;
+  HeldRows held_;
+  std::vector<const Row*> inner_;
+  Row combined_;  // concat(outer, inner) for the join condition
   BatchRowReader reader_;
   const Row* outer_ = nullptr;  // current outer row, owned by reader_
   bool outer_matched_ = false;
@@ -870,7 +976,9 @@ class NLJoinExec : public ExecNode {
 class IndexNLJoinExec : public ExecNode {
  public:
   IndexNLJoinExec(const PhysIndexNLJoin& op, std::unique_ptr<ExecNode> outer)
-      : op_(op), outer_(std::move(outer)) {}
+      : op_(op), outer_(std::move(outer)),
+        rows_(op.output, op.children[0]->schema.num_columns(),
+              op.children[0]->schema.num_columns() + op.InnerWidth()) {}
 
   Status Open(ExecContext* ctx) override {
     table_ = ctx->storage != nullptr
@@ -914,20 +1022,22 @@ class IndexNLJoinExec : public ExecNode {
           }
           inner_out = &projected;
         }
-        Row combined = ConcatRows(*outer_row_, *inner_out);
-        if (op_.residual != nullptr) {
-          MT_ASSIGN_OR_RETURN(
-              bool pass,
-              EvalPredicate(*op_.residual, &combined, ctx->Eval()));
-          if (!pass) continue;
+        if (op_.residual == nullptr) {
+          outer_matched_ = true;
+          batch->PushOwned(rows_.Build(*outer_row_, inner_out));
+          continue;
         }
+        JoinRowBuilder::Concat(*outer_row_, *inner_out, &combined_);
+        MT_ASSIGN_OR_RETURN(
+            bool pass, EvalPredicate(*op_.residual, &combined_, ctx->Eval()));
+        if (!pass) continue;
         outer_matched_ = true;
-        batch->PushOwned(std::move(combined));
+        batch->PushOwned(rows_.FromCombined(&combined_));
       }
       if (match_pos_ < matches_.size()) break;  // batch full; resume here
       // As in NLJoinExec, a full batch here implies a match.
       if (op_.join_kind == JoinKind::kLeftOuter && !outer_matched_) {
-        batch->PushOwned(NullExtended(*outer_row_, op_.schema.num_columns()));
+        batch->PushOwned(rows_.Build(*outer_row_, nullptr));
       }
       outer_row_ = nullptr;
     }
@@ -973,6 +1083,8 @@ class IndexNLJoinExec : public ExecNode {
 
   const PhysIndexNLJoin& op_;
   std::unique_ptr<ExecNode> outer_;
+  JoinRowBuilder rows_;
+  Row combined_;  // concat(outer, inner) for the residual
   StoredTable* table_ = nullptr;
   BatchRowReader reader_;
   std::vector<RowPtr> matches_;
@@ -981,31 +1093,54 @@ class IndexNLJoinExec : public ExecNode {
   bool outer_matched_ = false;
 };
 
+// Hash join. The build (right) side is held, not copied: referenced rows by
+// pointer (the build child stays open until Close), arena rows moved into
+// the join's own arena. The table is one flat chained table over those row
+// pointers: bucket heads plus a next link per row, with each row's key hash
+// kept beside it. Key columns are hashed and compared in place, so no key
+// row, node or per-key vector is ever built. Chains keep build order, so a
+// probe row's matches come out in the order the build side produced them.
 class HashJoinExec : public ExecNode {
  public:
   HashJoinExec(const PhysHashJoin& op, std::unique_ptr<ExecNode> probe,
                std::unique_ptr<ExecNode> build)
-      : op_(op), probe_(std::move(probe)), build_(std::move(build)) {}
+      : op_(op), probe_(std::move(probe)), build_(std::move(build)),
+        rows_(op.output, op.children[0]->schema.num_columns(),
+              op.children[0]->schema.num_columns() +
+                  op.children[1]->schema.num_columns()) {}
 
   Status Open(ExecContext* ctx) override {
     MT_RETURN_IF_ERROR(build_->Open(ctx));
-    table_.clear();
-    MT_RETURN_IF_ERROR(
-        DrainRows(build_.get(), ctx, [this, ctx](const Row& row) {
+    build_open_ = true;
+    build_rows_.clear();
+    hashes_.clear();
+    held_.Clear();
+    MT_RETURN_IF_ERROR(DrainRows(
+        build_.get(), ctx, [this, ctx](RowBatch* batch, size_t i) {
           ctx->Charge(CostModel::kHashBuildRowCost);
-          Row key;
-          bool has_null = false;
-          for (int k : op_.build_keys) {
-            if (row[k].is_null()) has_null = true;
-            key.push_back(row[k]);
+          const Row& row = *batch->rows[i];
+          if (HasNullKey(row, op_.build_keys)) {
+            return Status::Ok();  // NULL keys never join
           }
-          if (!has_null) table_[std::move(key)].push_back(row);
-          return Status::Ok();  // NULL keys never join
+          hashes_.push_back(HashKeys(row, op_.build_keys));
+          build_rows_.push_back(held_.Hold(batch, i));
+          return Status::Ok();
         }));
-    build_->Close();
+    // Link each row in front of its bucket's chain, last row first, so every
+    // chain runs in build order.
+    size_t buckets = 1;
+    while (buckets < build_rows_.size()) buckets <<= 1;
+    mask_ = buckets - 1;
+    heads_.assign(buckets, -1);
+    next_.resize(build_rows_.size());
+    for (size_t i = build_rows_.size(); i-- > 0;) {
+      int32_t& head = heads_[hashes_[i] & mask_];
+      next_[i] = head;
+      head = static_cast<int32_t>(i);
+    }
     MT_RETURN_IF_ERROR(probe_->Open(ctx));
-    match_list_ = nullptr;
-    match_pos_ = 0;
+    matching_ = false;
+    chain_ = -1;
     probe_batch_.Clear();
     probe_pos_ = 0;
     probe_ptr_ = nullptr;
@@ -1015,27 +1150,35 @@ class HashJoinExec : public ExecNode {
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
     batch->Reset(ctx->batch_capacity);
     while (!batch->full()) {
-      if (match_list_ != nullptr) {
-        while (match_pos_ < match_list_->size() && !batch->full()) {
-          const Row& build_row = (*match_list_)[match_pos_++];
-          Row combined = ConcatRows(*probe_ptr_, build_row);
-          bool pass = true;
-          if (op_.residual != nullptr) {
-            MT_ASSIGN_OR_RETURN(
-                pass, EvalPredicate(*op_.residual, &combined, ctx->Eval()));
+      if (matching_) {
+        while (chain_ >= 0 && !batch->full()) {
+          const int32_t i = chain_;
+          chain_ = next_[i];
+          if (hashes_[i] != probe_hash_ || !KeysEqual(*build_rows_[i])) {
+            continue;
           }
+          const Row* build_row = build_rows_[i];
+          if (op_.residual == nullptr) {
+            probe_matched_ = true;
+            batch->PushOwned(rows_.Build(*probe_ptr_, build_row));
+            continue;
+          }
+          JoinRowBuilder::Concat(*probe_ptr_, *build_row, &combined_);
+          MT_ASSIGN_OR_RETURN(
+              bool pass,
+              EvalPredicate(*op_.residual, &combined_, ctx->Eval()));
           if (pass) {
             probe_matched_ = true;
-            batch->PushOwned(std::move(combined));
+            batch->PushOwned(rows_.FromCombined(&combined_));
           }
         }
-        if (match_pos_ < match_list_->size()) break;  // batch full; resume
+        if (chain_ >= 0) break;  // batch full; resume
         bool emit_null_extended =
             op_.join_kind == JoinKind::kLeftOuter && !probe_matched_;
         if (emit_null_extended && batch->full()) break;  // resume here
-        match_list_ = nullptr;
+        matching_ = false;
         if (emit_null_extended) {
-          batch->PushOwned(NullExtended(*probe_ptr_, op_.schema.num_columns()));
+          batch->PushOwned(rows_.Build(*probe_ptr_, nullptr));
         }
         continue;
       }
@@ -1047,55 +1190,71 @@ class HashJoinExec : public ExecNode {
       probe_ptr_ = probe_batch_.rows[probe_pos_++];
       ctx->Charge(CostModel::kHashProbeRowCost);
       probe_matched_ = false;
-      Row key;
-      bool has_null = false;
-      for (int k : op_.probe_keys) {
-        if ((*probe_ptr_)[k].is_null()) has_null = true;
-        key.push_back((*probe_ptr_)[k]);
-      }
-      if (has_null) {
+      if (HasNullKey(*probe_ptr_, op_.probe_keys)) {
         if (op_.join_kind == JoinKind::kLeftOuter) {
-          batch->PushOwned(NullExtended(*probe_ptr_, op_.schema.num_columns()));
+          batch->PushOwned(rows_.Build(*probe_ptr_, nullptr));
         }
         continue;
       }
-      auto it = table_.find(key);
-      if (it != table_.end()) {
-        match_list_ = &it->second;
-        match_pos_ = 0;
-      } else if (op_.join_kind == JoinKind::kLeftOuter) {
-        batch->PushOwned(NullExtended(*probe_ptr_, op_.schema.num_columns()));
-      }
+      probe_hash_ = HashKeys(*probe_ptr_, op_.probe_keys);
+      chain_ = heads_[probe_hash_ & mask_];
+      matching_ = true;
     }
     return batch->size() > 0;
   }
 
   void Close() override {
     probe_->Close();
-    table_.clear();
+    if (build_open_) build_->Close();
+    build_open_ = false;
+    build_rows_.clear();
+    hashes_.clear();
+    heads_.clear();
+    next_.clear();
+    held_.Clear();
     probe_batch_.Clear();
   }
 
+  // Moved rows plus the table's arrays; referenced build rows belong to
+  // the build child (snapshot rows to their table), as for scans.
   int64_t MemoryBytes() const override {
-    double bytes = 0;
-    for (const auto& [key, rows] : table_) {
-      bytes += RowSizeBytes(key);
-      for (const Row& r : rows) bytes += RowSizeBytes(r);
-    }
-    return static_cast<int64_t>(bytes);
+    return held_.OwnedBytes() +
+           static_cast<int64_t>(
+               build_rows_.size() * (sizeof(const Row*) + sizeof(uint64_t) +
+                                     sizeof(int32_t)) +
+               heads_.size() * sizeof(int32_t));
   }
 
  private:
+  bool KeysEqual(const Row& build_row) const {
+    for (size_t k = 0; k < op_.build_keys.size(); ++k) {
+      if (build_row[op_.build_keys[k]].Compare(
+              (*probe_ptr_)[op_.probe_keys[k]]) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   const PhysHashJoin& op_;
   std::unique_ptr<ExecNode> probe_;
   std::unique_ptr<ExecNode> build_;
-  std::unordered_map<Row, std::vector<Row>, RowHasher, RowEq> table_;
-  RowBatch probe_batch_;               // probe cursor
+  JoinRowBuilder rows_;
+  bool build_open_ = false;
+  HeldRows held_;
+  std::vector<const Row*> build_rows_;  // non-NULL-key build rows
+  std::vector<uint64_t> hashes_;        // parallel to build_rows_
+  std::vector<int32_t> next_;           // chain link per build row; -1 ends
+  std::vector<int32_t> heads_;          // first row per bucket; -1 = empty
+  uint64_t mask_ = 0;
+  Row combined_;                        // concat(probe, build) for residual
+  RowBatch probe_batch_;                // probe cursor
   int64_t probe_pos_ = 0;
-  const Row* probe_ptr_ = nullptr;     // into probe_batch_
+  const Row* probe_ptr_ = nullptr;      // into probe_batch_
+  uint64_t probe_hash_ = 0;
   bool probe_matched_ = false;
-  const std::vector<Row>* match_list_ = nullptr;
-  size_t match_pos_ = 0;
+  bool matching_ = false;               // walking probe_ptr_'s chain
+  int32_t chain_ = -1;                  // next build row to test
 };
 
 class HashAggregateExec : public ExecNode {
@@ -1129,10 +1288,10 @@ class HashAggregateExec : public ExecNode {
       }
     }
     if (!absorbed_all) {
-      MT_RETURN_IF_ERROR(DrainRows(child_.get(), ctx, [this, ctx](
-                                                          const Row& row) {
-        return Absorb(row, ctx);
-      }));
+      MT_RETURN_IF_ERROR(
+          DrainRows(child_.get(), ctx, [this, ctx](RowBatch* batch, size_t i) {
+            return Absorb(*batch->rows[i], ctx);
+          }));
     }
     child_->Close();
     // Scalar aggregate over an empty input still produces one row.
@@ -1445,63 +1604,117 @@ class HashAggregateExec : public ExecNode {
   size_t emit_pos_ = 0;
 };
 
+// Sort over row pointers. The input is held, not copied (as a hash-join
+// build is: references kept with the child open until Close, arena rows
+// moved). Column-reference keys are compared in place; any other key is
+// evaluated once per row. Ties go to the earlier input row, so the order is
+// the stable one. A Top-N sort (op.limit > 0) keeps only its first `limit`
+// rows by that order, with a partial sort.
 class SortExec : public ExecNode {
  public:
   SortExec(const PhysSort& op, std::unique_ptr<ExecNode> child)
-      : op_(op), child_(std::move(child)) {}
+      : op_(op), child_(std::move(child)) {
+    for (const SortKey& k : op_.keys) {
+      KeyRef ref;
+      ref.desc = k.desc;
+      if (k.expr->kind == BoundExprKind::kColumnRef) {
+        ref.ordinal = static_cast<const BoundColumnRef&>(*k.expr).ordinal;
+      } else {
+        ref.computed = num_computed_++;
+      }
+      keys_.push_back(ref);
+    }
+  }
 
   Status Open(ExecContext* ctx) override {
     MT_RETURN_IF_ERROR(child_->Open(ctx));
+    child_open_ = true;
     rows_.clear();
-    std::vector<Row> keys;
-    MT_RETURN_IF_ERROR(
-        DrainRows(child_.get(), ctx, [&](const Row& row) -> Status {
-          Row key;
-          for (const SortKey& k : op_.keys) {
-            MT_ASSIGN_OR_RETURN(Value v, EvalBound(*k.expr, &row, ctx->Eval()));
-            key.push_back(std::move(v));
-          }
-          keys.push_back(std::move(key));
+    computed_.clear();
+    held_.Clear();
+    MT_RETURN_IF_ERROR(DrainRows(
+        child_.get(), ctx, [this, ctx](RowBatch* batch, size_t i) -> Status {
+          const Row* row = held_.Hold(batch, i);
           rows_.push_back(row);
+          for (size_t k = 0; k < keys_.size(); ++k) {
+            if (keys_[k].computed < 0) continue;
+            MT_ASSIGN_OR_RETURN(
+                Value v, EvalBound(*op_.keys[k].expr, row, ctx->Eval()));
+            computed_.push_back(std::move(v));
+          }
           return Status::Ok();
         }));
-    child_->Close();
-    double n = std::max<double>(rows_.size(), 2);
-    ctx->Charge(CostModel::kSortRowCost * n * std::log2(n));
-
-    std::vector<size_t> perm(rows_.size());
-    for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-    std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < op_.keys.size(); ++k) {
-        int c = keys[a][k].Compare(keys[b][k]);
-        if (c != 0) return op_.keys[k].desc ? c > 0 : c < 0;
+    const size_t n = rows_.size();
+    ctx->Charge(CostModel::SortCost(static_cast<double>(n),
+                                    static_cast<double>(op_.limit)));
+    order_.resize(n);
+    for (size_t i = 0; i < n; ++i) order_[i] = static_cast<uint32_t>(i);
+    auto before = [this](uint32_t a, uint32_t b) {
+      for (const KeyRef& k : keys_) {
+        int c = Key(k, a).Compare(Key(k, b));
+        if (c != 0) return k.desc ? c > 0 : c < 0;
       }
-      return false;
-    });
-    std::vector<Row> sorted;
-    sorted.reserve(rows_.size());
-    for (size_t i : perm) sorted.push_back(std::move(rows_[i]));
-    rows_ = std::move(sorted);
+      return a < b;  // input order breaks ties: a stable sort
+    };
+    if (op_.limit > 0 && static_cast<size_t>(op_.limit) < n) {
+      auto top = order_.begin() + op_.limit;
+      std::partial_sort(order_.begin(), top, order_.end(), before);
+      order_.erase(top, order_.end());
+    } else {
+      std::sort(order_.begin(), order_.end(), before);
+    }
     pos_ = 0;
     return Status::Ok();
   }
 
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
     batch->Reset(ctx->batch_capacity);
-    while (pos_ < rows_.size() && !batch->full()) {
-      batch->PushRef(&rows_[pos_++]);
+    while (pos_ < order_.size() && !batch->full()) {
+      batch->PushRef(rows_[order_[pos_++]]);
     }
     return batch->size() > 0;
   }
 
-  void Close() override { rows_.clear(); }
+  void Close() override {
+    if (child_open_) child_->Close();
+    child_open_ = false;
+    rows_.clear();
+    computed_.clear();
+    order_.clear();
+    held_.Clear();
+  }
 
-  int64_t MemoryBytes() const override { return RowsBytes(rows_); }
+  // Moved rows, computed keys and the pointer/order arrays; referenced
+  // input rows belong to the child.
+  int64_t MemoryBytes() const override {
+    double key_bytes = 0;
+    for (const Value& v : computed_) key_bytes += v.SizeBytes();
+    return held_.OwnedBytes() + static_cast<int64_t>(key_bytes) +
+           static_cast<int64_t>(rows_.size() * sizeof(const Row*) +
+                                order_.size() * sizeof(uint32_t));
+  }
 
  private:
+  struct KeyRef {
+    int ordinal = -1;   // >= 0: a column of the input row, compared in place
+    int computed = -1;  // >= 0: index among the evaluated keys
+    bool desc = false;
+  };
+
+  const Value& Key(const KeyRef& k, uint32_t row) const {
+    if (k.ordinal >= 0) return (*rows_[row])[k.ordinal];
+    return computed_[row * static_cast<size_t>(num_computed_) + k.computed];
+  }
+
   const PhysSort& op_;
   std::unique_ptr<ExecNode> child_;
-  std::vector<Row> rows_;
+  std::vector<KeyRef> keys_;
+  int num_computed_ = 0;
+  bool child_open_ = false;
+  HeldRows held_;
+  std::vector<const Row*> rows_;  // input order
+  std::vector<Value> computed_;   // num_computed_ evaluated keys per row
+  std::vector<uint32_t> order_;   // output order, as indexes into rows_
   size_t pos_ = 0;
 };
 
@@ -1524,10 +1737,12 @@ class LimitExec : public ExecNode {
     if (emitted_ >= op_.limit) return false;  // child is never pulled again
     MT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, &input_));
     if (!more) return false;
-    // Pass through by reference, truncated to the remaining quota; input_
-    // owns any arena rows until our next NextBatch/Close.
+    // Pass through by the ownership rule (as in FilterExec), truncated to
+    // the remaining quota.
     const int64_t take = std::min(input_.size(), op_.limit - emitted_);
-    for (int64_t i = 0; i < take; ++i) batch->PushRef(input_.rows[i]);
+    for (int64_t i = 0; i < take; ++i) {
+      batch->PushFrom(&input_, static_cast<size_t>(i));
+    }
     emitted_ += take;
     return batch->size() > 0;
   }
@@ -1590,42 +1805,46 @@ class DistinctExec : public ExecNode {
   RowBatch input_;
 };
 
+// Children are opened one at a time as the stream reaches them and all
+// closed in Close, not as each is exhausted: rows a child handed out by
+// reference must outlive it for as long as a consumer holds them (a sort or
+// hash-join build over a ChoosePlan keeps them until its own Close).
 class UnionAllExec : public ExecNode {
  public:
   explicit UnionAllExec(std::vector<std::unique_ptr<ExecNode>> children)
       : children_(std::move(children)) {}
 
   Status Open(ExecContext* ctx) override {
-    current_ = 0;
-    opened_ = false;
-    // Children are opened lazily so startup predicates can skip branches
-    // without paying their Open cost... except FilterExec handles that
-    // itself, so eager open per-branch as we reach it is fine.
     (void)ctx;
+    current_ = 0;
+    opened_ = 0;
     return Status::Ok();
   }
 
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
     batch->Reset(ctx->batch_capacity);
     while (current_ < children_.size()) {
-      if (!opened_) {
+      if (opened_ == current_) {
         MT_RETURN_IF_ERROR(children_[current_]->Open(ctx));
-        opened_ = true;
+        ++opened_;
       }
       MT_ASSIGN_OR_RETURN(bool more,
                           children_[current_]->NextBatch(ctx, batch));
-      if (more) return true;  // batch borrows the (still-open) child's rows
-      children_[current_]->Close();
+      if (more) return true;
       ++current_;
-      opened_ = false;
     }
     return false;
+  }
+
+  void Close() override {
+    for (size_t i = 0; i < opened_; ++i) children_[i]->Close();
+    opened_ = 0;
   }
 
  private:
   std::vector<std::unique_ptr<ExecNode>> children_;
   size_t current_ = 0;
-  bool opened_ = false;
+  size_t opened_ = 0;  // children [0, opened_) are open
 };
 
 class RemoteQueryExec : public ExecNode {

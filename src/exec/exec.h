@@ -99,12 +99,17 @@ class RemoteExecutor {
 };
 
 /// A batch of rows flowing between operators through NextBatch. Rows are
-/// exposed as `const Row*`: an operator that merely passes stored or
-/// child-owned rows along pushes pointers (PushRef, copy-free), while an
-/// operator that creates rows (projection, aggregation) parks them in the
-/// batch-owned `arena` (PushOwned — a deque, so earlier pointers stay stable
-/// as rows are appended). Pointers in `rows` are valid until the next
-/// NextBatch/Close call on the node that produced the batch.
+/// exposed as `const Row*`, and every row is one of two things:
+///   - owned by this batch's `arena` (PushOwned — a deque, so earlier
+///     pointers stay stable as rows are appended): a row an operator
+///     created (projection, join, aggregation). It lives until the batch is
+///     refilled, so a consumer that keeps it past its next pull moves it out
+///     (PushFrom, or a pipeline breaker's own arena);
+///   - a reference (PushRef): a stored snapshot row, or a row its producer
+///     holds. It stays valid until the operator that produced it is closed.
+/// So a consumer may keep a referenced row's pointer for as long as it keeps
+/// its child open; pipeline breakers (hash-join build, sort, nested-loop
+/// inner) do exactly that instead of copying rows.
 struct RowBatch {
   static constexpr int kMaxRows = 1024;
 
@@ -138,6 +143,16 @@ struct RowBatch {
     arena.push_back(std::move(row));
     rows.push_back(&arena.back());
     owned.push_back(1);
+  }
+  /// Appends row `i` of `src` by the ownership rule: an arena row of `src`
+  /// moves into this batch's arena, a reference stays a reference. `src` is
+  /// about to be refilled, so its moved-from row is never read again.
+  void PushFrom(RowBatch* src, size_t i) {
+    if (src->owned[i] != 0) {
+      PushOwned(std::move(const_cast<Row&>(*src->rows[i])));
+    } else {
+      PushRef(src->rows[i]);
+    }
   }
   /// Appends every row to *out, moving arena-owned rows instead of copying
   /// them (the batch is about to be cleared anyway) and copying referenced
@@ -188,8 +203,9 @@ class ExecNode {
   virtual Status Open(ExecContext* ctx) = 0;
   /// Resets *batch to ctx->batch_capacity, fills it with up to that many
   /// rows, and returns true iff at least one row was produced (short,
-  /// non-empty batches are allowed mid-stream). Row pointers remain valid
-  /// until the next NextBatch/Close on this node.
+  /// non-empty batches are allowed mid-stream). Arena rows live until
+  /// *batch is refilled; referenced rows until this node is closed (see
+  /// RowBatch).
   ///
   /// Demand semantics: the unit of demand is a batch, so a consumer that
   /// stops early (Limit, EXISTS-style probes) may cause its child to produce

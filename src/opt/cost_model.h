@@ -72,9 +72,12 @@ struct CostModel {
   static double ReadRowCost(double row_cost, double row_bytes) {
     return row_cost + row_bytes * kReadByteCost;
   }
-  static double SortCost(double rows) {
+  /// Sorting `rows` rows; with `limit` > 0 only the first `limit` are kept
+  /// (Top-N), which costs n log k instead of n log n.
+  static double SortCost(double rows, double limit = 0) {
     double n = std::max(rows, 2.0);
-    return kSortRowCost * n * std::log2(n);
+    double k = limit > 0 ? std::clamp(limit, 2.0, n) : n;
+    return kSortRowCost * n * std::log2(k);
   }
   static double TransferCost(double rows, double bytes_per_row) {
     return kTransferStartup + rows * bytes_per_row * kTransferByteCost;

@@ -5,9 +5,11 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "opt/cardinality.h"
 #include "opt/cost_model.h"
+#include "opt/join_outputs.h"
 #include "opt/unparse.h"
 #include "opt/view_matching.h"
 
@@ -39,6 +41,14 @@ bool IsColumnRemap(const std::vector<BExprPtr>& exprs) {
         e->kind != BoundExprKind::kLiteral) {
       return false;
     }
+  }
+  return true;
+}
+
+// Every expression is a bare column reference.
+bool IsColumnSelection(const std::vector<BExprPtr>& exprs) {
+  for (const auto& e : exprs) {
+    if (e->kind != BoundExprKind::kColumnRef) return false;
   }
   return true;
 }
@@ -445,6 +455,10 @@ class Planner {
   const OptimizerOptions& options_;
   bool pretend_local_;
   int* alternatives_;
+  // The limit of a Limit being planned, for the Sort directly below it (or
+  // below a projection under it), which then plans as a Top-N sort. Each
+  // Plan call takes it on entry, so it never reaches any other operator.
+  int64_t top_n_ = 0;
 };
 
 StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
@@ -596,6 +610,7 @@ StatusOr<PlanChoice> Planner::PlanSite(const LogicalGet& get,
 }
 
 StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
+  const int64_t top_n = std::exchange(top_n_, 0);
   PlanResult result;
   result.logical = &node;
   RelStats stats = EstimateLogical(node);
@@ -688,9 +703,26 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
         exprs = std::move(composed);
         input = input->children[0].get();
       }
+      top_n_ = top_n;  // a projection keeps one row per input row
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*input));
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
       if (IsIdentityProjection(exprs, input->schema)) {
+        delivered.plan->schema = node.schema;
+        result.local_plan = std::move(delivered.plan);
+        result.local_cost = delivered.cost;
+        return result;
+      }
+      // A column selection over a join composes into the join's output
+      // list: the join builds the selected columns and nothing else, with
+      // no projection (and no projection charge) above it.
+      if (std::vector<int>* output = JoinOutput(delivered.plan.get());
+          output != nullptr && IsColumnSelection(exprs)) {
+        std::vector<int> composed;
+        for (const auto& e : exprs) {
+          int ord = static_cast<const BoundColumnRef&>(*e).ordinal;
+          composed.push_back(output->empty() ? ord : (*output)[ord]);
+        }
+        *output = std::move(composed);
         delivered.plan->schema = node.schema;
         result.local_plan = std::move(delivered.plan);
         result.local_cost = delivered.cost;
@@ -903,16 +935,16 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
                            left_rows * CostModel::kHashProbeRowCost +
                            result.rows * CostModel::kFilterRowCost;
         // Commuted alternative (inner joins only): build on the LEFT input
-        // and probe with the right, restoring column order with a Project.
+        // and probe with the right. Its output list restores (left, right)
+        // column order, so it costs what the uncommuted join does with the
+        // inputs' roles swapped.
         double swapped_cost = kInf;
         if (join.join_kind == JoinKind::kInner) {
           ++*alternatives_;
           swapped_cost = lplan.cost + rplan.cost +
                          left_rows * CostModel::kHashBuildRowCost +
                          right_rows * CostModel::kHashProbeRowCost +
-                         result.rows *
-                             (CostModel::kFilterRowCost +
-                              CostModel::kProjectRowCost);
+                         result.rows * CostModel::kFilterRowCost;
         }
         if (inlj_plan != nullptr && inlj_cost < hash_cost &&
             inlj_cost < swapped_cost) {
@@ -943,29 +975,17 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
             swapped_residual.push_back(std::move(copy));
           }
           phys->residual = AndTogether(std::move(swapped_residual));
-          phys->schema =
-              Schema::Concat(node.children[1]->schema, node.children[0]->schema);
+          // Emit (left, right) column order for the parent.
+          for (int o = 0; o < left_width; ++o) {
+            phys->output.push_back(right_width + o);
+          }
+          for (int o = 0; o < right_width; ++o) phys->output.push_back(o);
+          phys->schema = node.schema;
           phys->est_rows = result.rows;
           phys->est_cost = swapped_cost;
           phys->children.push_back(std::move(rplan.plan));  // probe
           phys->children.push_back(std::move(lplan.plan));  // build
-          // Restore (left, right) column order for the parent.
-          auto project = std::make_unique<PhysProject>();
-          for (int o = 0; o < left_width; ++o) {
-            const ColumnInfo& col = node.children[0]->schema.column(o);
-            project->exprs.push_back(std::make_unique<BoundColumnRef>(
-                right_width + o, col.type, col.name));
-          }
-          for (int o = 0; o < right_width; ++o) {
-            const ColumnInfo& col = node.children[1]->schema.column(o);
-            project->exprs.push_back(
-                std::make_unique<BoundColumnRef>(o, col.type, col.name));
-          }
-          project->schema = node.schema;
-          project->est_rows = result.rows;
-          project->est_cost = swapped_cost;
-          project->children.push_back(std::move(phys));
-          result.local_plan = std::move(project);
+          result.local_plan = std::move(phys);
           result.local_cost = swapped_cost;
           return result;
         }
@@ -1027,8 +1047,10 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
       double child_rows = child.rows;
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
-      double cost = delivered.cost + CostModel::SortCost(child_rows);
+      double cost = delivered.cost +
+                    CostModel::SortCost(child_rows, static_cast<double>(top_n));
       auto phys = std::make_unique<PhysSort>();
+      phys->limit = top_n;
       for (const auto& k : sort.keys) {
         SortKey key;
         key.expr = CloneBound(*k.expr);
@@ -1045,6 +1067,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
     }
     case LogicalKind::kLimit: {
       const auto& limit = static_cast<const LogicalLimit&>(node);
+      top_n_ = limit.limit;
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
       auto phys = std::make_unique<PhysLimit>();
@@ -1405,6 +1428,7 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const LogicalOp& query) const {
   MT_ASSIGN_OR_RETURN(PlanResult root, planner.Plan(*work));
   double root_rows = root.rows;
   MT_ASSIGN_OR_RETURN(PlanChoice choice, planner.DeliverLocal(std::move(root)));
+  NarrowJoinOutputs(choice.plan.get());
 
   out.plan = std::move(choice.plan);
   out.est_cost = choice.cost;

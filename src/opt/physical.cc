@@ -24,6 +24,19 @@ std::string PushdownSuffix(const BExprPtr& pred,
 
 }  // namespace
 
+std::vector<int>* JoinOutput(PhysicalOp* op) {
+  switch (op->kind) {
+    case PhysicalKind::kNLJoin:
+      return &static_cast<PhysNLJoin*>(op)->output;
+    case PhysicalKind::kIndexNLJoin:
+      return &static_cast<PhysIndexNLJoin*>(op)->output;
+    case PhysicalKind::kHashJoin:
+      return &static_cast<PhysHashJoin*>(op)->output;
+    default:
+      return nullptr;
+  }
+}
+
 std::string PhysicalOpLabel(const PhysicalOp& op) {
   switch (op.kind) {
     case PhysicalKind::kDualScan:
@@ -64,8 +77,10 @@ std::string PhysicalOpLabel(const PhysicalOp& op) {
     }
     case PhysicalKind::kHashAggregate:
       return "HashAggregate";
-    case PhysicalKind::kSort:
-      return "Sort";
+    case PhysicalKind::kSort: {
+      const int64_t limit = static_cast<const PhysSort&>(op).limit;
+      return limit > 0 ? "Sort(top " + std::to_string(limit) + ")" : "Sort";
+    }
     case PhysicalKind::kLimit:
       return "Limit(" +
              std::to_string(static_cast<const PhysLimit&>(op).limit) + ")";

@@ -105,6 +105,11 @@ struct PhysNLJoin : PhysicalOp {
   PhysNLJoin() : PhysicalOp(PhysicalKind::kNLJoin) {}
   JoinKind join_kind = JoinKind::kInner;
   BExprPtr condition;  // over concat(left, right); null = cross
+  /// The ordinals of concat(left, right) the join emits, in order; empty =
+  /// the whole concatenation. The same for every join kind: the planner
+  /// composes a column selection above a join into it, and
+  /// NarrowJoinOutputs trims it to the columns the plan above consumes.
+  std::vector<int> output;
 };
 
 /// Index nested-loop join: children[0] is the outer input; the inner side is
@@ -125,6 +130,14 @@ struct PhysIndexNLJoin : PhysicalOp {
   /// As PhysIndexSeek::row_bytes, for the inner rows each seek fetches.
   double inner_row_bytes = 0;
   BExprPtr residual;          // over concat(left, projected inner)
+  std::vector<int> output;    // as PhysNLJoin::output
+
+  /// Width of the (projected) inner rows the join concatenates.
+  int InnerWidth() const {
+    return inner_projection.empty()
+               ? inner_def->schema.num_columns()
+               : static_cast<int>(inner_projection.size());
+  }
 };
 
 struct PhysHashJoin : PhysicalOp {
@@ -134,6 +147,7 @@ struct PhysHashJoin : PhysicalOp {
   std::vector<int> probe_keys;  // ordinals in left output
   std::vector<int> build_keys;  // ordinals in right output
   BExprPtr residual;            // over concat(left, right); may be null
+  std::vector<int> output;      // as PhysNLJoin::output
 };
 
 struct PhysHashAggregate : PhysicalOp {
@@ -145,6 +159,10 @@ struct PhysHashAggregate : PhysicalOp {
 struct PhysSort : PhysicalOp {
   PhysSort() : PhysicalOp(PhysicalKind::kSort) {}
   std::vector<SortKey> keys;
+  /// > 0: a Top-N sort, set by the planner under a Limit (seeing through a
+  /// projection): only the first `limit` rows by (keys, input position) are
+  /// kept, which is what a stable sort followed by the Limit returns.
+  int64_t limit = 0;
 };
 
 struct PhysLimit : PhysicalOp {
@@ -168,6 +186,10 @@ struct PhysRemoteQuery : PhysicalOp {
   std::string server;
   std::string sql;
 };
+
+/// The output list of a join operator (PhysNLJoin / PhysIndexNLJoin /
+/// PhysHashJoin::output); null for every other kind.
+std::vector<int>* JoinOutput(PhysicalOp* op);
 
 /// Single-node label ("SeqScan(item)", "RemoteQuery[backend](...)"), shared
 /// by EXPLAIN rendering and the per-operator profile tree.

@@ -18,10 +18,15 @@
 // columnar aggregate absorb against the same aggregate over an input the
 // columnar path cannot serve.
 //
-// The memory test pins down the copy-free snapshot scan: a 1%-selective
-// scan over a 100k-row table with ~100-byte rows must report an operator
-// memory high-water of O(rows * sizeof(pointer)), not O(table payload),
-// through sys.dm_exec_query_profiles.
+// The lifetime cases feed rows owned by a batch arena through Filter, Limit
+// and UnionAll into the operators that hold rows across pulls (hash-join
+// build, sort, nested-loop inner), locally and across a cache/backend pair;
+// under ASan a row held past its lifetime fails them.
+//
+// The memory tests pin down the copy-free snapshot scan, sort and hash
+// join: over a 100k-row table with ~100-byte rows each must report an
+// operator memory high-water of O(rows * sizeof(pointer)), not O(table
+// payload), through sys.dm_exec_query_profiles.
 
 #include <algorithm>
 #include <cmath>
@@ -34,6 +39,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/server.h"
+#include "mtcache/mtcache.h"
 #include "expr/bound_expr.h"
 #include "expr/vector_kernels.h"
 #include "types/column.h"
@@ -151,6 +157,38 @@ std::vector<std::pair<std::string, bool>> RandomCorpus() {
   return corpus;
 }
 
+// ~500 item rows and ~800 orders rows, loaded through the storage layer
+// (the INSERT path would spend the fixture parsing). Deterministic
+// contents, including NULLs in nullable columns.
+void Load(Server* server) {
+  ASSERT_TRUE(server
+                  ->ExecuteScript(
+                      "CREATE TABLE item (i_id INT PRIMARY KEY, "
+                      "i_subject VARCHAR(16), i_cost FLOAT, i_qty INT); "
+                      "CREATE INDEX item_qty ON item (i_qty); "
+                      "CREATE TABLE orders (o_id INT PRIMARY KEY, "
+                      "o_item INT, o_total FLOAT)")
+                  .ok());
+  static const char* kSubjects[] = {"history", "poetry", "travel", "crime"};
+  StoredTable* item = server->db().GetStoredTable("item");
+  StoredTable* orders = server->db().GetStoredTable("orders");
+  auto txn = server->db().txn_manager().Begin();
+  for (int i = 1; i <= 500; ++i) {
+    Row r = {Value::Int(i), Value::String(kSubjects[i % 4]),
+             i % 11 == 0 ? Value::Null() : Value::Double((i * 7) % 100),
+             i % 13 == 0 ? Value::Null() : Value::Int(i % 20)};
+    ASSERT_TRUE(item->Insert(r, txn.get()).ok());
+  }
+  for (int o = 1; o <= 800; ++o) {
+    // o_item deliberately overshoots [1, 500] so joins see dangling keys.
+    Row r = {Value::Int(o), Value::Int((o * 3) % 600),
+             Value::Double((o % 50) * 1.25)};
+    ASSERT_TRUE(orders->Insert(r, txn.get()).ok());
+  }
+  server->db().txn_manager().Commit(txn.get(), 0.0);
+  server->RecomputeStats();
+}
+
 class BatchDiffTest : public ::testing::Test {
  protected:
   BatchDiffTest() {
@@ -159,38 +197,6 @@ class BatchDiffTest : public ::testing::Test {
 
   void SetUp() override {
     for (auto& server : servers_) Load(server.get());
-  }
-
-  // ~500 item rows and ~800 orders rows, loaded through the storage layer
-  // (the INSERT path would spend the fixture parsing). Deterministic
-  // contents, including NULLs in nullable columns.
-  static void Load(Server* server) {
-    ASSERT_TRUE(server
-                    ->ExecuteScript(
-                        "CREATE TABLE item (i_id INT PRIMARY KEY, "
-                        "i_subject VARCHAR(16), i_cost FLOAT, i_qty INT); "
-                        "CREATE INDEX item_qty ON item (i_qty); "
-                        "CREATE TABLE orders (o_id INT PRIMARY KEY, "
-                        "o_item INT, o_total FLOAT)")
-                    .ok());
-    static const char* kSubjects[] = {"history", "poetry", "travel", "crime"};
-    StoredTable* item = server->db().GetStoredTable("item");
-    StoredTable* orders = server->db().GetStoredTable("orders");
-    auto txn = server->db().txn_manager().Begin();
-    for (int i = 1; i <= 500; ++i) {
-      Row r = {Value::Int(i), Value::String(kSubjects[i % 4]),
-               i % 11 == 0 ? Value::Null() : Value::Double((i * 7) % 100),
-               i % 13 == 0 ? Value::Null() : Value::Int(i % 20)};
-      ASSERT_TRUE(item->Insert(r, txn.get()).ok());
-    }
-    for (int o = 1; o <= 800; ++o) {
-      // o_item deliberately overshoots [1, 500] so joins see dangling keys.
-      Row r = {Value::Int(o), Value::Int((o * 3) % 600),
-               Value::Double((o % 50) * 1.25)};
-      ASSERT_TRUE(orders->Insert(r, txn.get()).ok());
-    }
-    server->db().txn_manager().Commit(txn.get(), 0.0);
-    server->RecomputeStats();
   }
 
   // Runs `sql` at every capacity and requires results identical to the
@@ -309,49 +315,245 @@ TEST_F(BatchDiffTest, ResultsTrackDmlOnBothPaths) {
              "WHERE i.i_cost > 500.0");
 }
 
+// Pipeline breakers hold their inputs' rows instead of copying them: a
+// hash-join build side, a sort input and a nested-loop inner keep
+// references (and move arena rows into their own arena) for as long as
+// they run. These shapes feed them rows that arrive owned by a batch arena
+// (pushed projections, aggregate output) through a Filter, a Limit or a
+// UnionAll, each of which must hand arena rows on, not borrow them from a
+// batch its child refills. Under ASan a row held past its batch is a
+// use-after-free; everywhere, capacity 1 and 7 refill batches mid-stream.
+TEST_F(BatchDiffTest, HeldRowsOutliveTheirInputBatches) {
+  const char* kUnion =
+      "(SELECT i_id + 0 AS x FROM item WHERE i_id < 50 UNION ALL "
+      "SELECT o_id + 0 FROM orders WHERE o_id < 50) u";
+  // Hash-join build sides: aggregate output through a Filter, pushed
+  // projections through a Filter over a Limit, and through a UnionAll.
+  ExpectSame("SELECT o.o_id, g.c FROM orders o JOIN (SELECT i_qty, COUNT(*) "
+             "c FROM item GROUP BY i_qty) g ON o.o_item = g.i_qty "
+             "WHERE g.c > 20");
+  ExpectSame("SELECT t.i_id, o.o_id FROM orders o JOIN (SELECT TOP 100 i_id, "
+             "i_cost + 1.0 AS c FROM item) t ON o.o_item = t.i_id "
+             "WHERE t.c > 20.0");
+  ExpectSame(std::string("SELECT o.o_id, u.x FROM orders o JOIN ") + kUnion +
+             " ON o.o_item = u.x");
+  // Sort inputs: the same three routes, plus a projection of a Top-N sort's
+  // output through a Limit into a second Top-N sort.
+  ExpectSame("SELECT i_qty, c FROM (SELECT i_qty, COUNT(*) c FROM item "
+             "GROUP BY i_qty) g WHERE c > 20 ORDER BY c DESC, i_qty",
+             /*ordered=*/true);
+  ExpectSame("SELECT i_id, c FROM (SELECT TOP 300 i_id, i_cost + 1.0 AS c "
+             "FROM item) t WHERE c > 20.0 ORDER BY c DESC, i_id",
+             /*ordered=*/true);
+  ExpectSame(std::string("SELECT x FROM ") + kUnion + " ORDER BY x DESC",
+             /*ordered=*/true);
+  ExpectSame("SELECT TOP 5 * FROM (SELECT TOP 40 i_id, i_cost * 2.0 AS c2 "
+             "FROM item ORDER BY i_id) t ORDER BY c2 DESC, i_id",
+             /*ordered=*/true);
+  // A nested-loop inner of projected rows through a Limit.
+  ExpectSame("SELECT a.i_id, t.c FROM item a JOIN (SELECT TOP 30 i_id, "
+             "i_cost + 1.0 AS c FROM item) t ON a.i_qty > t.c "
+             "WHERE a.i_id < 20");
+  // A commuted hash join emits (left, right) order through its output list,
+  // narrowed below a sort to the columns the select list reads.
+  ExpectSame("SELECT TOP 20 o.o_total, i.i_subject FROM item i JOIN orders o "
+             "ON i.i_id = o.o_item WHERE i.i_qty = 3 "
+             "ORDER BY o.o_total DESC, o.o_id",
+             /*ordered=*/true);
+}
+
+// Narrowing join outputs and projections renumbers the operators above
+// them, but never renames a result column: Filter, Sort and Limit keep
+// their own names (not their input's) for the columns they pass through.
+TEST_F(BatchDiffTest, NarrowedPlansKeepResultColumnNames) {
+  const char* kGroups =
+      "(SELECT i_qty, COUNT(*) c FROM item GROUP BY i_qty) g";
+  const std::pair<std::string, std::string> cases[] = {
+      {std::string("SELECT i_qty, c FROM ") + kGroups +
+           " WHERE c > 20 ORDER BY c DESC, i_qty",
+       ".i_qty|.c|"},
+      {std::string("SELECT * FROM ") + kGroups + " WHERE c > 20",
+       "g.i_qty|g.c|"},
+      {"SELECT TOP 5 * FROM (SELECT TOP 40 i_id, i_cost * 2.0 AS c2 FROM "
+       "item ORDER BY i_id) t ORDER BY c2 DESC, i_id",
+       "t.i_id|t.c2|"},
+      {"SELECT x FROM (SELECT i_id + 0 AS x FROM item WHERE i_id < 50 "
+       "UNION ALL SELECT o_id + 0 FROM orders WHERE o_id < 50) u "
+       "ORDER BY x DESC",
+       ".x|"},
+      {"SELECT TOP 3 o.o_total, i.i_subject FROM item i JOIN orders o "
+       "ON i.i_id = o.o_item WHERE i.i_qty = 3 ORDER BY o.o_total",
+       ".o_total|.i_subject|"},
+  };
+  for (const auto& [sql, want] : cases) {
+    auto r = servers_.back()->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    std::string got;
+    for (const ColumnInfo& col : r->schema.columns()) {
+      got += col.table + "." + col.name + "|";
+    }
+    EXPECT_EQ(got, want) << sql;
+  }
+}
+
+// The same lifetimes across the cache/backend boundary: rows a RemoteQuery
+// shipped, and a ChoosePlan UnionAll of a cached view and a remote branch,
+// feeding a hash-join build side and a sort. ChoosePlan is left where the
+// view matched (no pull-up), so the UnionAll sits under the breaker; each
+// query runs with a parameter inside the cached range and one outside it.
+// Every capacity must agree with the others and with the backend.
+TEST(BatchLifetimeCacheTest, RemoteAndChoosePlanRowsOutliveTheirBatches) {
+  SimClock clock;
+  LinkedServerRegistry backend_links;
+  Server backend(ServerOptions{"backend", "dbo", {}}, &clock, &backend_links);
+  Load(&backend);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const std::vector<std::string> queries = {
+      // Sort over the ChoosePlan: projected view rows or remote rows.
+      "SELECT i_id, i_cost + 1.0 AS c FROM item WHERE i_id <= @id "
+      "ORDER BY c DESC, i_id",
+      // Sort over aggregate output over the ChoosePlan.
+      "SELECT i_qty, COUNT(*) c FROM item WHERE i_id <= @id "
+      "GROUP BY i_qty ORDER BY c DESC, i_qty",
+      // Hash join whose inputs are the ChoosePlan and remote orders rows.
+      "SELECT o.o_id, i.i_cost FROM orders o JOIN item i "
+      "ON o.o_item = i.i_id WHERE i.i_id <= @id AND o.o_total < 30.0",
+      // Hash join over aggregate output of the ChoosePlan, sorted.
+      "SELECT TOP 25 o.o_id, g.c FROM orders o JOIN (SELECT i_qty, "
+      "COUNT(*) c FROM item WHERE i_id <= @id GROUP BY i_qty) g "
+      "ON o.o_item = g.i_qty ORDER BY g.c DESC, o.o_id",
+  };
+  const bool ordered[] = {true, true, false, true};
+
+  // results[capacity][query][param]
+  std::vector<std::vector<std::vector<std::vector<std::string>>>> results;
+  for (int capacity : kCapacities) {
+    SCOPED_TRACE("batch capacity " + std::to_string(capacity));
+    LinkedServerRegistry links;
+    ServerOptions options{"cache" + std::to_string(capacity), "dbo", {}};
+    options.exec_batch_capacity = capacity;
+    Server cache(options, &clock, &links);
+    ReplicationSystem repl(&clock);
+    auto setup = MTCache::Setup(&cache, &backend, &repl);
+    ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+    std::unique_ptr<MTCache> mtcache = setup.ConsumeValue();
+    ASSERT_TRUE(mtcache
+                    ->CreateCachedView("item_low",
+                                       "SELECT i_id, i_subject, i_cost, i_qty "
+                                       "FROM item WHERE i_id <= 250")
+                    .ok());
+    OptimizerOptions opts = cache.optimizer_options();
+    opts.pull_up_chooseplan = false;
+    cache.set_optimizer_options(opts);
+    auto& per_query = results.emplace_back();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto plan = cache.Explain(queries[q]);
+      ASSERT_TRUE(plan.ok()) << queries[q] << ": "
+                             << plan.status().ToString();
+      EXPECT_TRUE(plan->dynamic_plan) << PhysicalToString(*plan->plan);
+      auto& per_param = per_query.emplace_back();
+      for (int id : {120, 400}) {
+        ParamMap params;
+        params["@id"] = Value::Int(id);
+        auto got = cache.Execute(queries[q], params, nullptr);
+        auto want = backend.Execute(queries[q], params, nullptr);
+        ASSERT_TRUE(got.ok()) << queries[q] << ": " << got.status().ToString();
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        EXPECT_GT(got->rows.size(), 0u) << queries[q] << " @id=" << id;
+        // The backend agrees on the row multiset and, where the query
+        // orders, on the order.
+        EXPECT_EQ(Canon(*got, ordered[q]), Canon(*want, ordered[q]))
+            << queries[q] << " @id=" << id;
+        per_param.push_back(Canon(*got, ordered[q]));
+      }
+    }
+  }
+  for (size_t c = 0; c + 1 < results.size(); ++c) {
+    EXPECT_EQ(results[c], results.back()) << "capacity " << kCapacities[c];
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Memory regression: copy-free snapshot scans.
 // ---------------------------------------------------------------------------
 
-TEST(BatchScanMemoryTest, SelectiveScanPeaksFarBelowTablePayload) {
-  constexpr int64_t kRows = 100000;
-  Server server(ServerOptions{});
+constexpr int64_t kPaddedRows = 100000;
+
+// kPaddedRows rows of ~130 bytes each: (id, id % 10000, a 96-byte pad).
+void LoadPadded(Server* server) {
   ASSERT_TRUE(server
-                  .ExecuteScript("CREATE TABLE big (id INT PRIMARY KEY, "
-                                 "a INT, pad VARCHAR(100))")
+                  ->ExecuteScript("CREATE TABLE big (id INT PRIMARY KEY, "
+                                  "a INT, pad VARCHAR(100))")
                   .ok());
-  StoredTable* big = server.db().GetStoredTable("big");
+  StoredTable* big = server->db().GetStoredTable("big");
   const std::string pad(96, 'x');
-  auto txn = server.db().txn_manager().Begin();
-  for (int64_t i = 0; i < kRows; ++i) {
+  auto txn = server->db().txn_manager().Begin();
+  for (int64_t i = 0; i < kPaddedRows; ++i) {
     Row row = {Value::Int(i), Value::Int(i % 10000), Value::String(pad)};
     ASSERT_TRUE(big->Insert(row, txn.get()).ok());
   }
-  server.db().txn_manager().Commit(txn.get(), 0.0);
-  server.RecomputeStats();
+  server->db().txn_manager().Commit(txn.get(), 0.0);
+  server->RecomputeStats();
+}
 
-  server.metrics().set_profiling_enabled(true);
-  const std::string sql = "SELECT id, a FROM big WHERE a < 100";  // 1% sel
-  auto r = server.Execute(sql);
-  server.metrics().set_profiling_enabled(false);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows.size(), 1000u);
-
-  // Per-operator high-water through the DMV, as a monitoring client would
-  // read it. The scan holds kRows refcounted row pointers; with the
-  // pre-snapshot executor it held kRows full copies of ~130-byte rows, an
-  // order of magnitude more.
-  auto peak = server.Execute(
+// Runs `sql` profiled and returns its largest per-operator memory
+// high-water, read through the DMV as a monitoring client would.
+int64_t ProfiledPeakBytes(Server* server, const std::string& sql,
+                          size_t expected_rows) {
+  server->metrics().set_profiling_enabled(true);
+  auto r = server->Execute(sql);
+  server->metrics().set_profiling_enabled(false);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return -1;
+  EXPECT_EQ(r->rows.size(), expected_rows) << sql;
+  auto peak = server->Execute(
       "SELECT MAX(mem_peak_bytes) FROM sys.dm_exec_query_profiles "
       "WHERE statement = '" + sql + "'");
-  ASSERT_TRUE(peak.ok()) << peak.status().ToString();
-  ASSERT_EQ(peak->rows.size(), 1u);
-  int64_t peak_bytes = peak->rows[0][0].AsInt();
-  int64_t ptr_snapshot_bytes = kRows * static_cast<int64_t>(sizeof(RowPtr));
-  int64_t payload_floor = kRows * 100;  // 96-byte pad alone, sans overhead
+  EXPECT_TRUE(peak.ok()) << peak.status().ToString();
+  if (!peak.ok() || peak->rows.size() != 1) return -1;
+  return peak->rows[0][0].AsInt();
+}
+
+TEST(BatchScanMemoryTest, SelectiveScanPeaksFarBelowTablePayload) {
+  Server server(ServerOptions{});
+  LoadPadded(&server);
+  if (HasFatalFailure()) return;
+  // The scan holds kPaddedRows refcounted row pointers; with the
+  // pre-snapshot executor it held kPaddedRows full copies of ~130-byte
+  // rows, an order of magnitude more.
+  int64_t peak_bytes = ProfiledPeakBytes(
+      &server, "SELECT id, a FROM big WHERE a < 100", 1000);  // 1% sel
+  int64_t ptr_snapshot_bytes =
+      kPaddedRows * static_cast<int64_t>(sizeof(RowPtr));
+  int64_t payload_floor = kPaddedRows * 100;  // 96-byte pad, sans overhead
   EXPECT_GT(peak_bytes, 0);
   EXPECT_LE(peak_bytes, 2 * ptr_snapshot_bytes);
   EXPECT_LT(peak_bytes, payload_floor / 2);
+}
+
+// Hash joins and sorts hold snapshot rows by reference: their memory is
+// their pointer arrays (and any rows they own), not the payload of the rows
+// they point at, exactly as for the scan above. A Top-N sort and a hash
+// join each over every row of the table: copying the rows, as both once
+// did, costs the payload floor many times over.
+TEST(BatchScanMemoryTest, PipelineBreakersPeakFarBelowTablePayload) {
+  Server server(ServerOptions{});
+  LoadPadded(&server);
+  if (HasFatalFailure()) return;
+  const int64_t ptr_snapshot_bytes =
+      kPaddedRows * static_cast<int64_t>(sizeof(RowPtr));
+  const int64_t payload_floor = kPaddedRows * 100;
+  const std::string sort = "SELECT TOP 10 * FROM big ORDER BY a DESC, id";
+  const std::string join =
+      "SELECT COUNT(*) FROM big b1 JOIN big b2 ON b1.id = b2.id";
+  for (const auto& [sql, rows] : {std::pair{sort, size_t{10}},
+                                  std::pair{join, size_t{1}}}) {
+    int64_t peak_bytes = ProfiledPeakBytes(&server, sql, rows);
+    EXPECT_GT(peak_bytes, 0) << sql;
+    EXPECT_LE(peak_bytes, 2 * ptr_snapshot_bytes) << sql;
+    EXPECT_LT(peak_bytes, payload_floor / 2) << sql;
+  }
 }
 
 // ---------------------------------------------------------------------------

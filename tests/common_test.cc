@@ -1,3 +1,6 @@
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -133,6 +136,43 @@ TEST(StringUtilTest, LikeMatchExact) {
   EXPECT_TRUE(LikeMatch("abc", "abc"));
   EXPECT_FALSE(LikeMatch("abc", "ab"));
   EXPECT_FALSE(LikeMatch("ab", "abc"));
+}
+
+// LikeMatch answers plain patterns (no '_', '%' only at the ends) without
+// backtracking; every pattern must agree with the general matcher. Values
+// and patterns draw from a 3-letter alphabet so matches are frequent.
+TEST(StringUtilTest, LikeMatchAgreesWithBacktrackingOracle) {
+  const char* fixed[][2] = {
+      {"", ""},    {"a", ""},    {"", "%"},    {"", "%%"},   {"abc", "%%"},
+      {"", "a"},   {"ab", "abc"}, {"ab", "%abc"}, {"ab", "abc%"},
+      {"ab", "%abc%"}, {"abab", "%ab%ab%"}, {"aba", "%a"}, {"aba", "a%"},
+      {"aba", "%%b%%"}, {"a", "%a%"}, {"ba", "%a_"}};
+  for (const auto& [value, pattern] : fixed) {
+    EXPECT_EQ(LikeMatch(value, pattern), LikeMatchBacktracking(value, pattern))
+        << "'" << value << "' LIKE '" << pattern << "'";
+  }
+  Random rng(20031);
+  auto draw = [&rng](const char* alphabet, int max_len) {
+    std::string s;
+    const int len = static_cast<int>(rng.Uniform(0, max_len));
+    const int n = static_cast<int>(std::strlen(alphabet));
+    for (int i = 0; i < len; ++i) s += alphabet[rng.Uniform(0, n - 1)];
+    return s;
+  };
+  int matches = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string value = draw("abc", 8);
+    // Plain patterns (wildcards only at the ends) most of the time, so the
+    // fast paths see as many cases as the general one.
+    std::string pattern = i % 4 == 0 ? draw("ab%_", 6)
+                                     : draw("%", 2) + draw("abc", 4) +
+                                           draw("%", 2);
+    const bool want = LikeMatchBacktracking(value, pattern);
+    matches += want ? 1 : 0;
+    ASSERT_EQ(LikeMatch(value, pattern), want)
+        << "'" << value << "' LIKE '" << pattern << "'";
+  }
+  EXPECT_GT(matches, 1000);
 }
 
 TEST(StringUtilTest, SqlQuoteEscapesQuotes) {

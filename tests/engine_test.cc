@@ -124,6 +124,23 @@ TEST_F(EngineTest, EstimatedCostEqualsChargedCost) {
              "SeqScan(t_high_ids) [pred: (t.id >= 150)] [proj: ", 50}}) {
     expect_estimate_is_charge(c);
   }
+  // A Top-N sort is priced and charged n log k, k the limit.
+  const std::string top = "SELECT TOP 5 * FROM t ORDER BY val DESC";
+  auto plan = server_.Explain(top);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(PhysicalOpLabel(*plan->plan->children[0]), "Sort(top 5)")
+      << PhysicalToString(*plan->plan);
+  ExecStats stats;
+  auto r = server_.Execute(top, {}, &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 5u);
+  EXPECT_EQ(r->rows[0][1].AsInt(), 199 * 3);
+  EXPECT_DOUBLE_EQ(plan->est_cost,
+                   stats.local_cost - CostModel::kStatementOverhead);
+  const PhysicalOp& scan = *plan->plan->children[0]->children[0];
+  EXPECT_DOUBLE_EQ(
+      stats.local_cost - CostModel::kStatementOverhead - scan.est_cost,
+      CostModel::SortCost(200, 5));
 }
 
 TEST_F(EngineTest, JoinQuery) {

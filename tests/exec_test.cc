@@ -281,6 +281,41 @@ TEST_F(ExecTest, SortPutsNullsFirst) {
   EXPECT_FALSE(r->rows[3][2].is_null());
 }
 
+// A Top-N sort returns exactly what a full (stable) sort followed by the
+// Limit returns, ties included: grp has duplicates and NULLs, and the
+// second key is computed, so both key kinds are compared.
+TEST_F(ExecTest, TopNSortEqualsSortThenLimit) {
+  auto make_sort = [&](int64_t top) {
+    auto sort = std::make_unique<PhysSort>();
+    SortKey grp;
+    grp.expr = std::make_unique<BoundColumnRef>(2, TypeId::kInt64, "grp");
+    grp.desc = true;
+    sort->keys.push_back(std::move(grp));
+    SortKey parity;  // k % 2: ties within a grp stay in input order
+    parity.expr = std::make_unique<BoundBinary>(
+        BinaryOp::kMod, std::make_unique<BoundColumnRef>(0, TypeId::kInt64, "k"),
+        IntLit(2), TypeId::kInt64);
+    sort->keys.push_back(std::move(parity));
+    sort->limit = top;
+    sort->schema = NumsSchema();
+    sort->children.push_back(Scan());
+    return sort;
+  };
+  auto full = Run(*make_sort(0));
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->rows.size(), 10u);
+  for (int64_t n = 1; n <= 12; ++n) {
+    auto top = Run(*make_sort(n));
+    ASSERT_TRUE(top.ok());
+    const size_t want = std::min<size_t>(static_cast<size_t>(n), 10);
+    ASSERT_EQ(top->rows.size(), want) << "top " << n;
+    for (size_t i = 0; i < want; ++i) {
+      EXPECT_EQ(top->rows[i][0].AsInt(), full->rows[i][0].AsInt())
+          << "top " << n << ", row " << i;
+    }
+  }
+}
+
 TEST_F(ExecTest, DistinctPreservesArrivalOrder) {
   auto project = std::make_unique<PhysProject>();
   project->exprs.push_back(

@@ -445,6 +445,106 @@ TEST_F(TpcwCacheTest, ViewServedPlansMatchBackendShapes) {
   EXPECT_EQ(PhysicalPlanSize(*all->plan), 1);
 }
 
+// Labels of every node of `op`, depth first.
+void CollectLabels(const PhysicalOp& op, std::vector<std::string>* labels) {
+  labels->push_back(PhysicalOpLabel(op));
+  for (const auto& child : op.children) CollectLabels(*child, labels);
+}
+
+bool HasLabel(const PhysicalOp& op, const std::string& label) {
+  std::vector<std::string> labels;
+  CollectLabels(op, &labels);
+  return std::find(labels.begin(), labels.end(), label) != labels.end();
+}
+
+// Top-N: a Sort under a Limit keeps only the limit's rows. The searches'
+// TOP 50 reaches through the select list's projection, and BestSellers'
+// derived table of recent orders keeps its window.
+TEST_F(TpcwCacheTest, SortsUnderTopPlanAsTopN) {
+  for (const char* proc : {"dosubjectsearch", "dotitlesearch",
+                           "doauthorsearch", "getnewproducts"}) {
+    const ProcedureDef* def = cache_.db().catalog().GetProcedure(proc);
+    ASSERT_NE(def, nullptr) << proc;
+    auto plan = cache_.Explain(def->body_source);
+    ASSERT_TRUE(plan.ok()) << proc << ": " << plan.status().ToString();
+    EXPECT_TRUE(HasLabel(*plan->plan, "Sort(top 50)"))
+        << proc << ":\n" << PhysicalToString(*plan->plan);
+  }
+  const ProcedureDef* best = cache_.db().catalog().GetProcedure(
+      "getbestsellers");
+  ASSERT_NE(best, nullptr);
+  auto plan = cache_.Explain(best->body_source);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string window =
+      "Sort(top " + std::to_string(config_.best_seller_window) + ")";
+  EXPECT_TRUE(HasLabel(*plan->plan, window)) << PhysicalToString(*plan->plan);
+  EXPECT_TRUE(HasLabel(*plan->plan, "Sort(top 50)"))
+      << PhysicalToString(*plan->plan);
+}
+
+// EXPLAIN ANALYZE runs the plan EXPLAIN shows: the profiled executor runs
+// the same Top-N sort as the unprofiled one.
+TEST_F(TpcwCacheTest, ExplainAnalyzeShowsTheSameTopN) {
+  const std::string sql =
+      "SELECT TOP 50 i.i_id, i.i_title, i.i_cost, a.a_fname, a.a_lname "
+      "FROM item i, author a WHERE i.i_subject = 'arts' AND "
+      "a.a_id = i.i_a_id ORDER BY i.i_title";
+  auto has_top_n = [](const QueryResult& r) {
+    for (const Row& row : r.rows) {
+      if (row[0].AsString().find("Sort(top 50)") != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  auto plain = cache_.Execute("EXPLAIN " + sql);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_TRUE(has_top_n(*plain));
+  auto analyzed = cache_.Execute("EXPLAIN ANALYZE " + sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_TRUE(has_top_n(*analyzed));
+  auto rows = cache_.Execute(sql);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_GT(rows->rows.size(), 0u);
+}
+
+// A join's output list takes the place of any column selection above it:
+// the commuted hash join emits (left, right) order itself, and no
+// pure-column Project sits directly on a join in any cached plan.
+void ExpectNoProjectionOverJoin(const PhysicalOp& op, int* joins) {
+  auto is_join = [](const PhysicalOp& o) {
+    return o.kind == PhysicalKind::kHashJoin ||
+           o.kind == PhysicalKind::kNLJoin ||
+           o.kind == PhysicalKind::kIndexNLJoin;
+  };
+  if (is_join(op)) ++*joins;
+  if (op.kind == PhysicalKind::kProject && is_join(*op.children[0])) {
+    bool selection = true;
+    for (const auto& e : static_cast<const PhysProject&>(op).exprs) {
+      if (e->kind != BoundExprKind::kColumnRef) selection = false;
+    }
+    EXPECT_FALSE(selection) << "column selection over "
+                            << PhysicalOpLabel(*op.children[0]);
+  }
+  for (const auto& child : op.children) {
+    ExpectNoProjectionOverJoin(*child, joins);
+  }
+}
+
+TEST_F(TpcwCacheTest, JoinsOverCachedViewsFeedNoRestoreProject) {
+  int joins = 0;
+  for (const std::string& proc : ProceduresToCopy()) {
+    const ProcedureDef* def = cache_.db().catalog().GetProcedure(proc);
+    ASSERT_NE(def, nullptr) << proc;
+    if (proc == "getmostrecentorder") continue;  // a script, not one SELECT
+    auto plan = cache_.Explain(def->body_source);
+    ASSERT_TRUE(plan.ok()) << proc << ": " << plan.status().ToString();
+    SCOPED_TRACE(proc + ":\n" + PhysicalToString(*plan->plan));
+    ExpectNoProjectionOverJoin(*plan->plan, &joins);
+  }
+  EXPECT_GE(joins, 6);
+}
+
 TEST_F(TpcwCacheTest, UpdatesFlowThroughCacheToBackendAndBack) {
   // Customer table is not cached: getcustomer is copied and runs locally,
   // fetching remotely. Order placement forwards to the backend and then
