@@ -6,11 +6,13 @@
 // acquisition, predicate evaluation, row materialization).
 //
 // The workload is SELECT id, a FROM scan_t WHERE a < K with K chosen for
-// 1% / 10% / 100% selectivity, plus vectorized-aggregate shapes (a scalar
+// 1% / 10% / 100% selectivity, plus aggregate shapes (a scalar
 // COUNT/SUM/MIN/MAX and a 16-group GROUP BY) over the same table. Rows
 // carry a ~96-byte pad column so row-copy costs are visible. Each cell
 // reports absolute QPS; regressions show against the committed trajectory
-// in BENCH_exp2_scan.json and EXPERIMENTS.md E2.
+// in BENCH_exp2_scan.json and EXPERIMENTS.md E2. Every measured repeat must
+// return exactly its warm-up rows, and the aggregate cells' results must
+// equal the sums kept while loading; a mismatch exits FATAL.
 //
 // The largest table adds an 8-thread closed loop (no think time) on the 1%
 // point, asserting each thread's warm result cardinality matches the
@@ -23,9 +25,13 @@
 // Run with the machine idle; concurrent compiles easily halve these
 // numbers.
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -37,23 +43,91 @@ namespace {
 
 constexpr int kValueDomain = 10000;  // `a` is uniform over [0, kValueDomain)
 
+// What the aggregate cells must return, accumulated while loading.
+struct Expected {
+  // agg_scalar: COUNT(*), SUM(a), MIN(a), MAX(a) over a < kValueDomain / 2.
+  int64_t count = 0;
+  int64_t sum = 0;
+  int64_t min = 0;
+  int64_t max = 0;
+  // agg_group: g -> (COUNT(*), SUM(a)).
+  std::map<int64_t, std::pair<int64_t, int64_t>> groups;
+};
+
 // Loads scan_t with `rows` rows through the storage layer directly (the
 // SQL INSERT path would spend the whole run parsing).
-void LoadTable(Server* server, int64_t rows) {
+Expected LoadTable(Server* server, int64_t rows) {
   Check(server->ExecuteScript("CREATE TABLE scan_t (id INT PRIMARY KEY, "
                               "a INT, g INT, pad VARCHAR(100))"),
         "create scan_t");
   StoredTable* table = server->db().GetStoredTable("scan_t");
   const std::string pad(96, 'x');
   Random rng(0xE25CA9);
+  Expected want;
   auto txn = server->db().txn_manager().Begin();
   for (int64_t i = 0; i < rows; ++i) {
-    Row row = {Value::Int(i), Value::Int(rng.Uniform(0, kValueDomain - 1)),
-               Value::Int(i % 16), Value::String(pad)};
+    const int64_t a = rng.Uniform(0, kValueDomain - 1);
+    Row row = {Value::Int(i), Value::Int(a), Value::Int(i % 16),
+               Value::String(pad)};
     Check(table->Insert(row, txn.get()).status(), "load scan_t");
+    if (a < kValueDomain / 2) {
+      want.min = want.count == 0 ? a : std::min(want.min, a);
+      want.max = want.count == 0 ? a : std::max(want.max, a);
+      ++want.count;
+      want.sum += a;
+    }
+    auto& [group_count, group_sum] = want.groups[i % 16];
+    ++group_count;
+    group_sum += a;
   }
   server->db().txn_manager().Commit(txn.get(), 0.0);
   server->RecomputeStats();
+  return want;
+}
+
+// Same rows in the same order, value for value and type tag for type tag.
+bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (a[r].size() != b[r].size()) return false;
+    for (size_t c = 0; c < a[r].size(); ++c) {
+      const Value& x = a[r][c];
+      const Value& y = b[r][c];
+      if (x.is_null() != y.is_null()) return false;
+      if (!x.is_null() && (x.type() != y.type() || x.Compare(y) != 0)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+void CheckScalarAggregate(const QueryResult& r, const Expected& want) {
+  const std::vector<Row> expect = {{Value::Int(want.count),
+                                    Value::Int(want.sum), Value::Int(want.min),
+                                    Value::Int(want.max)}};
+  if (!SameRows(r.rows, expect)) {
+    std::fprintf(stderr, "FATAL: agg_scalar result differs from the loaded "
+                         "data\n");
+    std::exit(1);
+  }
+}
+
+void CheckGroupedAggregate(const QueryResult& r, const Expected& want) {
+  bool ok = r.rows.size() == want.groups.size();
+  for (const Row& row : r.rows) {
+    if (!ok) break;
+    auto it = want.groups.find(row[0].AsInt());
+    ok = row.size() == 3 && it != want.groups.end() &&
+         SameRows({row}, {{Value::Int(it->first),
+                           Value::Int(it->second.first),
+                           Value::Int(it->second.second)}});
+  }
+  if (!ok) {
+    std::fprintf(stderr, "FATAL: agg_group result differs from the loaded "
+                         "data\n");
+    std::exit(1);
+  }
 }
 
 struct Measurement {
@@ -63,26 +137,33 @@ struct Measurement {
 };
 
 // Runs `sql` repeatedly (warm plan cache) until `min_seconds` of wall clock
-// or `min_iters` iterations, whichever is later.
+// or `min_iters` iterations, whichever is later. `check`, when set, vets the
+// warm-up result; every measured repeat must return exactly the warm-up
+// rows. The comparison is kept out of the timed window.
 Measurement MeasureQps(Server* server, const std::string& sql,
-                       int64_t table_rows, double min_seconds, int min_iters) {
+                       int64_t table_rows, double min_seconds, int min_iters,
+                       const std::function<void(const QueryResult&)>& check) {
   Measurement m;
   QueryResult warm = CheckOk(server->Execute(sql), "warmup query");
+  if (check) check(warm);
   m.result_rows = warm.rows.size();
   int iters = 0;
   auto start = std::chrono::steady_clock::now();
   double elapsed = 0;
+  double checking = 0;  // seconds spent comparing results
   while (iters < min_iters || elapsed < min_seconds) {
     QueryResult r = CheckOk(server->Execute(sql), "measured query");
-    if (r.rows.size() != m.result_rows) {
-      std::fprintf(stderr, "FATAL: result-size flip %zu -> %zu\n",
-                   m.result_rows, r.rows.size());
+    auto check_start = std::chrono::steady_clock::now();
+    if (!SameRows(r.rows, warm.rows)) {
+      std::fprintf(stderr, "FATAL: repeat %d of \"%s\" differs from the "
+                           "warm-up result (%zu -> %zu rows)\n",
+                   iters, sql.c_str(), m.result_rows, r.rows.size());
       std::exit(1);
     }
     ++iters;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
+    auto now = std::chrono::steady_clock::now();
+    checking += std::chrono::duration<double>(now - check_start).count();
+    elapsed = std::chrono::duration<double>(now - start).count() - checking;
   }
   m.qps = iters / elapsed;
   m.scanned_rows_per_sec = m.qps * static_cast<double>(table_rows);
@@ -158,8 +239,11 @@ int main(int argc, char** argv) {
   };
   // One single-thread cell: measured, printed, and appended to the JSON.
   auto cell = [&](Server* server, int64_t rows, const char* label,
-                  const char* query, double sel, const std::string& sql) {
-    Measurement m = MeasureQps(server, sql, rows, min_seconds, min_iters);
+                  const char* query, double sel, const std::string& sql,
+                  const std::function<void(const QueryResult&)>& check =
+                      nullptr) {
+    Measurement m =
+        MeasureQps(server, sql, rows, min_seconds, min_iters, check);
     std::printf("%-10lld %-22s %8d %12.1f %12zu\n",
                 static_cast<long long>(rows), label, 1, m.qps, m.result_rows);
     char buf[256];
@@ -175,7 +259,7 @@ int main(int argc, char** argv) {
   for (int64_t rows : sizes) {
     SimClock clock;
     Server server(ServerOptions{"scanbench", "dbo", {}}, &clock);
-    LoadTable(&server, rows);
+    const Expected want = LoadTable(&server, rows);
 
     for (double sel : selectivities) {
       char label[32];
@@ -183,13 +267,16 @@ int main(int argc, char** argv) {
       cell(&server, rows, label, "scan", sel, ScanSql(sel));
     }
 
-    // Vectorized-aggregate shapes: the scan feeds the aggregate typed
-    // column batches (no row materialization at all).
+    // Aggregate shapes: the scan hands the aggregate row batches, whose
+    // columns it extracts and accumulates in its typed loops. Both results
+    // are checked against the loaded data.
     cell(&server, rows, "agg scalar", "agg_scalar", 0.50,
          "SELECT COUNT(*), SUM(a), MIN(a), MAX(a) FROM scan_t WHERE a < " +
-             std::to_string(kValueDomain / 2));
+             std::to_string(kValueDomain / 2),
+         [&want](const QueryResult& r) { CheckScalarAggregate(r, want); });
     cell(&server, rows, "agg group", "agg_group", 1.00,
-         "SELECT g, COUNT(*), SUM(a) FROM scan_t GROUP BY g");
+         "SELECT g, COUNT(*), SUM(a) FROM scan_t GROUP BY g",
+         [&want](const QueryResult& r) { CheckGroupedAggregate(r, want); });
 
     if (rows != sizes.back()) continue;
 
@@ -200,7 +287,7 @@ int main(int argc, char** argv) {
       const int n_threads = smoke ? 2 : 8;
       const int ops = smoke ? 5 : 40;
       Measurement single = MeasureQps(&server, ScanSql(0.01), rows,
-                                      min_seconds, min_iters);
+                                      min_seconds, min_iters, nullptr);
       ThreadedMeasurement tm =
           MeasureQpsThreaded(&server, ScanSql(0.01), n_threads, ops);
       if (tm.result_rows != single.result_rows) {

@@ -131,7 +131,7 @@ case "$mode" in
       batch_exec_test exec_test exec_alloc_test exp2_scan_throughput
     # The differential corpus proves results do not depend on batch
     # capacity (1, 7 and 1024), plus the kernel-vs-EvalPredicate and
-    # columnar-vs-row aggregate oracles and the NULL-logic kernel tests; the
+    # typed-vs-row aggregate oracles and the NULL-logic kernel tests; the
     # memory tests pin the copy-free scan, sort and hash-join high-waters;
     # the allocation ceilings hold TPC-W's searches and BestSellers to the
     # heap allocations of reference-holding operators; the exec suite

@@ -137,7 +137,7 @@ class MetricsRegistry {
   PlanCacheStats plan_cache;
   OptimizerDecisionStats optimizer;
   ChoosePlanRuntimeStats chooseplan;
-  /// Vectorized executor counters (sys.dm_exec_vector_stats).
+  /// HashAggregate typed-absorb counters (sys.dm_exec_vector_stats).
   VectorExecStats vector_exec;
 
   /// Records one executed SELECT: appends to the trace ring (evicting the

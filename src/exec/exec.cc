@@ -10,6 +10,7 @@
 
 #include "common/wait_stats.h"
 #include "opt/cost_model.h"
+#include "types/column.h"
 
 namespace mtcache {
 
@@ -134,33 +135,6 @@ struct RowEq {
   }
 };
 
-// True iff every projection expression is a bare column reference; fills
-// `ords`/`types` with the referenced input ordinals and their bound types.
-// Such projections are pure column selections: scans emit them with direct
-// Value copies (no EvalBound round trip per cell, which at selectivity 1.0
-// dominated the batch path) and can serve them as typed column vectors.
-bool FastProjection(const std::vector<BExprPtr>& proj, std::vector<int>* ords,
-                    std::vector<TypeId>* types) {
-  for (const BExprPtr& e : proj) {
-    if (e->kind != BoundExprKind::kColumnRef) return false;
-    const auto& ref = static_cast<const BoundColumnRef&>(*e);
-    ords->push_back(ref.ordinal);
-    types->push_back(ref.type);
-  }
-  return true;
-}
-
-void BumpVectorized(ExecContext* ctx, int64_t rows) {
-  if (ctx->vector_stats != nullptr) {
-    ++ctx->vector_stats->vectorized_batches;
-    ctx->vector_stats->vectorized_rows += rows;
-  }
-}
-
-void BumpFallback(ExecContext* ctx) {
-  if (ctx->vector_stats != nullptr) ++ctx->vector_stats->vector_fallbacks;
-}
-
 // Drains every row of `child` (already opened) through fn(batch, i), for
 // the pipeline breakers: a consumer that keeps row i past the call takes it
 // with HeldRows::Hold.
@@ -227,40 +201,158 @@ class DualScanExec : public ExecNode {
   bool done_ = false;
 };
 
+// Emits a scan's pinned rows (a table snapshot's, or an index seek's
+// in-range row versions) batch by batch, applying the predicate and
+// projection the optimizer folded into the scan: non-qualifying rows never
+// leave the scan, and projected rows are built straight into the output
+// batch; unprojected rows are handed out by reference. Costing stays
+// commensurate with the unfused Filter/Project plan: `read_cost` per slot
+// visited, kFilterRowCost per pushed-predicate test, kProjectRowCost per
+// projected output row, and the slots that hold no row (dead heap slots,
+// dead index entries) charged once at exhaustion.
+class PinnedRowEmitter {
+ public:
+  PinnedRowEmitter(const BoundExpr* predicate,
+                   const std::vector<BExprPtr>& projection, double read_cost)
+      : predicate_(predicate), projection_(projection), read_cost_(read_cost) {
+    // A projection of bare column references is a pure column selection:
+    // emitted with direct Value copies, no EvalBound round trip per cell
+    // (which at selectivity 1.0 dominated the batch path).
+    fast_proj_ = !projection_.empty();
+    for (const BExprPtr& e : projection_) {
+      if (e->kind != BoundExprKind::kColumnRef) {
+        fast_proj_ = false;
+        proj_ords_.clear();
+        break;
+      }
+      proj_ords_.push_back(static_cast<const BoundColumnRef&>(*e).ordinal);
+    }
+  }
+
+  double read_cost() const { return read_cost_; }
+
+  // The full charge of one emitted row: read, predicate test, projection.
+  double EmittedRowCost() const {
+    double c = read_cost_;
+    if (predicate_ != nullptr) c += CostModel::kFilterRowCost;
+    if (!projection_.empty()) c += CostModel::kProjectRowCost;
+    return c;
+  }
+
+  // Back to the first row; called by the scan's Open.
+  void Rewind() {
+    pos_ = 0;
+    charged_tail_ = false;
+  }
+
+  // Appends `row` to *batch: its projection (owned), or the row itself (a
+  // reference, valid while the scan keeps it pinned).
+  Status Push(const Row* row, ExecContext* ctx, RowBatch* batch) const {
+    if (projection_.empty()) {
+      batch->PushRef(row);
+      return Status::Ok();
+    }
+    if (fast_proj_) {
+      batch->PushOwned(Select(*row));
+      return Status::Ok();
+    }
+    Row out;
+    out.reserve(projection_.size());
+    for (const BExprPtr& e : projection_) {
+      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e, row, ctx->Eval()));
+      out.push_back(std::move(v));
+    }
+    batch->PushOwned(std::move(out));
+    return Status::Ok();
+  }
+
+  // Fills the empty *batch from rows[pos..], a chunk of ctx->batch_capacity
+  // slots at a time, until a row qualifies (a selective predicate may reject
+  // whole chunks) or the rows run out, when `empty_slots` are charged.
+  // Returns whether *batch holds a row.
+  StatusOr<bool> Emit(ExecContext* ctx, const std::vector<RowPtr>& rows,
+                      int64_t empty_slots, RowBatch* batch) {
+    while (batch->size() == 0 && pos_ < rows.size()) {
+      size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
+                              rows.size() - pos_);
+      ctx->Charge(read_cost_ * static_cast<double>(chunk));
+      scratch_.clear();
+      scratch_.reserve(chunk);
+      for (size_t i = 0; i < chunk; ++i) {
+        scratch_.push_back(rows[pos_ + i].get());
+      }
+      pos_ += chunk;
+      if (predicate_ != nullptr) {
+        ctx->Charge(CostModel::kFilterRowCost * static_cast<double>(chunk));
+        MT_RETURN_IF_ERROR(EvalPredicateBatch(*predicate_, scratch_.data(),
+                                              chunk, ctx->Eval(), &keep_,
+                                              &pred_scratch_));
+        size_t out = 0;
+        for (size_t i = 0; i < chunk; ++i) {
+          if (keep_[i]) scratch_[out++] = scratch_[i];
+        }
+        scratch_.resize(out);
+      }
+      if (projection_.empty()) {
+        batch->PushRefs(scratch_.data(), scratch_.size());
+        continue;
+      }
+      ctx->Charge(CostModel::kProjectRowCost *
+                  static_cast<double>(scratch_.size()));
+      if (fast_proj_) {
+        for (const Row* r : scratch_) batch->PushOwned(Select(*r));
+        continue;
+      }
+      for (const Row* r : scratch_) MT_RETURN_IF_ERROR(Push(r, ctx, batch));
+    }
+    if (batch->size() > 0) return true;
+    if (!charged_tail_) {
+      ctx->Charge(read_cost_ * static_cast<double>(empty_slots));
+      charged_tail_ = true;
+    }
+    return false;
+  }
+
+ private:
+  // The fast projection of `row`: the selected columns, copied.
+  Row Select(const Row& row) const {
+    Row out;
+    out.reserve(proj_ords_.size());
+    for (int ord : proj_ords_) out.push_back(row[ord]);
+    return out;
+  }
+
+  const BoundExpr* const predicate_;  // may be null
+  const std::vector<BExprPtr>& projection_;
+  const double read_cost_;  // per slot visited
+  bool fast_proj_ = false;
+  std::vector<int> proj_ords_;  // valid iff fast_proj_
+  std::vector<const Row*> scratch_;
+  std::vector<char> keep_;
+  PredicateBatchScratch pred_scratch_;
+  size_t pos_ = 0;
+  bool charged_tail_ = false;
+};
+
 // Sequential scan over an immutable table snapshot. Open pins the table's
 // refcounted row-version snapshot (O(1) when cached, one pointer-copy pass
 // under a briefly-held shared latch otherwise) and never touches storage
 // again: no latch is held across NextBatch, concurrent DML installs fresh
 // row versions without disturbing the pinned ones, and no payload is copied —
 // batches hand parents pointers straight into the snapshot.
-//
-// A predicate/projection folded into the scan by the optimizer is applied
-// here: non-qualifying rows never leave the operator, and projected rows are
-// built directly into the output batch. Costing stays commensurate with the
-// unfused Filter/Project plan: ReadRowCost(kSeqRowCost, row_bytes) per slot
-// visited, kFilterRowCost per pushed-predicate test, kProjectRowCost per
-// projected output row, and the dead-slot remainder charged once at
-// exhaustion.
 class SeqScanExec : public ExecNode {
  public:
   explicit SeqScanExec(const PhysSeqScan& op)
       : op_(op),
-        read_cost_(CostModel::ReadRowCost(CostModel::kSeqRowCost,
-                                          op.row_bytes)) {
-    fast_proj_ =
-        !op_.pushed_projection.empty() &&
-        FastProjection(op_.pushed_projection, &proj_ords_, &proj_types_);
-    if (!fast_proj_) {
-      proj_ords_.clear();
-      proj_types_.clear();
-    }
-  }
+        emitter_(op.pushed_predicate.get(), op.pushed_projection,
+                 CostModel::ReadRowCost(CostModel::kSeqRowCost,
+                                        op.row_bytes)) {}
 
   Status Open(ExecContext* ctx) override {
     snapshot_.reset();
     virtual_rows_.clear();
-    pos_ = 0;
-    charged_tail_ = false;
+    virtual_pos_ = 0;
+    emitter_.Rewind();
     if (op_.def->virtual_table) {
       // Virtual tables (sys.dm_* DMVs) are materialized at Open time so a
       // query sees one consistent snapshot of the counters. The pushed
@@ -284,7 +376,7 @@ class SeqScanExec : public ExecNode {
       // charge them now (kept rows are charged as they are emitted).
       int64_t rejected = tested - static_cast<int64_t>(virtual_rows_.size());
       if (rejected > 0) {
-        ctx->Charge((read_cost_ + CostModel::kFilterRowCost) *
+        ctx->Charge((emitter_.read_cost() + CostModel::kFilterRowCost) *
                     static_cast<double>(rejected));
       }
       return Status::Ok();
@@ -301,158 +393,20 @@ class SeqScanExec : public ExecNode {
 
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
     batch->Reset(ctx->batch_capacity);
-    if (op_.def->virtual_table) {
-      while (pos_ < virtual_rows_.size() && !batch->full()) {
-        if (!op_.pushed_projection.empty()) {
-          Row out;
-          MT_RETURN_IF_ERROR(ProjectInto(virtual_rows_[pos_], ctx, &out));
-          batch->PushOwned(std::move(out));
-        } else {
-          batch->PushRef(&virtual_rows_[pos_]);
-        }
-        ++pos_;
-      }
-      ctx->Charge(PerEmittedRowCost() * static_cast<double>(batch->size()));
-      return batch->size() > 0;
+    if (!op_.def->virtual_table) {
+      return emitter_.Emit(ctx, snapshot_->rows, snapshot_->dead_slots, batch);
     }
-    const std::vector<RowPtr>& rows = snapshot_->rows;
-    // Loop chunks until at least one row qualifies (a selective pushed
-    // predicate may reject a whole chunk) or the snapshot is exhausted.
-    while (batch->size() == 0 && pos_ < rows.size()) {
-      size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
-                              rows.size() - pos_);
-      ctx->Charge(read_cost_ * static_cast<double>(chunk));
-      scratch_.clear();
-      scratch_.reserve(chunk);
-      for (size_t i = 0; i < chunk; ++i) {
-        scratch_.push_back(rows[pos_ + i].get());
-      }
-      pos_ += chunk;
-      if (op_.pushed_predicate != nullptr) {
-        ctx->Charge(CostModel::kFilterRowCost * static_cast<double>(chunk));
-        MT_RETURN_IF_ERROR(EvalPredicateBatch(*op_.pushed_predicate,
-                                              scratch_.data(), chunk,
-                                              ctx->Eval(), &keep_,
-                                              &pred_scratch_));
-        size_t out = 0;
-        for (size_t i = 0; i < chunk; ++i) {
-          if (keep_[i]) scratch_[out++] = scratch_[i];
-        }
-        scratch_.resize(out);
-      }
-      if (!op_.pushed_projection.empty()) {
-        ctx->Charge(CostModel::kProjectRowCost *
-                    static_cast<double>(scratch_.size()));
-        if (fast_proj_) {
-          for (const Row* r : scratch_) {
-            Row proj;
-            proj.reserve(proj_ords_.size());
-            for (int ord : proj_ords_) proj.push_back((*r)[ord]);
-            batch->PushOwned(std::move(proj));
-          }
-        } else {
-          for (const Row* r : scratch_) {
-            Row proj;
-            MT_RETURN_IF_ERROR(ProjectInto(*r, ctx, &proj));
-            batch->PushOwned(std::move(proj));
-          }
-        }
-      } else {
-        for (const Row* r : scratch_) batch->PushRef(r);
-      }
+    while (virtual_pos_ < virtual_rows_.size() && !batch->full()) {
+      MT_RETURN_IF_ERROR(
+          emitter_.Push(&virtual_rows_[virtual_pos_++], ctx, batch));
     }
-    if (batch->size() > 0) return true;
-    ChargeTail(ctx);
-    return false;
-  }
-
-  bool PrepareColumnScan(ExecContext* ctx,
-                         const std::vector<int>& wanted) override {
-    (void)ctx;
-    // Columnar serving needs a pinned stored-table snapshot and a projection
-    // that is pure column selection (or none). Output ordinals whose bound
-    // type is kNull could never extract; refuse up front rather than falling
-    // back on every batch.
-    if (op_.def->virtual_table || snapshot_ == nullptr) return false;
-    if (!op_.pushed_projection.empty() && !fast_proj_) return false;
-    const int width = op_.schema.num_columns();
-    for (int w : wanted) {
-      if (w < 0 || w >= width) return false;
-      if (WantedType(w) == TypeId::kNull) return false;
-    }
-    col_wanted_ = wanted;
-    return true;
-  }
-
-  StatusOr<bool> NextColumnBatch(ExecContext* ctx, ColumnBatch* batch,
-                                 bool* fallback) override {
-    *fallback = false;
-    const std::vector<RowPtr>& rows = snapshot_->rows;
-    batch->Reset(op_.schema.num_columns());
-    while (batch->size == 0 && pos_ < rows.size()) {
-      size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
-                              rows.size() - pos_);
-      if (op_.pushed_predicate == nullptr) {
-        // Extract straight from the pinned RowPtr span. Nothing is charged
-        // or advanced until every wanted column extracts, so a mixed-type
-        // column leaves the cursor (and the cost ledger) exactly where
-        // NextBatch will resume.
-        for (int w : col_wanted_) {
-          if (!ExtractSnapshotColumn(*snapshot_, pos_, pos_ + chunk,
-                                     SourceOrdinal(w), WantedType(w),
-                                     &batch->cols[w])) {
-            BumpFallback(ctx);
-            *fallback = true;
-            return false;
-          }
-        }
-        ctx->Charge(PerEmittedRowCost() * static_cast<double>(chunk));
-        pos_ += chunk;
-        batch->size = static_cast<int64_t>(chunk);
-      } else {
-        scratch_.clear();
-        scratch_.reserve(chunk);
-        for (size_t i = 0; i < chunk; ++i) {
-          scratch_.push_back(rows[pos_ + i].get());
-        }
-        MT_RETURN_IF_ERROR(EvalPredicateBatch(*op_.pushed_predicate,
-                                              scratch_.data(), chunk,
-                                              ctx->Eval(), &keep_,
-                                              &pred_scratch_));
-        size_t out = 0;
-        for (size_t i = 0; i < chunk; ++i) {
-          if (keep_[i]) scratch_[out++] = scratch_[i];
-        }
-        for (int w : col_wanted_) {
-          if (!ExtractColumn(scratch_.data(), out, SourceOrdinal(w),
-                             WantedType(w), &batch->cols[w])) {
-            BumpFallback(ctx);
-            *fallback = true;
-            return false;  // pos_ untouched: predicate re-runs in
-                           // NextBatch, which is also where it gets charged
-          }
-        }
-        ctx->Charge((read_cost_ + CostModel::kFilterRowCost) *
-                    static_cast<double>(chunk));
-        if (!op_.pushed_projection.empty()) {
-          ctx->Charge(CostModel::kProjectRowCost * static_cast<double>(out));
-        }
-        pos_ += chunk;
-        batch->size = static_cast<int64_t>(out);
-      }
-    }
-    if (batch->size > 0) {
-      BumpVectorized(ctx, batch->size);
-      return true;
-    }
-    ChargeTail(ctx);
-    return false;
+    ctx->Charge(emitter_.EmittedRowCost() * static_cast<double>(batch->size()));
+    return batch->size() > 0;
   }
 
   void Close() override {
     snapshot_.reset();  // unpin the row versions
     virtual_rows_.clear();
-    scratch_.clear();
   }
 
   int64_t MemoryBytes() const override {
@@ -466,70 +420,23 @@ class SeqScanExec : public ExecNode {
   }
 
  private:
-  double PerEmittedRowCost() const {
-    double c = read_cost_;
-    if (op_.pushed_predicate != nullptr) c += CostModel::kFilterRowCost;
-    if (!op_.pushed_projection.empty()) c += CostModel::kProjectRowCost;
-    return c;
-  }
-
-  Status ProjectInto(const Row& in, ExecContext* ctx, Row* out) const {
-    out->clear();
-    out->reserve(op_.pushed_projection.size());
-    for (const BExprPtr& e : op_.pushed_projection) {
-      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e, &in, ctx->Eval()));
-      out->push_back(std::move(v));
-    }
-    return Status::Ok();
-  }
-
-  void ChargeTail(ExecContext* ctx) {
-    if (charged_tail_) return;
-    int64_t dead = snapshot_ != nullptr ? snapshot_->dead_slots : 0;
-    ctx->Charge(read_cost_ * static_cast<double>(dead));
-    charged_tail_ = true;
-  }
-
-  // Mapping from scan output ordinal to stored-table ordinal/type: identity
-  // without a pushed projection, the referenced column for a fast (all
-  // column-ref) projection.
-  int SourceOrdinal(int w) const { return fast_proj_ ? proj_ords_[w] : w; }
-  TypeId WantedType(int w) const {
-    return fast_proj_ ? proj_types_[w] : op_.schema.column(w).type;
-  }
-
   const PhysSeqScan& op_;
-  const double read_cost_;  // per slot visited
+  PinnedRowEmitter emitter_;
   HeapSnapshotPtr snapshot_;
   std::vector<Row> virtual_rows_;  // DMV rows (owned; stored scans share)
-  std::vector<const Row*> scratch_;
-  std::vector<char> keep_;
-  PredicateBatchScratch pred_scratch_;
-  bool fast_proj_ = false;
-  std::vector<int> proj_ords_;      // valid iff fast_proj_
-  std::vector<TypeId> proj_types_;  // valid iff fast_proj_
-  std::vector<int> col_wanted_;     // output ordinals for columnar serving
-  size_t pos_ = 0;
-  bool charged_tail_ = false;
+  size_t virtual_pos_ = 0;
 };
 
 // Index seek. The in-range row versions are pinned (refcounted, payload-free)
-// under one shared latch at Open; folded predicate/projection are applied at
-// emission exactly as in SeqScanExec.
+// under one shared latch at Open and emitted as SeqScanExec emits its
+// snapshot.
 class IndexSeekExec : public ExecNode {
  public:
   explicit IndexSeekExec(const PhysIndexSeek& op)
       : op_(op),
-        read_cost_(CostModel::ReadRowCost(CostModel::kIndexRowCost,
-                                          op.row_bytes)) {
-    fast_proj_ =
-        !op_.pushed_projection.empty() &&
-        FastProjection(op_.pushed_projection, &proj_ords_, &proj_types_);
-    if (!fast_proj_) {
-      proj_ords_.clear();
-      proj_types_.clear();
-    }
-  }
+        emitter_(op.pushed_predicate.get(), op.pushed_projection,
+                 CostModel::ReadRowCost(CostModel::kIndexRowCost,
+                                        op.row_bytes)) {}
 
   Status Open(ExecContext* ctx) override {
     StoredTable* table = ctx->storage != nullptr
@@ -540,9 +447,8 @@ class IndexSeekExec : public ExecNode {
     }
     ctx->Charge(CostModel::kIndexSeekCost);
     rows_.clear();
-    pos_ = 0;
     dead_entries_ = 0;
-    charged_tail_ = false;
+    emitter_.Rewind();
 
     Row prefix;
     for (const BExprPtr& e : op_.eq_prefix) {
@@ -599,122 +505,10 @@ class IndexSeekExec : public ExecNode {
 
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
     batch->Reset(ctx->batch_capacity);
-    while (batch->size() == 0 && pos_ < rows_.size()) {
-      size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
-                              rows_.size() - pos_);
-      ctx->Charge(read_cost_ * static_cast<double>(chunk));
-      scratch_.clear();
-      scratch_.reserve(chunk);
-      for (size_t i = 0; i < chunk; ++i) {
-        scratch_.push_back(rows_[pos_ + i].get());
-      }
-      pos_ += chunk;
-      if (op_.pushed_predicate != nullptr) {
-        ctx->Charge(CostModel::kFilterRowCost * static_cast<double>(chunk));
-        MT_RETURN_IF_ERROR(EvalPredicateBatch(*op_.pushed_predicate,
-                                              scratch_.data(), chunk,
-                                              ctx->Eval(), &keep_,
-                                              &pred_scratch_));
-        size_t out = 0;
-        for (size_t i = 0; i < chunk; ++i) {
-          if (keep_[i]) scratch_[out++] = scratch_[i];
-        }
-        scratch_.resize(out);
-      }
-      if (!op_.pushed_projection.empty()) {
-        ctx->Charge(CostModel::kProjectRowCost *
-                    static_cast<double>(scratch_.size()));
-        if (fast_proj_) {
-          for (const Row* r : scratch_) {
-            Row proj;
-            proj.reserve(proj_ords_.size());
-            for (int ord : proj_ords_) proj.push_back((*r)[ord]);
-            batch->PushOwned(std::move(proj));
-          }
-        } else {
-          for (const Row* r : scratch_) {
-            Row proj;
-            MT_RETURN_IF_ERROR(ProjectInto(*r, ctx, &proj));
-            batch->PushOwned(std::move(proj));
-          }
-        }
-      } else {
-        for (const Row* r : scratch_) batch->PushRef(r);
-      }
-    }
-    if (batch->size() > 0) return true;
-    ChargeTail(ctx);
-    return false;
+    return emitter_.Emit(ctx, rows_, dead_entries_, batch);
   }
 
-  bool PrepareColumnScan(ExecContext* ctx,
-                         const std::vector<int>& wanted) override {
-    (void)ctx;
-    if (!op_.pushed_projection.empty() && !fast_proj_) return false;
-    const int width = op_.schema.num_columns();
-    for (int w : wanted) {
-      if (w < 0 || w >= width) return false;
-      if (WantedType(w) == TypeId::kNull) return false;
-    }
-    col_wanted_ = wanted;
-    return true;
-  }
-
-  StatusOr<bool> NextColumnBatch(ExecContext* ctx, ColumnBatch* batch,
-                                 bool* fallback) override {
-    *fallback = false;
-    batch->Reset(op_.schema.num_columns());
-    while (batch->size == 0 && pos_ < rows_.size()) {
-      size_t chunk = std::min(static_cast<size_t>(ctx->batch_capacity),
-                              rows_.size() - pos_);
-      scratch_.clear();
-      scratch_.reserve(chunk);
-      for (size_t i = 0; i < chunk; ++i) {
-        scratch_.push_back(rows_[pos_ + i].get());
-      }
-      size_t out = chunk;
-      if (op_.pushed_predicate != nullptr) {
-        MT_RETURN_IF_ERROR(EvalPredicateBatch(*op_.pushed_predicate,
-                                              scratch_.data(), chunk,
-                                              ctx->Eval(), &keep_,
-                                              &pred_scratch_));
-        out = 0;
-        for (size_t i = 0; i < chunk; ++i) {
-          if (keep_[i]) scratch_[out++] = scratch_[i];
-        }
-      }
-      for (int w : col_wanted_) {
-        if (!ExtractColumn(scratch_.data(), out, SourceOrdinal(w),
-                           WantedType(w), &batch->cols[w])) {
-          // Nothing charged, pos_ untouched: NextBatch resumes (and is
-          // charged) exactly here.
-          BumpFallback(ctx);
-          *fallback = true;
-          return false;
-        }
-      }
-      ctx->Charge(read_cost_ * static_cast<double>(chunk));
-      if (op_.pushed_predicate != nullptr) {
-        ctx->Charge(CostModel::kFilterRowCost * static_cast<double>(chunk));
-      }
-      if (!op_.pushed_projection.empty()) {
-        ctx->Charge(CostModel::kProjectRowCost * static_cast<double>(out));
-      }
-      pos_ += chunk;
-      batch->size = static_cast<int64_t>(out);
-    }
-    if (batch->size > 0) {
-      BumpVectorized(ctx, batch->size);
-      return true;
-    }
-    ChargeTail(ctx);
-    return false;
-  }
-
-  void Close() override {
-    rows_.clear();
-    scratch_.clear();
-  }
+  void Close() override { rows_.clear(); }
 
   int64_t MemoryBytes() const override {
     // Pinned pointers only; payloads belong to the table's version store.
@@ -722,40 +516,10 @@ class IndexSeekExec : public ExecNode {
   }
 
  private:
-  Status ProjectInto(const Row& in, ExecContext* ctx, Row* out) const {
-    out->clear();
-    out->reserve(op_.pushed_projection.size());
-    for (const BExprPtr& e : op_.pushed_projection) {
-      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e, &in, ctx->Eval()));
-      out->push_back(std::move(v));
-    }
-    return Status::Ok();
-  }
-
-  void ChargeTail(ExecContext* ctx) {
-    if (charged_tail_) return;
-    ctx->Charge(read_cost_ * static_cast<double>(dead_entries_));
-    charged_tail_ = true;
-  }
-
-  int SourceOrdinal(int w) const { return fast_proj_ ? proj_ords_[w] : w; }
-  TypeId WantedType(int w) const {
-    return fast_proj_ ? proj_types_[w] : op_.schema.column(w).type;
-  }
-
   const PhysIndexSeek& op_;
-  const double read_cost_;  // per index entry visited
+  PinnedRowEmitter emitter_;
   std::vector<RowPtr> rows_;
-  std::vector<const Row*> scratch_;
-  std::vector<char> keep_;
-  PredicateBatchScratch pred_scratch_;
-  bool fast_proj_ = false;
-  std::vector<int> proj_ords_;      // valid iff fast_proj_
-  std::vector<TypeId> proj_types_;  // valid iff fast_proj_
-  std::vector<int> col_wanted_;
-  size_t pos_ = 0;
   int64_t dead_entries_ = 0;
-  bool charged_tail_ = false;
 };
 
 // True if the subtree contains a RemoteQuery: classifies a startup-guarded
@@ -1257,11 +1021,21 @@ class HashJoinExec : public ExecNode {
   int32_t chain_ = -1;                  // next build row to test
 };
 
+// Hash aggregation. Open drains the child batch by batch. When every
+// group-by item and aggregate argument is a bare column reference, each
+// batch's referenced columns are extracted into typed vectors (ExtractColumn
+// over the batch's row pointers) and accumulated by typed loops, with no
+// EvalBound or StatusOr<Value> per cell. A batch whose columns do not
+// extract (a type tag that differs from the bound type) is absorbed row by
+// row instead. The choice is made per batch, from the input alone, and both
+// paths reach the same states.
 class HashAggregateExec : public ExecNode {
  public:
   HashAggregateExec(const PhysHashAggregate& op,
                     std::unique_ptr<ExecNode> child)
-      : op_(op), child_(std::move(child)) {}
+      : op_(op), child_(std::move(child)) {
+    typed_ = TypedShape();
+  }
 
   struct AggState {
     int64_t count = 0;          // non-null inputs (or all rows for COUNT(*))
@@ -1275,23 +1049,15 @@ class HashAggregateExec : public ExecNode {
     MT_RETURN_IF_ERROR(child_->Open(ctx));
     groups_.clear();
     order_.clear();
-    // Columnar absorb: when the child is a scan that can serve the group-by
-    // and aggregate-argument columns as typed vectors, accumulate straight
-    // off the payload arrays (no EvalBound / StatusOr<Value> per cell). A
-    // mid-stream type-mix fallback leaves the child's cursor in place and
-    // the row drain below finishes the remainder.
-    bool absorbed_all = false;
-    if (ColumnarShapes()) {
-      std::vector<int> wanted = WantedOrdinals();
-      if (child_->PrepareColumnScan(ctx, wanted)) {
-        MT_RETURN_IF_ERROR(AbsorbColumnar(ctx, &absorbed_all));
+    RowBatch batch;
+    while (true) {
+      MT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, &batch));
+      if (!more) break;
+      ctx->Charge(CostModel::kAggRowCost * static_cast<double>(batch.size()));
+      if (AbsorbTyped(batch, ctx)) continue;
+      for (const Row* row : batch.rows) {
+        MT_RETURN_IF_ERROR(Absorb(*row, ctx));
       }
-    }
-    if (!absorbed_all) {
-      MT_RETURN_IF_ERROR(
-          DrainRows(child_.get(), ctx, [this, ctx](RowBatch* batch, size_t i) {
-            return Absorb(*batch->rows[i], ctx);
-          }));
     }
     child_->Close();
     // Scalar aggregate over an empty input still produces one row.
@@ -1329,7 +1095,6 @@ class HashAggregateExec : public ExecNode {
 
  private:
   Status Absorb(const Row& row, ExecContext* ctx) {
-    ctx->Charge(CostModel::kAggRowCost);
     Row key;
     for (const BExprPtr& g : op_.group_by) {
       MT_ASSIGN_OR_RETURN(Value v, EvalBound(*g, &row, ctx->Eval()));
@@ -1389,22 +1154,32 @@ class HashAggregateExec : public ExecNode {
     return Value::Null();
   }
 
-  // --- Columnar absorb ------------------------------------------------------
+  // --- Typed absorb --------------------------------------------------------
 
   // True iff every group-by item and aggregate argument is a bare column
-  // reference — the shapes the typed accumulate loops handle. Anything else
-  // (expressions, COUNT(DISTINCT)-style rewrites) absorbs row batches.
-  bool ColumnarShapes() const {
-    for (const BExprPtr& g : op_.group_by) {
-      if (g->kind != BoundExprKind::kColumnRef) return false;
-    }
+  // reference of a concrete type — the shapes the typed loops handle; fills
+  // typed_cols_ with the referenced input columns. Anything else
+  // (expressions, COUNT(DISTINCT)-style rewrites) absorbs row by row.
+  bool TypedShape() {
+    std::vector<const BoundExpr*> refs;
+    for (const BExprPtr& g : op_.group_by) refs.push_back(g.get());
     for (const AggItem& item : op_.aggs) {
-      if (item.func == AggFunc::kCountStar) continue;
-      if (item.arg == nullptr ||
-          item.arg->kind != BoundExprKind::kColumnRef) {
+      if (item.func != AggFunc::kCountStar) refs.push_back(item.arg.get());
+    }
+    int width = 0;
+    for (const BoundExpr* e : refs) {
+      if (e == nullptr || e->kind != BoundExprKind::kColumnRef ||
+          e->type == TypeId::kNull) {
         return false;
       }
+      const int ord = RefOrdinal(*e);
+      if (std::none_of(typed_cols_.begin(), typed_cols_.end(),
+                       [ord](const auto& c) { return c.first == ord; })) {
+        typed_cols_.emplace_back(ord, e->type);
+      }
+      width = std::max(width, ord + 1);
     }
+    cols_.resize(static_cast<size_t>(width));
     return true;
   }
 
@@ -1412,44 +1187,35 @@ class HashAggregateExec : public ExecNode {
     return static_cast<const BoundColumnRef&>(e).ordinal;
   }
 
-  std::vector<int> WantedOrdinals() const {
-    std::vector<int> wanted;
-    for (const BExprPtr& g : op_.group_by) wanted.push_back(RefOrdinal(*g));
-    for (const AggItem& item : op_.aggs) {
-      if (item.func != AggFunc::kCountStar) {
-        wanted.push_back(RefOrdinal(*item.arg));
+  // Absorbs `batch` through the typed loops. Returns false, having absorbed
+  // nothing, when the shape is not typed or a column does not extract.
+  bool AbsorbTyped(const RowBatch& batch, ExecContext* ctx) {
+    if (!typed_) return false;
+    VectorExecStats* stats = ctx->vector_stats;
+    const size_t n = batch.rows.size();
+    for (const auto& [ord, type] : typed_cols_) {
+      if (!ExtractColumn(batch.rows.data(), n, ord, type, &cols_[ord])) {
+        if (stats != nullptr) ++stats->vector_fallbacks;
+        return false;
       }
     }
-    std::sort(wanted.begin(), wanted.end());
-    wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
-    return wanted;
-  }
-
-  Status AbsorbColumnar(ExecContext* ctx, bool* complete) {
-    ColumnBatch batch;
-    while (true) {
-      bool fallback = false;
-      MT_ASSIGN_OR_RETURN(bool more,
-                          child_->NextColumnBatch(ctx, &batch, &fallback));
-      if (!more) {
-        *complete = !fallback;
-        return Status::Ok();
-      }
-      const size_t n = static_cast<size_t>(batch.size);
-      ctx->Charge(CostModel::kAggRowCost * static_cast<double>(n));
-      if (op_.group_by.empty()) {
-        AbsorbBatchScalar(batch, n);
-      } else {
-        AbsorbBatchGrouped(batch, n);
-      }
+    if (op_.group_by.empty()) {
+      AbsorbBatchScalar(n);
+    } else {
+      AbsorbBatchGrouped(n);
     }
+    if (stats != nullptr) {
+      ++stats->vectorized_batches;
+      stats->vectorized_rows += static_cast<int64_t>(n);
+    }
+    return true;
   }
 
   // Scalar (no GROUP BY) accumulation: one state vector, tight typed loops.
   // Semantics mirror Absorb exactly — SUM accumulates doubles in row order,
   // sum_is_int flips only when a non-NULL double is absorbed, and MIN/MAX
   // keep the first value on Compare ties.
-  void AbsorbBatchScalar(const ColumnBatch& batch, size_t n) {
+  void AbsorbBatchScalar(size_t n) {
     auto [it, inserted] =
         groups_.try_emplace(Row{}, std::vector<AggState>(op_.aggs.size()));
     if (inserted) order_.push_back(&*it);
@@ -1461,7 +1227,7 @@ class HashAggregateExec : public ExecNode {
         st.count += static_cast<int64_t>(n);
         continue;
       }
-      const ColumnVector& col = batch.cols[RefOrdinal(*item.arg)];
+      const ColumnVector& col = cols_[RefOrdinal(*item.arg)];
       const uint8_t* nulls = col.nulls.data();
       const bool has_nulls = col.has_nulls;
       switch (item.func) {
@@ -1506,13 +1272,16 @@ class HashAggregateExec : public ExecNode {
   // payloads both probes fail, exactly like Value::Compare's probe form, so
   // a NaN that arrives first sticks and one that arrives later never
   // replaces — identical to Absorb. kBool/kString values go through
-  // GetValue so the stored Value keeps its original type tag.
+  // GetValue so the stored Value keeps its original type tag, and so does a
+  // column whose current best has another type tag (left by a batch that was
+  // absorbed row by row).
   void AbsorbMinMax(const ColumnVector& col, size_t n, bool is_min,
                     AggState* st) {
     Value& best = is_min ? st->min : st->max;
     const uint8_t* nulls = col.nulls.data();
     const bool has_nulls = col.has_nulls;
-    if (col.type == TypeId::kInt64) {
+    const bool typed_best = st->count == 0 || best.type() == col.type;
+    if (typed_best && col.type == TypeId::kInt64) {
       int64_t cur = st->count > 0 ? best.AsInt() : 0;
       for (size_t i = 0; i < n; ++i) {
         if (has_nulls && nulls[i] != 0) continue;
@@ -1523,7 +1292,7 @@ class HashAggregateExec : public ExecNode {
       if (st->count > 0) best = Value::Int(cur);
       return;
     }
-    if (col.type == TypeId::kDouble) {
+    if (typed_best && col.type == TypeId::kDouble) {
       double cur = st->count > 0 ? best.AsDouble() : 0;
       for (size_t i = 0; i < n; ++i) {
         if (has_nulls && nulls[i] != 0) continue;
@@ -1548,13 +1317,13 @@ class HashAggregateExec : public ExecNode {
   // Grouped accumulation: keys are rebuilt per row (group identity needs
   // Value hashing/equality), but aggregate updates read the typed payloads
   // directly — no EvalBound for either side.
-  void AbsorbBatchGrouped(const ColumnBatch& batch, size_t n) {
+  void AbsorbBatchGrouped(size_t n) {
     Row key;
     for (size_t r = 0; r < n; ++r) {
       key.clear();
       key.reserve(op_.group_by.size());
       for (const BExprPtr& g : op_.group_by) {
-        key.push_back(batch.cols[RefOrdinal(*g)].GetValue(r));
+        key.push_back(cols_[RefOrdinal(*g)].GetValue(r));
       }
       auto [it, inserted] =
           groups_.try_emplace(key, std::vector<AggState>(op_.aggs.size()));
@@ -1567,7 +1336,7 @@ class HashAggregateExec : public ExecNode {
           ++st.count;
           continue;
         }
-        const ColumnVector& col = batch.cols[RefOrdinal(*item.arg)];
+        const ColumnVector& col = cols_[RefOrdinal(*item.arg)];
         if (col.has_nulls && col.nulls[r] != 0) continue;
         ++st.count;
         switch (item.func) {
@@ -1602,6 +1371,9 @@ class HashAggregateExec : public ExecNode {
   std::unordered_map<Row, std::vector<AggState>, RowHasher, RowEq> groups_;
   std::vector<std::pair<const Row, std::vector<AggState>>*> order_;
   size_t emit_pos_ = 0;
+  bool typed_ = false;
+  std::vector<std::pair<int, TypeId>> typed_cols_;  // (input ordinal, type)
+  std::vector<ColumnVector> cols_;  // by input ordinal; typed_cols_ filled
 };
 
 // Sort over row pointers. The input is held, not copied (as a hash-join
@@ -1921,23 +1693,6 @@ class ProfiledNode : public ExecNode {
     StatusOr<bool> more = inner_->NextBatch(ctx, batch);
     prof_->next_seconds += Elapsed(t0);
     if (more.ok() && more.value()) prof_->actual_rows += batch->size();
-    return more;
-  }
-
-  bool PrepareColumnScan(ExecContext* ctx,
-                         const std::vector<int>& wanted) override {
-    return inner_->PrepareColumnScan(ctx, wanted);
-  }
-
-  // Columnar batches count like row batches: next_calls per pull,
-  // actual_rows per row delivered.
-  StatusOr<bool> NextColumnBatch(ExecContext* ctx, ColumnBatch* batch,
-                                 bool* fallback) override {
-    ++prof_->next_calls;
-    auto t0 = std::chrono::steady_clock::now();
-    StatusOr<bool> more = inner_->NextColumnBatch(ctx, batch, fallback);
-    prof_->next_seconds += Elapsed(t0);
-    if (more.ok() && more.value()) prof_->actual_rows += batch->size;
     return more;
   }
 

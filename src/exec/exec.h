@@ -76,14 +76,15 @@ struct ChoosePlanRuntimeStats {
   RelaxedInt64 remote_branches = 0;   // guard passed, branch ships RemoteQuery
 };
 
-/// Counters for the vectorized executor path, bumped by scans. The engine
-/// points ExecContext at the copy inside its MetricsRegistry; relaxed
+/// Counters for HashAggregate's typed absorb, bumped per input batch. The
+/// engine points ExecContext at the copy inside its MetricsRegistry; relaxed
 /// atomics, since every session's executor bumps the same instance. Rendered
 /// by sys.dm_exec_vector_stats.
 struct VectorExecStats {
-  RelaxedInt64 vectorized_batches = 0;  // ColumnBatches served by scans
-  RelaxedInt64 vectorized_rows = 0;     // rows delivered in those batches
-  RelaxedInt64 vector_fallbacks = 0;    // columnar scans that hit mixed types
+  RelaxedInt64 vectorized_batches = 0;  // batches absorbed by the typed loops
+  RelaxedInt64 vectorized_rows = 0;     // rows in those batches
+  RelaxedInt64 vector_fallbacks = 0;    // batches whose columns did not
+                                        // extract (mixed type tags)
 };
 
 /// Executes shipped SQL on a linked server. Implemented by engine::Server.
@@ -138,6 +139,10 @@ struct RowBatch {
   void PushRef(const Row* row) {
     rows.push_back(row);
     owned.push_back(0);
+  }
+  void PushRefs(const Row* const* refs, size_t n) {
+    rows.insert(rows.end(), refs, refs + n);
+    owned.resize(rows.size(), 0);
   }
   void PushOwned(Row row) {
     arena.push_back(std::move(row));
@@ -214,30 +219,6 @@ class ExecNode {
   /// the child once satisfied, bounding the over-pull to a single partial
   /// batch rather than one extra batch per call.
   virtual StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) = 0;
-  /// Columnar drive mode, implemented by scans. Called after Open: returns
-  /// true iff this node can serve NextColumnBatch producing typed vectors
-  /// for exactly the output ordinals in `wanted` (other ordinals of the
-  /// ColumnBatch stay empty). The default refuses; consumers then drive the
-  /// node through NextBatch instead.
-  virtual bool PrepareColumnScan(ExecContext* ctx,
-                                 const std::vector<int>& wanted) {
-    (void)ctx;
-    (void)wanted;
-    return false;
-  }
-  /// Produces the next column batch (only after PrepareColumnScan returned
-  /// true). Returns true with *batch filled, or false at end of stream. If
-  /// the node hits data the typed vectors cannot represent (a column with
-  /// mixed type tags), it returns false with *fallback set, leaving its
-  /// cursor where NextBatch calls will resume exactly there — the consumer
-  /// switches to row batches for the remainder.
-  virtual StatusOr<bool> NextColumnBatch(ExecContext* ctx, ColumnBatch* batch,
-                                         bool* fallback) {
-    (void)ctx;
-    (void)batch;
-    *fallback = true;
-    return false;
-  }
   virtual void Close() {}
   /// Current bytes held in operator-private materializations (hash tables,
   /// sort buffers, scan snapshots). Sampled by the profiler after Open and
@@ -256,7 +237,7 @@ struct OperatorProfile {
   double est_cost = 0;
   int64_t actual_rows = 0;  // rows in the batches NextBatch returned
   int64_t opens = 0;        // Open calls (inner of a rescanning join > 1)
-  int64_t next_calls = 0;   // NextBatch (or NextColumnBatch) pulls
+  int64_t next_calls = 0;   // NextBatch pulls
   double open_seconds = 0;   // real time inside Open (recursive)
   double next_seconds = 0;   // real time inside NextBatch (recursive)
   double close_seconds = 0;  // real time inside Close (recursive)

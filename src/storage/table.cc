@@ -354,43 +354,4 @@ TableStats ComputeTableStats(const Schema& schema, const HeapTable& heap) {
   return stats;
 }
 
-bool ExtractSnapshotColumn(const HeapSnapshot& snap, size_t begin, size_t end,
-                           int ordinal, TypeId expected, ColumnVector* out) {
-  if (expected == TypeId::kNull) return false;
-  const size_t n = end - begin;
-  out->Reset(expected, n);
-  const RowPtr* rows = snap.rows.data() + begin;
-  // Two-stage prefetch, as in ExtractColumn: the Row header first, then the
-  // Value array one half-window later once the header is cached.
-  constexpr size_t kAhead = 16;
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kAhead < n) __builtin_prefetch(rows[i + kAhead].get());
-    if (i + kAhead / 2 < n) {
-      __builtin_prefetch(rows[i + kAhead / 2]->data() + ordinal);
-    }
-    const Value& v = (*rows[i])[ordinal];
-    if (v.is_null()) {
-      out->nulls[i] = 1;
-      out->has_nulls = true;
-      continue;
-    }
-    if (v.type() != expected) return false;
-    switch (expected) {
-      case TypeId::kBool:
-      case TypeId::kInt64:
-        out->ints[i] = v.AsInt();
-        break;
-      case TypeId::kDouble:
-        out->dbls[i] = v.AsDouble();
-        break;
-      case TypeId::kString:
-        out->strs[i] = &v.AsString();
-        break;
-      case TypeId::kNull:
-        return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace mtcache

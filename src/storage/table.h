@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "storage/bptree.h"
 #include "storage/wal.h"
-#include "types/column.h"
 #include "types/value.h"
 
 namespace mtcache {
@@ -207,15 +206,6 @@ class TransactionManager {
 
 /// Recomputes TableStats by scanning the heap.
 TableStats ComputeTableStats(const Schema& schema, const HeapTable& heap);
-
-/// Extracts column `ordinal` of a snapshot's rows [begin, end) into `*out`
-/// as type `expected`, reading straight through the pinned RowPtr span (no
-/// intermediate pointer vector). Same strict-typing contract as
-/// ExtractColumn: returns false on a non-NULL value whose type tag differs,
-/// leaving the caller on the row path. The borrowed string pointers in *out
-/// stay valid while the snapshot is held.
-bool ExtractSnapshotColumn(const HeapSnapshot& snap, size_t begin, size_t end,
-                           int ordinal, TypeId expected, ColumnVector* out);
 
 }  // namespace mtcache
 

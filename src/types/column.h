@@ -9,16 +9,17 @@
 
 namespace mtcache {
 
-/// A typed, flat view of one column across a run of rows: the executor's
-/// third data representation next to Row and RowBatch. Payloads are split by
+/// A typed, flat view of one column across a run of rows, extracted from the
+/// rows' pointers by the code that reads them (EvalPredicateBatch's compare
+/// kernels, HashAggregate's typed absorb). It is a kernel input, not a
+/// representation operators exchange. Payloads are split by
 /// type into contiguous arrays so predicate/aggregate kernels run tight
 /// branch-free loops the compiler can vectorize, instead of per-row
 /// Value::Compare calls through the tagged union.
 ///
 /// Strings are borrowed (`const std::string*` into the source rows): a
 /// ColumnVector is only valid while the rows it was extracted from stay
-/// pinned (a scan's HeapSnapshot, a batch's arena). Nothing is refcounted
-/// here — this is a transient kernel input, not a storage format.
+/// alive. Nothing is refcounted here.
 ///
 /// NULLs use a byte-per-row mask rather than a packed bitmap: kernels read
 /// `nulls[i]` with no shift/mask dependency chain, it widens to a SIMD lane
@@ -44,19 +45,6 @@ struct ColumnVector {
   /// original NULL's type tag is not preserved, which is observationally
   /// equivalent everywhere (Compare/Hash/rendering ignore a NULL's tag).
   Value GetValue(size_t i) const;
-};
-
-/// A batch of column vectors, indexed by output ordinal of the producing
-/// operator. Only the ordinals a consumer asked for are populated; the rest
-/// stay empty (scan-level column pruning).
-struct ColumnBatch {
-  int64_t size = 0;
-  std::vector<ColumnVector> cols;
-
-  void Reset(size_t width) {
-    size = 0;
-    cols.resize(width);
-  }
 };
 
 /// Extracts column `ordinal` of `rows[0..n)` into `*out` as type `expected`.

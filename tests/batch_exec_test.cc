@@ -12,11 +12,12 @@
 //        exactly where it stopped;
 //   1024 the production default (RowBatch::kMaxRows).
 // The corpus is a hand-written set that exercises every operator, then a
-// seeded stream of randomly generated queries. Two more oracles check the
+// seeded stream of randomly generated queries. More oracles check the
 // vectorized pieces against their per-row counterparts: EvalPredicateBatch
-// against EvalPredicate over the random corpus's pushed predicates, and the
-// columnar aggregate absorb against the same aggregate over an input the
-// columnar path cannot serve.
+// against EvalPredicate over the random corpus's pushed predicates, and
+// HashAggregate's typed absorb against the same aggregate with arguments
+// the typed loops refuse, through SQL and, across a batch of mixed type
+// tags, directly on the executor.
 //
 // The lifetime cases feed rows owned by a batch arena through Filter, Limit
 // and UnionAll into the operators that hold rows across pulls (hash-join
@@ -721,6 +722,116 @@ TEST(PredicateBatchNullTest, LikeShapesMatchRowOracle) {
 }
 
 // ---------------------------------------------------------------------------
+// HashAggregate's typed absorb across a mid-stream type mix, directly on the
+// executor. A virtual table feeds the aggregate three batches: typed, then
+// one whose aggregated column mixes int and string tags, then typed again.
+// The mixed batch is absorbed row by row and the typed loops resume after
+// it; results must equal a per-row oracle (the same aggregate with its
+// arguments wrapped in COALESCE, which the typed loops refuse).
+// ---------------------------------------------------------------------------
+
+class FixedRows : public VirtualTableProvider {
+ public:
+  explicit FixedRows(std::vector<Row> rows) : rows_(std::move(rows)) {}
+  StatusOr<std::vector<Row>> VirtualTableRows(
+      const std::string&, const VirtualRowFilter&) override {
+    return rows_;
+  }
+
+ private:
+  std::vector<Row> rows_;
+};
+
+// (g, c, x): 3 * capacity rows. Batch 1 holds the strings in c; NULLs are
+// scattered through every column.
+std::vector<Row> MixedTypeRows(int capacity) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 3 * capacity; ++i) {
+    const bool mixed_batch = i / capacity == 1;
+    Value c = Value::Int((i * 37) % 101 - 50);
+    if (mixed_batch && i % 2 == 1) c = Value::String("s" + std::to_string(i));
+    if (i % 5 == 3) c = Value::Null();
+    rows.push_back({i % 6 == 4 ? Value::Null() : Value::Int(i % 3), c,
+                    i % 7 == 2 ? Value::Null() : Value::Int(i)});
+  }
+  return rows;
+}
+
+// HashAggregate over a SeqScan of `def`: COUNT(*), COUNT(c), MIN(c),
+// MAX(c), SUM(x), AVG(x), grouped on g or scalar. `wrap` puts each argument
+// in COALESCE.
+PhysicalPtr MixedTypeAggregate(const TableDef* def, bool grouped, bool wrap) {
+  auto scan = std::make_unique<PhysSeqScan>();
+  scan->def = def;
+  scan->schema = def->schema;
+  auto agg = std::make_unique<PhysHashAggregate>();
+  auto arg = [wrap](int ord) {
+    BExprPtr ref = ColRef(ord, TypeId::kInt64);
+    if (!wrap) return ref;
+    std::vector<BExprPtr> args;
+    args.push_back(std::move(ref));
+    return BExprPtr(std::make_unique<BoundFunction>(
+        BuiltinFn::kCoalesce, std::move(args), TypeId::kInt64));
+  };
+  std::vector<ColumnInfo> cols;
+  if (grouped) {
+    agg->group_by.push_back(ColRef(0, TypeId::kInt64));
+    cols.push_back({"g", TypeId::kInt64, "", true});
+  }
+  const std::pair<AggFunc, int> kAggs[] = {
+      {AggFunc::kCountStar, -1}, {AggFunc::kCount, 1}, {AggFunc::kMin, 1},
+      {AggFunc::kMax, 1},        {AggFunc::kSum, 2},   {AggFunc::kAvg, 2}};
+  for (const auto& [func, ord] : kAggs) {
+    AggItem item;
+    item.func = func;
+    if (ord >= 0) item.arg = arg(ord);
+    agg->aggs.push_back(std::move(item));
+    cols.push_back({"a" + std::to_string(agg->aggs.size()), TypeId::kInt64,
+                    "", true});
+  }
+  agg->schema = Schema(std::move(cols));
+  agg->children.push_back(std::move(scan));
+  return agg;
+}
+
+TEST(AggregateTypeMixTest, MixedBatchFallsBackThenTypedLoopsResume) {
+  TableDef def;
+  def.name = "mixed";
+  def.virtual_table = true;
+  def.schema = Schema({{"g", TypeId::kInt64, "mixed", true},
+                       {"c", TypeId::kInt64, "mixed", true},
+                       {"x", TypeId::kInt64, "mixed", true}});
+  for (int capacity : kCapacities) {
+    FixedRows provider(MixedTypeRows(capacity));
+    for (bool grouped : {false, true}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                   (grouped ? " grouped" : " scalar"));
+      auto run = [&](bool wrap, VectorExecStats* stats) {
+        PhysicalPtr plan = MixedTypeAggregate(&def, grouped, wrap);
+        ExecContext ctx;
+        ctx.virtual_tables = &provider;
+        ctx.vector_stats = stats;
+        ctx.batch_capacity = capacity;
+        auto result = ExecutePlan(*plan, &ctx);
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        return result.ok() ? Canon(*result, false)
+                           : std::vector<std::string>{};
+      };
+      VectorExecStats typed;
+      VectorExecStats oracle;
+      const std::vector<std::string> got = run(false, &typed);
+      const std::vector<std::string> want = run(true, &oracle);
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(typed.vectorized_batches.load(), 2);
+      EXPECT_EQ(typed.vectorized_rows.load(), 2 * capacity);
+      EXPECT_EQ(typed.vector_fallbacks.load(), 1);
+      EXPECT_EQ(oracle.vectorized_batches.load(), 0);
+      EXPECT_EQ(oracle.vector_fallbacks.load(), 0);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // FilterCompareColumn against a per-row Value::Compare reference, over
 // randomized typed vectors with NULLs — including NaN, where the kernel must
 // replicate Value::Compare's probe-form outcome bit for bit.
@@ -870,56 +981,83 @@ TEST_F(BatchDiffTest, CorpusPredicatesBatchKernelsMatchPerRowEval) {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate shapes: the vectorized absorb (COUNT/SUM/AVG/MIN/MAX, scalar and
-// grouped) over NULL-bearing and empty inputs, at every capacity, and
-// against the row absorb of the same aggregate.
+// Aggregate shapes: the typed absorb (COUNT/SUM/AVG/MIN/MAX, scalar and
+// grouped, over scans and over a join) over NULL-bearing and empty inputs,
+// at every capacity, and against the row absorb of the same aggregate.
 // ---------------------------------------------------------------------------
 
 struct AggregateCase {
-  const char* select;  // select list
-  const char* rest;    // text after FROM item (WHERE / GROUP BY), or ""
-  bool vectorizes;     // the direct form feeds at least one column batch
+  const char* select;      // select list
+  const char* row_select;  // the same list with every argument wrapped in
+                           // COALESCE, a shape the typed absorb refuses
+  const char* from;        // FROM clause
+  const char* rest;        // WHERE / GROUP BY text, or ""
+  bool vectorizes;         // the direct form absorbs at least one typed batch
 };
 
 const AggregateCase kAggregateCases[] = {
-    {"COUNT(i_cost), COUNT(*)", "", true},
-    {"SUM(i_qty), AVG(i_cost)", "", true},
-    {"MIN(i_cost), MAX(i_cost), MIN(i_subject), MAX(i_subject)", "", true},
-    {"MIN(i_qty), MAX(i_qty)", "WHERE i_cost > 40.0", true},
+    {"COUNT(i_cost), COUNT(*)", "COUNT(COALESCE(i_cost)), COUNT(*)", "item",
+     "", true},
+    {"SUM(i_qty), AVG(i_cost)", "SUM(COALESCE(i_qty)), AVG(COALESCE(i_cost))",
+     "item", "", true},
+    {"MIN(i_cost), MAX(i_cost), MIN(i_subject), MAX(i_subject)",
+     "MIN(COALESCE(i_cost)), MAX(COALESCE(i_cost)), "
+     "MIN(COALESCE(i_subject)), MAX(COALESCE(i_subject))",
+     "item", "", true},
+    {"MIN(i_qty), MAX(i_qty)", "MIN(COALESCE(i_qty)), MAX(COALESCE(i_qty))",
+     "item", "WHERE i_cost > 40.0", true},
     // All-NULL aggregate input: COUNT 0, the others NULL.
     {"COUNT(i_cost), SUM(i_cost), MIN(i_cost), MAX(i_cost)",
-     "WHERE i_cost IS NULL", true},
+     "COUNT(COALESCE(i_cost)), SUM(COALESCE(i_cost)), "
+     "MIN(COALESCE(i_cost)), MAX(COALESCE(i_cost))",
+     "item", "WHERE i_cost IS NULL", true},
     // Empty input: scalar aggregates still emit their one row, and no
-    // column batch is ever produced.
-    {"COUNT(*), SUM(i_cost), MIN(i_qty)", "WHERE i_id > 10000", false},
+    // batch is ever absorbed.
+    {"COUNT(*), SUM(i_cost), MIN(i_qty)",
+     "COUNT(*), SUM(COALESCE(i_cost)), MIN(COALESCE(i_qty))", "item",
+     "WHERE i_id > 10000", false},
     // Nullable group key: the NULL group must survive identically.
     {"i_qty, COUNT(*) c, SUM(i_cost) s, MIN(i_cost) mn, MAX(i_cost) mx",
-     "GROUP BY i_qty", true},
-    {"i_subject, AVG(i_qty)", "WHERE i_cost > 30.0 GROUP BY i_subject", true},
+     "i_qty, COUNT(*) c, SUM(COALESCE(i_cost)) s, MIN(COALESCE(i_cost)) mn, "
+     "MAX(COALESCE(i_cost)) mx",
+     "item", "GROUP BY i_qty", true},
+    {"i_subject, AVG(i_qty)", "i_subject, AVG(COALESCE(i_qty))", "item",
+     "WHERE i_cost > 30.0 GROUP BY i_subject", true},
+    // BestSellers' shape: an aggregate over a join, grouped on a string key
+    // (and an int one), fed the join's arena rows.
+    {"i.i_subject, i.i_id, SUM(o.o_total) s, COUNT(*) c, MAX(o.o_id) m",
+     "i.i_subject, i.i_id, SUM(COALESCE(o.o_total)) s, COUNT(*) c, "
+     "MAX(COALESCE(o.o_id)) m",
+     "item i JOIN orders o ON o.o_item = i.i_id",
+     "WHERE o.o_id < 600 GROUP BY i.i_subject, i.i_id", true},
 };
 
-std::string AggregateSql(const AggregateCase& c, const char* from) {
-  std::string sql = std::string("SELECT ") + c.select + " FROM " + from;
+std::string AggregateSql(const AggregateCase& c, const char* select) {
+  std::string sql = std::string("SELECT ") + select + " FROM " + c.from;
   if (*c.rest != '\0') sql += std::string(" ") + c.rest;
   return sql;
 }
 
 TEST_F(BatchDiffTest, AggregateShapesMatchRowPath) {
   for (const AggregateCase& c : kAggregateCases) {
-    ExpectSame(AggregateSql(c, "item"));
+    ExpectSame(AggregateSql(c, c.select));
   }
 }
 
-// The same aggregate over a derived table: the TOP keeps the optimizer from
-// merging it into the base scan, so the aggregate's child is a Limit, which
-// cannot serve column batches, and the aggregate absorbs row batches
-// instead. Exactly one side may vectorize, read off the DMV.
+// Each aggregate against its row_select twin, whose COALESCE-wrapped
+// arguments keep every batch on the per-row absorb. The column names
+// differ, so only the rows are compared. Exactly one side may run typed,
+// read off the DMV.
 TEST_F(BatchDiffTest, ColumnarAggregatesMatchRowAbsorb) {
-  const char* kRowOnly = "(SELECT TOP 1000000 * FROM item) item";
+  auto rows_of = [](const QueryResult& r) {
+    std::vector<std::string> canon = Canon(r, false);
+    canon.erase(canon.begin());  // the header
+    return canon;
+  };
   for (auto& server : servers_) {
     for (const AggregateCase& c : kAggregateCases) {
-      const std::string direct = AggregateSql(c, "item");
-      const std::string rows = AggregateSql(c, kRowOnly);
+      const std::string direct = AggregateSql(c, c.select);
+      const std::string rows = AggregateSql(c, c.row_select);
       const int64_t before = VectorizedBatches(server.get());
       auto want = server->Execute(rows);
       const int64_t after_rows = VectorizedBatches(server.get());
@@ -927,7 +1065,7 @@ TEST_F(BatchDiffTest, ColumnarAggregatesMatchRowAbsorb) {
       const int64_t after_direct = VectorizedBatches(server.get());
       ASSERT_TRUE(want.ok()) << rows << ": " << want.status().ToString();
       ASSERT_TRUE(got.ok()) << direct << ": " << got.status().ToString();
-      EXPECT_EQ(Canon(*got, false), Canon(*want, false))
+      EXPECT_EQ(rows_of(*got), rows_of(*want))
           << direct << " at " << server->name();
       EXPECT_EQ(after_rows, before) << rows << " vectorized";
       if (c.vectorizes) {
