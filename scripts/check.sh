@@ -45,7 +45,9 @@
 #   scripts/check.sh perfbench # real cache + backend gate: one 5 s TPC-W
 #                             # run of perfbench/run.py per workload
 #                             # (ordering, shopping_half), which fails on a
-#                             # ConsistencyChecker diff or a failed repeat
+#                             # ConsistencyChecker diff or a failed repeat,
+#                             # then one shopping_half ledger repeat that
+#                             # fails when remote reads ship whole tables
 #
 # The asan mode exercises the crash/restart paths with memory checking on:
 # replication_fault_test (incl. the 200-seed randomized schedules),
@@ -53,9 +55,12 @@
 # matching) and fleet_test (the simulated lab, checked for leaks) ride along,
 # and so do the executor suites (batch_exec_test, exec_test, tpcw_test): hash
 # joins, sorts and nested loops hold their inputs' rows by reference, so a
-# row kept past its lifetime is a use-after-free here. The tsan mode runs every test
-# labeled `concurrency` (ctest -L) — the multi-session engine tests and the
-# DMV-read-during-execution tests — plus the threaded bench smoke.
+# row kept past its lifetime is a use-after-free here. tpcw_test's
+# FROM-permutation suite runs the join order chosen for every permutation of
+# each TPC-W read, and batch_exec_test's Top-N oracle every sort key shape.
+# The tsan mode runs every test labeled `concurrency` (ctest -L) — the
+# multi-session engine tests and the DMV-read-during-execution tests — plus
+# the threaded bench smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -258,6 +263,27 @@ case "$mode" in
     # shopping_half takes the dynamic-plan and remote branches.
     python3 perfbench/run.py --workload ordering --seed 1 --seconds 5
     python3 perfbench/run.py --workload shopping_half --seed 1 --seconds 5
+    # Remote reads ship only what the query returns: one untraced
+    # shopping_half repeat of the ledger run.py just built must ship at most
+    # 2,000 bytes per interaction and 20 rows per round trip. A dynamic plan
+    # whose guard-true branch ships a whole table to return one row breaks
+    # both by an order of magnitude.
+    ledger="${CARGO_TARGET_DIR:-.bench_build}/perfbench/tpcw_ledger"
+    ledger_out="$("$ledger" --workload shopping_half --seed 1 | tail -n 1)"
+    python3 - "$ledger_out" <<'PY'
+import json
+import sys
+
+metrics = json.loads(sys.argv[1])["metrics"]
+limits = {"engine.remote.bytes_per_interaction": 2000,
+          "engine.remote.rows_per_roundtrip": 20}
+failed = False
+for name, limit in limits.items():
+    value = metrics[name]
+    print("perfbench: %s = %.1f (limit %d)" % (name, value, limit))
+    failed |= value > limit
+sys.exit(1 if failed else 0)
+PY
     ;;
   *)
     echo "usage: $0 [default|asan|tsan|profile|batch|exp3|workload|repl|planqual|perfbench]" >&2

@@ -1378,10 +1378,13 @@ class HashAggregateExec : public ExecNode {
 
 // Sort over row pointers. The input is held, not copied (as a hash-join
 // build is: references kept with the child open until Close, arena rows
-// moved). Column-reference keys are compared in place; any other key is
-// evaluated once per row. Ties go to the earlier input row, so the order is
-// the stable one. A Top-N sort (op.limit > 0) keeps only its first `limit`
-// rows by that order, with a partial sort.
+// moved). Any key that is not a column reference is evaluated once per row.
+// The keys are then extracted into one contiguous array, a row's keys side
+// by side: a key column whose every value is a non-NULL int64 (or double)
+// is stored as that number, any other as a pointer to its Value. Ties go to
+// the earlier input row, so the order is the stable one. A Top-N sort
+// (op.limit > 0) keeps only its first `limit` rows by that order: it selects
+// them with nth_element and sorts only those.
 class SortExec : public ExecNode {
  public:
   SortExec(const PhysSort& op, std::unique_ptr<ExecNode> child)
@@ -1419,22 +1422,36 @@ class SortExec : public ExecNode {
     const size_t n = rows_.size();
     ctx->Charge(CostModel::SortCost(static_cast<double>(n),
                                     static_cast<double>(op_.limit)));
+    ExtractKeys();
     order_.resize(n);
     for (size_t i = 0; i < n; ++i) order_[i] = static_cast<uint32_t>(i);
-    auto before = [this](uint32_t a, uint32_t b) {
-      for (const KeyRef& k : keys_) {
-        int c = Key(k, a).Compare(Key(k, b));
-        if (c != 0) return k.desc ? c > 0 : c < 0;
+    const size_t width = keys_.size();
+    auto before = [this, width](uint32_t a, uint32_t b) {
+      const KeySlot* ka = &slots_[a * width];
+      const KeySlot* kb = &slots_[b * width];
+      for (size_t k = 0; k < width; ++k) {
+        int c;
+        switch (keys_[k].kind) {
+          case KeyKind::kInt:
+            c = (ka[k].i > kb[k].i) - (ka[k].i < kb[k].i);
+            break;
+          case KeyKind::kDouble:
+            c = (ka[k].d > kb[k].d) - (ka[k].d < kb[k].d);
+            break;
+          default:
+            c = ka[k].v->Compare(*kb[k].v);
+            break;
+        }
+        if (c != 0) return keys_[k].desc ? c > 0 : c < 0;
       }
       return a < b;  // input order breaks ties: a stable sort
     };
     if (op_.limit > 0 && static_cast<size_t>(op_.limit) < n) {
       auto top = order_.begin() + op_.limit;
-      std::partial_sort(order_.begin(), top, order_.end(), before);
+      std::nth_element(order_.begin(), top, order_.end(), before);
       order_.erase(top, order_.end());
-    } else {
-      std::sort(order_.begin(), order_.end(), before);
     }
+    std::sort(order_.begin(), order_.end(), before);
     pos_ = 0;
     return Status::Ok();
   }
@@ -1452,30 +1469,74 @@ class SortExec : public ExecNode {
     child_open_ = false;
     rows_.clear();
     computed_.clear();
+    slots_.clear();
     order_.clear();
     held_.Clear();
   }
 
-  // Moved rows, computed keys and the pointer/order arrays; referenced
+  // Moved rows, computed keys and the pointer/key/order arrays; referenced
   // input rows belong to the child.
   int64_t MemoryBytes() const override {
     double key_bytes = 0;
     for (const Value& v : computed_) key_bytes += v.SizeBytes();
     return held_.OwnedBytes() + static_cast<int64_t>(key_bytes) +
            static_cast<int64_t>(rows_.size() * sizeof(const Row*) +
+                                slots_.size() * sizeof(KeySlot) +
                                 order_.size() * sizeof(uint32_t));
   }
 
  private:
+  enum class KeyKind { kInt, kDouble, kValue };
   struct KeyRef {
-    int ordinal = -1;   // >= 0: a column of the input row, compared in place
+    int ordinal = -1;   // >= 0: a column of the input row
     int computed = -1;  // >= 0: index among the evaluated keys
     bool desc = false;
+    KeyKind kind = KeyKind::kValue;  // how slots_ holds it, per Open
+  };
+  union KeySlot {
+    int64_t i;
+    double d;
+    const Value* v;
   };
 
-  const Value& Key(const KeyRef& k, uint32_t row) const {
+  const Value& Key(const KeyRef& k, size_t row) const {
     if (k.ordinal >= 0) return (*rows_[row])[k.ordinal];
     return computed_[row * static_cast<size_t>(num_computed_) + k.computed];
+  }
+
+  // Fills slots_ with every row's keys, each key column typed when all of
+  // its values are non-NULL and carry one numeric tag.
+  void ExtractKeys() {
+    const size_t n = rows_.size();
+    const size_t width = keys_.size();
+    for (KeyRef& k : keys_) {
+      TypeId tag = n > 0 ? Key(k, 0).type() : TypeId::kNull;
+      for (size_t r = 0; r < n && tag != TypeId::kNull; ++r) {
+        const Value& v = Key(k, r);
+        if (v.is_null() || v.type() != tag) tag = TypeId::kNull;
+      }
+      k.kind = tag == TypeId::kInt64    ? KeyKind::kInt
+               : tag == TypeId::kDouble ? KeyKind::kDouble
+                                        : KeyKind::kValue;
+    }
+    slots_.resize(n * width);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t k = 0; k < width; ++k) {
+        const Value& v = Key(keys_[k], r);
+        KeySlot& slot = slots_[r * width + k];
+        switch (keys_[k].kind) {
+          case KeyKind::kInt:
+            slot.i = v.AsInt();
+            break;
+          case KeyKind::kDouble:
+            slot.d = v.AsDouble();
+            break;
+          case KeyKind::kValue:
+            slot.v = &v;
+            break;
+        }
+      }
+    }
   }
 
   const PhysSort& op_;
@@ -1486,6 +1547,7 @@ class SortExec : public ExecNode {
   HeldRows held_;
   std::vector<const Row*> rows_;  // input order
   std::vector<Value> computed_;   // num_computed_ evaluated keys per row
+  std::vector<KeySlot> slots_;    // keys_.size() keys per row
   std::vector<uint32_t> order_;   // output order, as indexes into rows_
   size_t pos_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "catalog/histogram.h"
 
@@ -210,6 +211,22 @@ RelStats EstimateLogical(const LogicalOp& op) {
     }
     case LogicalKind::kJoin: {
       const auto& o = static_cast<const LogicalJoin&>(op);
+      if (o.join_kind == JoinKind::kInner) {
+        // Estimated over the flattened chain, so that the estimate does not
+        // depend on the order the FROM list wrote the tables in.
+        InnerJoinChain chain = FlattenInnerJoins(op);
+        std::vector<double> factors = chain.selectivity;
+        std::vector<ColumnStats> chain_cols;
+        for (const RelStats& leaf : chain.leaf_stats) {
+          factors.push_back(leaf.rows);
+          chain_cols.insert(chain_cols.end(), leaf.cols.begin(),
+                            leaf.cols.end());
+        }
+        for (int c : chain.columns) out.cols.push_back(chain_cols[c]);
+        out.rows = InnerJoinRows(std::move(factors));
+        ScaleNdv(&out);
+        return out;
+      }
       RelStats left = EstimateLogical(*op.children[0]);
       RelStats right = EstimateLogical(*op.children[1]);
       out.cols = left.cols;
@@ -310,6 +327,87 @@ RelStats EstimateLogical(const LogicalOp& op) {
     }
   }
   return out;
+}
+
+namespace {
+
+bool IsInnerJoin(const LogicalOp& op) {
+  return op.kind == LogicalKind::kJoin &&
+         static_cast<const LogicalJoin&>(op).join_kind == JoinKind::kInner;
+}
+
+// A projection that only selects and renames columns of an inner join: the
+// chain flattens through it.
+bool IsJoinSelection(const LogicalOp& op) {
+  if (op.kind != LogicalKind::kProject || !IsInnerJoin(*op.children[0])) {
+    return false;
+  }
+  for (const auto& e : static_cast<const LogicalProject&>(op).exprs) {
+    if (e->kind != BoundExprKind::kColumnRef) return false;
+  }
+  return true;
+}
+
+// Appends the leaves and conjuncts of the inner-join chain under `op`;
+// returns the chain column of each of `op`'s output columns.
+std::vector<int> Flatten(const LogicalOp& op, InnerJoinChain* chain) {
+  if (IsJoinSelection(op)) {
+    const std::vector<int> input = Flatten(*op.children[0], chain);
+    std::vector<int> out;
+    for (const auto& e : static_cast<const LogicalProject&>(op).exprs) {
+      out.push_back(input[static_cast<const BoundColumnRef&>(*e).ordinal]);
+    }
+    return out;
+  }
+  if (!IsInnerJoin(op)) {
+    const int base = chain->offsets.empty()
+                         ? 0
+                         : chain->offsets.back() +
+                               chain->leaves.back()->schema.num_columns();
+    chain->leaves.push_back(&op);
+    chain->leaf_stats.push_back(EstimateLogical(op));
+    chain->offsets.push_back(base);
+    std::vector<int> out(op.schema.num_columns());
+    std::iota(out.begin(), out.end(), base);
+    return out;
+  }
+  std::vector<int> columns = Flatten(*op.children[0], chain);
+  const std::vector<int> right = Flatten(*op.children[1], chain);
+  columns.insert(columns.end(), right.begin(), right.end());
+  const BoundExpr* condition =
+      static_cast<const LogicalJoin&>(op).condition.get();
+  if (condition != nullptr) {
+    std::vector<const BoundExpr*> parts;
+    CollectConjuncts(*condition, &parts);
+    for (const BoundExpr* part : parts) {
+      BExprPtr conjunct = CloneBound(*part);
+      RemapColumnRefs(conjunct.get(), columns);
+      chain->conjuncts.push_back(std::move(conjunct));
+    }
+  }
+  return columns;
+}
+
+}  // namespace
+
+InnerJoinChain FlattenInnerJoins(const LogicalOp& join) {
+  InnerJoinChain chain;
+  chain.columns = Flatten(join, &chain);
+  RelStats all;
+  for (const RelStats& leaf : chain.leaf_stats) {
+    all.cols.insert(all.cols.end(), leaf.cols.begin(), leaf.cols.end());
+  }
+  for (const BExprPtr& c : chain.conjuncts) {
+    chain.selectivity.push_back(EstimateSelectivity(*c, all));
+  }
+  return chain;
+}
+
+double InnerJoinRows(std::vector<double> factors) {
+  std::sort(factors.begin(), factors.end());
+  double rows = 1;
+  for (double f : factors) rows *= f;
+  return std::max(rows, 0.5);
 }
 
 double EstimateGuardProbability(CompareOp op, double bound,

@@ -28,6 +28,29 @@ double EstimateSelectivity(const BoundExpr& pred, const RelStats& stats);
 /// Bottom-up row-count and column-stat derivation for a logical tree.
 RelStats EstimateLogical(const LogicalOp& op);
 
+/// A maximal chain of inner joins, flattened: its leaves in FROM order (the
+/// first operator down each side that is neither an inner join nor a column
+/// selection over one, such as a derived table's or shipped SQL's renaming)
+/// and every join conjunct, rebound over the concatenation of the leaves'
+/// columns ("chain columns").
+struct InnerJoinChain {
+  std::vector<const LogicalOp*> leaves;
+  std::vector<RelStats> leaf_stats;  // EstimateLogical of each leaf
+  std::vector<int> offsets;          // first chain column of each leaf
+  std::vector<BExprPtr> conjuncts;   // over the chain columns
+  std::vector<double> selectivity;   // of each conjunct over the leaves
+  std::vector<int> columns;          // chain column of each output column
+};
+
+/// Flattens the inner-join chain rooted at `join` (an inner LogicalJoin).
+InnerJoinChain FlattenInnerJoins(const LogicalOp& join);
+
+/// Rows of an inner join: the product of its leaves' rows and the
+/// selectivities of the conjuncts it applies, multiplied in ascending order
+/// so that every join order of the same leaves gets the same estimate; at
+/// least 0.5.
+double InnerJoinRows(std::vector<double> factors);
+
 /// Probability that a comparison `param op bound` is true, assuming the
 /// parameter is uniformly distributed over the column's [min, max] (§5.1:
 /// "we currently estimate Fl under the assumption [the parameter] is

@@ -1,8 +1,11 @@
 #include "opt/optimizer.h"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <utility>
@@ -349,6 +352,174 @@ struct PlanResult {
   const LogicalOp* logical = nullptr;  // for unparsing when shipped
 };
 
+// The most leaves of an inner-join chain whose order is chosen by cost; a
+// longer chain joins pairwise in FROM order until its sub-chains fit.
+constexpr size_t kMaxOrderedJoinLeaves = 8;
+
+std::vector<const BoundExpr*> Pointers(const std::vector<BExprPtr>& exprs) {
+  std::vector<const BoundExpr*> out;
+  for (const auto& e : exprs) out.push_back(e.get());
+  return out;
+}
+
+// The equi-join keys among a join's conjuncts: `column = column` with one
+// column on each input, where `is_right(o)` tells whether ordinal o belongs
+// to the right input. Ordinals are returned as the conjuncts hold them.
+struct JoinKeys {
+  std::vector<int> left;
+  std::vector<int> right;
+  std::vector<size_t> conjunct;  // the conjunct each key comes from
+};
+
+template <typename IsRight>
+JoinKeys SplitJoinKeys(const std::vector<const BoundExpr*>& conjuncts,
+                       IsRight is_right) {
+  JoinKeys keys;
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    const BoundExpr& c = *conjuncts[i];
+    if (c.kind != BoundExprKind::kBinary) continue;
+    const auto& bin = static_cast<const BoundBinary&>(c);
+    if (bin.op != BinaryOp::kEq ||
+        bin.left->kind != BoundExprKind::kColumnRef ||
+        bin.right->kind != BoundExprKind::kColumnRef) {
+      continue;
+    }
+    int a = static_cast<const BoundColumnRef&>(*bin.left).ordinal;
+    int b = static_cast<const BoundColumnRef&>(*bin.right).ordinal;
+    if (is_right(a) == is_right(b)) continue;
+    if (is_right(a)) std::swap(a, b);
+    keys.left.push_back(a);
+    keys.right.push_back(b);
+    keys.conjunct.push_back(i);
+  }
+  return keys;
+}
+
+// A join's right input as an index nested-loop inner: a stored table this
+// server can seek, seen through a filter and a column remap (view
+// substitution's compensation; the identity needs no inner projection).
+struct InnerAccess {
+  const LogicalGet* get = nullptr;
+  const BoundExpr* predicate = nullptr;
+  const LogicalProject* project = nullptr;
+  std::vector<int> out_to_inner;  // project output -> inner ordinal
+};
+
+enum class JoinMethod { kHash, kHashCommuted, kIndexNL, kNestedLoop };
+
+// The cheapest way to join two inputs, and its cumulative cost.
+struct JoinStep {
+  JoinMethod method = JoinMethod::kNestedLoop;
+  double cost = kInf;
+  int index = 0;    // kIndexNL: the inner's index
+  size_t key = 0;   // kIndexNL: the key it seeks
+};
+
+struct JoinInput {
+  double cost = 0;  // delivered cost
+  double rows = 0;
+};
+
+// Builds the join `step` chose. `conjuncts` are over concat(left, right),
+// and the join emits that concatenation (a commuted hash join through its
+// output list); `right` is unused by an index nested-loop join.
+PhysicalPtr BuildJoin(const JoinStep& step, JoinKind kind,
+                      std::vector<BExprPtr> conjuncts, PhysicalPtr left,
+                      PhysicalPtr right, const InnerAccess& inner,
+                      Schema schema, double rows) {
+  const int left_width = left->schema.num_columns();
+  const int right_width = schema.num_columns() - left_width;
+  JoinKeys keys = SplitJoinKeys(Pointers(conjuncts), [&](int o) {
+    return o >= left_width;
+  });
+  for (int& k : keys.right) k -= left_width;
+  // The conjuncts that are not hash keys.
+  auto residual = [&] {
+    std::vector<BExprPtr> out;
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      if (std::find(keys.conjunct.begin(), keys.conjunct.end(), i) ==
+          keys.conjunct.end()) {
+        out.push_back(std::move(conjuncts[i]));
+      }
+    }
+    return AndTogether(std::move(out));
+  };
+  PhysicalPtr out;
+  switch (step.method) {
+    case JoinMethod::kIndexNL: {
+      auto phys = std::make_unique<PhysIndexNLJoin>();
+      phys->join_kind = kind;
+      phys->inner_def = inner.get->def;
+      phys->inner_row_bytes = StoredRowBytes(inner.get->def);
+      phys->index_ordinal = step.index;
+      phys->outer_key = keys.left[step.key];
+      phys->inner_predicate = inner.predicate != nullptr
+                                  ? CloneBound(*inner.predicate)
+                                  : nullptr;
+      if (inner.project != nullptr) {
+        for (const auto& e : inner.project->exprs) {
+          phys->inner_projection.push_back(CloneBound(*e));
+        }
+      }
+      // Every other conjunct, other key equalities included, is evaluated
+      // over the concatenated row.
+      conjuncts.erase(conjuncts.begin() + keys.conjunct[step.key]);
+      phys->residual = AndTogether(std::move(conjuncts));
+      phys->children.push_back(std::move(left));
+      out = std::move(phys);
+      break;
+    }
+    case JoinMethod::kHash: {
+      auto phys = std::make_unique<PhysHashJoin>();
+      phys->join_kind = kind;
+      phys->probe_keys = keys.left;
+      phys->build_keys = keys.right;
+      phys->residual = residual();
+      phys->children.push_back(std::move(left));
+      phys->children.push_back(std::move(right));
+      out = std::move(phys);
+      break;
+    }
+    case JoinMethod::kHashCommuted: {
+      // Probe with the right input, build on the left: keys swap roles, the
+      // residual's ordinals move to (right, left) order, and the output list
+      // restores (left, right) order.
+      auto phys = std::make_unique<PhysHashJoin>();
+      phys->join_kind = JoinKind::kInner;
+      phys->probe_keys = keys.right;
+      phys->build_keys = keys.left;
+      std::vector<int> mapping(left_width + right_width);
+      for (int o = 0; o < left_width; ++o) mapping[o] = o + right_width;
+      for (int o = 0; o < right_width; ++o) mapping[left_width + o] = o;
+      phys->residual = residual();
+      if (phys->residual != nullptr) {
+        RemapColumnRefs(phys->residual.get(), mapping);
+      }
+      for (int o = 0; o < left_width; ++o) {
+        phys->output.push_back(right_width + o);
+      }
+      for (int o = 0; o < right_width; ++o) phys->output.push_back(o);
+      phys->children.push_back(std::move(right));  // probe
+      phys->children.push_back(std::move(left));   // build
+      out = std::move(phys);
+      break;
+    }
+    case JoinMethod::kNestedLoop: {
+      auto phys = std::make_unique<PhysNLJoin>();
+      phys->join_kind = kind;
+      phys->condition = AndTogether(std::move(conjuncts));
+      phys->children.push_back(std::move(left));
+      phys->children.push_back(std::move(right));
+      out = std::move(phys);
+      break;
+    }
+  }
+  out->schema = std::move(schema);
+  out->est_rows = rows;
+  out->est_cost = step.cost;
+  return out;
+}
+
 class Planner {
  public:
   Planner(const Catalog* catalog, const OptimizerOptions& options,
@@ -450,6 +621,12 @@ class Planner {
                                 const BoundExpr* predicate);
   StatusOr<PlanChoice> ScanAlternatives(const LogicalGet& get,
                                         const BoundExpr* predicate);
+  InnerAccess InnerAccessOf(const LogicalOp& right) const;
+  JoinStep CheapestJoin(JoinKind kind, const std::vector<int>& right_keys,
+                        const InnerAccess& inner, JoinInput left,
+                        JoinInput right, double out_rows);
+  StatusOr<PlanResult> PlanJoinOrder(const InnerJoinChain& chain,
+                                     PlanResult result);
 
   const Catalog* catalog_;
   const OptimizerOptions& options_;
@@ -609,6 +786,260 @@ StatusOr<PlanChoice> Planner::PlanSite(const LogicalGet& get,
   return ScanAlternatives(get, predicate);
 }
 
+InnerAccess Planner::InnerAccessOf(const LogicalOp& right) const {
+  InnerAccess inner;
+  const LogicalOp* node = &right;
+  if (node->kind == LogicalKind::kProject &&
+      IsColumnRemap(static_cast<const LogicalProject&>(*node).exprs)) {
+    const auto* project = static_cast<const LogicalProject*>(node);
+    node = node->children[0].get();
+    if (!IsIdentityProjection(project->exprs, node->schema)) {
+      inner.project = project;
+      for (const auto& e : project->exprs) {
+        inner.out_to_inner.push_back(
+            e->kind == BoundExprKind::kColumnRef
+                ? static_cast<const BoundColumnRef&>(*e).ordinal
+                : -1);
+      }
+    }
+  }
+  if (node->kind == LogicalKind::kFilter &&
+      node->children[0]->kind == LogicalKind::kGet) {
+    inner.predicate = static_cast<const LogicalFilter*>(node)->predicate.get();
+    node = node->children[0].get();
+  }
+  if (node->kind == LogicalKind::kGet) {
+    const auto& get = static_cast<const LogicalGet&>(*node);
+    if (!get.table.empty() && LocallyPlannable(get) && get.def != nullptr) {
+      inner.get = &get;
+    }
+  }
+  return inner;
+}
+
+// Prices today's join alternatives: an index nested-loop join into a
+// seekable right input with an index led by a join key (how point joins
+// such as item -> author run), a hash join building on either input, and a
+// nested loop without equi-keys. `right_keys` are the equi-keys' ordinals in
+// the right input.
+JoinStep Planner::CheapestJoin(JoinKind kind,
+                               const std::vector<int>& right_keys,
+                               const InnerAccess& inner, JoinInput left,
+                               JoinInput right, double out_rows) {
+  JoinStep inlj;
+  inlj.method = JoinMethod::kIndexNL;
+  if (inner.get != nullptr && !right_keys.empty()) {
+    const RelStats inner_stats = EstimateLogical(*inner.get);
+    const double inner_bytes = StoredRowBytes(inner.get->def);
+    for (size_t idx = 0; idx < inner.get->def->indexes.size(); ++idx) {
+      const IndexDef& index = inner.get->def->indexes[idx];
+      for (size_t k = 0; k < right_keys.size(); ++k) {
+        // Map the join key through the projection, if any.
+        int inner_key = right_keys[k];
+        if (inner.project != nullptr) {
+          if (inner_key >= static_cast<int>(inner.out_to_inner.size()) ||
+              inner.out_to_inner[inner_key] < 0) {
+            continue;
+          }
+          inner_key = inner.out_to_inner[inner_key];
+        }
+        if (index.key_columns.empty() || index.key_columns[0] != inner_key) {
+          continue;
+        }
+        double ndv = 1;
+        if (inner_key >= 0 &&
+            inner_key < static_cast<int>(inner_stats.cols.size())) {
+          ndv = std::max(inner_stats.cols[inner_key].ndv, 1.0);
+        }
+        const double per_probe = inner_stats.rows / ndv;
+        const double cost =
+            left.cost +
+            left.rows *
+                (CostModel::kIndexSeekCost +
+                 per_probe * (CostModel::ReadRowCost(CostModel::kIndexRowCost,
+                                                     inner_bytes) +
+                              CostModel::kFilterRowCost));
+        ++*alternatives_;
+        if (cost >= inlj.cost) continue;
+        inlj.cost = cost;
+        inlj.index = static_cast<int>(idx);
+        inlj.key = k;
+        break;
+      }
+    }
+  }
+
+  ++*alternatives_;
+  if (right_keys.empty()) {
+    JoinStep nl;
+    nl.cost = left.cost + right.cost +
+              left.rows * right.rows * CostModel::kNLInnerRowCost;
+    return nl;
+  }
+  JoinStep hash;
+  hash.method = JoinMethod::kHash;
+  hash.cost = left.cost + right.cost +
+              right.rows * CostModel::kHashBuildRowCost +
+              left.rows * CostModel::kHashProbeRowCost +
+              out_rows * CostModel::kFilterRowCost;
+  // Commuted (inner joins only): build on the left input and probe with the
+  // right; its output list restores (left, right) column order.
+  JoinStep commuted;
+  commuted.method = JoinMethod::kHashCommuted;
+  if (kind == JoinKind::kInner) {
+    ++*alternatives_;
+    commuted.cost = left.cost + right.cost +
+                    left.rows * CostModel::kHashBuildRowCost +
+                    right.rows * CostModel::kHashProbeRowCost +
+                    out_rows * CostModel::kFilterRowCost;
+  }
+  if (inlj.cost < hash.cost && inlj.cost < commuted.cost) return inlj;
+  return commuted.cost < hash.cost ? commuted : hash;
+}
+
+// Left-deep orders of an inner-join chain, by dynamic programming over
+// subsets of its leaves (bit i = leaf i), each extended only by a leaf a
+// conjunct connects it to (any leaf, when none is: a cross product). Every
+// leaf is planned once; each step takes the cheapest of CheapestJoin's
+// alternatives. A subset's rows are estimated once, from its leaves and the
+// conjuncts within it, so every order of the same set gets the same
+// estimate, and the full set's equals EstimateLogical's.
+StatusOr<PlanResult> Planner::PlanJoinOrder(const InnerJoinChain& chain,
+                                            PlanResult result) {
+  const int n = static_cast<int>(chain.leaves.size());
+  const uint32_t full = (1u << n) - 1;
+  std::vector<PlanChoice> leaf_plans;
+  std::vector<InnerAccess> inner;
+  std::vector<int> leaf_of;  // chain column -> leaf
+  for (int i = 0; i < n; ++i) {
+    MT_ASSIGN_OR_RETURN(PlanResult r, Plan(*chain.leaves[i]));
+    MT_ASSIGN_OR_RETURN(PlanChoice c, DeliverLocal(std::move(r)));
+    leaf_plans.push_back(std::move(c));
+    inner.push_back(InnerAccessOf(*chain.leaves[i]));
+    leaf_of.insert(leaf_of.end(), chain.leaves[i]->schema.num_columns(), i);
+  }
+  std::vector<uint32_t> reads;  // leaves each conjunct reads
+  for (const BExprPtr& c : chain.conjuncts) {
+    std::vector<int> refs;
+    CollectColumnRefs(*c, &refs);
+    uint32_t mask = 0;
+    for (int r : refs) mask |= 1u << leaf_of[r];
+    reads.push_back(mask);
+  }
+  // A join of two or more leaves has applied every conjunct within them.
+  auto applied = [&](uint32_t set, size_t c) {
+    return std::popcount(set) >= 2 && (reads[c] & ~set) == 0;
+  };
+  std::vector<double> rows(full + 1, -1);
+  auto rows_of = [&](uint32_t set) {
+    if (rows[set] < 0) {
+      std::vector<double> factors;
+      for (int i = 0; i < n; ++i) {
+        if (set >> i & 1) factors.push_back(chain.leaf_stats[i].rows);
+      }
+      for (size_t c = 0; c < reads.size(); ++c) {
+        if (applied(set, c)) factors.push_back(chain.selectivity[c]);
+      }
+      rows[set] = InnerJoinRows(std::move(factors));
+    }
+    return rows[set];
+  };
+  // The conjuncts the step joining `leaf` to `set` evaluates.
+  auto step_conjuncts = [&](uint32_t set, int leaf) {
+    std::vector<size_t> out;
+    for (size_t c = 0; c < reads.size(); ++c) {
+      if (applied(set | 1u << leaf, c) && !applied(set, c)) out.push_back(c);
+    }
+    return out;
+  };
+
+  struct Best {
+    double cost = kInf;
+    int last = -1;  // the leaf the cheapest plan of the set joins last
+    JoinStep step;
+  };
+  std::vector<Best> best(full + 1);
+  for (int i = 0; i < n; ++i) best[1u << i].cost = leaf_plans[i].cost;
+  for (uint32_t set = 1; set < full; ++set) {
+    if (best[set].cost == kInf) continue;
+    uint32_t connected = 0;
+    for (uint32_t r : reads) {
+      if ((r & set) != 0 && std::popcount(r & ~set) == 1) connected |= r & ~set;
+    }
+    const uint32_t candidates = connected != 0 ? connected : full & ~set;
+    for (int j = 0; j < n; ++j) {
+      if ((candidates >> j & 1) == 0) continue;
+      const uint32_t next = set | 1u << j;
+      std::vector<const BoundExpr*> conjuncts;
+      for (size_t c : step_conjuncts(set, j)) {
+        conjuncts.push_back(chain.conjuncts[c].get());
+      }
+      JoinKeys keys = SplitJoinKeys(
+          conjuncts, [&](int o) { return leaf_of[o] == j; });
+      for (int& k : keys.right) k -= chain.offsets[j];
+      const JoinStep step = CheapestJoin(
+          JoinKind::kInner, keys.right, inner[j],
+          {best[set].cost, rows_of(set)},
+          {leaf_plans[j].cost, rows_of(1u << j)}, rows_of(next));
+      if (step.cost < best[next].cost) best[next] = {step.cost, j, step};
+    }
+  }
+  if (best[full].cost == kInf) {
+    return Status::Internal("no viable join order");
+  }
+
+  // Replay the cheapest order. `layout` lists the chain columns the plan so
+  // far emits, in its order.
+  std::vector<int> order;
+  uint32_t set = full;
+  while (std::popcount(set) > 1) {
+    order.insert(order.begin(), best[set].last);
+    set &= ~(1u << best[set].last);
+  }
+  const int first = std::countr_zero(set);
+  auto leaf_columns = [&](int leaf) {
+    std::vector<int> cols(chain.leaves[leaf]->schema.num_columns());
+    std::iota(cols.begin(), cols.end(), chain.offsets[leaf]);
+    return cols;
+  };
+  PhysicalPtr plan = std::move(leaf_plans[first].plan);
+  std::vector<int> layout = leaf_columns(first);
+  std::vector<int> position(leaf_of.size(), -1);  // chain column -> layout
+  for (int j : order) {
+    const std::vector<int> right_cols = leaf_columns(j);
+    for (size_t p = 0; p < layout.size(); ++p) position[layout[p]] = p;
+    for (size_t p = 0; p < right_cols.size(); ++p) {
+      position[right_cols[p]] = static_cast<int>(layout.size() + p);
+    }
+    std::vector<BExprPtr> conjuncts;
+    for (size_t c : step_conjuncts(set, j)) {
+      conjuncts.push_back(CloneBound(*chain.conjuncts[c]));
+      RemapColumnRefs(conjuncts.back().get(), position);
+    }
+    Schema schema = Schema::Concat(plan->schema, chain.leaves[j]->schema);
+    set |= 1u << j;
+    plan = BuildJoin(best[set].step, JoinKind::kInner, std::move(conjuncts),
+                     std::move(plan), std::move(leaf_plans[j].plan), inner[j],
+                     std::move(schema), rows_of(set));
+    layout.insert(layout.end(), right_cols.begin(), right_cols.end());
+  }
+  // The top join emits the columns the query's join tree does, in its
+  // order.
+  for (size_t p = 0; p < layout.size(); ++p) position[layout[p]] = p;
+  std::vector<int>& output = *JoinOutput(plan.get());
+  std::vector<int> restored;
+  for (int c : chain.columns) {
+    restored.push_back(output.empty() ? position[c] : output[position[c]]);
+  }
+  std::vector<int> identity(layout.size());
+  std::iota(identity.begin(), identity.end(), 0);
+  output = restored == identity ? std::vector<int>{} : std::move(restored);
+  plan->schema = result.logical->schema;
+  result.local_cost = best[full].cost;
+  result.local_plan = std::move(plan);
+  return result;
+}
+
 StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
   const int64_t top_n = std::exchange(top_n_, 0);
   PlanResult result;
@@ -761,261 +1192,48 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
     }
     case LogicalKind::kJoin: {
       const auto& join = static_cast<const LogicalJoin&>(node);
+      if (join.join_kind == JoinKind::kInner) {
+        InnerJoinChain chain = FlattenInnerJoins(node);
+        if (chain.leaves.size() <= kMaxOrderedJoinLeaves &&
+            std::none_of(chain.leaves.begin(), chain.leaves.end(),
+                         [this](const LogicalOp* leaf) {
+                           return ShipServer(*leaf).has_value();
+                         })) {
+          return PlanJoinOrder(chain, std::move(result));
+        }
+      }
+      // Outer joins keep their position, and an inner chain with a remote
+      // leaf joins in FROM order, so what ships to the backend is what the
+      // query wrote: a pair of remote inputs ships as one remote join.
       MT_ASSIGN_OR_RETURN(PlanResult left, Plan(*node.children[0]));
       MT_ASSIGN_OR_RETURN(PlanResult right, Plan(*node.children[1]));
-      double left_rows = left.rows;
-      double right_rows = right.rows;
+      const double left_rows = left.rows;
+      const double right_rows = right.rows;
       MT_ASSIGN_OR_RETURN(PlanChoice lplan, DeliverLocal(std::move(left)));
       MT_ASSIGN_OR_RETURN(PlanChoice rplan, DeliverLocal(std::move(right)));
-
-      int left_width = node.children[0]->schema.num_columns();
-      // Extract equi-join keys crossing the boundary.
-      std::vector<int> probe_keys;
-      std::vector<int> build_keys;
-      std::vector<BExprPtr> residual;
+      const int left_width = node.children[0]->schema.num_columns();
+      std::vector<BExprPtr> conjuncts;
       if (join.condition != nullptr) {
-        std::vector<const BoundExpr*> conjuncts;
-        CollectConjuncts(*join.condition, &conjuncts);
-        for (const BoundExpr* c : conjuncts) {
-          bool is_key = false;
-          if (c->kind == BoundExprKind::kBinary) {
-            const auto& bin = static_cast<const BoundBinary&>(*c);
-            if (bin.op == BinaryOp::kEq &&
-                bin.left->kind == BoundExprKind::kColumnRef &&
-                bin.right->kind == BoundExprKind::kColumnRef) {
-              int a = static_cast<const BoundColumnRef&>(*bin.left).ordinal;
-              int b = static_cast<const BoundColumnRef&>(*bin.right).ordinal;
-              if (a < left_width && b >= left_width) {
-                probe_keys.push_back(a);
-                build_keys.push_back(b - left_width);
-                is_key = true;
-              } else if (b < left_width && a >= left_width) {
-                probe_keys.push_back(b);
-                build_keys.push_back(a - left_width);
-                is_key = true;
-              }
-            }
-          }
-          if (!is_key) residual.push_back(CloneBound(*c));
+        std::vector<const BoundExpr*> parts;
+        CollectConjuncts(*join.condition, &parts);
+        for (const BoundExpr* part : parts) {
+          conjuncts.push_back(CloneBound(*part));
         }
       }
-
-      // Alternative: index nested-loop join, when the inner (right) side is
-      // a scannable (possibly filtered) table with an index led by the join
-      // column. This is how point joins (item->author etc.) should run.
-      struct InnerAccess {
-        const LogicalGet* get = nullptr;
-        const BoundExpr* predicate = nullptr;
-        const LogicalProject* project = nullptr;
-        std::vector<int> out_to_inner;  // project output -> inner ordinal
-      };
-      InnerAccess inner;
-      {
-        const LogicalOp* right_node = node.children[1].get();
-        // See through a column remap (view substitution's compensation);
-        // the identity needs no inner projection at all.
-        if (right_node->kind == LogicalKind::kProject &&
-            IsColumnRemap(
-                static_cast<const LogicalProject&>(*right_node).exprs)) {
-          const auto* project =
-              static_cast<const LogicalProject*>(right_node);
-          right_node = right_node->children[0].get();
-          if (!IsIdentityProjection(project->exprs, right_node->schema)) {
-            inner.project = project;
-            for (const auto& e : project->exprs) {
-              inner.out_to_inner.push_back(
-                  e->kind == BoundExprKind::kColumnRef
-                      ? static_cast<const BoundColumnRef&>(*e).ordinal
-                      : -1);
-            }
-          }
-        }
-        if (right_node->kind == LogicalKind::kFilter &&
-            right_node->children[0]->kind == LogicalKind::kGet) {
-          inner.predicate =
-              static_cast<const LogicalFilter*>(right_node)->predicate.get();
-          right_node = right_node->children[0].get();
-        }
-        if (right_node->kind == LogicalKind::kGet) {
-          const auto& get = static_cast<const LogicalGet&>(*right_node);
-          if (!get.table.empty() && LocallyPlannable(get) &&
-              get.def != nullptr) {
-            inner.get = &get;
-          }
-        }
-      }
-      PhysicalPtr inlj_plan;
-      double inlj_cost = kInf;
-      if (inner.get != nullptr && !probe_keys.empty()) {
-        for (size_t idx = 0; idx < inner.get->def->indexes.size(); ++idx) {
-          const IndexDef& index = inner.get->def->indexes[idx];
-          for (size_t k = 0; k < probe_keys.size(); ++k) {
-            // Map the join key through the projection, if any.
-            int inner_key = build_keys[k];
-            if (inner.project != nullptr) {
-              if (inner_key >= static_cast<int>(inner.out_to_inner.size()) ||
-                  inner.out_to_inner[inner_key] < 0) {
-                continue;
-              }
-              inner_key = inner.out_to_inner[inner_key];
-            }
-            if (index.key_columns.empty() ||
-                index.key_columns[0] != inner_key) {
-              continue;
-            }
-            RelStats inner_stats = EstimateLogical(*inner.get);
-            double ndv = 1;
-            if (inner_key >= 0 &&
-                inner_key < static_cast<int>(inner_stats.cols.size())) {
-              ndv = std::max(inner_stats.cols[inner_key].ndv, 1.0);
-            }
-            double per_probe = inner_stats.rows / ndv;
-            double pred_sel =
-                inner.predicate != nullptr
-                    ? EstimateSelectivity(*inner.predicate, inner_stats)
-                    : 1.0;
-            const double inner_bytes = StoredRowBytes(inner.get->def);
-            double cost =
-                lplan.cost +
-                left_rows *
-                    (CostModel::kIndexSeekCost +
-                     per_probe * (CostModel::ReadRowCost(
-                                      CostModel::kIndexRowCost, inner_bytes) +
-                                  CostModel::kFilterRowCost));
-            ++*alternatives_;
-            if (cost >= inlj_cost) continue;
-            auto phys = std::make_unique<PhysIndexNLJoin>();
-            phys->join_kind = join.join_kind;
-            phys->inner_def = inner.get->def;
-            phys->inner_row_bytes = inner_bytes;
-            phys->index_ordinal = static_cast<int>(idx);
-            phys->outer_key = probe_keys[k];
-            phys->inner_predicate = inner.predicate != nullptr
-                                        ? CloneBound(*inner.predicate)
-                                        : nullptr;
-            if (inner.project != nullptr) {
-              for (const auto& e : inner.project->exprs) {
-                phys->inner_projection.push_back(CloneBound(*e));
-              }
-            }
-            // Residual: every other join conjunct (including other key
-            // equalities) evaluated over the concatenated row.
-            std::vector<BExprPtr> inlj_residual;
-            for (const auto& r : residual) {
-              inlj_residual.push_back(CloneBound(*r));
-            }
-            for (size_t j = 0; j < probe_keys.size(); ++j) {
-              if (j == k) continue;
-              inlj_residual.push_back(std::make_unique<BoundBinary>(
-                  BinaryOp::kEq,
-                  std::make_unique<BoundColumnRef>(probe_keys[j],
-                                                   TypeId::kNull, "lk"),
-                  std::make_unique<BoundColumnRef>(build_keys[j] + left_width,
-                                                   TypeId::kNull, "rk"),
-                  TypeId::kBool));
-            }
-            phys->residual = AndTogether(std::move(inlj_residual));
-            phys->schema = node.schema;
-            phys->est_rows = result.rows * pred_sel;
-            phys->est_cost = cost;
-            // The plan owns only the outer child; lplan was moved for the
-            // first alternative, so clone via re-plan is avoided by deciding
-            // before moving (see ordering below).
-            inlj_plan = std::move(phys);
-            inlj_cost = cost;
-            break;
-          }
-        }
-      }
-
-      ++*alternatives_;
-      if (!probe_keys.empty()) {
-        double hash_cost = lplan.cost + rplan.cost +
-                           right_rows * CostModel::kHashBuildRowCost +
-                           left_rows * CostModel::kHashProbeRowCost +
-                           result.rows * CostModel::kFilterRowCost;
-        // Commuted alternative (inner joins only): build on the LEFT input
-        // and probe with the right. Its output list restores (left, right)
-        // column order, so it costs what the uncommuted join does with the
-        // inputs' roles swapped.
-        double swapped_cost = kInf;
-        if (join.join_kind == JoinKind::kInner) {
-          ++*alternatives_;
-          swapped_cost = lplan.cost + rplan.cost +
-                         left_rows * CostModel::kHashBuildRowCost +
-                         right_rows * CostModel::kHashProbeRowCost +
-                         result.rows * CostModel::kFilterRowCost;
-        }
-        if (inlj_plan != nullptr && inlj_cost < hash_cost &&
-            inlj_cost < swapped_cost) {
-          inlj_plan->children.push_back(std::move(lplan.plan));
-          result.local_plan = std::move(inlj_plan);
-          result.local_cost = inlj_cost;
-          return result;
-        }
-        if (swapped_cost < hash_cost) {
-          int right_width = node.children[1]->schema.num_columns();
-          auto phys = std::make_unique<PhysHashJoin>();
-          phys->join_kind = JoinKind::kInner;
-          // Probe = right input, build = left input; keys swap roles and the
-          // residual's ordinals are remapped to (right, left) order.
-          phys->probe_keys = build_keys;
-          phys->build_keys = probe_keys;
-          std::vector<BExprPtr> swapped_residual;
-          for (auto& r : residual) {
-            // old ordinal o: o < left_width -> o + right_width (left now
-            // second); else o - left_width (right now first).
-            std::vector<int> mapping(left_width + right_width);
-            for (int o = 0; o < left_width; ++o) mapping[o] = o + right_width;
-            for (int o = 0; o < right_width; ++o) {
-              mapping[left_width + o] = o;
-            }
-            BExprPtr copy = CloneBound(*r);
-            RemapColumnRefs(copy.get(), mapping);
-            swapped_residual.push_back(std::move(copy));
-          }
-          phys->residual = AndTogether(std::move(swapped_residual));
-          // Emit (left, right) column order for the parent.
-          for (int o = 0; o < left_width; ++o) {
-            phys->output.push_back(right_width + o);
-          }
-          for (int o = 0; o < right_width; ++o) phys->output.push_back(o);
-          phys->schema = node.schema;
-          phys->est_rows = result.rows;
-          phys->est_cost = swapped_cost;
-          phys->children.push_back(std::move(rplan.plan));  // probe
-          phys->children.push_back(std::move(lplan.plan));  // build
-          result.local_plan = std::move(phys);
-          result.local_cost = swapped_cost;
-          return result;
-        }
-        auto phys = std::make_unique<PhysHashJoin>();
-        phys->join_kind = join.join_kind;
-        phys->probe_keys = std::move(probe_keys);
-        phys->build_keys = std::move(build_keys);
-        phys->residual = AndTogether(std::move(residual));
-        phys->schema = node.schema;
-        phys->est_rows = result.rows;
-        phys->est_cost = hash_cost;
-        phys->children.push_back(std::move(lplan.plan));
-        phys->children.push_back(std::move(rplan.plan));
-        result.local_plan = std::move(phys);
-        result.local_cost = hash_cost;
-      } else {
-        double cost = lplan.cost + rplan.cost +
-                      left_rows * right_rows * CostModel::kNLInnerRowCost;
-        auto phys = std::make_unique<PhysNLJoin>();
-        phys->join_kind = join.join_kind;
-        phys->condition =
-            join.condition != nullptr ? CloneBound(*join.condition) : nullptr;
-        phys->schema = node.schema;
-        phys->est_rows = result.rows;
-        phys->est_cost = cost;
-        phys->children.push_back(std::move(lplan.plan));
-        phys->children.push_back(std::move(rplan.plan));
-        result.local_plan = std::move(phys);
-        result.local_cost = cost;
-      }
+      const InnerAccess inner = InnerAccessOf(*node.children[1]);
+      JoinKeys keys = SplitJoinKeys(Pointers(conjuncts), [&](int o) {
+        return o >= left_width;
+      });
+      for (int& k : keys.right) k -= left_width;
+      const JoinStep step =
+          CheapestJoin(join.join_kind, keys.right, inner,
+                       {lplan.cost, left_rows}, {rplan.cost, right_rows},
+                       result.rows);
+      result.local_plan = BuildJoin(step, join.join_kind, std::move(conjuncts),
+                                    std::move(lplan.plan),
+                                    std::move(rplan.plan), inner, node.schema,
+                                    result.rows);
+      result.local_cost = step.cost;
       return result;
     }
     case LogicalKind::kAggregate: {
@@ -1306,14 +1524,23 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const LogicalOp& query) const {
       }
     }
 
-    // Pass 2: first conditional (parameterized) match becomes a dynamic plan.
+    // Pass 2: the first conditional (parameterized) match whose dynamic plan
+    // beats the plan it guards becomes that dynamic plan (§5.1: ChoosePlan
+    // is one costed alternative, priced Fl*Cl + (1-Fl)*Cr). A site whose
+    // guard-true branch costs more than shipping the query leaves the tree
+    // unchanged and counts as a miss.
     if (options_.enable_dynamic_plans) {
       sites.clear();
       CollectSites(&work, &sites);
       used.clear();
       ComputeUsed(*work, AllColumns(work->schema), &used);
-      for (LogicalPtr* slot : sites) {
-        SiteInfo info = InspectSite(slot);
+      // Whole-tree delivered cost without a dynamic plan, priced at the
+      // first conditional match; the difference against an adopted variant
+      // is its estimated per-execution saving. Heuristic routing never
+      // prices it, and adopts the first match.
+      std::optional<double> pass2_base_cost;
+      for (size_t site = 0; site < sites.size(); ++site) {
+        SiteInfo info = InspectSite(sites[site]);
         auto it = used.find(info.get);
         std::set<int> used_cols =
             it != used.end() ? it->second : AllColumns(info.get->schema);
@@ -1323,12 +1550,8 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const LogicalOp& query) const {
             MatchViews(*info.get, info.conjuncts, used_cols, *catalog_,
                        options_.allow_mixed_results, options_.max_staleness,
                        options_.current_time);
-        // Substitutions below free the subtree info.get points into; keep
-        // copies of the identifiers needed to re-locate the site afterwards.
-        const std::string site_table = info.get->table;
-        const std::string site_alias = info.get->alias;
-        ViewMatch* conditional = nullptr;
-        for (ViewMatch& m : matches) {
+        const ViewMatch* conditional = nullptr;
+        for (const ViewMatch& m : matches) {
           if (m.guard != nullptr) {
             conditional = &m;
             break;
@@ -1336,88 +1559,69 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const LogicalOp& query) const {
         }
         if (conditional == nullptr) continue;
         ++alternatives;
+
+        // A copy of the tree with this site replaced by `replacement`; the
+        // same traversal finds the same site in the copy.
+        auto with_site = [&](LogicalPtr replacement) {
+          LogicalPtr tree = CloneLogical(*work);
+          std::vector<LogicalPtr*> copy_sites;
+          CollectSites(&tree, &copy_sites);
+          *copy_sites[site] = std::move(replacement);
+          return tree;
+        };
+        auto choose_plan = [&](LogicalPtr guarded, LogicalPtr fallback) {
+          auto cp = std::make_unique<LogicalChoosePlan>();
+          cp->guard = CloneBound(*conditional->guard);
+          cp->guard_prob = conditional->guard_prob;
+          cp->schema = guarded->schema;
+          cp->children.push_back(std::move(guarded));
+          cp->children.push_back(std::move(fallback));
+          return cp;
+        };
+        // Candidate A: ChoosePlan. With pull-up, the ChoosePlan floats to
+        // the root so each branch is optimized independently and the remote
+        // branch can ship the largest possible query (§5.1.2).
+        LogicalPtr cp_variant =
+            options_.pull_up_chooseplan
+                ? choose_plan(with_site(CloneLogical(*conditional->substitute)),
+                              CloneLogical(*work))
+                : with_site(
+                      choose_plan(CloneLogical(*conditional->substitute),
+                                  CloneLogical(*sites[site]->get())));
+        double variant_cost = kInf;
+        if (options_.cost_based_routing) {
+          if (!pass2_base_cost.has_value()) {
+            auto base = cmp.DeliveredCost(*work);
+            pass2_base_cost = base.ok() ? *base : kInf;
+          }
+          auto cost = cmp.DeliveredCost(*cp_variant);
+          if (cost.ok()) variant_cost = *cost;
+          // Candidate B: mixed-result plan (regular matviews only).
+          if (conditional->mixed != nullptr) {
+            LogicalPtr mixed = with_site(CloneLogical(*conditional->mixed));
+            auto mixed_cost = cmp.DeliveredCost(*mixed);
+            if (mixed_cost.ok() && *mixed_cost < variant_cost) {
+              cp_variant = std::move(mixed);
+              variant_cost = *mixed_cost;
+            }
+          }
+          if (!(variant_cost < *pass2_base_cost)) {
+            if (options_.decision_stats != nullptr) {
+              ++options_.decision_stats->view_match_misses;
+            }
+            continue;
+          }
+          // Without a priced base (its planning failed) nothing is saved.
+          if (*pass2_base_cost < kInf) {
+            out.est_saved_units += *pass2_base_cost - variant_cost;
+          }
+        }
         if (options_.decision_stats != nullptr) {
           ++options_.decision_stats->view_match_conditional;
         }
         if (conditional->view != nullptr) {
           out.matched_views.push_back(conditional->view->name);
         }
-        // Whole-tree delivered cost before the ChoosePlan substitution; the
-        // difference against the final variant is the dynamic plan's
-        // estimated per-execution saving.
-        double pass2_base_cost = -1;
-        if (options_.cost_based_routing) {
-          auto base = cmp.DeliveredCost(*work);
-          if (base.ok()) pass2_base_cost = *base;
-        }
-
-        // Candidate A: ChoosePlan. With pull-up, the ChoosePlan floats to
-        // the root so each branch is optimized independently and the remote
-        // branch can ship the largest possible query (§5.1.2).
-        LogicalPtr cp_variant;
-        if (options_.pull_up_chooseplan) {
-          auto cp = std::make_unique<LogicalChoosePlan>();
-          cp->guard = CloneBound(*conditional->guard);
-          cp->guard_prob = conditional->guard_prob;
-          cp->schema = work->schema;
-          LogicalPtr original = CloneLogical(*work);
-          *slot = CloneLogical(*conditional->substitute);
-          cp->children.push_back(std::move(work));
-          cp->children.push_back(std::move(original));
-          cp_variant = std::move(cp);
-        } else {
-          auto cp = std::make_unique<LogicalChoosePlan>();
-          cp->guard = CloneBound(*conditional->guard);
-          cp->guard_prob = conditional->guard_prob;
-          cp->schema = (*slot)->schema;
-          LogicalPtr original_site = CloneLogical(**slot);
-          cp->children.push_back(CloneLogical(*conditional->substitute));
-          cp->children.push_back(std::move(original_site));
-          *slot = std::move(cp);
-          cp_variant = std::move(work);
-        }
-
-        // Candidate B: mixed-result plan (regular matviews only).
-        if (conditional->mixed != nullptr && options_.cost_based_routing) {
-          // Rebuild the original tree with the site replaced by the mixed
-          // UnionAll, and compare costs.
-          LogicalPtr mixed_variant;
-          {
-            // cp_variant holds the tree; locate the equivalent structure is
-            // complex, so instead rebuild from the pull-up fallback branch.
-            const LogicalOp* original_tree =
-                options_.pull_up_chooseplan ? cp_variant->children[1].get()
-                                            : nullptr;
-            if (original_tree != nullptr) {
-              mixed_variant = CloneLogical(*original_tree);
-              std::vector<LogicalPtr*> msites;
-              CollectSites(&mixed_variant, &msites);
-              for (LogicalPtr* mslot : msites) {
-                SiteInfo minfo = InspectSite(mslot);
-                if (minfo.get->table == site_table &&
-                    minfo.get->alias == site_alias) {
-                  *mslot = CloneLogical(*conditional->mixed);
-                  break;
-                }
-              }
-            }
-          }
-          if (mixed_variant != nullptr) {
-            auto cp_cost = cmp.DeliveredCost(*cp_variant);
-            auto mixed_cost = cmp.DeliveredCost(*mixed_variant);
-            if (cp_cost.ok() && mixed_cost.ok() && *mixed_cost < *cp_cost) {
-              cp_variant = std::move(mixed_variant);
-            }
-          }
-        }
-
-        if (pass2_base_cost >= 0) {
-          auto final_cost = cmp.DeliveredCost(*cp_variant);
-          if (final_cost.ok() && *final_cost < pass2_base_cost) {
-            out.est_saved_units += pass2_base_cost - *final_cost;
-          }
-        }
-
         work = std::move(cp_variant);
         break;  // one dynamic site per query
       }

@@ -423,7 +423,8 @@ TEST(BatchLifetimeCacheTest, RemoteAndChoosePlanRowsOutliveTheirBatches) {
       // Hash join over aggregate output of the ChoosePlan, sorted.
       "SELECT TOP 25 o.o_id, g.c FROM orders o JOIN (SELECT i_qty, "
       "COUNT(*) c FROM item WHERE i_id <= @id GROUP BY i_qty) g "
-      "ON o.o_item = g.i_qty ORDER BY g.c DESC, o.o_id",
+      "ON o.o_item = g.i_qty WHERE o.o_id <= 40 "
+      "ORDER BY g.c DESC, o.o_id",
   };
   const bool ordered[] = {true, true, false, true};
 
@@ -827,6 +828,121 @@ TEST(AggregateTypeMixTest, MixedBatchFallsBackThenTypedLoopsResume) {
       EXPECT_EQ(typed.vector_fallbacks.load(), 1);
       EXPECT_EQ(oracle.vectorized_batches.load(), 0);
       EXPECT_EQ(oracle.vector_fallbacks.load(), 0);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sort and Top-N sort against their definition: a stable sort of the whole
+// input by Value::Compare on the keys, then the first `limit` rows. Keys
+// mix typed-int columns, columns with NULLs, a column of mixed type tags and
+// a computed key; one input arrives already ascending under DESC keys (the
+// worst case for a heap-based Top-N).
+// ---------------------------------------------------------------------------
+
+// (k, n, m, x): k small ints (many ties), n ints with NULLs, m mixed tags
+// (int, double, string, NULL), x doubles of either sign; or, when
+// `ascending`, k = i and x = i / 2.
+std::vector<Row> SortInputRows(bool ascending) {
+  std::mt19937 rng(7);
+  auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::vector<Row> rows;
+  for (int i = 0; i < 600; ++i) {
+    if (ascending) {
+      rows.push_back({Value::Int(i), Value::Int(i % 7), Value::Int(i),
+                      Value::Double(i * 0.5)});
+      continue;
+    }
+    Value m;
+    switch (pick(0, 3)) {
+      case 0: m = Value::Int(pick(0, 20)); break;
+      case 1: m = Value::Double(pick(0, 40) * 0.5); break;
+      case 2: m = Value::String("s" + std::to_string(pick(0, 9))); break;
+      default: break;  // NULL
+    }
+    rows.push_back({Value::Int(pick(0, 9)),
+                    pick(0, 5) == 0 ? Value::Null() : Value::Int(pick(0, 30)),
+                    m, Value::Double((pick(0, 100) - 50) * 0.25)});
+  }
+  return rows;
+}
+
+TEST(BatchDiffTopNTest, SelectionEqualsStableSortPlusLimit) {
+  TableDef def;
+  def.name = "sortin";
+  def.virtual_table = true;
+  def.schema = Schema({{"k", TypeId::kInt64, "sortin", true},
+                       {"n", TypeId::kInt64, "sortin", true},
+                       {"m", TypeId::kInt64, "sortin", true},
+                       {"x", TypeId::kDouble, "sortin", true}});
+  // Key lists as (ordinal, desc); ordinal -1 is the computed key k + x.
+  const std::vector<std::vector<std::pair<int, bool>>> key_lists = {
+      {{0, false}},
+      {{0, true}, {1, false}},
+      {{1, true}, {3, false}},
+      {{2, false}},
+      {{2, true}, {0, false}},
+      {{-1, true}},
+      {{3, true}, {2, true}, {1, false}},
+  };
+  auto key_expr = [](int ord) {
+    if (ord >= 0) {
+      return ColRef(ord, ord == 3 ? TypeId::kDouble : TypeId::kInt64);
+    }
+    return Bin(BinaryOp::kAdd, ColRef(0, TypeId::kInt64),
+               ColRef(3, TypeId::kDouble));
+  };
+  auto key_value = [](const Row& row, int ord) {
+    if (ord >= 0) return row[ord];
+    return Value::Double(static_cast<double>(row[0].AsInt()) +
+                         row[3].AsDouble());
+  };
+  for (bool ascending : {false, true}) {
+    const std::vector<Row> input = SortInputRows(ascending);
+    FixedRows provider(input);
+    for (const auto& keys : key_lists) {
+      std::vector<Row> sorted = input;
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [&](const Row& a, const Row& b) {
+                         for (const auto& [ord, desc] : keys) {
+                           int c = key_value(a, ord).Compare(key_value(b, ord));
+                           if (c != 0) return desc ? c > 0 : c < 0;
+                         }
+                         return false;
+                       });
+      for (int64_t limit : {0, 1, 5, 50, 333, 599, 600, 700}) {
+        std::vector<std::string> want;
+        for (const Row& row : sorted) {
+          if (limit > 0 && static_cast<int64_t>(want.size()) == limit) break;
+          want.push_back(RowKey(row));
+        }
+        for (int capacity : kCapacities) {
+          SCOPED_TRACE("ascending " + std::to_string(ascending) + ", " +
+                       std::to_string(keys.size()) + " keys, limit " +
+                       std::to_string(limit) + ", capacity " +
+                       std::to_string(capacity));
+          auto scan = std::make_unique<PhysSeqScan>();
+          scan->def = &def;
+          scan->schema = def.schema;
+          auto sort = std::make_unique<PhysSort>();
+          for (const auto& [ord, desc] : keys) {
+            sort->keys.push_back({key_expr(ord), desc});
+          }
+          sort->limit = limit;
+          sort->schema = def.schema;
+          sort->children.push_back(std::move(scan));
+          ExecContext ctx;
+          ctx.virtual_tables = &provider;
+          ctx.batch_capacity = capacity;
+          auto result = ExecutePlan(*sort, &ctx);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          std::vector<std::string> got;
+          for (const Row& row : result->rows) got.push_back(RowKey(row));
+          EXPECT_EQ(got, want);
+        }
+      }
     }
   }
 }

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -252,6 +253,31 @@ class TpcwCacheTest : public TpcwBackendTest {
   std::unique_ptr<MTCache> mtcache_;
 };
 
+// A further cache over a test's backend, executing at batch capacity
+// `capacity`; Setup caches `fraction` of each cached table.
+struct FractionCache {
+  FractionCache(SimClock* clock, int capacity)
+      : server(Options(capacity), clock, &links), repl(clock) {}
+
+  static ServerOptions Options(int capacity) {
+    ServerOptions options{"cache2", "dbo", {}};
+    options.exec_batch_capacity = capacity;
+    return options;
+  }
+
+  Status Setup(Server* backend, const TpcwConfig& config, double fraction) {
+    auto setup = MTCache::Setup(&server, backend, &repl);
+    if (!setup.ok()) return setup.status();
+    mtcache = setup.ConsumeValue();
+    return SetupTpcwCache(mtcache.get(), config, fraction);
+  }
+
+  LinkedServerRegistry links;
+  Server server;
+  ReplicationSystem repl;
+  std::unique_ptr<MTCache> mtcache;
+};
+
 TEST_F(TpcwCacheTest, CachedViewsPopulated) {
   auto r = cache_.Execute("SELECT COUNT(*) FROM item_cache");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -336,16 +362,10 @@ TEST_F(TpcwCacheTest, CacheResultsMatchBackendResults) {
     for (int capacity : {1, 7, RowBatch::kMaxRows}) {
       SCOPED_TRACE("cached fraction " + std::to_string(fraction) +
                    ", batch capacity " + std::to_string(capacity));
-      LinkedServerRegistry links;
-      ServerOptions options{"cache2", "dbo", {}};
-      options.exec_batch_capacity = capacity;
-      Server cache(options, &clock_, &links);
-      ReplicationSystem repl(&clock_);
-      auto setup = MTCache::Setup(&cache, &backend_, &repl);
-      ASSERT_TRUE(setup.ok()) << setup.status().ToString();
-      auto mtcache = setup.ConsumeValue();
-      Status s = SetupTpcwCache(mtcache.get(), config_, fraction);
+      FractionCache fraction_cache(&clock_, capacity);
+      Status s = fraction_cache.Setup(&backend_, config_, fraction);
       ASSERT_TRUE(s.ok()) << s.ToString();
+      Server& cache = fraction_cache.server;
       size_t rows_compared = 0;
       for (const ProcCall& call : calls) {
         SCOPED_TRACE(call.proc + "(" + call.arg.ToString() + ")");
@@ -375,6 +395,208 @@ TEST_F(TpcwCacheTest, CacheResultsMatchBackendResults) {
       EXPECT_GT(rows_compared, 100u);
     }
   }
+}
+
+// Renders a result as a sorted multiset of rows.
+std::vector<std::string> RowMultiset(const QueryResult& r) {
+  std::vector<std::string> rows;
+  for (const Row& row : r.rows) rows.push_back(RowText(row));
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// A ChoosePlan runs only where it beats the remote plan it guards (§5.1).
+// With half of each table cached, getbook and getrelated find their key in
+// the cache but not the row it joins to (the author, the related item):
+// their guard-true branch would ship that whole table to return one row, so
+// each runs as one remote query returning one row. A single-table lookup
+// still plans its dynamic plan and runs its cached key locally.
+TEST_F(TpcwCacheTest, HalfCacheRoutesJoinsWholeAndLookupsDynamically) {
+  FractionCache half(&clock_, RowBatch::kMaxRows);
+  Status s = half.Setup(&backend_, config_, 0.5);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  const int key = 7;  // inside the cached half of every table
+  for (const char* proc : {"getbook", "getrelated"}) {
+    SCOPED_TRACE(proc);
+    ExecStats stats;
+    auto local = half.server.CallProcedure(proc, {Value::Int(key)}, &stats);
+    auto remote = backend_.CallProcedure(proc, {Value::Int(key)}, nullptr);
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    EXPECT_EQ(stats.remote_queries, 1);
+    EXPECT_LE(stats.rows_transferred, 1);
+    EXPECT_EQ(local->rows.size(), 1u);
+    EXPECT_EQ(RowMultiset(*local), RowMultiset(*remote));
+  }
+  const ProcedureDef* stock = half.server.db().catalog().GetProcedure(
+      "getstock");
+  ASSERT_NE(stock, nullptr);
+  auto plan = half.server.Explain(stock->body_source);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(plan->dynamic_plan) << PhysicalToString(*plan->plan);
+  ExecStats stats;
+  auto local = half.server.CallProcedure("getstock", {Value::Int(key)},
+                                         &stats);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_EQ(stats.remote_queries, 0);
+  EXPECT_EQ(local->rows.size(), 1u);
+}
+
+// Join order is chosen by cost, not by the FROM list: every permutation of
+// the FROM list of each multi-table TPC-W read has the same estimated cost
+// on the backend and on the full cache, and returns the same rows there and
+// on the half cache, at every batch capacity. (On the half cache a chain
+// with a remote leaf joins in FROM order, so only its rows are compared;
+// getcart's shopping_cart_line is never cached, so its cost is compared on
+// the backend only.)
+TEST_F(TpcwCacheTest, FromOrderChangesNeitherCostNorResults) {
+  for (int cart = 1; cart <= 2; ++cart) {
+    ASSERT_TRUE(backend_.CallProcedure("createemptycart", {Value::Int(cart)},
+                                       nullptr)
+                    .ok());
+    for (int line = 0; line < 3; ++line) {
+      ASSERT_TRUE(backend_
+                      .CallProcedure("additem",
+                                     {Value::Int(cart),
+                                      Value::Int(1 + (53 * cart + 71 * line) %
+                                                         config_.num_items),
+                                      Value::Int(line + 1)},
+                                     nullptr)
+                      .ok());
+    }
+  }
+  struct Body {
+    std::string name;
+    std::string select;             // up to FROM
+    std::vector<std::string> from;  // the FROM list's items
+    std::string rest;               // WHERE onwards
+    std::string param;
+    std::vector<Value> args;
+    bool cached_cost = true;        // compare the full cache's cost too
+  };
+  const std::string word = TitleWords()[0];
+  const std::string item_author =
+      " i.i_id, i.i_title, i.i_cost, a.a_fname, a.a_lname";
+  const std::vector<Body> bodies = {
+      {"getbestsellers",
+       "SELECT TOP 50 i.i_id, i.i_title, a.a_fname, a.a_lname, "
+       "SUM(ol.ol_qty) AS total",
+       {"order_line ol", "item i", "author a",
+        "(SELECT TOP " + std::to_string(config_.best_seller_window) +
+            " o_id FROM orders ORDER BY o_date DESC) recent"},
+       "WHERE ol.ol_o_id = recent.o_id AND i.i_id = ol.ol_i_id "
+       "AND a.a_id = i.i_a_id AND i.i_subject = @p "
+       "GROUP BY i.i_id, i.i_title, a.a_fname, a.a_lname ORDER BY total DESC",
+       "@p",
+       {Value::String("arts"), Value::String("history")}},
+      {"dosubjectsearch", "SELECT TOP 50" + item_author,
+       {"item i", "author a"},
+       "WHERE i.i_subject = @p AND a.a_id = i.i_a_id ORDER BY i.i_title",
+       "@p",
+       {Value::String("arts")}},
+      {"dotitlesearch", "SELECT TOP 50" + item_author,
+       {"item i", "author a"},
+       "WHERE i.i_title LIKE @p AND a.a_id = i.i_a_id ORDER BY i.i_title",
+       "@p",
+       {Value::String("%" + word + "%")}},
+      {"doauthorsearch", "SELECT TOP 50" + item_author,
+       {"item i", "author a"},
+       "WHERE a.a_lname LIKE @p AND i.i_a_id = a.a_id ORDER BY i.i_title",
+       "@p",
+       {Value::String(word + "%")}},
+      {"getnewproducts",
+       "SELECT TOP 50 i.i_id, i.i_title, i.i_pub_date, i.i_cost, a.a_fname, "
+       "a.a_lname",
+       {"item i", "author a"},
+       "WHERE i.i_subject = @p AND a.a_id = i.i_a_id "
+       "ORDER BY i.i_pub_date DESC, i.i_title",
+       "@p",
+       {Value::String("arts")}},
+      {"getbook",
+       "SELECT i.i_id, i.i_title, i.i_subject, i.i_desc, i.i_cost, i.i_srp, "
+       "i.i_pub_date, i.i_stock, a.a_fname, a.a_lname",
+       {"item i", "author a"},
+       "WHERE i.i_id = @p AND a.a_id = i.i_a_id",
+       "@p",
+       {Value::Int(7), Value::Int(150)}},
+      {"getrelated", "SELECT i2.i_id, i2.i_title, i2.i_cost",
+       {"item i1", "item i2"},
+       "WHERE i1.i_id = @p AND i1.i_related1 = i2.i_id",
+       "@p",
+       {Value::Int(7), Value::Int(150)}},
+      {"getcart",
+       "SELECT scl.scl_i_id, scl.scl_qty, i.i_title, i.i_cost, i.i_srp",
+       {"shopping_cart_line scl", "item i"},
+       "WHERE scl.scl_sc_id = @p AND i.i_id = scl.scl_i_id",
+       "@p",
+       {Value::Int(1), Value::Int(2)},
+       /*cached_cost=*/false},
+      {"getmostrecentorder",
+       "SELECT o.o_id, o.o_date, o.o_sub_total, o.o_total, o.o_status, "
+       "ol.ol_i_id, ol.ol_qty, i.i_title",
+       {"orders o", "order_line ol", "item i"},
+       "WHERE o.o_id = @p AND ol.ol_o_id = o.o_id AND i.i_id = ol.ol_i_id",
+       "@p",
+       {Value::Int(5), Value::Int(200)}},
+  };
+
+  std::vector<std::unique_ptr<FractionCache>> caches;
+  for (double fraction : {1.0, 0.5}) {
+    for (int capacity : {1, 7, RowBatch::kMaxRows}) {
+      caches.push_back(std::make_unique<FractionCache>(&clock_, capacity));
+      Status s = caches.back()->Setup(&backend_, config_, fraction);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+  Server& full_cache = caches[2]->server;  // fraction 1.0, default capacity
+
+  size_t permutations = 0;
+  size_t rows_compared = 0;
+  for (const Body& body : bodies) {
+    std::vector<size_t> order(body.from.size());
+    std::iota(order.begin(), order.end(), 0);
+    double backend_cost = -1;
+    double cache_cost = -1;
+    std::vector<std::vector<std::string>> want(body.args.size());
+    do {
+      std::string sql = body.select + " FROM ";
+      for (size_t i = 0; i < order.size(); ++i) {
+        sql += (i > 0 ? ", " : "") + body.from[order[i]];
+      }
+      sql += " " + body.rest;
+      SCOPED_TRACE(body.name + ": " + sql);
+      ++permutations;
+      auto plan = backend_.Explain(sql);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      if (backend_cost < 0) backend_cost = plan->est_cost;
+      EXPECT_EQ(plan->est_cost, backend_cost) << PhysicalToString(*plan->plan);
+      if (body.cached_cost) {
+        auto cached = full_cache.Explain(sql);
+        ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+        if (cache_cost < 0) cache_cost = cached->est_cost;
+        EXPECT_EQ(cached->est_cost, cache_cost)
+            << PhysicalToString(*cached->plan);
+      }
+      for (size_t a = 0; a < body.args.size(); ++a) {
+        ParamMap params;
+        params[body.param] = body.args[a];
+        auto reference = backend_.Execute(sql, params, nullptr);
+        ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+        if (want[a].empty()) want[a] = RowMultiset(*reference);
+        EXPECT_EQ(RowMultiset(*reference), want[a]);
+        for (size_t c = 0; c < caches.size(); ++c) {
+          auto got = caches[c]->server.Execute(sql, params, nullptr);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          // caches: fractions 1.0 then 0.5, each at capacities 1, 7, 1024.
+          EXPECT_EQ(RowMultiset(*got), want[a])
+              << body.args[a].ToString() << " on cache " << c;
+        }
+        rows_compared += want[a].size();
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+  EXPECT_EQ(permutations, 24u + 7 * 2u + 6u);
+  EXPECT_GT(rows_compared, 100u);
 }
 
 // No plan on the TPC-W cache copies a cached view's rows only to rebuild
