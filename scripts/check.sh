@@ -51,8 +51,10 @@
 #
 # The asan mode exercises the crash/restart paths with memory checking on:
 # replication_fault_test (incl. the 200-seed randomized schedules),
-# mtcache_resync_test, and property_test; engine_test (plan cache, view
-# matching) and fleet_test (the simulated lab, checked for leaks) ride along,
+# mtcache_resync_test, property_test, and view_maintenance_test (a regular
+# and a cached materialized view diffed against their base table after
+# seeded DML); engine_test (plan cache, view matching) and fleet_test (the
+# simulated lab, checked for leaks) ride along,
 # and so do the executor suites (batch_exec_test, exec_test, tpcw_test): hash
 # joins, sorts and nested loops hold their inputs' rows by reference, so a
 # row kept past its lifetime is a use-after-free here. tpcw_test's
@@ -93,9 +95,9 @@ case "$mode" in
     cmake --build --preset asan -j "$(nproc)" --target \
       replication_fault_test mtcache_resync_test property_test \
       replication_test mtcache_test engine_test fleet_test dmv_smoke \
-      batch_exec_test exec_test tpcw_test
+      batch_exec_test exec_test tpcw_test view_maintenance_test
     (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|VectorKernel|ExecTest\.|Tpcw')
+      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|VectorKernel|ExecTest\.|Tpcw|ViewMaintenance')
     # The DMV walk under ASan: catches lifetime bugs in the virtual-table
     # row materialization that the plain build would miss.
     ./build-asan/examples/dmv_smoke

@@ -48,6 +48,8 @@ struct TableDef {
   TableStats stats;
   RelationKind kind = RelationKind::kBaseTable;
   std::optional<SelectProjectDef> view_def;  // set for (cached) matviews
+  /// view_def resolved against the base table, when the view is created.
+  std::optional<ViewMapping> view_mapping;
   bool shadow = false;      // catalog-only: data lives on the backend
   /// Rows are produced on demand by the engine (sys.dm_* DMVs) instead of
   /// coming from storage. Virtual tables are read-only, local-only (never

@@ -1,5 +1,8 @@
 #include "catalog/view_def.h"
 
+#include <algorithm>
+
+#include "catalog/catalog.h"
 #include "common/string_util.h"
 
 namespace mtcache {
@@ -84,6 +87,61 @@ std::string SelectProjectDef::ToSelectSql() const {
     }
   }
   return sql;
+}
+
+StatusOr<ViewMapping> ViewMapping::Resolve(const SelectProjectDef& def,
+                                           const TableDef& base) {
+  ViewMapping mapping;
+  mapping.def_ = def;
+  for (const SimplePredicate& pred : def.predicates) {
+    int ord = base.ColumnOrdinal(pred.column);
+    if (ord < 0) {
+      return Status::InvalidArgument("predicate column not in table " +
+                                     base.name + ": " + pred.column);
+    }
+    mapping.predicate_ordinals_.push_back(ord);
+  }
+  for (const std::string& col : def.columns) {
+    int ord = base.ColumnOrdinal(col);
+    if (ord < 0) {
+      return Status::InvalidArgument("projected column not in table " +
+                                     base.name + ": " + col);
+    }
+    mapping.projected_ordinals_.push_back(ord);
+  }
+  const std::vector<int>& projected = mapping.projected_ordinals_;
+  for (int pk_col : base.primary_key) {
+    auto it = std::find(projected.begin(), projected.end(), pk_col);
+    mapping.key_ordinals_.push_back(
+        it == projected.end() ? -1 : static_cast<int>(it - projected.begin()));
+  }
+  return mapping;
+}
+
+Row ViewMapping::Project(const Row& base_row) const {
+  Row out;
+  out.reserve(projected_ordinals_.size());
+  for (int ord : projected_ordinals_) out.push_back(base_row[ord]);
+  return out;
+}
+
+std::optional<ViewChange> ViewMapping::Classify(const Row* before,
+                                                const Row* after) const {
+  bool before_in = before != nullptr && Matches(*before);
+  bool after_in = after != nullptr && Matches(*after);
+  ViewChange change;
+  if (before_in && after_in) {
+    change.op = ViewChange::Op::kUpdate;
+  } else if (before_in) {
+    change.op = ViewChange::Op::kDelete;
+  } else if (after_in) {
+    change.op = ViewChange::Op::kInsert;
+  } else {
+    return std::nullopt;
+  }
+  if (before_in) change.before = Project(*before);
+  if (after_in) change.after = Project(*after);
+  return change;
 }
 
 }  // namespace mtcache

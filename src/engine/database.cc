@@ -13,19 +13,6 @@ Status Database::CreateTable(TableDef def) {
   return Status::Ok();
 }
 
-Status Database::AttachStorage(const std::string& table) {
-  TableDef* def = catalog_.GetTable(table);
-  if (def == nullptr) {
-    return Status::NotFound("table not found: " + table);
-  }
-  if (tables_.count(table) > 0) {
-    return Status::AlreadyExists("storage already exists for " + table);
-  }
-  def->shadow = false;
-  tables_[table] = std::make_unique<StoredTable>(def, &log_);
-  return Status::Ok();
-}
-
 Status Database::DropTable(const std::string& table) {
   MT_RETURN_IF_ERROR(catalog_.DropTable(table));
   tables_.erase(table);

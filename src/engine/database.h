@@ -36,10 +36,6 @@ class Database : public StorageProvider {
   /// its storage.
   Status CreateTable(TableDef def);
 
-  /// Creates storage for an already-cataloged table (used when a shadow
-  /// table definition is materialized as a cached view's backing store).
-  Status AttachStorage(const std::string& table);
-
   Status DropTable(const std::string& table);
 
   // StorageProvider: returns null for shadow tables and unknown names.

@@ -739,129 +739,45 @@ StatusOr<RowId> Server::InsertRow(StoredTable* table, const Row& row,
         CostModel::kInsertRowCost +
         table->def().indexes.size() * CostModel::kIndexMaintRowCost;
   }
-  MT_RETURN_IF_ERROR(MaintainViews(table->def(), LogRecordType::kInsert, {},
-                                   row, txn, stats));
+  MT_RETURN_IF_ERROR(MaintainViews(table->def(), nullptr, &row, txn, stats));
   return rid;
 }
 
 Status Server::DeleteRow(StoredTable* table, RowId rid, Transaction* txn,
                          ExecStats* stats) {
-  Row before;
-  {
-    SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-    before = table->heap().Get(rid);
-  }
-  MT_RETURN_IF_ERROR(table->Delete(rid, txn));
+  MT_ASSIGN_OR_RETURN(Row before, table->Delete(rid, txn));
   if (stats != nullptr) {
     stats->local_cost +=
         CostModel::kDeleteRowCost +
         table->def().indexes.size() * CostModel::kIndexMaintRowCost;
   }
-  return MaintainViews(table->def(), LogRecordType::kDelete, before, {}, txn,
-                       stats);
+  return MaintainViews(table->def(), &before, nullptr, txn, stats);
 }
 
 Status Server::UpdateRow(StoredTable* table, RowId rid, const Row& new_row,
                          Transaction* txn, ExecStats* stats) {
-  Row before;
-  {
-    SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-    before = table->heap().Get(rid);
-  }
-  MT_RETURN_IF_ERROR(table->Update(rid, new_row, txn));
+  MT_ASSIGN_OR_RETURN(Row before, table->Update(rid, new_row, txn));
   if (stats != nullptr) {
     stats->local_cost +=
         CostModel::kUpdateRowCost +
         table->def().indexes.size() * CostModel::kIndexMaintRowCost;
   }
-  return MaintainViews(table->def(), LogRecordType::kUpdate, before, new_row,
-                       txn, stats);
+  return MaintainViews(table->def(), &before, &new_row, txn, stats);
 }
 
-namespace {
-
-// Locates a view row whose primary-key columns equal `key` (values in view
-// pk order). Returns -1 when absent. Holds the view's shared latch for the
-// lookup; the caller's subsequent mutation re-latches exclusively.
-RowId FindViewRowByKey(StoredTable* view, const Row& key) {
-  SharedLatchWait latch(view->latch(), WaitSite::kTableLatchShared);
-  if (!view->def().indexes.empty() && view->def().indexes[0].unique) {
-    for (auto it = view->index(0).SeekGe(key);
-         it.Valid() && BPlusTree::ComparePrefix(it.key(), key) == 0;
-         it.Next()) {
-      if (view->heap().IsLive(it.rowid())) return it.rowid();
-    }
-    return -1;
-  }
-  // Fallback: linear scan on pk columns.
-  const std::vector<int>& pk = view->def().primary_key;
-  for (RowId rid = 0; rid < view->heap().slot_count(); ++rid) {
-    if (!view->heap().IsLive(rid)) continue;
-    const Row& row = view->heap().Get(rid);
-    bool match = true;
-    for (size_t i = 0; i < pk.size(); ++i) {
-      if (row[pk[i]].Compare(key[i]) != 0) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return rid;
-  }
-  return -1;
-}
-
-}  // namespace
-
-Status Server::MaintainViews(const TableDef& base, LogRecordType op,
-                             const Row& before, const Row& after,
-                             Transaction* txn, ExecStats* stats) {
+Status Server::MaintainViews(const TableDef& base, const Row* before,
+                             const Row* after, Transaction* txn,
+                             ExecStats* stats) {
   for (const TableDef* view_def : db_.catalog().ViewsOver(base.name)) {
     // Only regular materialized views are maintained synchronously; cached
     // views are maintained asynchronously by replication (§3).
     if (view_def->kind != RelationKind::kMaterializedView) continue;
     StoredTable* view = db_.GetStoredTable(view_def->name);
     if (view == nullptr) continue;
-    const SelectProjectDef& def = *view_def->view_def;
-
-    std::vector<int> pred_cols;
-    for (const SimplePredicate& pred : def.predicates) {
-      pred_cols.push_back(base.ColumnOrdinal(pred.column));
-    }
-    auto project = [&](const Row& row) {
-      Row out;
-      for (const std::string& col : def.columns) {
-        out.push_back(row[base.ColumnOrdinal(col)]);
-      }
-      return out;
-    };
-    auto key_of = [&](const Row& row) {
-      Row key;
-      for (int pk_view_ord : view_def->primary_key) {
-        int base_ord = base.ColumnOrdinal(def.columns[pk_view_ord]);
-        key.push_back(row[base_ord]);
-      }
-      return key;
-    };
     if (stats != nullptr) stats->local_cost += CostModel::kApplyRecordCost;
-
-    bool before_in = op != LogRecordType::kInsert &&
-                     def.RowMatches(pred_cols, before);
-    bool after_in = op != LogRecordType::kDelete &&
-                    def.RowMatches(pred_cols, after);
-    if (op == LogRecordType::kInsert) before_in = false;
-    if (op == LogRecordType::kDelete) after_in = false;
-
-    if (!before_in && after_in) {
-      MT_RETURN_IF_ERROR(view->Insert(project(after), txn).status());
-    } else if (before_in && !after_in) {
-      RowId rid = FindViewRowByKey(view, key_of(before));
-      if (rid >= 0) MT_RETURN_IF_ERROR(view->Delete(rid, txn));
-    } else if (before_in && after_in) {
-      RowId rid = FindViewRowByKey(view, key_of(before));
-      if (rid >= 0) {
-        MT_RETURN_IF_ERROR(view->Update(rid, project(after), txn));
-      }
-    }
+    std::optional<ViewChange> change =
+        view_def->view_mapping->Classify(before, after);
+    if (change.has_value()) MT_RETURN_IF_ERROR(view->ApplyByKey(*change, txn));
   }
   return Status::Ok();
 }
@@ -1237,10 +1153,7 @@ Status Server::ExecCreateView(const CreateViewStmt& stmt, Session* session,
   StoredTable* base_table = db_.GetStoredTable(base->name);
   StoredTable* view_table = db_.GetStoredTable(stmt.view);
   if (base_table != nullptr && view_table != nullptr) {
-    std::vector<int> pred_cols;
-    for (const SimplePredicate& pred : def.predicates) {
-      pred_cols.push_back(base->ColumnOrdinal(pred.column));
-    }
+    const ViewMapping& mapping = *view_table->def().view_mapping;
     TxnScope scope = BeginScope(session);
     Status status = Status::Ok();
     // Copy the matching base rows under the base table's shared latch first,
@@ -1252,12 +1165,8 @@ Status Server::ExecCreateView(const CreateViewStmt& stmt, Session* session,
         if (!base_table->heap().IsLive(rid)) continue;
         const Row& row = base_table->heap().Get(rid);
         if (stats != nullptr) stats->local_cost += CostModel::kSeqRowCost;
-        if (!def.RowMatches(pred_cols, row)) continue;
-        Row projected;
-        for (const std::string& col : def.columns) {
-          projected.push_back(row[base->ColumnOrdinal(col)]);
-        }
-        projected_rows.push_back(std::move(projected));
+        if (!mapping.Matches(row)) continue;
+        projected_rows.push_back(mapping.Project(row));
       }
     }
     for (const Row& projected : projected_rows) {

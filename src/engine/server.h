@@ -295,9 +295,11 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   Status UpdateRow(StoredTable* table, RowId rid, const Row& new_row,
                    Transaction* txn, ExecStats* stats);
 
-  Status MaintainViews(const TableDef& base, LogRecordType op,
-                       const Row& before, const Row& after, Transaction* txn,
-                       ExecStats* stats);
+  /// Keeps the regular materialized views over `base` current after one
+  /// base-row change: `before`/`after` are the row's images, null where the
+  /// change has none.
+  Status MaintainViews(const TableDef& base, const Row* before,
+                       const Row* after, Transaction* txn, ExecStats* stats);
 
   /// Rows of `table` satisfying `where`, using an index when an equality
   /// prefix is available.

@@ -83,20 +83,10 @@ StatusOr<SelectProjectDef> BuildSelectProjectDef(const SelectStmt& select,
     def.columns.push_back(
         static_cast<const ColumnRefExpr&>(*item.expr).column);
   }
-  for (const std::string& col : def.columns) {
-    if (base.ColumnOrdinal(col) < 0) {
-      return Status::InvalidArgument("unknown column in view: " + col);
-    }
-  }
   if (select.where != nullptr) {
     MT_RETURN_IF_ERROR(CollectPredicates(*select.where, &def));
-    for (const SimplePredicate& pred : def.predicates) {
-      if (base.ColumnOrdinal(pred.column) < 0) {
-        return Status::InvalidArgument("unknown column in view predicate: " +
-                                       pred.column);
-      }
-    }
   }
+  MT_RETURN_IF_ERROR(ViewMapping::Resolve(def, base).status());
   return def;
 }
 
@@ -104,37 +94,35 @@ StatusOr<TableDef> MakeViewTableDef(const std::string& view_name,
                                     const TableDef& base,
                                     const SelectProjectDef& def,
                                     RelationKind kind) {
+  // Change application (synchronous maintenance or replication) locates
+  // view rows by the base primary key, so the base table must have one and
+  // the view must project all of it.
+  if (base.primary_key.empty()) {
+    return Status::InvalidArgument("view base table " + base.name +
+                                   " has no primary key");
+  }
+  MT_ASSIGN_OR_RETURN(ViewMapping mapping, ViewMapping::Resolve(def, base));
   TableDef view;
   view.name = view_name;
   view.kind = kind;
   view.view_def = def;
-  for (const std::string& col : def.columns) {
-    int ord = base.ColumnOrdinal(col);
+  for (int ord : mapping.projected_ordinals()) {
     ColumnInfo info = base.schema.column(ord);
     info.table = view_name;
     view.schema.AddColumn(std::move(info));
   }
-  // The base primary key must be fully included: change application (from
-  // replication or synchronous maintenance) locates view rows by key.
-  for (int pk_col : base.primary_key) {
-    const std::string& pk_name = base.schema.column(pk_col).name;
-    int in_view = -1;
-    for (size_t j = 0; j < def.columns.size(); ++j) {
-      if (def.columns[j] == pk_name) {
-        in_view = static_cast<int>(j);
-        break;
-      }
-    }
+  for (size_t i = 0; i < base.primary_key.size(); ++i) {
+    int in_view = mapping.key_ordinals()[i];
     if (in_view < 0) {
       return Status::InvalidArgument(
-          "view must include the base table's primary key column " + pk_name);
+          "view must include the base table's primary key column " +
+          base.schema.column(base.primary_key[i]).name);
     }
     view.primary_key.push_back(in_view);
   }
-  if (!view.primary_key.empty()) {
-    view.indexes.push_back(IndexDef{view_name + "_pk", view.primary_key, true});
-  }
+  view.indexes.push_back(IndexDef{view_name + "_pk", view.primary_key, true});
   view.stats = DeriveViewStats(base, def);
+  view.view_mapping = std::move(mapping);
   return view;
 }
 

@@ -18,7 +18,8 @@ StatusOr<SelectProjectDef> BuildSelectProjectDef(const SelectStmt& select,
 
 /// Builds the backing TableDef for a (cached) materialized view: projected
 /// base columns, the base primary key mapped through (required — updates and
-/// deletes are applied by key), and a unique index on that key.
+/// deletes are applied by key, so a base table without a primary key is
+/// rejected), a unique index on that key, and the resolved view mapping.
 StatusOr<TableDef> MakeViewTableDef(const std::string& view_name,
                                     const TableDef& base,
                                     const SelectProjectDef& def,

@@ -126,46 +126,13 @@ Status MTCache::CreateCachedView(const std::string& name,
       MakeViewTableDef(name, *base, def, RelationKind::kCachedView));
   MT_RETURN_IF_ERROR(cache_->db().CreateTable(std::move(view_def)));
 
-  // Initial snapshot: run the article's select-project on the backend and
-  // bulk-insert locally, then subscribe from the current log position.
-  // (Single-threaded system: no writes can slip between the two steps.)
-  StoredTable* backing = cache_->db().GetStoredTable(name);
-  ExecStats snapshot_stats;
-  auto snapshot =
-      backend_->Execute(def.ToSelectSql(), ParamMap{}, &snapshot_stats);
-  if (!snapshot.ok()) {
-    cache_->db().DropTable(name).ok();
-    return snapshot.status();
-  }
-  {
-    auto txn = cache_->db().txn_manager().Begin();
-    for (const Row& row : snapshot->rows) {
-      if (SnapshotRowCrash()) {
-        // Mid-snapshot crash: roll the copy back and drop the half-built
-        // view so the optimizer never sees a partially populated replica.
-        // Retrying CreateCachedView starts over from scratch.
-        cache_->db().txn_manager().Abort(txn.get());
-        cache_->db().DropTable(name).ok();
-        cache_->InvalidatePlanCache();
-        return Status::Unavailable("injected crash: snapshot of " + name +
-                                   " died mid-copy");
-      }
-      auto inserted = backing->Insert(row, txn.get());
-      if (!inserted.ok()) {
-        cache_->db().txn_manager().Abort(txn.get());
-        cache_->db().DropTable(name).ok();
-        return inserted.status();
-      }
-    }
-    cache_->db().txn_manager().Commit(txn.get(), cache_->db().Now());
-  }
-
-  Article article;
-  article.name = name + "_article";
-  article.def = def;
-  auto subscription = repl_->Subscribe(backend_, article, cache_, name);
+  auto subscription =
+      SnapshotThenSubscribe(cache_->db().GetStoredTable(name), def);
   if (!subscription.ok()) {
+    // Drop the half-built view so the optimizer never sees a partially
+    // populated replica. Retrying CreateCachedView starts over from scratch.
     cache_->db().DropTable(name).ok();
+    cache_->InvalidatePlanCache();
     return subscription.status();
   }
   TableDef* created = cache_->db().catalog().GetTable(name);
@@ -202,65 +169,63 @@ Status MTCache::RefreshCachedView(const std::string& name) {
     MT_RETURN_IF_ERROR(repl_->Unsubscribe(def->subscription_id));
     def->subscription_id = -1;
   }
-  // Replace the contents with a fresh snapshot, atomically.
-  ExecStats snapshot_stats;
-  MT_ASSIGN_OR_RETURN(
-      QueryResult snapshot,
-      backend_->Execute(def->view_def->ToSelectSql(), ParamMap{},
-                        &snapshot_stats));
-  {
-    auto txn = cache_->db().txn_manager().Begin();
-    // Collect the live rids under a shared latch first; Delete takes the
-    // exclusive latch internally per row.
-    std::vector<RowId> live;
-    {
-      std::shared_lock<std::shared_mutex> latch(backing->latch());
-      for (RowId rid = 0; rid < backing->heap().slot_count(); ++rid) {
-        if (backing->heap().IsLive(rid)) live.push_back(rid);
-      }
-    }
-    for (RowId rid : live) {
-      Status status = backing->Delete(rid, txn.get());
-      if (!status.ok()) {
-        cache_->db().txn_manager().Abort(txn.get());
-        return status;
-      }
-    }
-    for (const Row& row : snapshot.rows) {
-      if (SnapshotRowCrash()) {
-        // Mid-refresh crash: the abort restores the previous contents, so
-        // no half-populated state is ever visible. The view is left
-        // unsubscribed (subscription_id == -1) and possibly stale — exactly
-        // the condition RefreshCachedView repairs — and the consistency
-        // checker flags it until the refresh is retried.
-        cache_->db().txn_manager().Abort(txn.get());
-        cache_->InvalidatePlanCache();
-        return Status::Unavailable("injected crash: resync of " + name +
-                                   " died mid-copy");
-      }
-      auto inserted = backing->Insert(row, txn.get());
-      if (!inserted.ok()) {
-        cache_->db().txn_manager().Abort(txn.get());
-        return inserted.status();
-      }
-    }
-    cache_->db().txn_manager().Commit(txn.get(), cache_->db().Now());
+  // Replace the contents with a fresh snapshot, atomically. A failure (a
+  // crash mid-copy included) keeps the previous contents and leaves the view
+  // unsubscribed (subscription_id == -1) and possibly stale — exactly the
+  // condition RefreshCachedView repairs — and the consistency checker flags
+  // it until the refresh is retried.
+  auto subscription = SnapshotThenSubscribe(backing, *def->view_def);
+  if (!subscription.ok()) {
+    cache_->InvalidatePlanCache();
+    return subscription.status();
   }
-  Article article;
-  article.name = name + "_article";
-  article.def = *def->view_def;
-  MT_ASSIGN_OR_RETURN(int64_t subscription,
-                      repl_->Subscribe(backend_, article, cache_, name));
-  def->subscription_id = subscription;
+  def->subscription_id = *subscription;
   def->freshness_time = cache_->db().Now();
   backing->RecomputeStats();
   cache_->InvalidatePlanCache();
   return Status::Ok();
 }
 
-bool MTCache::SnapshotRowCrash() {
-  return fault_plan_ != nullptr &&
-         fault_plan_->Decide(FaultSite::kSnapshotRow) == FaultAction::kCrash;
+StatusOr<int64_t> MTCache::SnapshotThenSubscribe(
+    StoredTable* backing, const SelectProjectDef& def) {
+  ExecStats snapshot_stats;
+  MT_ASSIGN_OR_RETURN(
+      QueryResult snapshot,
+      backend_->Execute(def.ToSelectSql(), ParamMap{}, &snapshot_stats));
+  // Collect the live rids under a shared latch first; Delete takes the
+  // exclusive latch internally per row.
+  std::vector<RowId> live;
+  {
+    std::shared_lock<std::shared_mutex> latch(backing->latch());
+    for (RowId rid = 0; rid < backing->heap().slot_count(); ++rid) {
+      if (backing->heap().IsLive(rid)) live.push_back(rid);
+    }
+  }
+  auto txn = cache_->db().txn_manager().Begin();
+  Status status = Status::Ok();
+  for (size_t i = 0; status.ok() && i < live.size(); ++i) {
+    status = backing->Delete(live[i], txn.get()).status();
+  }
+  for (size_t i = 0; status.ok() && i < snapshot.rows.size(); ++i) {
+    if (fault_plan_ != nullptr &&
+        fault_plan_->Decide(FaultSite::kSnapshotRow) == FaultAction::kCrash) {
+      status = Status::Unavailable("injected crash: snapshot of " +
+                                   backing->def().name + " died mid-copy");
+    } else {
+      status = backing->Insert(snapshot.rows[i], txn.get()).status();
+    }
+  }
+  if (!status.ok()) {
+    cache_->db().txn_manager().Abort(txn.get());
+    return status;
+  }
+  cache_->db().txn_manager().Commit(txn.get(), cache_->db().Now());
+  // Single-threaded setup: no backend write slips between the snapshot and
+  // the subscription, which starts at the current log position.
+  Article article;
+  article.name = backing->def().name + "_article";
+  article.def = def;
+  return repl_->Subscribe(backend_, article, cache_, backing->def().name);
 }
 
 Status MTCache::CopyProcedure(const std::string& name) {

@@ -77,8 +77,14 @@ class MTCache {
         options_(std::move(options)) {}
 
   Status CloneCatalog();
-  /// Fires the snapshot-row fault site; true when the copy must crash.
-  bool SnapshotRowCrash();
+  /// The snapshot fill of CreateCachedView and RefreshCachedView: replaces
+  /// the rows of the cached view's backing table with the backend's current
+  /// rows of `def` in one local transaction, which visits the kSnapshotRow
+  /// fault site once per copied row, then subscribes the table to `def` from
+  /// the current log position. Returns the subscription id. A failed copy
+  /// rolls back, so the table keeps its previous rows.
+  StatusOr<int64_t> SnapshotThenSubscribe(StoredTable* backing,
+                                          const SelectProjectDef& def);
 
   Server* cache_;
   Server* backend_;

@@ -617,8 +617,6 @@ class Planner {
     return result.local_cost;
   }
 
-  StatusOr<PlanChoice> PlanSite(const LogicalGet& get,
-                                const BoundExpr* predicate);
   StatusOr<PlanChoice> ScanAlternatives(const LogicalGet& get,
                                         const BoundExpr* predicate);
   InnerAccess InnerAccessOf(const LogicalOp& right) const;
@@ -779,11 +777,6 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
     }
   }
   return best;
-}
-
-StatusOr<PlanChoice> Planner::PlanSite(const LogicalGet& get,
-                                       const BoundExpr* predicate) {
-  return ScanAlternatives(get, predicate);
 }
 
 InnerAccess Planner::InnerAccessOf(const LogicalOp& right) const {
@@ -1080,7 +1073,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
         return result;
       }
       if (!LocallyPlannable(get)) return result;  // remote only
-      MT_ASSIGN_OR_RETURN(PlanChoice choice, PlanSite(get, nullptr));
+      MT_ASSIGN_OR_RETURN(PlanChoice choice, ScanAlternatives(get, nullptr));
       result.local_plan = std::move(choice.plan);
       result.local_cost = choice.cost;
       return result;
@@ -1092,7 +1085,7 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
         const auto& get = static_cast<const LogicalGet&>(*node.children[0]);
         if (!get.table.empty() && LocallyPlannable(get)) {
           MT_ASSIGN_OR_RETURN(PlanChoice choice,
-                              PlanSite(get, filter.predicate.get()));
+                              ScanAlternatives(get, filter.predicate.get()));
           result.local_plan = std::move(choice.plan);
           result.local_cost = choice.cost;
           return result;

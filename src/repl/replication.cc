@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <mutex>
-#include <shared_mutex>
 #include <utility>
 
 #include "common/trace.h"
-#include "common/wait_stats.h"
 #include "opt/cost_model.h"
 
 namespace mtcache {
@@ -30,11 +28,8 @@ StatusOr<int64_t> ReplicationSystem::Subscribe(Server* publisher,
     return Status::NotFound("published table not found: " +
                             article.def.base_table);
   }
-  for (const std::string& col : article.def.columns) {
-    if (base->ColumnOrdinal(col) < 0) {
-      return Status::InvalidArgument("article column not in table: " + col);
-    }
-  }
+  MT_ASSIGN_OR_RETURN(ViewMapping mapping,
+                      ViewMapping::Resolve(article.def, *base));
   if (subscriber->db().GetStoredTable(target_table) == nullptr) {
     return Status::NotFound("subscription target table not found: " +
                             target_table);
@@ -43,6 +38,7 @@ StatusOr<int64_t> ReplicationSystem::Subscribe(Server* publisher,
   sub->id = next_subscription_id_++;
   sub->publisher = publisher;
   sub->article = article;
+  sub->mapping = std::move(mapping);
   sub->subscriber = subscriber;
   sub->target_table = target_table;
   sub->start_lsn = publisher->db().log().next_lsn();
@@ -159,48 +155,21 @@ Status ReplicationSystem::RunLogReader(Server* publisher,
         // Filter and project per subscription (the distributor's job).
         for (auto& [id, sub] : subscriptions_) {
           if (sub->publisher != publisher) continue;
-          const SelectProjectDef& def = sub->article.def;
-          const TableDef* base =
-              publisher->db().catalog().GetTable(def.base_table);
-          if (base == nullptr) continue;
-          std::vector<int> pred_cols;
-          for (const SimplePredicate& pred : def.predicates) {
-            pred_cols.push_back(base->ColumnOrdinal(pred.column));
-          }
-          auto project = [&](const Row& row) {
-            Row out;
-            for (const std::string& col : def.columns) {
-              out.push_back(row[base->ColumnOrdinal(col)]);
-            }
-            return out;
-          };
           PendingTxn pending;
           pending.source_txn = rec.txn;
           pending.commit_time = rec.commit_time;
           for (const LogRecord& change : changes) {
-            if (change.table != def.base_table) continue;
+            if (change.table != sub->article.def.base_table) continue;
             // Changes predating the subscription's snapshot are already in
             // the initial copy.
             if (change.lsn < sub->start_lsn) continue;
-            bool before_in = change.type != LogRecordType::kInsert &&
-                             def.RowMatches(pred_cols, change.before);
-            bool after_in = change.type != LogRecordType::kDelete &&
-                            def.RowMatches(pred_cols, change.after);
-            ReplChange out;
-            if (!before_in && after_in) {
-              out.op = LogRecordType::kInsert;
-              out.after = project(change.after);
-            } else if (before_in && !after_in) {
-              out.op = LogRecordType::kDelete;
-              out.before = project(change.before);
-            } else if (before_in && after_in) {
-              out.op = LogRecordType::kUpdate;
-              out.before = project(change.before);
-              out.after = project(change.after);
-            } else {
-              continue;  // change entirely outside the article
-            }
-            pending.changes.push_back(std::move(out));
+            std::optional<ViewChange> out = sub->mapping.Classify(
+                change.type == LogRecordType::kInsert ? nullptr
+                                                      : &change.before,
+                change.type == LogRecordType::kDelete ? nullptr
+                                                      : &change.after);
+            if (!out.has_value()) continue;  // entirely outside the article
+            pending.changes.push_back(std::move(*out));
             ++changes_enqueued;
             publisher_cost += CostModel::kDistributeRecordCost;
           }
@@ -285,30 +254,10 @@ Status ReplicationSystem::ApplyTxn(Subscription* sub, const PendingTxn& txn,
   }
   const TableDef& def = table->def();
 
-  // Locate a target row by primary key values extracted from an image.
-  auto key_of = [&](const Row& image) {
-    Row key;
-    for (int ord : def.primary_key) key.push_back(image[ord]);
-    return key;
-  };
-  auto find_row = [&](const Row& image) -> RowId {
-    if (def.indexes.empty() || def.primary_key.empty()) return -1;
-    Row key = key_of(image);
-    // Shared latch: sessions may be scanning the cached view while the
-    // distribution agent applies changes from the replication thread.
-    SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-    for (auto it = table->index(0).SeekGe(key);
-         it.Valid() && BPlusTree::ComparePrefix(it.key(), key) == 0;
-         it.Next()) {
-      if (table->heap().IsLive(it.rowid())) return it.rowid();
-    }
-    return -1;
-  };
-
   auto local_txn = db.txn_manager().Begin();
   Status status = Status::Ok();
   int64_t applied_changes = 0;
-  for (const ReplChange& change : txn.changes) {
+  for (const ViewChange& change : txn.changes) {
     if (Decide(FaultSite::kApplyChange) == FaultAction::kCrash) {
       // The subscriber dies mid-apply: its local transaction rolls back, so
       // no partial txn is ever visible, and the delivery is retried.
@@ -321,30 +270,7 @@ Status ReplicationSystem::ApplyTxn(Subscription* sub, const PendingTxn& txn,
       stats->local_cost += CostModel::kApplyRecordCost +
                            def.indexes.size() * CostModel::kIndexMaintRowCost;
     }
-    switch (change.op) {
-      case LogRecordType::kInsert: {
-        auto inserted = table->Insert(change.after, local_txn.get());
-        status = inserted.status();
-        break;
-      }
-      case LogRecordType::kDelete: {
-        RowId rid = find_row(change.before);
-        if (rid >= 0) status = table->Delete(rid, local_txn.get());
-        break;
-      }
-      case LogRecordType::kUpdate: {
-        RowId rid = find_row(change.before);
-        if (rid >= 0) {
-          status = table->Update(rid, change.after, local_txn.get());
-        } else {
-          auto inserted = table->Insert(change.after, local_txn.get());
-          status = inserted.status();
-        }
-        break;
-      }
-      default:
-        break;
-    }
+    status = table->ApplyByKey(change, local_txn.get());
     if (!status.ok()) break;
     ++applied_changes;
   }

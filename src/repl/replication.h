@@ -32,20 +32,13 @@ struct Publication {
   std::vector<Article> articles;
 };
 
-/// One filtered/projected change bound for a subscriber.
-struct ReplChange {
-  LogRecordType op = LogRecordType::kInsert;  // insert/delete/update
-  Row before;  // projected to article columns (delete/update)
-  Row after;   // projected to article columns (insert/update)
-};
-
 /// A committed source transaction's changes for one subscription. Changes
 /// propagate "one complete (committed) transaction at a time in commit
 /// order", so subscribers always see transactionally consistent states.
 struct PendingTxn {
   TxnId source_txn = 0;
   double commit_time = 0;
-  std::vector<ReplChange> changes;
+  std::vector<ViewChange> changes;  // projected to article columns
   /// Delivery attempts so far (drives the txns_retried metric).
   int64_t attempts = 0;
 };
@@ -175,7 +168,8 @@ class ReplicationSystem {
 
   /// Creates a publication implicitly (one article) and a push subscription
   /// delivering the article's changes into `target_table` on `subscriber`.
-  /// Returns the subscription id.
+  /// Returns the subscription id, or InvalidArgument when the article names
+  /// a column (projected or in its predicate) the published table lacks.
   StatusOr<int64_t> Subscribe(Server* publisher, const Article& article,
                               Server* subscriber,
                               const std::string& target_table);
@@ -288,6 +282,8 @@ class ReplicationSystem {
     int64_t id = 0;
     Server* publisher = nullptr;
     Article article;
+    /// The article resolved against the publisher's base table.
+    ViewMapping mapping;
     Server* subscriber = nullptr;
     std::string target_table;
     /// Changes logged before this LSN predate the subscription's snapshot

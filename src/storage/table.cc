@@ -135,11 +135,56 @@ void StoredTable::IndexErase(const Row& row, RowId rid) {
 }
 
 StatusOr<RowId> StoredTable::Insert(const Row& row, Transaction* txn) {
+  ExclusiveLatchWait latch(latch_, WaitSite::kTableLatchExclusive);
+  return InsertLocked(row, txn);
+}
+
+StatusOr<Row> StoredTable::Delete(RowId rid, Transaction* txn) {
+  ExclusiveLatchWait latch(latch_, WaitSite::kTableLatchExclusive);
+  return DeleteLocked(rid, txn);
+}
+
+StatusOr<Row> StoredTable::Update(RowId rid, const Row& new_row,
+                                  Transaction* txn) {
+  ExclusiveLatchWait latch(latch_, WaitSite::kTableLatchExclusive);
+  return UpdateLocked(rid, new_row, txn);
+}
+
+Status StoredTable::ApplyByKey(const ViewChange& change, Transaction* txn) {
+  ExclusiveLatchWait latch(latch_, WaitSite::kTableLatchExclusive);
+  RowId rid = change.op == ViewChange::Op::kInsert
+                  ? -1
+                  : FindByPrimaryKey(change.before);
+  if (rid < 0) {
+    return change.op == ViewChange::Op::kDelete
+               ? Status::Ok()
+               : InsertLocked(change.after, txn).status();
+  }
+  return change.op == ViewChange::Op::kDelete
+             ? DeleteLocked(rid, txn).status()
+             : UpdateLocked(rid, change.after, txn).status();
+}
+
+RowId StoredTable::FindByPrimaryKey(const Row& row) const {
+  for (size_t i = 0; i < def_->indexes.size(); ++i) {
+    const IndexDef& idx = def_->indexes[i];
+    if (!idx.unique || idx.key_columns != def_->primary_key) continue;
+    Row key = IndexKey(static_cast<int>(i), row);
+    for (auto it = indexes_[i].SeekGe(key);
+         it.Valid() && BPlusTree::ComparePrefix(it.key(), key) == 0;
+         it.Next()) {
+      if (heap_.IsLive(it.rowid())) return it.rowid();
+    }
+    return -1;
+  }
+  return -1;
+}
+
+StatusOr<RowId> StoredTable::InsertLocked(const Row& row, Transaction* txn) {
   if (static_cast<int>(row.size()) != def_->schema.num_columns()) {
     return Status::InvalidArgument("row arity mismatch for table " +
                                    def_->name);
   }
-  ExclusiveLatchWait latch(latch_, WaitSite::kTableLatchExclusive);
   MT_RETURN_IF_ERROR(CheckUnique(row, -1));
   RowId rid = heap_.Insert(row);
   IndexInsert(row, rid);
@@ -156,8 +201,7 @@ StatusOr<RowId> StoredTable::Insert(const Row& row, Transaction* txn) {
   return rid;
 }
 
-Status StoredTable::Delete(RowId rid, Transaction* txn) {
-  ExclusiveLatchWait latch(latch_, WaitSite::kTableLatchExclusive);
+StatusOr<Row> StoredTable::DeleteLocked(RowId rid, Transaction* txn) {
   if (!heap_.IsLive(rid)) {
     return Status::NotFound("rowid not live in table " + def_->name);
   }
@@ -173,12 +217,12 @@ Status StoredTable::Delete(RowId rid, Transaction* txn) {
     rec.before = before;
     log_->Append(std::move(rec));
   }
-  txn->AddUndo(UndoEntry{this, LogRecordType::kDelete, rid, std::move(before)});
-  return Status::Ok();
+  txn->AddUndo(UndoEntry{this, LogRecordType::kDelete, rid, before});
+  return before;
 }
 
-Status StoredTable::Update(RowId rid, const Row& new_row, Transaction* txn) {
-  ExclusiveLatchWait latch(latch_, WaitSite::kTableLatchExclusive);
+StatusOr<Row> StoredTable::UpdateLocked(RowId rid, const Row& new_row,
+                                        Transaction* txn) {
   if (!heap_.IsLive(rid)) {
     return Status::NotFound("rowid not live in table " + def_->name);
   }
@@ -201,8 +245,8 @@ Status StoredTable::Update(RowId rid, const Row& new_row, Transaction* txn) {
     rec.after = new_row;
     log_->Append(std::move(rec));
   }
-  txn->AddUndo(UndoEntry{this, LogRecordType::kUpdate, rid, std::move(before)});
-  return Status::Ok();
+  txn->AddUndo(UndoEntry{this, LogRecordType::kUpdate, rid, before});
+  return before;
 }
 
 void StoredTable::PhysicalDelete(RowId rid) {

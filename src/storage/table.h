@@ -97,8 +97,18 @@ class StoredTable {
   // --- Logged, transactional mutations -------------------------------------
 
   StatusOr<RowId> Insert(const Row& row, Transaction* txn);
-  Status Delete(RowId rid, Transaction* txn);
-  Status Update(RowId rid, const Row& new_row, Transaction* txn);
+  /// Delete and Update return the before image they removed, read under the
+  /// same exclusive latch as the change (the image the WAL records).
+  StatusOr<Row> Delete(RowId rid, Transaction* txn);
+  StatusOr<Row> Update(RowId rid, const Row& new_row, Transaction* txn);
+
+  /// The keyed apply that keeps a view or replication target current:
+  /// locates the row by its primary key (the before image's key columns)
+  /// through the unique primary-key index and applies `change` under one
+  /// exclusive latch. Deleting a missing row does nothing; updating a
+  /// missing row inserts it. A table without a primary-key index finds no
+  /// row.
+  Status ApplyByKey(const ViewChange& change, Transaction* txn);
 
   // --- Physical (unlogged) mutations, used only by transaction rollback ----
 
@@ -139,6 +149,14 @@ class StoredTable {
   HeapSnapshotPtr ScanSnapshot() const;
 
  private:
+  // The logged mutations, called with latch_ held exclusive.
+  StatusOr<RowId> InsertLocked(const Row& row, Transaction* txn);
+  StatusOr<Row> DeleteLocked(RowId rid, Transaction* txn);
+  StatusOr<Row> UpdateLocked(RowId rid, const Row& new_row, Transaction* txn);
+  /// The live row whose primary key equals `row`'s, through the unique
+  /// primary-key index; -1 when absent or when there is no such index.
+  /// Called with latch_ held.
+  RowId FindByPrimaryKey(const Row& row) const;
   Status CheckUnique(const Row& row, RowId ignore_rid) const;
   void IndexInsert(const Row& row, RowId rid);
   void IndexErase(const Row& row, RowId rid);

@@ -470,6 +470,30 @@ TEST_F(EngineTest, MaterializedViewPopulatedAndMaintained) {
   EXPECT_EQ(r.rows[0][0].AsInt(), 19);
 }
 
+TEST_F(EngineTest, MaterializedViewRequiresBasePrimaryKey) {
+  // View rows are maintained by key; without a base key a DELETE used to
+  // remove whichever view row came first and an UPDATE rewrite it, leaving
+  // v = {(2,99),(3,30)} beside t = {(1,10),(2,99)}.
+  Exec("CREATE TABLE t (x INT, y INT)");
+  Exec("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)");
+  Status created =
+      server_.ExecuteScript("CREATE MATERIALIZED VIEW v AS SELECT x, y FROM t");
+  EXPECT_EQ(created.code(), StatusCode::kInvalidArgument)
+      << created.ToString();
+  EXPECT_EQ(server_.db().catalog().GetTable("v"), nullptr);
+
+  // The same DML over a keyed base keeps the view equal to its definition.
+  Exec("CREATE TABLE tk (x INT PRIMARY KEY, y INT)");
+  Exec("INSERT INTO tk VALUES (1, 10), (2, 20), (3, 30)");
+  Exec("CREATE MATERIALIZED VIEW vk AS SELECT x, y FROM tk");
+  Exec("DELETE FROM tk WHERE x = 3");
+  Exec("UPDATE tk SET y = 99 WHERE x = 2");
+  QueryResult view = Query("SELECT x, y FROM vk ORDER BY x");
+  ASSERT_EQ(view.rows.size(), 2u);
+  EXPECT_EQ(view.rows[0], (Row{Value::Int(1), Value::Int(10)}));
+  EXPECT_EQ(view.rows[1], (Row{Value::Int(2), Value::Int(99)}));
+}
+
 TEST_F(EngineTest, ViewMatchingSubstitutesMaterializedView) {
   SetUpBasicTables();
   Exec("CREATE MATERIALIZED VIEW cheap_items AS "
