@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,7 +41,7 @@ T CheckOk(StatusOr<T> result, const char* what) {
   return result.ConsumeValue();
 }
 
-inline std::string JsonEscape(const std::string& s) {
+inline std::string JsonEscape(std::string_view s) {
   std::string out;
   for (char c : s) {
     switch (c) {

@@ -134,7 +134,7 @@ std::string HotFingerprintsJson(Server* cache) {
   }
   std::map<std::string, std::pair<int64_t, std::string>> by_hash;
   for (const Row& row : r.rows) {
-    auto& entry = by_hash[row[hash_col].AsString()];
+    auto& entry = by_hash[std::string(row[hash_col].AsString())];
     entry.first += row[exec_col].AsInt();
     if (entry.second.empty()) entry.second = row[text_col].AsString();
   }

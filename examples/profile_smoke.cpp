@@ -37,7 +37,7 @@ std::vector<std::string> PlanLines(Server* server, const std::string& sql) {
   auto result = server->Execute(sql);
   Must(result.status(), sql.c_str());
   std::vector<std::string> lines;
-  for (const Row& row : result->rows) lines.push_back(row[0].AsString());
+  for (const Row& row : result->rows) lines.emplace_back(row[0].AsString());
   return lines;
 }
 

@@ -92,7 +92,8 @@ int main() {
   for (const Row& row : rows->rows) {
     std::printf("  %lld | %s | %s\n",
                 static_cast<long long>(row[0].AsInt()),
-                row[1].AsString().c_str(), row[2].ToString().c_str());
+                std::string(row[1].AsString()).c_str(),
+                row[2].ToString().c_str());
   }
   std::printf("\nPropagation latency (commit to commit): %.2f s\n",
               repl.metrics().AvgLatency());

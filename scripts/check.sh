@@ -60,6 +60,8 @@
 # row kept past its lifetime is a use-after-free here. tpcw_test's
 # FROM-permutation suite runs the join order chosen for every permutation of
 # each TPC-W read, and batch_exec_test's Top-N oracle every sort key shape.
+# value_test runs here too: string Values share refcounted buffers, so an
+# unbalanced refcount is a use-after-free or a leak under ASan.
 # The tsan mode runs every test labeled `concurrency` (ctest -L) — the
 # multi-session engine tests and the DMV-read-during-execution tests — plus
 # the threaded bench smoke.
@@ -95,9 +97,9 @@ case "$mode" in
     cmake --build --preset asan -j "$(nproc)" --target \
       replication_fault_test mtcache_resync_test property_test \
       replication_test mtcache_test engine_test fleet_test dmv_smoke \
-      batch_exec_test exec_test tpcw_test view_maintenance_test
+      batch_exec_test exec_test tpcw_test view_maintenance_test value_test
     (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|VectorKernel|ExecTest\.|Tpcw|ViewMaintenance')
+      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|VectorKernel|ExecTest\.|Tpcw|ViewMaintenance|ValueTest')
     # The DMV walk under ASan: catches lifetime bugs in the virtual-table
     # row materialization that the plain build would miss.
     ./build-asan/examples/dmv_smoke

@@ -59,26 +59,50 @@ bool LikeMatchAt(std::string_view value, size_t vi, std::string_view pattern,
 
 }  // namespace
 
-bool LikeMatch(std::string_view value, std::string_view pattern) {
-  // A pattern with no '_' and '%' only in a leading and a trailing run is a
-  // substring, prefix, suffix or equality test: no backtracking.
+LikePattern::LikePattern(std::string_view pattern) : pattern_(pattern) {
   const size_t lead = pattern.find_first_not_of('%');
   if (lead == std::string_view::npos) {
-    return !pattern.empty() || value.empty();  // all '%', or empty pattern
+    // All '%' matches anything; the empty pattern only the empty string.
+    kind_ = pattern.empty() ? Kind::kEquals : Kind::kAny;
+    return;
   }
   const size_t last = pattern.find_last_not_of('%');
-  std::string_view core = pattern.substr(lead, last + 1 - lead);
-  if (core.find_first_of("%_") != std::string_view::npos) {
-    return LikeMatchAt(value, 0, pattern, 0);
-  }
+  core_ = pattern.substr(lead, last + 1 - lead);
   const bool any_prefix = lead > 0;
   const bool any_suffix = last + 1 < pattern.size();
-  if (any_prefix && any_suffix) {
-    return value.find(core) != std::string_view::npos;
+  if (core_.find_first_of("%_") != std::string_view::npos) {
+    kind_ = Kind::kBacktrack;
+  } else if (any_prefix && any_suffix) {
+    kind_ = Kind::kContains;
+  } else if (any_prefix) {
+    kind_ = Kind::kSuffix;
+  } else if (any_suffix) {
+    kind_ = Kind::kPrefix;
+  } else {
+    kind_ = Kind::kEquals;
   }
-  if (any_prefix) return value.ends_with(core);
-  if (any_suffix) return value.starts_with(core);
-  return value == core;
+}
+
+bool LikePattern::Matches(std::string_view value) const {
+  switch (kind_) {
+    case Kind::kAny:
+      return true;
+    case Kind::kEquals:
+      return value == core_;
+    case Kind::kPrefix:
+      return value.starts_with(core_);
+    case Kind::kSuffix:
+      return value.ends_with(core_);
+    case Kind::kContains:
+      return value.find(core_) != std::string_view::npos;
+    case Kind::kBacktrack:
+      return LikeMatchAt(value, 0, pattern_, 0);
+  }
+  return false;
+}
+
+bool LikeMatch(std::string_view value, std::string_view pattern) {
+  return LikePattern(pattern).Matches(value);
 }
 
 bool LikeMatchBacktracking(std::string_view value, std::string_view pattern) {

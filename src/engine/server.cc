@@ -999,7 +999,10 @@ Status Server::ExecUpdate(const UpdateStmt& stmt, Session* session,
     for (RowId rid : *rows) {
       Row old_row;
       {
+        // A racing DELETE may have freed the slot since FindMatchingRows
+        // released its latch: skip a vanished row, uncounted.
         SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
+        if (!table->heap().IsLive(rid)) continue;
         old_row = table->heap().Get(rid);
       }
       Row new_row = old_row;

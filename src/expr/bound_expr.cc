@@ -396,8 +396,9 @@ Status EvalPredicateBatch(const BoundExpr& expr, const Row* const* rows,
       }
     }
     // Fast shape: <column> [NOT] LIKE <row-free pattern>. The pattern is
-    // evaluated once per batch and matched against each row's stored string
-    // in place; a NULL on either side is unknown, which rejects the row.
+    // evaluated and classified once per batch and matched against each
+    // row's stored string in place; a NULL on either side is unknown, which
+    // rejects the row.
     if (conjunct->kind == BoundExprKind::kLike) {
       const auto& like = static_cast<const BoundLike&>(*conjunct);
       if (like.input->kind == BoundExprKind::kColumnRef &&
@@ -408,7 +409,7 @@ Status EvalPredicateBatch(const BoundExpr& expr, const Row* const* rows,
           return Status::Ok();
         }
         std::string p_text;
-        const std::string_view pattern = LikeText(p, &p_text);
+        const LikePattern pattern(LikeText(p, &p_text));
         const int ordinal =
             static_cast<const BoundColumnRef&>(*like.input).ordinal;
         std::string v_text;
@@ -420,7 +421,7 @@ Status EvalPredicateBatch(const BoundExpr& expr, const Row* const* rows,
           }
           const Value& v = (*rows[i])[ordinal];
           if (v.is_null() ||
-              LikeMatch(LikeText(v, &v_text), pattern) == like.negated) {
+              pattern.Matches(LikeText(v, &v_text)) == like.negated) {
             (*keep)[i] = 0;
           }
         }

@@ -124,39 +124,34 @@ void FilterCompareColumn(const ColumnVector& col, BinaryOp op,
     return;
   }
   if (col.type == TypeId::kString && rhs.type() == TypeId::kString) {
-    // Unlike the numeric loops, NULL lanes cannot be speculatively compared:
-    // their payload slot is a null pointer, not a don't-care value. The
-    // guard costs a branch, but string compares are not SIMD-able anyway.
-    const std::string& r = rhs.AsString();
-    const std::string* const* v = col.strs.data();
+    // A NULL lane holds an empty view, so it is compared like any other
+    // lane and masked out by `nulls`.
+    const std::string_view r = rhs.AsString();
+    const std::string_view* v = col.strs.data();
     switch (op) {
       case BinaryOp::kEq:
         CmpLoop(v, nulls, col.has_nulls, n, keep,
-                [&r](const std::string* s) { return s != nullptr && *s == r; });
+                [r](std::string_view s) { return s == r; });
         break;
       case BinaryOp::kNe:
         CmpLoop(v, nulls, col.has_nulls, n, keep,
-                [&r](const std::string* s) { return s != nullptr && *s != r; });
+                [r](std::string_view s) { return s != r; });
         break;
       case BinaryOp::kLt:
-        CmpLoop(v, nulls, col.has_nulls, n, keep, [&r](const std::string* s) {
-          return s != nullptr && s->compare(r) < 0;
-        });
+        CmpLoop(v, nulls, col.has_nulls, n, keep,
+                [r](std::string_view s) { return s < r; });
         break;
       case BinaryOp::kLe:
-        CmpLoop(v, nulls, col.has_nulls, n, keep, [&r](const std::string* s) {
-          return s != nullptr && s->compare(r) <= 0;
-        });
+        CmpLoop(v, nulls, col.has_nulls, n, keep,
+                [r](std::string_view s) { return s <= r; });
         break;
       case BinaryOp::kGt:
-        CmpLoop(v, nulls, col.has_nulls, n, keep, [&r](const std::string* s) {
-          return s != nullptr && s->compare(r) > 0;
-        });
+        CmpLoop(v, nulls, col.has_nulls, n, keep,
+                [r](std::string_view s) { return s > r; });
         break;
       case BinaryOp::kGe:
-        CmpLoop(v, nulls, col.has_nulls, n, keep, [&r](const std::string* s) {
-          return s != nullptr && s->compare(r) >= 0;
-        });
+        CmpLoop(v, nulls, col.has_nulls, n, keep,
+                [r](std::string_view s) { return s >= r; });
         break;
       default:
         break;

@@ -19,7 +19,7 @@ void ColumnVector::Reset(TypeId t, size_t n) {
       dbls.resize(n);
       break;
     case TypeId::kString:
-      strs.assign(n, nullptr);
+      strs.assign(n, std::string_view());
       break;
     case TypeId::kNull:
       break;
@@ -36,7 +36,7 @@ Value ColumnVector::GetValue(size_t i) const {
     case TypeId::kDouble:
       return Value::Double(dbls[i]);
     case TypeId::kString:
-      return Value::String(*strs[i]);
+      return Value::String(strs[i]);
     case TypeId::kNull:
       break;
   }
@@ -90,7 +90,7 @@ bool ExtractColumn(const Row* const* rows, size_t n, int ordinal,
       return true;
     }
     case TypeId::kString: {
-      const std::string** dst = out->strs.data();
+      std::string_view* dst = out->strs.data();
       for (size_t i = 0; i < n; ++i) {
         if (i + kAhead < n) __builtin_prefetch(rows[i + kAhead]);
         const Value& v = (*rows[i])[ordinal];
@@ -100,7 +100,7 @@ bool ExtractColumn(const Row* const* rows, size_t n, int ordinal,
           continue;
         }
         if (v.type() != expected) return false;
-        dst[i] = &v.AsString();
+        dst[i] = v.AsString();
       }
       return true;
     }

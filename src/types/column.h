@@ -2,7 +2,7 @@
 #define MTCACHE_TYPES_COLUMN_H_
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "types/value.h"
@@ -17,9 +17,10 @@ namespace mtcache {
 /// branch-free loops the compiler can vectorize, instead of per-row
 /// Value::Compare calls through the tagged union.
 ///
-/// Strings are borrowed (`const std::string*` into the source rows): a
-/// ColumnVector is only valid while the rows it was extracted from stay
-/// alive. Nothing is refcounted here.
+/// Strings are borrowed: each `std::string_view` points into the immutable
+/// buffer of a source row's Value, so a ColumnVector is only valid while the
+/// rows it was extracted from (or other Values sharing those buffers) stay
+/// alive. Nothing is refcounted here. A NULL lane holds an empty view.
 ///
 /// NULLs use a byte-per-row mask rather than a packed bitmap: kernels read
 /// `nulls[i]` with no shift/mask dependency chain, it widens to a SIMD lane
@@ -37,7 +38,7 @@ struct ColumnVector {
   // Exactly one payload array is populated, selected by `type`:
   std::vector<int64_t> ints;             // kBool / kInt64
   std::vector<double> dbls;              // kDouble
-  std::vector<const std::string*> strs;  // kString (borrowed)
+  std::vector<std::string_view> strs;    // kString (borrowed)
 
   void Reset(TypeId t, size_t n);
 

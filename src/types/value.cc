@@ -2,7 +2,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <new>
+
+#include "common/string_util.h"
 
 namespace mtcache {
 
@@ -20,6 +24,28 @@ const char* TypeName(TypeId type) {
       return "varchar";
   }
   return "unknown";
+}
+
+Value Value::String(std::string_view s) {
+  Value v;
+  v.type_ = TypeId::kString;
+  v.is_null_ = false;
+  v.s_ = nullptr;
+  if (!s.empty()) {
+    char* mem =
+        static_cast<char*>(::operator new(sizeof(StringBuf) + s.size()));
+    auto* buf = new (mem) StringBuf;
+    buf->refs.store(1, std::memory_order_relaxed);
+    buf->size = s.size();
+    std::memcpy(mem + sizeof(StringBuf), s.data(), s.size());
+    v.s_ = buf;
+  }
+  return v;
+}
+
+void Value::FreeString(StringBuf* buf) {
+  buf->~StringBuf();
+  ::operator delete(buf);
 }
 
 int Value::Compare(const Value& other) const {
@@ -45,7 +71,7 @@ int Value::Compare(const Value& other) const {
     return 0;
   }
   if (type_ == TypeId::kString && other.type_ == TypeId::kString) {
-    int c = s_.compare(other.s_);
+    int c = AsString().compare(other.AsString());
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
   // Mixed incomparable types: order by type id to keep a total order.
@@ -64,7 +90,7 @@ double Value::SizeBytes() const {
     case TypeId::kDouble:
       return 8;
     case TypeId::kString:
-      return 4 + static_cast<double>(s_.size());
+      return 4 + static_cast<double>(AsString().size());
   }
   return 8;
 }
@@ -82,11 +108,12 @@ double Value::AsStatDouble() const {
     case TypeId::kString: {
       // Order-preserving-ish projection of the first few characters, so range
       // selectivity on strings is at least monotone.
+      const std::string_view s = AsString();
       double x = 0;
       double scale = 1.0;
-      for (size_t i = 0; i < s_.size() && i < 8; ++i) {
+      for (size_t i = 0; i < s.size() && i < 8; ++i) {
         scale /= 256.0;
-        x += static_cast<unsigned char>(s_[i]) * scale;
+        x += static_cast<unsigned char>(s[i]) * scale;
       }
       return x;
     }
@@ -123,22 +150,15 @@ std::string Value::ToSqlLiteral() const {
       }
       return s;
     }
-    case TypeId::kString: {
-      std::string out = "'";
-      for (char c : s_) {
-        if (c == '\'') out += "''";
-        else out.push_back(c);
-      }
-      out += "'";
-      return out;
-    }
+    case TypeId::kString:
+      return SqlQuote(AsString());
   }
   return "NULL";
 }
 
 std::string Value::ToString() const {
   if (is_null_) return "NULL";
-  if (type_ == TypeId::kString) return s_;
+  if (type_ == TypeId::kString) return std::string(AsString());
   return ToSqlLiteral();
 }
 
@@ -159,7 +179,7 @@ size_t Value::Hash() const {
       return std::hash<double>()(d);
     }
     case TypeId::kString:
-      return std::hash<std::string>()(s_);
+      return std::hash<std::string_view>()(AsString());
   }
   return 0;
 }

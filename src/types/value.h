@@ -1,8 +1,11 @@
 #ifndef MTCACHE_TYPES_VALUE_H_
 #define MTCACHE_TYPES_VALUE_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mtcache {
@@ -25,10 +28,44 @@ const char* TypeName(TypeId type);
 /// first, as in an index key). Cross numeric-type comparison (int vs double)
 /// is supported; other cross-type comparison is a caller bug guarded by the
 /// binder's type checking.
+///
+/// Layout: a type tag, a null flag and one 8-byte payload (int64, double, or
+/// a pointer to an immutable, atomically refcounted string buffer), 16 bytes
+/// in all. Copying a string Value shares its buffer (one atomic increment,
+/// no allocation); the bytes never change after Value::String builds them,
+/// so rows shared across sessions and threads read them without a latch.
+/// The empty string has no buffer. A moved-from string Value reads as "".
 class Value {
  public:
   /// Constructs SQL NULL (of unknown type).
-  Value() : type_(TypeId::kNull), is_null_(true), i_(0), d_(0) {}
+  Value() noexcept : type_(TypeId::kNull), is_null_(true), i_(0) {}
+  Value(const Value& other) noexcept
+      : type_(other.type_), is_null_(other.is_null_), i_(other.i_) {
+    Retain();
+  }
+  Value(Value&& other) noexcept
+      : type_(other.type_), is_null_(other.is_null_), i_(other.i_) {
+    if (other.type_ == TypeId::kString) other.s_ = nullptr;
+  }
+  Value& operator=(const Value& other) noexcept {
+    other.Retain();  // first: `other` may be *this, or share our buffer
+    Release();
+    type_ = other.type_;
+    is_null_ = other.is_null_;
+    i_ = other.i_;
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      Release();
+      type_ = other.type_;
+      is_null_ = other.is_null_;
+      i_ = other.i_;
+      if (other.type_ == TypeId::kString) other.s_ = nullptr;
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
   static Value Null() { return Value(); }
   static Value TypedNull(TypeId type) {
@@ -57,23 +94,27 @@ class Value {
     v.d_ = d;
     return v;
   }
-  static Value String(std::string s) {
-    Value v;
-    v.type_ = TypeId::kString;
-    v.is_null_ = false;
-    v.s_ = std::move(s);
-    return v;
-  }
+  /// Copies `s` into a new shared buffer (none for the empty string).
+  static Value String(std::string_view s);
 
   TypeId type() const { return type_; }
   bool is_null() const { return is_null_; }
 
-  bool AsBool() const { return i_ != 0; }
-  int64_t AsInt() const { return i_; }
+  // Mismatched-tag reads are defined: AsInt/AsBool read 0/false on a double
+  // or string, AsDouble reads 0 on a string, AsString reads "" on a
+  // non-string. A NULL reads as its type's zero.
+  bool AsBool() const { return AsInt() != 0; }
+  int64_t AsInt() const { return HasIntPayload() ? i_ : 0; }
   double AsDouble() const {
-    return type_ == TypeId::kDouble ? d_ : static_cast<double>(i_);
+    if (type_ == TypeId::kDouble) return d_;
+    return HasIntPayload() ? static_cast<double>(i_) : 0;
   }
-  const std::string& AsString() const { return s_; }
+  /// The string's bytes, borrowed: the view is valid while some Value holding
+  /// this buffer (this one or a copy of it) lives.
+  std::string_view AsString() const {
+    if (type_ != TypeId::kString || s_ == nullptr) return {};
+    return {s_->data(), s_->size};
+  }
 
   /// Three-way comparison: -1, 0, +1. NULL compares equal to NULL and less
   /// than any non-NULL (index-key ordering; SQL ternary logic is handled in
@@ -84,7 +125,8 @@ class Value {
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
   /// Approximate in-memory/wire size in bytes, used by the DataTransfer cost
-  /// model (§5: transfer cost is proportional to data volume).
+  /// model (§5: transfer cost is proportional to data volume). This is the
+  /// logical size of the value, not sizeof(Value).
   double SizeBytes() const;
 
   /// Numeric interpretation for statistics (histogram buckets). Strings hash
@@ -101,15 +143,44 @@ class Value {
   size_t Hash() const;
 
  private:
+  // Header of an immutable string buffer; the bytes follow it.
+  struct StringBuf {
+    std::atomic<uint32_t> refs;
+    size_t size;
+    const char* data() const {
+      return reinterpret_cast<const char*>(this + 1);
+    }
+  };
+
+  bool HasIntPayload() const {
+    return type_ == TypeId::kInt64 || type_ == TypeId::kBool;
+  }
+  void Retain() const {
+    if (type_ == TypeId::kString && s_ != nullptr) {
+      s_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  void Release() {
+    if (type_ == TypeId::kString && s_ != nullptr &&
+        s_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      FreeString(s_);
+    }
+  }
+  static void FreeString(StringBuf* buf);
+
   TypeId type_;
-  bool is_null_ = true;
-  int64_t i_ = 0;
-  double d_ = 0;
-  std::string s_;
+  bool is_null_;
+  union {
+    int64_t i_;
+    double d_;
+    StringBuf* s_;
+  };
 };
 
-/// A tuple of values. Rows flow between operators by value; the row widths in
-/// this system are small.
+static_assert(sizeof(Value) == 16, "Value is a tag, a null flag and 8 bytes");
+
+/// A tuple of values. Rows flow between operators by value; copying one
+/// shares its strings' buffers.
 using Row = std::vector<Value>;
 
 /// Hash of a full key (composite). Used by hash-based operators.

@@ -1007,7 +1007,7 @@ TEST(VectorKernelTest, RandomizedCompareMatchesValueCompare) {
             col.nulls[i] = 1;
             col.has_nulls = true;
           } else {
-            col.strs[i] = &pool[pick(0, 31)];
+            col.strs[i] = pool[pick(0, 31)];
           }
         }
         rhs = Value::String(pool[pick(0, 31)]);

@@ -439,6 +439,95 @@ TEST_F(ConcurrencyTest, SnapshotScansRaceDml) {
   EXPECT_GE(r->rows[0][0].AsInt(), 100);
 }
 
+TEST_F(ConcurrencyTest, SharedStringBuffersSurviveRacingCopiesAndDml) {
+  // A string Value shares one immutable buffer with its copies; copying or
+  // dropping one is an atomic refcount step. Writers store copies of one
+  // buffer into heap rows (a parameter Value) and replace them again, while
+  // scanners copy those rows out of snapshots and drop them, and copiers
+  // copy and drop rows holding the same buffer. A non-atomic or unbalanced
+  // refcount is a data race under TSan and a use-after-free under ASan; a
+  // buffer freed and reused too early reads here as a torn title.
+  const std::string kShared = "a title longer than any small-string buffer";
+  const Row shared_row = {Value::Int(0), Value::String(kShared)};
+  auto title_ok = [&kShared](const Value& title, int64_t id) {
+    return title.AsString() == kShared ||
+           title.AsString() == "title" + std::to_string(id);
+  };
+  ThreadErrors errors;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([this, &errors, &stop, &title_ok] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto r = server_.Execute("SELECT i_id, i_title FROM item");
+        if (!r.ok()) {
+          errors.Record(r.status().ToString());
+          return;
+        }
+        std::vector<Row> kept(r->rows.begin(), r->rows.end());
+        r->rows.clear();
+        for (const Row& row : kept) {
+          if (!title_ok(row[1], row[0].AsInt())) {
+            errors.Record("torn title " + row[1].ToString());
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&errors, &stop, &shared_row, &kShared] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::vector<Row> copies(64, shared_row);
+        Row moved = std::move(copies.back());
+        copies.pop_back();
+        copies.front() = moved;
+        for (const Row& row : copies) {
+          if (row[1].AsString() != kShared) {
+            errors.Record("torn copy " + row[1].ToString());
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([this, t, &errors, &stop, &shared_row] {
+      Random rng(7000 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const int64_t id = rng.Uniform(1, 100);
+        const ParamMap params = {{"@t", shared_row[1]},
+                                 {"@id", Value::Int(id)}};
+        auto r = rng.Uniform(0, 1) == 0
+                     ? server_.Execute(
+                           "UPDATE item SET i_title = @t WHERE i_id = @id",
+                           params, nullptr)
+                     : server_.Execute("UPDATE item SET i_title = 'title" +
+                                       std::to_string(id) +
+                                       "' WHERE i_id = " + std::to_string(id));
+        if (!r.ok() && r.status().code() != StatusCode::kNotFound) {
+          errors.Record(r.status().ToString());
+          return;
+        }
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(errors.count(), 0) << errors.first();
+  auto r = server_.Execute("SELECT i_id, i_title FROM item");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->rows.size(), 100u);
+  int shared_titles = 0;
+  for (const Row& row : r->rows) {
+    EXPECT_TRUE(title_ok(row[1], row[0].AsInt())) << row[1].ToString();
+    if (row[1].AsString() == kShared) ++shared_titles;
+  }
+  EXPECT_GT(shared_titles, 0);  // the writers did store the shared buffer
+  EXPECT_EQ(shared_row[1].AsString(), kShared);
+}
+
 /// Full-topology concurrency: replication pumping with injected faults on
 /// the main thread while reader sessions query the cache in parallel.
 class ReplicatedConcurrencyTest : public ::testing::Test {

@@ -35,7 +35,7 @@ double DoubleCol(const QueryResult& r, const std::string& col,
 std::string StringCol(const QueryResult& r, const std::string& col,
                       size_t row = 0) {
   int ord = ColumnOrdinal(r, col);
-  return ord < 0 ? "" : r.rows[row][ord].AsString();
+  return ord < 0 ? "" : std::string(r.rows[row][ord].AsString());
 }
 
 // ---------------------------------------------------------------------------

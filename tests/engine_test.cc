@@ -684,7 +684,7 @@ TEST_F(EngineTest, ExplainStatementReturnsPlanText) {
   QueryResult r = Query("EXPLAIN SELECT i_title FROM item WHERE i_id = 7");
   ASSERT_GE(r.rows.size(), 2u);
   std::string all;
-  for (const Row& row : r.rows) all += row[0].AsString() + "\n";
+  for (const Row& row : r.rows) all += std::string(row[0].AsString()) + "\n";
   EXPECT_NE(all.find("IndexSeek(item.item_pk)"), std::string::npos) << all;
   EXPECT_NE(all.find("estimated cost"), std::string::npos) << all;
 }

@@ -1,19 +1,26 @@
 // Allocation ceilings for the executor's pipeline breakers.
 //
 // A cache hit should cost what its operators need: hash joins and sorts hold
-// references to the rows their children produce instead of copying them, and
-// joins materialize only the columns the plan above consumes. Heap
-// allocations are the observable for that (a Value string longer than the
-// small-string buffer is one allocation per copy), and they are
-// deterministic, so this suite counts global operator new calls made on the
-// calling thread around one procedure call on a fully cached, default-size
-// TPC-W pair at batch capacity 1024, and holds each call under a ceiling.
+// references to the rows their children produce instead of copying them,
+// joins materialize only the columns the plan above consumes, and copying a
+// string Value shares its buffer. Heap allocations are the observable for
+// that, and they are deterministic, so this suite counts global operator new
+// calls made on the calling thread around one procedure call on a fully
+// cached, default-size TPC-W pair at batch capacity 1024, and holds each call
+// under a ceiling.
 //
-// Counts before the executor held row references, with the arguments used
-// below (one warm call each, batch capacity 1024, GCC 12 / libstdc++):
-//   doSubjectSearch('arts')  1,602   doTitleSearch('%shadow%') 2,525
-//   doAuthorSearch('shadow%') 1,695  getBestSellers('arts')   22,060
-// The ceilings are 40% of those for the searches and 20% for BestSellers.
+// Counts with the arguments used below (one warm call each, batch capacity
+// 1024, GCC 12 / libstdc++), at three points:
+//                               copying   reference-  shared
+//                               operators holding     string
+//                                         operators   buffers
+//   doSubjectSearch('arts')       1,602       337       243
+//   doTitleSearch('%shadow%')     2,525       425       288
+//   doAuthorSearch('shadow%')     1,695       265       195
+//   getBestSellers('arts')       22,060     2,013     1,558
+// "Shared string buffers" is the 16-byte Value whose string copies share one
+// refcounted buffer (a copy allocates nothing). The ceilings are those
+// counts: they are deterministic, so any new per-row allocation fails here.
 //
 // Set MT_PRINT_ALLOCS=1 to print the measured counts.
 
@@ -130,7 +137,7 @@ TEST_F(ExecAllocTest, SubjectSearchUnderCeiling) {
   size_t rows = 0;
   int64_t n = CountCall("dosubjectsearch", Value::String("arts"), &rows);
   EXPECT_GT(rows, 0u);
-  EXPECT_LE(n, 1602 * 40 / 100);
+  EXPECT_LE(n, 243);
 }
 
 TEST_F(ExecAllocTest, TitleSearchUnderCeiling) {
@@ -138,7 +145,7 @@ TEST_F(ExecAllocTest, TitleSearchUnderCeiling) {
   int64_t n = CountCall("dotitlesearch",
                         Value::String("%" + TitleWords()[0] + "%"), &rows);
   EXPECT_GT(rows, 0u);
-  EXPECT_LE(n, 2525 * 40 / 100);
+  EXPECT_LE(n, 288);
 }
 
 TEST_F(ExecAllocTest, AuthorSearchUnderCeiling) {
@@ -146,14 +153,14 @@ TEST_F(ExecAllocTest, AuthorSearchUnderCeiling) {
   int64_t n = CountCall("doauthorsearch",
                         Value::String(TitleWords()[0] + "%"), &rows);
   EXPECT_GT(rows, 0u);
-  EXPECT_LE(n, 1695 * 40 / 100);
+  EXPECT_LE(n, 195);
 }
 
 TEST_F(ExecAllocTest, BestSellersUnderCeiling) {
   size_t rows = 0;
   int64_t n = CountCall("getbestsellers", Value::String("arts"), &rows);
   EXPECT_GT(rows, 0u);
-  EXPECT_LE(n, 22060 * 20 / 100);
+  EXPECT_LE(n, 1558);
 }
 
 }  // namespace

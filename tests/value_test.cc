@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <string>
+#include <string_view>
+#include <utility>
 
+#include "sql/lexer.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -90,6 +95,126 @@ TEST(ValueTest, AsStatDoubleMonotoneOnStrings) {
   double a = Value::String("apple").AsStatDouble();
   double b = Value::String("banana").AsStatDouble();
   EXPECT_LT(a, b);
+}
+
+// Long enough that a std::string copy of it would allocate.
+const char kLong[] = "a string well past the small-string buffer";
+
+TEST(ValueTest, StringCopiesShareOneBuffer) {
+  Value a = Value::String(kLong);
+  Value b = a;
+  EXPECT_EQ(a.AsString(), kLong);
+  EXPECT_EQ(b.AsString(), kLong);
+  EXPECT_EQ(a.AsString().data(), b.AsString().data());
+  Value c;
+  c = a;
+  EXPECT_EQ(c.AsString().data(), a.AsString().data());
+  // Dropping the original leaves the copies intact.
+  a = Value::Int(1);
+  EXPECT_EQ(b.AsString(), kLong);
+  EXPECT_EQ(c.AsString(), kLong);
+  EXPECT_EQ(a.AsInt(), 1);
+}
+
+TEST(ValueTest, StringMoveLeavesEmptyString) {
+  Value a = Value::String(kLong);
+  const char* bytes = a.AsString().data();
+  Value b = std::move(a);
+  EXPECT_EQ(b.AsString().data(), bytes);
+  EXPECT_EQ(b.AsString(), kLong);
+  // A moved-from string Value is a non-NULL empty string.
+  EXPECT_EQ(a.type(), TypeId::kString);  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(a.is_null());
+  EXPECT_EQ(a.AsString(), "");
+  EXPECT_EQ(a.ToSqlLiteral(), "''");
+  Value c = Value::String("x");
+  c = std::move(b);
+  EXPECT_EQ(c.AsString(), kLong);
+  EXPECT_EQ(b.AsString(), "");  // NOLINT(bugprone-use-after-move)
+  // A moved-from Value can be assigned again.
+  b = c;
+  EXPECT_EQ(b.AsString(), kLong);
+}
+
+TEST(ValueTest, StringSelfAssignKeepsValue) {
+  Value a = Value::String(kLong);
+  Value& alias = a;
+  a = alias;
+  EXPECT_EQ(a.AsString(), kLong);
+  a = std::move(alias);
+  EXPECT_EQ(a.AsString(), kLong);
+  Value b = a;
+  b = a;  // assigning the buffer it already holds
+  EXPECT_EQ(b.AsString(), kLong);
+  EXPECT_EQ(a.AsString(), kLong);
+}
+
+TEST(ValueTest, EmptyStringIsNotNull) {
+  Value e = Value::String("");
+  EXPECT_FALSE(e.is_null());
+  EXPECT_EQ(e.type(), TypeId::kString);
+  EXPECT_EQ(e.AsString(), "");
+  Value copy = e;
+  EXPECT_EQ(copy.AsString(), "");
+}
+
+TEST(ValueTest, MismatchedTagAccessorsReadZero) {
+  const Value d = Value::Double(2.5);
+  EXPECT_EQ(d.AsInt(), 0);
+  EXPECT_FALSE(d.AsBool());
+  EXPECT_EQ(d.AsString(), "");
+  EXPECT_FALSE(Value::Double(1.0).AsBool());
+  const Value s = Value::String(kLong);
+  EXPECT_EQ(s.AsInt(), 0);
+  EXPECT_FALSE(s.AsBool());
+  EXPECT_EQ(s.AsDouble(), 0.0);
+  EXPECT_EQ(Value::Int(7).AsString(), "");
+  EXPECT_EQ(Value::Int(7).AsDouble(), 7.0);
+  EXPECT_EQ(Value::Bool(true).AsInt(), 1);
+  EXPECT_EQ(Value::Bool(true).AsDouble(), 1.0);
+  EXPECT_EQ(Value::Null().AsInt(), 0);
+  EXPECT_EQ(Value::TypedNull(TypeId::kString).AsString(), "");
+  EXPECT_EQ(Value::TypedNull(TypeId::kDouble).AsDouble(), 0.0);
+}
+
+TEST(ValueTest, CompareAndHashParity) {
+  // Int vs whole double: equal, and hashed alike.
+  EXPECT_EQ(Value::Int(-3).Compare(Value::Double(-3.0)), 0);
+  EXPECT_EQ(Value::Int(-3).Hash(), Value::Double(-3.0).Hash());
+  EXPECT_EQ(Value::Int(1LL << 40).Hash(), Value::Double(0x1p40).Hash());
+  // Bytes >= 0x80 order after ASCII (unsigned byte order, as std::string).
+  const std::string high = "caf\xc3\xa9";
+  const std::string low = "cafe";
+  EXPECT_GT(Value::String(high).Compare(Value::String(low)), 0);
+  EXPECT_LT(Value::String(low).Compare(Value::String(high)), 0);
+  EXPECT_GT(Value::String("\x80").Compare(Value::String("\x7f")), 0);
+  EXPECT_EQ(high.compare(low) > 0,
+            Value::String(high).Compare(Value::String(low)) > 0);
+  // String hashes are std::hash<std::string>, so hash-join and aggregate
+  // order do not depend on the representation.
+  for (const std::string& str : {high, low, std::string(kLong), std::string()}) {
+    EXPECT_EQ(Value::String(str).Hash(), std::hash<std::string>()(str));
+  }
+  // The empty string is a value; NULL sorts before it and hashes apart.
+  const Value empty = Value::String("");
+  EXPECT_LT(Value::Null().Compare(empty), 0);
+  EXPECT_GT(empty.Compare(Value::Null()), 0);
+  EXPECT_EQ(Value::TypedNull(TypeId::kString).Compare(Value::Null()), 0);
+  EXPECT_NE(empty.Hash(), Value::Null().Hash());
+  EXPECT_EQ(Value::TypedNull(TypeId::kString).Hash(), Value::Null().Hash());
+}
+
+TEST(ValueTest, StringLiteralRoundTripsThroughLexer) {
+  const std::string cases[] = {"it's", "''", "'", "a''b'c", "", kLong,
+                               "O'Reilly's \"book\"", "caf\xc3\xa9"};
+  for (const std::string& text : cases) {
+    const std::string literal = Value::String(text).ToSqlLiteral();
+    auto tokens = Tokenize(literal);
+    ASSERT_TRUE(tokens.ok()) << literal;
+    ASSERT_EQ((*tokens)[0].type, TokenType::kString) << literal;
+    EXPECT_EQ((*tokens)[0].text, text) << literal;
+    EXPECT_EQ((*tokens)[1].type, TokenType::kEnd) << literal;
+  }
 }
 
 TEST(RowTest, HashRowDiffersOnContent) {
