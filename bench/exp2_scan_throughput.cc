@@ -268,8 +268,8 @@ int main(int argc, char** argv) {
     }
 
     // Aggregate shapes: the scan hands the aggregate row batches, whose
-    // columns it extracts and accumulates in its typed loops. Both results
-    // are checked against the loaded data.
+    // cells it reads in place. Both results are checked against the loaded
+    // data.
     cell(&server, rows, "agg scalar", "agg_scalar", 0.50,
          "SELECT COUNT(*), SUM(a), MIN(a), MAX(a) FROM scan_t WHERE a < " +
              std::to_string(kValueDomain / 2),

@@ -61,7 +61,9 @@
 # FROM-permutation suite runs the join order chosen for every permutation of
 # each TPC-W read, and batch_exec_test's Top-N oracle every sort key shape.
 # value_test runs here too: string Values share refcounted buffers, so an
-# unbalanced refcount is a use-after-free or a leak under ASan.
+# unbalanced refcount is a use-after-free or a leak under ASan. So does the
+# randomized in-place compare (PredicateBatchRandom), which reads each
+# row's cells where they sit, mixed type tags and NaN included.
 # The tsan mode runs every test labeled `concurrency` (ctest -L) — the
 # multi-session engine tests and the DMV-read-during-execution tests — plus
 # the threaded bench smoke.
@@ -99,7 +101,7 @@ case "$mode" in
       replication_test mtcache_test engine_test fleet_test dmv_smoke \
       batch_exec_test exec_test tpcw_test view_maintenance_test value_test
     (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|VectorKernel|ExecTest\.|Tpcw|ViewMaintenance|ValueTest')
+      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|PredicateBatchRandom|ExecTest\.|Tpcw|ViewMaintenance|ValueTest')
     # The DMV walk under ASan: catches lifetime bugs in the virtual-table
     # row materialization that the plain build would miss.
     ./build-asan/examples/dmv_smoke
@@ -113,8 +115,8 @@ case "$mode" in
     # scrolling past; second_deadlock_stack helps debug lock inversions.
     # The fleet label rides along: its DES runs are single-threaded by
     # design, so any TSan report there is a real bug in the shared layers.
-    # The batch label brings the vectorized-executor differential corpus at
-    # every batch capacity (each statement runs on its calling thread; the
+    # The batch label brings the executor's differential corpus at every
+    # batch capacity (each statement runs on its calling thread; the
     # concurrency label covers scans racing DML).
     export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
     (cd build-tsan && ctest --output-on-failure -L 'concurrency|fleet|batch')
@@ -139,8 +141,9 @@ case "$mode" in
     cmake --build --preset default -j "$(nproc)" --target \
       batch_exec_test exec_test exec_alloc_test exp2_scan_throughput
     # The differential corpus proves results do not depend on batch
-    # capacity (1, 7 and 1024), plus the kernel-vs-EvalPredicate and
-    # typed-vs-row aggregate oracles and the NULL-logic kernel tests; the
+    # capacity (1, 7 and 1024), plus the in-place-vs-EvalPredicate compare
+    # oracles, the read-in-place-vs-evaluated aggregate oracles, exact
+    # integer SUM and the NULL-logic predicate tests; the
     # memory tests pin the copy-free scan, sort and hash-join high-waters;
     # the allocation ceilings hold TPC-W's searches and BestSellers to the
     # heap allocations of reference-holding operators; the exec suite

@@ -16,7 +16,6 @@ constexpr const char* kReplMetrics = "dm_repl_metrics";
 constexpr const char* kQueryProfiles = "dm_exec_query_profiles";
 constexpr const char* kReplLagHistogram = "dm_repl_lag_histogram";
 constexpr const char* kWaitStats = "dm_os_wait_stats";
-constexpr const char* kVectorStats = "dm_exec_vector_stats";
 constexpr const char* kColumnHistograms = "dm_db_column_histograms";
 constexpr const char* kWorkloadSnapshots = "dm_workload_snapshots";
 constexpr const char* kWorkloadQueryDeltas = "dm_workload_query_deltas";
@@ -235,15 +234,6 @@ StatusOr<std::vector<Row>> ReplLagHistogramRows(
   return rows;
 }
 
-Row VectorStatsRow(const DmvSource& src) {
-  const VectorExecStats& v = src.metrics->vector_exec;
-  return Row{
-      Value::Int(v.vectorized_batches),
-      Value::Int(v.vectorized_rows),
-      Value::Int(v.vector_fallbacks),
-  };
-}
-
 StatusOr<std::vector<Row>> WaitStatsRows(const VirtualRowFilter& filter) {
   const WaitStats& ws = GlobalWaitStats();
   std::vector<Row> rows;
@@ -320,7 +310,6 @@ StatusOr<std::vector<Row>> WorkloadSnapshotsRows(const DmvSource& src,
         Value::Int(s.remote_queries),
         Value::Int(s.rows_transferred),
         Value::Double(s.bytes_transferred),
-        Value::Int(s.vectorized_rows),
         Value::Int(s.repl_changes_applied),
         Value::Double(s.repl_lag_p99),
         Value::Double(s.wait_seconds),
@@ -489,11 +478,6 @@ DmvCatalog::DmvCatalog() {
        {"contentions", TypeId::kInt64},
        {"wait_seconds", TypeId::kDouble},
        {"max_wait_seconds", TypeId::kDouble}});
-  tables_[kVectorStats] = MakeDmv(
-      kVectorStats,
-      {{"vectorized_batches", TypeId::kInt64},
-       {"vectorized_rows", TypeId::kInt64},
-       {"vector_fallbacks", TypeId::kInt64}});
   tables_[kColumnHistograms] = MakeDmv(
       kColumnHistograms,
       {{"table_name", TypeId::kString},
@@ -516,7 +500,6 @@ DmvCatalog::DmvCatalog() {
        {"remote_queries", TypeId::kInt64},
        {"rows_transferred", TypeId::kInt64},
        {"bytes_transferred", TypeId::kDouble},
-       {"vectorized_rows", TypeId::kInt64},
        {"repl_changes_applied", TypeId::kInt64},
        {"repl_lag_p99", TypeId::kDouble},
        {"wait_seconds", TypeId::kDouble},
@@ -590,11 +573,6 @@ StatusOr<std::vector<Row>> DmvRows(const std::string& name,
     return ReplLagHistogramRows(src, filter);
   }
   if (name == std::string("sys.") + kWaitStats) return WaitStatsRows(filter);
-  if (name == std::string("sys.") + kVectorStats) {
-    std::vector<Row> rows;
-    MT_RETURN_IF_ERROR(EmitRow(filter, VectorStatsRow(src), &rows));
-    return rows;
-  }
   if (name == std::string("sys.") + kColumnHistograms) {
     return ColumnHistogramsRows(src, filter);
   }

@@ -21,7 +21,6 @@ namespace mtcache {
 ///   sys.dm_exec_query_stats    per-statement-text rollups + p50/p95/p99
 ///   sys.dm_exec_requests       the trace ring: last N executed statements
 ///   sys.dm_exec_query_profiles per-operator actuals of profiled queries
-///   sys.dm_exec_vector_stats   HashAggregate typed-absorb counters
 ///   sys.dm_mtcache_views       per cached/materialized view currency state
 ///   sys.dm_repl_metrics        replication-pipeline counters (via provider)
 ///   sys.dm_repl_lag_histogram  commit->apply lag distribution (via provider)

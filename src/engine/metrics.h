@@ -137,8 +137,6 @@ class MetricsRegistry {
   PlanCacheStats plan_cache;
   OptimizerDecisionStats optimizer;
   ChoosePlanRuntimeStats chooseplan;
-  /// HashAggregate typed-absorb counters (sys.dm_exec_vector_stats).
-  VectorExecStats vector_exec;
 
   /// Records one executed SELECT: appends to the trace ring (evicting the
   /// oldest entry past capacity) and folds the measurement into the

@@ -167,7 +167,6 @@ ExecContext Server::MakeContext(Session* session, ExecStats* stats) {
   ctx.virtual_tables = this;
   ctx.branch_stats = &metrics_.chooseplan;
   ctx.batch_capacity = options_.exec_batch_capacity;
-  ctx.vector_stats = &metrics_.vector_exec;
   return ctx;
 }
 

@@ -96,7 +96,6 @@ WorkloadSlice WorkloadRepository::Capture(const MetricsRegistry& metrics,
   const int64_t plan_hits = metrics.plan_cache.hits;
   const int64_t plan_misses = metrics.plan_cache.misses;
   const int64_t vm_hits = metrics.optimizer.view_match_hits;
-  const int64_t vec_rows = metrics.vector_exec.vectorized_rows;
 
   double wait_seconds = 0;
   int64_t wait_contentions = 0;
@@ -131,7 +130,6 @@ WorkloadSlice WorkloadRepository::Capture(const MetricsRegistry& metrics,
   slice.remote_queries = remote_queries - baseline_.remote_queries;
   slice.rows_transferred = rows_transferred - baseline_.rows_transferred;
   slice.bytes_transferred = bytes_transferred - baseline_.bytes_transferred;
-  slice.vectorized_rows = vec_rows - baseline_.vectorized_rows;
   slice.repl_changes_applied =
       repl.changes_applied - baseline_.repl_changes_applied;
   slice.repl_lag_p99 = repl.latency_p99;
@@ -179,7 +177,6 @@ WorkloadSlice WorkloadRepository::Capture(const MetricsRegistry& metrics,
   baseline_.remote_queries = remote_queries;
   baseline_.rows_transferred = rows_transferred;
   baseline_.bytes_transferred = bytes_transferred;
-  baseline_.vectorized_rows = vec_rows;
   baseline_.repl_changes_applied = repl.changes_applied;
   baseline_.wait_seconds = wait_seconds;
   baseline_.wait_contentions = wait_contentions;

@@ -83,7 +83,6 @@ struct WorkloadSlice {
   int64_t remote_queries = 0;
   int64_t rows_transferred = 0;
   double bytes_transferred = 0;
-  int64_t vectorized_rows = 0;
   int64_t repl_changes_applied = 0;
   double repl_lag_p99 = 0;  // gauge
   double wait_seconds = 0;  // summed over all wait sites
@@ -151,8 +150,7 @@ class WorkloadRepository {
     int64_t remote_queries = 0;
     int64_t rows_transferred = 0;
     double bytes_transferred = 0;
-    int64_t vectorized_rows = 0;
-    int64_t repl_changes_applied = 0;
+      int64_t repl_changes_applied = 0;
     double wait_seconds = 0;
     int64_t wait_contentions = 0;
     std::map<std::string, QueryBaseline> queries;

@@ -5,12 +5,12 @@
 #include <cmath>
 #include <mutex>
 #include <shared_mutex>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/wait_stats.h"
 #include "opt/cost_model.h"
-#include "types/column.h"
 
 namespace mtcache {
 
@@ -285,8 +285,7 @@ class PinnedRowEmitter {
       if (predicate_ != nullptr) {
         ctx->Charge(CostModel::kFilterRowCost * static_cast<double>(chunk));
         MT_RETURN_IF_ERROR(EvalPredicateBatch(*predicate_, scratch_.data(),
-                                              chunk, ctx->Eval(), &keep_,
-                                              &pred_scratch_));
+                                              chunk, ctx->Eval(), &keep_));
         size_t out = 0;
         for (size_t i = 0; i < chunk; ++i) {
           if (keep_[i]) scratch_[out++] = scratch_[i];
@@ -329,7 +328,6 @@ class PinnedRowEmitter {
   std::vector<int> proj_ords_;  // valid iff fast_proj_
   std::vector<const Row*> scratch_;
   std::vector<char> keep_;
-  PredicateBatchScratch pred_scratch_;
   size_t pos_ = 0;
   bool charged_tail_ = false;
 };
@@ -578,7 +576,7 @@ class FilterExec : public ExecNode {
                   static_cast<double>(input_.size()));
       MT_RETURN_IF_ERROR(EvalPredicateBatch(*op_.predicate, input_.rows.data(),
                                             input_.rows.size(), ctx->Eval(),
-                                            &keep_, &pred_scratch_));
+                                            &keep_));
       for (size_t i = 0; i < input_.rows.size(); ++i) {
         if (keep_[i]) batch->PushFrom(&input_, i);
       }
@@ -601,7 +599,6 @@ class FilterExec : public ExecNode {
   bool open_ = false;
   RowBatch input_;
   std::vector<char> keep_;
-  PredicateBatchScratch pred_scratch_;
 };
 
 class ProjectExec : public ExecNode {
@@ -1021,25 +1018,59 @@ class HashJoinExec : public ExecNode {
   int32_t chain_ = -1;                  // next build row to test
 };
 
-// Hash aggregation. Open drains the child batch by batch. When every
-// group-by item and aggregate argument is a bare column reference, each
-// batch's referenced columns are extracted into typed vectors (ExtractColumn
-// over the batch's row pointers) and accumulated by typed loops, with no
-// EvalBound or StatusOr<Value> per cell. A batch whose columns do not
-// extract (a type tag that differs from the bound type) is absorbed row by
-// row instead. The choice is made per batch, from the input alone, and both
-// paths reach the same states.
+// Hash aggregation. Open drains the child batch by batch. Group keys and
+// aggregate arguments that are bare column references are read from the
+// input row where they sit, so a key copy is a refcount bump; anything else
+// is evaluated per row. A group's state vector is built only when `find`
+// misses. A scalar aggregate whose arguments are all column references
+// instead makes one pass down each batch per argument column, holding the
+// states of the aggregates over that column (an int64 or double MIN/MAX
+// among them) in registers. SUM stays an exact int64 while every value it
+// absorbs is an integer (an overflow fails the statement); the first double
+// moves it to a double sum.
 class HashAggregateExec : public ExecNode {
  public:
   HashAggregateExec(const PhysHashAggregate& op,
                     std::unique_ptr<ExecNode> child)
-      : op_(op), child_(std::move(child)) {
-    typed_ = TypedShape();
+      : op_(op), child_(std::move(child)), by_column_(op.group_by.empty()) {
+    for (const BExprPtr& g : op_.group_by) {
+      key_ords_.push_back(ColumnOrdinal(g.get()));
+    }
+    for (const AggItem& item : op_.aggs) {
+      arg_ords_.push_back(ColumnOrdinal(item.arg.get()));
+      if (item.func != AggFunc::kCountStar && arg_ords_.back() < 0) {
+        by_column_ = false;
+      }
+    }
+    for (size_t a = 0; by_column_ && a < op_.aggs.size(); ++a) {
+      if (arg_ords_[a] < 0) continue;
+      auto same = [&](const ColumnAggs& c) { return c.ord == arg_ords_[a]; };
+      auto col = std::find_if(columns_.begin(), columns_.end(), same);
+      if (col == columns_.end()) {
+        columns_.push_back({arg_ords_[a], op_.aggs[a].arg->type, {}});
+        col = columns_.end() - 1;
+      }
+      col->aggs.push_back(a);
+    }
+    for (int ord : key_ords_) {
+      if (ord >= 0) {
+        touch_ord_ = ord;
+        break;
+      }
+    }
   }
 
+  // The aggregates of a scalar aggregate that read one column.
+  struct ColumnAggs {
+    int ord;                   // the argument column
+    TypeId type;               // its bound type
+    std::vector<size_t> aggs;  // indexes into op_.aggs
+  };
+
   struct AggState {
-    int64_t count = 0;          // non-null inputs (or all rows for COUNT(*))
-    double sum = 0;
+    int64_t count = 0;    // non-null inputs (or all rows for COUNT(*))
+    int64_t int_sum = 0;  // SUM while every absorbed value is an integer
+    double sum = 0;       // AVG's sum; SUM's once it absorbed a double
     bool sum_is_int = true;
     Value min;
     Value max;
@@ -1054,18 +1085,11 @@ class HashAggregateExec : public ExecNode {
       MT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, &batch));
       if (!more) break;
       ctx->Charge(CostModel::kAggRowCost * static_cast<double>(batch.size()));
-      if (AbsorbTyped(batch, ctx)) continue;
-      for (const Row* row : batch.rows) {
-        MT_RETURN_IF_ERROR(Absorb(*row, ctx));
-      }
+      MT_RETURN_IF_ERROR(Absorb(batch, ctx));
     }
     child_->Close();
     // Scalar aggregate over an empty input still produces one row.
-    if (op_.group_by.empty() && groups_.empty()) {
-      auto [it, inserted] =
-          groups_.try_emplace(Row{}, std::vector<AggState>(op_.aggs.size()));
-      if (inserted) order_.push_back(&*it);
-    }
+    if (op_.group_by.empty()) States(Row{});
     emit_pos_ = 0;
     return Status::Ok();
   }
@@ -1094,43 +1118,233 @@ class HashAggregateExec : public ExecNode {
   }
 
  private:
-  Status Absorb(const Row& row, ExecContext* ctx) {
-    Row key;
-    for (const BExprPtr& g : op_.group_by) {
-      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*g, &row, ctx->Eval()));
-      key.push_back(std::move(v));
+  static int ColumnOrdinal(const BoundExpr* e) {
+    if (e == nullptr || e->kind != BoundExprKind::kColumnRef) return -1;
+    return static_cast<const BoundColumnRef&>(*e).ordinal;
+  }
+
+  static Status SumOverflow() {
+    return Status::OutOfRange(
+        "arithmetic overflow: SUM exceeds the int64 range");
+  }
+
+  // The states of group `key`, created (in first-seen order) if new.
+  std::vector<AggState>& States(const Row& key) {
+    auto it = groups_.find(key);
+    if (it == groups_.end()) {
+      it = groups_.emplace(key, std::vector<AggState>(op_.aggs.size())).first;
+      order_.push_back(&*it);
     }
-    auto [it, inserted] =
-        groups_.try_emplace(key, std::vector<AggState>(op_.aggs.size()));
-    if (inserted) order_.push_back(&*it);
-    std::vector<AggState>& states = it->second;
-    for (size_t i = 0; i < op_.aggs.size(); ++i) {
-      const AggItem& item = op_.aggs[i];
-      AggState& st = states[i];
-      if (item.func == AggFunc::kCountStar) {
-        ++st.count;
-        continue;
+    return it->second;
+  }
+
+  Status Absorb(const RowBatch& batch, ExecContext* ctx) {
+    if (by_column_) {
+      // One pass per argument column. Only the first prefetches; the passes
+      // after it find the batch's rows in cache.
+      std::vector<AggState>& states = States(Row{});
+      for (size_t a = 0; a < op_.aggs.size(); ++a) {
+        if (op_.aggs[a].func == AggFunc::kCountStar) {
+          states[a].count += static_cast<int64_t>(batch.size());
+        }
       }
-      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*item.arg, &row, ctx->Eval()));
-      if (v.is_null()) continue;
-      ++st.count;
-      switch (item.func) {
+      bool ok = true;
+      bool cold = true;
+      for (const ColumnAggs& col : columns_) {
+        ok &= col.type == TypeId::kDouble
+                  ? FoldColumn<double>(batch, col, cold, &states)
+                  : FoldColumn<int64_t>(batch, col, cold, &states);
+        cold = false;
+      }
+      return ok ? Status::Ok() : SumOverflow();
+    }
+    // A tight loop over the key cells first brings the batch's rows into
+    // cache, overlapping their misses; the per-row loop (hash probe and
+    // updates) left them exposed, prefetch or not.
+    if (touch_ord_ >= 0) {
+      TouchCells(batch.rows.data(), batch.rows.size(), touch_ord_);
+    }
+    for (const Row* row : batch.rows) {
+      key_.clear();
+      for (size_t k = 0; k < key_ords_.size(); ++k) {
+        if (key_ords_[k] >= 0) {
+          key_.push_back((*row)[key_ords_[k]]);
+          continue;
+        }
+        MT_ASSIGN_OR_RETURN(Value v,
+                            EvalBound(*op_.group_by[k], row, ctx->Eval()));
+        key_.push_back(std::move(v));
+      }
+      std::vector<AggState>& states = States(key_);
+      for (size_t a = 0; a < op_.aggs.size(); ++a) {
+        const AggItem& item = op_.aggs[a];
+        bool ok = true;
+        if (item.func == AggFunc::kCountStar) {
+          ++states[a].count;
+        } else if (arg_ords_[a] >= 0) {
+          ok = Update(item.func, (*row)[arg_ords_[a]], &states[a]);
+        } else {
+          MT_ASSIGN_OR_RETURN(Value v, EvalBound(*item.arg, row, ctx->Eval()));
+          ok = Update(item.func, v, &states[a]);
+        }
+        if (!ok) return SumOverflow();
+      }
+    }
+    return Status::Ok();
+  }
+
+  // The scalar aggregates over column `col`, in one pass down `batch`
+  // (prefetching when `cold`). While the cells are non-NULL Ts, T being
+  // the column's bound type, int64 or double, their states stay in
+  // registers: one count (each of them counts the same cells), SUM's exact
+  // int64 or double sum, AVG's sum, MIN and MAX (strict `<`/`>` is
+  // Value::Compare's probe form: a NaN that arrives first sticks). Two
+  // aggregates of one kind over one column hold equal states. From the
+  // first cell of another tag on (from the start for any other column
+  // type, or a MIN/MAX already holding another tag), the registers are
+  // stored and Update folds the rest. False when SUM overflows int64.
+  template <typename T>
+  bool FoldColumn(const RowBatch& batch, const ColumnAggs& col, bool cold,
+                  std::vector<AggState>* states) const {
+    const TypeId tag = std::is_same_v<T, double> ? TypeId::kDouble
+                                                 : TypeId::kInt64;
+    auto payload = [](const Value& v) -> T {
+      if constexpr (std::is_same_v<T, double>) {
+        return v.AsDouble();
+      } else {
+        return v.AsInt();
+      }
+    };
+    auto make = [](T x) {
+      if constexpr (std::is_same_v<T, double>) {
+        return Value::Double(x);
+      } else {
+        return Value::Int(x);
+      }
+    };
+    const AggState& first = (*states)[col.aggs[0]];
+    int64_t count = first.count;
+    int64_t int_sum = 0;
+    double sum = 0;
+    bool sum_is_int = true;
+    double avg_sum = 0;
+    T min{};
+    T max{};
+    bool has_sum = false, has_avg = false, has_min = false, has_max = false;
+    bool in_register = col.type == tag;
+    for (size_t a : col.aggs) {
+      const AggState& st = (*states)[a];
+      switch (op_.aggs[a].func) {
         case AggFunc::kSum:
+          has_sum = true;
+          int_sum = st.int_sum;
+          sum = st.sum;
+          sum_is_int = st.sum_is_int;
+          break;
         case AggFunc::kAvg:
-          st.sum += v.AsDouble();
-          if (v.type() == TypeId::kDouble) st.sum_is_int = false;
+          has_avg = true;
+          avg_sum = st.sum;
           break;
         case AggFunc::kMin:
-          if (st.count == 1 || v.Compare(st.min) < 0) st.min = v;
+          has_min = true;
+          in_register &= count == 0 || st.min.type() == tag;
+          min = payload(st.min);
           break;
         case AggFunc::kMax:
-          if (st.count == 1 || v.Compare(st.max) > 0) st.max = v;
+          has_max = true;
+          in_register &= count == 0 || st.max.type() == tag;
+          max = payload(st.max);
           break;
         default:
           break;
       }
     }
-    return Status::Ok();
+    auto store = [&] {
+      for (size_t a : col.aggs) {
+        AggState& st = (*states)[a];
+        st.count = count;
+        switch (op_.aggs[a].func) {
+          case AggFunc::kSum:
+            st.int_sum = int_sum;
+            st.sum = sum;
+            st.sum_is_int = sum_is_int;
+            break;
+          case AggFunc::kAvg:
+            st.sum = avg_sum;
+            break;
+          case AggFunc::kMin:
+            if (count > 0) st.min = make(min);
+            break;
+          case AggFunc::kMax:
+            if (count > 0) st.max = make(max);
+            break;
+          default:
+            break;
+        }
+      }
+    };
+    bool ok = true;
+    auto fold = [&](size_t, const Value& v) {
+      if (v.is_null()) return;
+      if (in_register && v.type() == tag) {
+        const T x = payload(v);
+        ++count;
+        if (has_sum) {
+          if constexpr (std::is_same_v<T, double>) {
+            if (sum_is_int) sum = static_cast<double>(int_sum);
+            sum_is_int = false;
+            sum += x;
+          } else if (sum_is_int) {
+            ok &= !__builtin_add_overflow(int_sum, x, &int_sum);
+          } else {
+            sum += static_cast<double>(x);
+          }
+        }
+        if (has_avg) avg_sum += static_cast<double>(x);
+        if (has_min && (count == 1 || x < min)) min = x;
+        if (has_max && (count == 1 || x > max)) max = x;
+        return;
+      }
+      if (in_register) store();
+      in_register = false;
+      for (size_t a : col.aggs) {
+        ok &= Update(op_.aggs[a].func, v, &(*states)[a]);
+      }
+    };
+    ForEachCell(batch.rows.data(), batch.rows.size(), col.ord, fold, cold);
+    if (in_register) store();
+    return ok;
+  }
+
+  // Folds one input value into `st`. False when SUM overflows int64.
+  static bool Update(AggFunc func, const Value& v, AggState* st) {
+    if (v.is_null()) return true;
+    ++st->count;
+    switch (func) {
+      case AggFunc::kSum:
+        if (st->sum_is_int) {
+          if (v.type() != TypeId::kDouble) {
+            return !__builtin_add_overflow(st->int_sum, v.AsInt(),
+                                           &st->int_sum);
+          }
+          st->sum = static_cast<double>(st->int_sum);
+          st->sum_is_int = false;
+        }
+        st->sum += v.AsDouble();
+        break;
+      case AggFunc::kAvg:
+        st->sum += v.AsDouble();
+        break;
+      case AggFunc::kMin:
+        if (st->count == 1 || v.Compare(st->min) < 0) st->min = v;
+        break;
+      case AggFunc::kMax:
+        if (st->count == 1 || v.Compare(st->max) > 0) st->max = v;
+        break;
+      default:
+        break;
+    }
+    return true;
   }
 
   static Value Finalize(AggFunc func, const AggState& st) {
@@ -1140,10 +1354,7 @@ class HashAggregateExec : public ExecNode {
         return Value::Int(st.count);
       case AggFunc::kSum:
         if (st.count == 0) return Value::Null();
-        if (st.sum_is_int) {
-          return Value::Int(static_cast<int64_t>(std::llround(st.sum)));
-        }
-        return Value::Double(st.sum);
+        return st.sum_is_int ? Value::Int(st.int_sum) : Value::Double(st.sum);
       case AggFunc::kAvg:
         return st.count == 0 ? Value::Null() : Value::Double(st.sum / st.count);
       case AggFunc::kMin:
@@ -1154,226 +1365,17 @@ class HashAggregateExec : public ExecNode {
     return Value::Null();
   }
 
-  // --- Typed absorb --------------------------------------------------------
-
-  // True iff every group-by item and aggregate argument is a bare column
-  // reference of a concrete type — the shapes the typed loops handle; fills
-  // typed_cols_ with the referenced input columns. Anything else
-  // (expressions, COUNT(DISTINCT)-style rewrites) absorbs row by row.
-  bool TypedShape() {
-    std::vector<const BoundExpr*> refs;
-    for (const BExprPtr& g : op_.group_by) refs.push_back(g.get());
-    for (const AggItem& item : op_.aggs) {
-      if (item.func != AggFunc::kCountStar) refs.push_back(item.arg.get());
-    }
-    int width = 0;
-    for (const BoundExpr* e : refs) {
-      if (e == nullptr || e->kind != BoundExprKind::kColumnRef ||
-          e->type == TypeId::kNull) {
-        return false;
-      }
-      const int ord = RefOrdinal(*e);
-      if (std::none_of(typed_cols_.begin(), typed_cols_.end(),
-                       [ord](const auto& c) { return c.first == ord; })) {
-        typed_cols_.emplace_back(ord, e->type);
-      }
-      width = std::max(width, ord + 1);
-    }
-    cols_.resize(static_cast<size_t>(width));
-    return true;
-  }
-
-  static int RefOrdinal(const BoundExpr& e) {
-    return static_cast<const BoundColumnRef&>(e).ordinal;
-  }
-
-  // Absorbs `batch` through the typed loops. Returns false, having absorbed
-  // nothing, when the shape is not typed or a column does not extract.
-  bool AbsorbTyped(const RowBatch& batch, ExecContext* ctx) {
-    if (!typed_) return false;
-    VectorExecStats* stats = ctx->vector_stats;
-    const size_t n = batch.rows.size();
-    for (const auto& [ord, type] : typed_cols_) {
-      if (!ExtractColumn(batch.rows.data(), n, ord, type, &cols_[ord])) {
-        if (stats != nullptr) ++stats->vector_fallbacks;
-        return false;
-      }
-    }
-    if (op_.group_by.empty()) {
-      AbsorbBatchScalar(n);
-    } else {
-      AbsorbBatchGrouped(n);
-    }
-    if (stats != nullptr) {
-      ++stats->vectorized_batches;
-      stats->vectorized_rows += static_cast<int64_t>(n);
-    }
-    return true;
-  }
-
-  // Scalar (no GROUP BY) accumulation: one state vector, tight typed loops.
-  // Semantics mirror Absorb exactly — SUM accumulates doubles in row order,
-  // sum_is_int flips only when a non-NULL double is absorbed, and MIN/MAX
-  // keep the first value on Compare ties.
-  void AbsorbBatchScalar(size_t n) {
-    auto [it, inserted] =
-        groups_.try_emplace(Row{}, std::vector<AggState>(op_.aggs.size()));
-    if (inserted) order_.push_back(&*it);
-    std::vector<AggState>& states = it->second;
-    for (size_t a = 0; a < op_.aggs.size(); ++a) {
-      const AggItem& item = op_.aggs[a];
-      AggState& st = states[a];
-      if (item.func == AggFunc::kCountStar) {
-        st.count += static_cast<int64_t>(n);
-        continue;
-      }
-      const ColumnVector& col = cols_[RefOrdinal(*item.arg)];
-      const uint8_t* nulls = col.nulls.data();
-      const bool has_nulls = col.has_nulls;
-      switch (item.func) {
-        case AggFunc::kCount: {
-          int64_t c = static_cast<int64_t>(n);
-          if (has_nulls) {
-            for (size_t i = 0; i < n; ++i) c -= nulls[i] != 0;
-          }
-          st.count += c;
-          break;
-        }
-        case AggFunc::kSum:
-        case AggFunc::kAvg:
-          if (col.type == TypeId::kDouble) {
-            const double* v = col.dbls.data();
-            for (size_t i = 0; i < n; ++i) {
-              if (has_nulls && nulls[i] != 0) continue;
-              ++st.count;
-              st.sum += v[i];
-              st.sum_is_int = false;
-            }
-          } else {
-            const int64_t* v = col.ints.data();
-            for (size_t i = 0; i < n; ++i) {
-              if (has_nulls && nulls[i] != 0) continue;
-              ++st.count;
-              st.sum += static_cast<double>(v[i]);
-            }
-          }
-          break;
-        case AggFunc::kMin:
-        case AggFunc::kMax:
-          AbsorbMinMax(col, n, item.func == AggFunc::kMin, &st);
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
-  // MIN/MAX over a typed column. Replacement uses strict </>: for NaN
-  // payloads both probes fail, exactly like Value::Compare's probe form, so
-  // a NaN that arrives first sticks and one that arrives later never
-  // replaces — identical to Absorb. kBool/kString values go through
-  // GetValue so the stored Value keeps its original type tag, and so does a
-  // column whose current best has another type tag (left by a batch that was
-  // absorbed row by row).
-  void AbsorbMinMax(const ColumnVector& col, size_t n, bool is_min,
-                    AggState* st) {
-    Value& best = is_min ? st->min : st->max;
-    const uint8_t* nulls = col.nulls.data();
-    const bool has_nulls = col.has_nulls;
-    const bool typed_best = st->count == 0 || best.type() == col.type;
-    if (typed_best && col.type == TypeId::kInt64) {
-      int64_t cur = st->count > 0 ? best.AsInt() : 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (has_nulls && nulls[i] != 0) continue;
-        const int64_t x = col.ints[i];
-        if (st->count == 0 || (is_min ? x < cur : x > cur)) cur = x;
-        ++st->count;
-      }
-      if (st->count > 0) best = Value::Int(cur);
-      return;
-    }
-    if (typed_best && col.type == TypeId::kDouble) {
-      double cur = st->count > 0 ? best.AsDouble() : 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (has_nulls && nulls[i] != 0) continue;
-        const double x = col.dbls[i];
-        if (st->count == 0 || (is_min ? x < cur : x > cur)) cur = x;
-        ++st->count;
-      }
-      if (st->count > 0) best = Value::Double(cur);
-      return;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (has_nulls && nulls[i] != 0) continue;
-      Value v = col.GetValue(i);
-      ++st->count;
-      if (st->count == 1 ||
-          (is_min ? v.Compare(best) < 0 : v.Compare(best) > 0)) {
-        best = std::move(v);
-      }
-    }
-  }
-
-  // Grouped accumulation: keys are rebuilt per row (group identity needs
-  // Value hashing/equality), but aggregate updates read the typed payloads
-  // directly — no EvalBound for either side.
-  void AbsorbBatchGrouped(size_t n) {
-    Row key;
-    for (size_t r = 0; r < n; ++r) {
-      key.clear();
-      key.reserve(op_.group_by.size());
-      for (const BExprPtr& g : op_.group_by) {
-        key.push_back(cols_[RefOrdinal(*g)].GetValue(r));
-      }
-      auto [it, inserted] =
-          groups_.try_emplace(key, std::vector<AggState>(op_.aggs.size()));
-      if (inserted) order_.push_back(&*it);
-      std::vector<AggState>& states = it->second;
-      for (size_t a = 0; a < op_.aggs.size(); ++a) {
-        const AggItem& item = op_.aggs[a];
-        AggState& st = states[a];
-        if (item.func == AggFunc::kCountStar) {
-          ++st.count;
-          continue;
-        }
-        const ColumnVector& col = cols_[RefOrdinal(*item.arg)];
-        if (col.has_nulls && col.nulls[r] != 0) continue;
-        ++st.count;
-        switch (item.func) {
-          case AggFunc::kSum:
-          case AggFunc::kAvg:
-            if (col.type == TypeId::kDouble) {
-              st.sum += col.dbls[r];
-              st.sum_is_int = false;
-            } else {
-              st.sum += static_cast<double>(col.ints[r]);
-            }
-            break;
-          case AggFunc::kMin: {
-            Value v = col.GetValue(r);
-            if (st.count == 1 || v.Compare(st.min) < 0) st.min = std::move(v);
-            break;
-          }
-          case AggFunc::kMax: {
-            Value v = col.GetValue(r);
-            if (st.count == 1 || v.Compare(st.max) > 0) st.max = std::move(v);
-            break;
-          }
-          default:
-            break;
-        }
-      }
-    }
-  }
-
   const PhysHashAggregate& op_;
   std::unique_ptr<ExecNode> child_;
+  std::vector<int> key_ords_;  // group-by item's input ordinal, or -1
+  std::vector<int> arg_ords_;  // aggregate argument's input ordinal, or -1
+  bool by_column_;             // scalar, every argument a column reference
+  std::vector<ColumnAggs> columns_;  // when by_column_
+  int touch_ord_ = -1;         // first column-reference key, or -1
+  Row key_;                    // the current row's group key
   std::unordered_map<Row, std::vector<AggState>, RowHasher, RowEq> groups_;
   std::vector<std::pair<const Row, std::vector<AggState>>*> order_;
   size_t emit_pos_ = 0;
-  bool typed_ = false;
-  std::vector<std::pair<int, TypeId>> typed_cols_;  // (input ordinal, type)
-  std::vector<ColumnVector> cols_;  // by input ordinal; typed_cols_ filled
 };
 
 // Sort over row pointers. The input is held, not copied (as a hash-join

@@ -76,17 +76,6 @@ struct ChoosePlanRuntimeStats {
   RelaxedInt64 remote_branches = 0;   // guard passed, branch ships RemoteQuery
 };
 
-/// Counters for HashAggregate's typed absorb, bumped per input batch. The
-/// engine points ExecContext at the copy inside its MetricsRegistry; relaxed
-/// atomics, since every session's executor bumps the same instance. Rendered
-/// by sys.dm_exec_vector_stats.
-struct VectorExecStats {
-  RelaxedInt64 vectorized_batches = 0;  // batches absorbed by the typed loops
-  RelaxedInt64 vectorized_rows = 0;     // rows in those batches
-  RelaxedInt64 vector_fallbacks = 0;    // batches whose columns did not
-                                        // extract (mixed type tags)
-};
-
 /// Executes shipped SQL on a linked server. Implemented by engine::Server.
 /// Implementations must charge the callee's work to `stats->remote_cost` and
 /// account the returned volume in bytes/rows_transferred.
@@ -183,7 +172,6 @@ struct ExecContext {
   ExecStats* stats = nullptr;
   VirtualTableProvider* virtual_tables = nullptr;
   ChoosePlanRuntimeStats* branch_stats = nullptr;  // may be null
-  VectorExecStats* vector_stats = nullptr;         // may be null
   /// Most rows any operator puts in one RowBatch (and rows per scan chunk).
   /// Results do not depend on it; differential tests run the same plans at
   /// 1 (one row per batch), a prime, and the default to prove that.

@@ -1,6 +1,7 @@
 #include "expr/bound_expr.h"
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/string_util.h"
 #include "expr/vector_kernels.h"
@@ -105,18 +106,7 @@ StatusOr<Value> EvalArith(BinaryOp op, const Value& l, const Value& r) {
 // Comparison with SQL NULL semantics (NULL compare -> NULL).
 Value EvalCompare(BinaryOp op, const Value& l, const Value& r) {
   if (l.is_null() || r.is_null()) return Value::TypedNull(TypeId::kBool);
-  int c = l.Compare(r);
-  bool result = false;
-  switch (op) {
-    case BinaryOp::kEq: result = c == 0; break;
-    case BinaryOp::kNe: result = c != 0; break;
-    case BinaryOp::kLt: result = c < 0; break;
-    case BinaryOp::kLe: result = c <= 0; break;
-    case BinaryOp::kGt: result = c > 0; break;
-    case BinaryOp::kGe: result = c >= 0; break;
-    default: break;
-  }
-  return Value::Bool(result);
+  return Value::Bool(ComparePasses(op, l.Compare(r)));
 }
 
 // Three-valued AND/OR.
@@ -328,19 +318,107 @@ StatusOr<bool> EvalPredicate(const BoundExpr& expr, const Row* row,
   return !v.is_null() && v.AsBool();
 }
 
+namespace {
+
+bool IsNumeric(TypeId t) {
+  return t == TypeId::kBool || t == TypeId::kInt64 || t == TypeId::kDouble;
+}
+
+// Value::Compare's verdict for a cell off the typed path, kept out of line
+// so the per-row loop stays small. A NULL cell is unknown and fails.
+[[gnu::noinline]] bool ComparesTrue(const Value& v, BinaryOp op,
+                                    const Value& rhs) {
+  return !v.is_null() && ComparePasses(op, v.Compare(rhs));
+}
+
+// keep[i] &= (cell i cmp rhs) over the cells at `ordinal`, read in place. A
+// non-NULL cell tagged `tag` is tested by `holds` on its payload as `read`
+// gives it, any other cell by ComparesTrue. `rhs` is non-NULL.
+template <typename Read, typename Holds>
+void FilterCells(const Row* const* rows, size_t n, int ordinal, TypeId tag,
+                 BinaryOp op, const Value& rhs, char* keep, Read read,
+                 Holds holds) {
+  ForEachCell(rows, n, ordinal, [&](size_t i, const Value& v) {
+    const bool pass = v.type() == tag && !v.is_null()
+                          ? holds(read(v))
+                          : ComparesTrue(v, op, rhs);
+    keep[i] = static_cast<char>(keep[i] & pass);
+  });
+}
+
+// FilterCells with the comparison for `op` against `r`. Doubles compare in
+// Value::Compare's probe form (`<`, then `>`, else equal), so a NaN on
+// either side compares equal to everything.
+template <typename T, typename Read>
+void FilterByOp(const Row* const* rows, size_t n, int ordinal, TypeId tag,
+                BinaryOp op, const Value& rhs, char* keep, Read read, T r) {
+  constexpr bool kProbe = std::is_floating_point_v<T>;
+  auto run = [&](auto holds) {
+    FilterCells(rows, n, ordinal, tag, op, rhs, keep, read, holds);
+  };
+  switch (op) {
+    case BinaryOp::kEq:
+      if constexpr (kProbe) {
+        run([r](T x) { return !(x < r) & !(x > r); });
+      } else {
+        run([r](T x) { return x == r; });
+      }
+      break;
+    case BinaryOp::kNe:
+      if constexpr (kProbe) {
+        run([r](T x) { return (x < r) | (x > r); });
+      } else {
+        run([r](T x) { return x != r; });
+      }
+      break;
+    case BinaryOp::kLt:
+      run([r](T x) { return x < r; });
+      break;
+    case BinaryOp::kLe:
+      run([r](T x) { return !(x > r); });
+      break;
+    case BinaryOp::kGt:
+      run([r](T x) { return x > r; });
+      break;
+    case BinaryOp::kGe:
+      run([r](T x) { return !(x < r); });
+      break;
+    default:
+      break;
+  }
+}
+
+// keep[i] &= (cell cmp rhs) for the column at `ordinal` bound as `type`,
+// with the loop chosen once by (type, rhs type, op).
+void FilterCompare(const Row* const* rows, size_t n, int ordinal, TypeId type,
+                   BinaryOp op, const Value& rhs, char* keep) {
+  if (type == TypeId::kInt64 && rhs.type() == TypeId::kInt64) {
+    FilterByOp(rows, n, ordinal, type, op, rhs, keep,
+               [](const Value& v) { return v.AsInt(); }, rhs.AsInt());
+  } else if (IsNumeric(type) && IsNumeric(rhs.type())) {
+    FilterByOp(rows, n, ordinal, type, op, rhs, keep,
+               [](const Value& v) { return v.AsDouble(); }, rhs.AsDouble());
+  } else if (type == TypeId::kString && rhs.type() == TypeId::kString) {
+    FilterByOp(rows, n, ordinal, type, op, rhs, keep,
+               [](const Value& v) { return v.AsString(); }, rhs.AsString());
+  } else {
+    // An incomparable pairing: no non-NULL cell is tagged kNull, so every
+    // cell goes through Value::Compare.
+    FilterCells(rows, n, ordinal, TypeId::kNull, op, rhs, keep,
+                [](const Value&) { return 0; }, [](int) { return false; });
+  }
+}
+
+}  // namespace
+
 Status EvalPredicateBatch(const BoundExpr& expr, const Row* const* rows,
                           size_t n, const EvalContext& ctx,
-                          std::vector<char>* keep,
-                          PredicateBatchScratch* scratch) {
+                          std::vector<char>* keep) {
   keep->assign(n, 1);
   std::vector<const BoundExpr*> conjuncts;
   CollectConjuncts(expr, &conjuncts);
-  PredicateBatchScratch local;
-  if (scratch == nullptr) scratch = &local;
   for (const BoundExpr* conjunct : conjuncts) {
     // Fast shape: <column> cmp <row-free expr> (either operand order).
-    // Evaluate the row-free side once, gather the column into a typed
-    // vector, then AND one branch-free compare kernel into `keep`.
     // SQL NULL semantics are preserved explicitly: a NULL on either side
     // makes the comparison unknown, which a filter treats as rejection
     // (Value::Compare alone would call NULL == NULL a match).
@@ -368,29 +446,8 @@ Status EvalPredicateBatch(const BoundExpr& expr, const Row* const* rows,
             return Status::Ok();
           }
           const auto& col_ref = static_cast<const BoundColumnRef&>(*col);
-          if (ExtractColumn(rows, n, col_ref.ordinal, col_ref.type,
-                            &scratch->col)) {
-            FilterCompareColumn(scratch->col, op, rhs, keep->data());
-            continue;
-          }
-          // Heterogeneous data under this column (type tags that do not
-          // match the bound type): per-row Compare, with the same two-stage
-          // prefetch pipeline the extraction path uses — headers kAhead out,
-          // the tested Value one half-window out, overlapping the two
-          // dependent DRAM misses of a cold scan across iterations.
-          int ordinal = col_ref.ordinal;
-          constexpr size_t kAhead = 16;
-          for (size_t i = 0; i < n; ++i) {
-            if (i + kAhead < n) __builtin_prefetch(rows[i + kAhead]);
-            if (i + kAhead / 2 < n) {
-              __builtin_prefetch(rows[i + kAhead / 2]->data() + ordinal);
-            }
-            if (!(*keep)[i]) continue;
-            const Value& lhs = (*rows[i])[ordinal];
-            if (lhs.is_null() || !ComparePasses(op, lhs.Compare(rhs))) {
-              (*keep)[i] = 0;
-            }
-          }
+          FilterCompare(rows, n, col_ref.ordinal, col_ref.type, op, rhs,
+                        keep->data());
           continue;
         }
       }
@@ -438,13 +495,6 @@ Status EvalPredicateBatch(const BoundExpr& expr, const Row* const* rows,
     }
   }
   return Status::Ok();
-}
-
-Status EvalPredicateBatch(const BoundExpr& expr,
-                          const std::vector<const Row*>& rows,
-                          const EvalContext& ctx, std::vector<char>* keep) {
-  return EvalPredicateBatch(expr, rows.data(), rows.size(), ctx, keep,
-                            nullptr);
 }
 
 void CollectConjuncts(const BoundExpr& expr,
@@ -605,18 +655,20 @@ bool RemapColumnRefs(BoundExpr* expr, const std::vector<int>& mapping) {
   return ok;
 }
 
-std::string BoundToSql(const BoundExpr& expr) {
+std::string BoundToSql(const BoundExpr& expr, const ColumnNamer& namer) {
   switch (expr.kind) {
     case BoundExprKind::kLiteral:
       return static_cast<const BoundLiteral&>(expr).value.ToSqlLiteral();
-    case BoundExprKind::kColumnRef:
-      return static_cast<const BoundColumnRef&>(expr).name;
+    case BoundExprKind::kColumnRef: {
+      const auto& e = static_cast<const BoundColumnRef&>(expr);
+      return namer ? namer(e.ordinal) : e.name;
+    }
     case BoundExprKind::kParam:
       return static_cast<const BoundParam&>(expr).name;
     case BoundExprKind::kUnary: {
       const auto& e = static_cast<const BoundUnary&>(expr);
       return (e.op == UnaryOp::kNot ? "NOT (" : "-(") +
-             BoundToSql(*e.operand) + ")";
+             BoundToSql(*e.operand, namer) + ")";
     }
     case BoundExprKind::kBinary: {
       const auto& e = static_cast<const BoundBinary&>(expr);
@@ -636,18 +688,18 @@ std::string BoundToSql(const BoundExpr& expr) {
         case BinaryOp::kAnd: sym = "AND"; break;
         case BinaryOp::kOr: sym = "OR"; break;
       }
-      return "(" + BoundToSql(*e.left) + " " + sym + " " +
-             BoundToSql(*e.right) + ")";
+      return "(" + BoundToSql(*e.left, namer) + " " + sym + " " +
+             BoundToSql(*e.right, namer) + ")";
     }
     case BoundExprKind::kLike: {
       const auto& e = static_cast<const BoundLike&>(expr);
-      return "(" + BoundToSql(*e.input) +
-             (e.negated ? " NOT LIKE " : " LIKE ") + BoundToSql(*e.pattern) +
-             ")";
+      return "(" + BoundToSql(*e.input, namer) +
+             (e.negated ? " NOT LIKE " : " LIKE ") +
+             BoundToSql(*e.pattern, namer) + ")";
     }
     case BoundExprKind::kIsNull: {
       const auto& e = static_cast<const BoundIsNull&>(expr);
-      return "(" + BoundToSql(*e.input) +
+      return "(" + BoundToSql(*e.input, namer) +
              (e.negated ? " IS NOT NULL)" : " IS NULL)");
     }
     case BoundExprKind::kFunction: {
@@ -664,7 +716,7 @@ std::string BoundToSql(const BoundExpr& expr) {
       std::string out = std::string(name) + "(";
       for (size_t i = 0; i < e.args.size(); ++i) {
         if (i > 0) out += ", ";
-        out += BoundToSql(*e.args[i]);
+        out += BoundToSql(*e.args[i], namer);
       }
       out += ")";
       return out;
@@ -673,9 +725,12 @@ std::string BoundToSql(const BoundExpr& expr) {
       const auto& e = static_cast<const BoundCase&>(expr);
       std::string out = "CASE";
       for (const auto& [when, then] : e.branches) {
-        out += " WHEN " + BoundToSql(*when) + " THEN " + BoundToSql(*then);
+        out += " WHEN " + BoundToSql(*when, namer) + " THEN " +
+               BoundToSql(*then, namer);
       }
-      if (e.else_expr != nullptr) out += " ELSE " + BoundToSql(*e.else_expr);
+      if (e.else_expr != nullptr) {
+        out += " ELSE " + BoundToSql(*e.else_expr, namer);
+      }
       out += " END";
       return out;
     }

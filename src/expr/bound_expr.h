@@ -1,6 +1,7 @@
 #ifndef MTCACHE_EXPR_BOUND_EXPR_H_
 #define MTCACHE_EXPR_BOUND_EXPR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -8,7 +9,6 @@
 
 #include "common/status.h"
 #include "sql/ast.h"
-#include "types/column.h"
 #include "types/value.h"
 
 namespace mtcache {
@@ -135,33 +135,21 @@ StatusOr<Value> EvalBound(const BoundExpr& expr, const Row* row,
 StatusOr<bool> EvalPredicate(const BoundExpr& expr, const Row* row,
                              const EvalContext& ctx);
 
-/// Reusable extraction buffer for EvalPredicateBatch's vectorized fast path.
-/// Callers on a hot loop (scans, filters) keep one alive across batches so
-/// the typed column arrays are allocated once, not per batch.
-struct PredicateBatchScratch {
-  ColumnVector col;
-};
-
 /// Batch filter evaluation: sets (*keep)[i] to 1 iff `expr` evaluates to
 /// non-NULL TRUE on *rows[i], exactly as EvalPredicate would. The predicate
-/// is split into conjuncts once per batch; for the common
-/// column-compared-to-row-free-expression conjuncts the row-free side is
-/// evaluated once, the column is gathered into a typed ColumnVector, and a
-/// branch-free compare kernel (FilterCompareColumn) ANDs the verdicts into
-/// `keep` — no per-row StatusOr<Value> temporaries or out-of-line
-/// Value::Compare calls. Heterogeneously-typed column data (which the typed
-/// vectors cannot represent) falls back to the per-row Compare loop, and a
-/// conjunct whose row-free side is NULL rejects the whole batch without
-/// touching any row (NULL compares to unknown, never TRUE). Complex
-/// conjuncts fall back to EvalPredicate per surviving row.
+/// is split into conjuncts once per batch. A <column> cmp <row-free expr>
+/// conjunct evaluates its row-free side once and then tests each row's cell
+/// where it sits, in one loop chosen per batch by (column type, constant
+/// type, operator): int64 against int64 as integers, any other numeric pair
+/// in Value::Compare's double probe form (NaN compares equal), strings as
+/// string_views. A cell whose type tag differs from the column's goes
+/// through Value::Compare in the same loop. A NULL cell is unknown, and a
+/// NULL row-free side rejects the whole batch without touching a row.
+/// <column> [NOT] LIKE <row-free pattern> matches each stored string in
+/// place; any other conjunct runs EvalPredicate on the rows still alive.
 Status EvalPredicateBatch(const BoundExpr& expr, const Row* const* rows,
                           size_t n, const EvalContext& ctx,
-                          std::vector<char>* keep,
-                          PredicateBatchScratch* scratch = nullptr);
-/// Convenience overload over a pointer vector (no scratch reuse).
-Status EvalPredicateBatch(const BoundExpr& expr,
-                          const std::vector<const Row*>& rows,
-                          const EvalContext& ctx, std::vector<char>* keep);
+                          std::vector<char>* keep);
 
 // ---------------------------------------------------------------------------
 // Analysis utilities (used by the optimizer)
@@ -191,9 +179,14 @@ void ShiftColumnRefs(BoundExpr* expr, int delta);
 /// returns false if an ordinal has no mapping (mapping[i] < 0).
 bool RemapColumnRefs(BoundExpr* expr, const std::vector<int>& mapping);
 
+/// Names the column at an input ordinal when rendering SQL.
+using ColumnNamer = std::function<std::string(int ordinal)>;
+
 /// Renders bound expressions back to SQL (remote shipping / EXPLAIN). Column
-/// references print their stored (possibly qualified) name.
-std::string BoundToSql(const BoundExpr& expr);
+/// references print `namer(ordinal)` when a namer is given (the unparser's
+/// derived-table aliases), else their stored (possibly qualified) name.
+std::string BoundToSql(const BoundExpr& expr,
+                       const ColumnNamer& namer = nullptr);
 
 /// Structural equality (used to match GROUP BY items and aggregates).
 bool BoundEquals(const BoundExpr& a, const BoundExpr& b);

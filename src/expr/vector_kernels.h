@@ -2,15 +2,14 @@
 #define MTCACHE_EXPR_VECTOR_KERNELS_H_
 
 #include "sql/ast.h"
-#include "types/column.h"
-#include "types/value.h"
 
 namespace mtcache {
 
-// Comparison-shape helpers shared by the scalar predicate evaluator and the
-// vectorized kernels (kept together so the two paths cannot drift).
+// Comparison helpers shared by EvalBound's comparisons and
+// EvalPredicateBatch's column-vs-constant conjuncts, so the two cannot
+// drift.
 
-/// True for the comparison operators the filter kernels handle.
+/// True for the comparison operators.
 inline bool IsCompareOp(BinaryOp op) {
   switch (op) {
     case BinaryOp::kEq:
@@ -49,20 +48,6 @@ inline BinaryOp FlipCompare(BinaryOp op) {
     default: return op;  // Eq/Ne are symmetric
   }
 }
-
-/// Vectorized column-vs-constant filter: ANDs the comparison outcome into
-/// `keep[0..col.size)`. keep[i] stays 1 only if it was already 1, col row i
-/// is non-NULL, and Compare(col[i], rhs) satisfies `op` — exactly the SQL
-/// three-valued filter semantics of the scalar path (NULL compares unknown,
-/// a filter rejects unknown). `rhs` must be non-NULL (the caller handles the
-/// NULL-constant short-circuit). Type dispatch happens once out here; the
-/// inner loops are branch-free over the typed arrays and replicate
-/// Value::Compare bit for bit: int64-vs-int64 compares as integers, any
-/// other numeric pairing (incl. kBool) as doubles, strings lexicographically,
-/// and incomparable type mixes by type id (a constant outcome for the whole
-/// vector).
-void FilterCompareColumn(const ColumnVector& col, BinaryOp op,
-                         const Value& rhs, char* keep);
 
 }  // namespace mtcache
 

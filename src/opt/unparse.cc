@@ -1,94 +1,8 @@
 #include "opt/unparse.h"
 
-#include <functional>
-
 namespace mtcache {
 
 namespace {
-
-using ColNamer = std::function<std::string(int)>;
-
-// Renders a bound expression, mapping column ordinals through `namer`.
-std::string RenderExpr(const BoundExpr& expr, const ColNamer& namer) {
-  switch (expr.kind) {
-    case BoundExprKind::kLiteral:
-      return static_cast<const BoundLiteral&>(expr).value.ToSqlLiteral();
-    case BoundExprKind::kColumnRef:
-      return namer(static_cast<const BoundColumnRef&>(expr).ordinal);
-    case BoundExprKind::kParam:
-      return static_cast<const BoundParam&>(expr).name;
-    case BoundExprKind::kUnary: {
-      const auto& e = static_cast<const BoundUnary&>(expr);
-      return (e.op == UnaryOp::kNot ? "NOT (" : "-(") +
-             RenderExpr(*e.operand, namer) + ")";
-    }
-    case BoundExprKind::kBinary: {
-      const auto& e = static_cast<const BoundBinary&>(expr);
-      const char* sym = "=";
-      switch (e.op) {
-        case BinaryOp::kAdd: sym = "+"; break;
-        case BinaryOp::kSub: sym = "-"; break;
-        case BinaryOp::kMul: sym = "*"; break;
-        case BinaryOp::kDiv: sym = "/"; break;
-        case BinaryOp::kMod: sym = "%"; break;
-        case BinaryOp::kEq: sym = "="; break;
-        case BinaryOp::kNe: sym = "<>"; break;
-        case BinaryOp::kLt: sym = "<"; break;
-        case BinaryOp::kLe: sym = "<="; break;
-        case BinaryOp::kGt: sym = ">"; break;
-        case BinaryOp::kGe: sym = ">="; break;
-        case BinaryOp::kAnd: sym = "AND"; break;
-        case BinaryOp::kOr: sym = "OR"; break;
-      }
-      return "(" + RenderExpr(*e.left, namer) + " " + sym + " " +
-             RenderExpr(*e.right, namer) + ")";
-    }
-    case BoundExprKind::kLike: {
-      const auto& e = static_cast<const BoundLike&>(expr);
-      return "(" + RenderExpr(*e.input, namer) +
-             (e.negated ? " NOT LIKE " : " LIKE ") +
-             RenderExpr(*e.pattern, namer) + ")";
-    }
-    case BoundExprKind::kIsNull: {
-      const auto& e = static_cast<const BoundIsNull&>(expr);
-      return "(" + RenderExpr(*e.input, namer) +
-             (e.negated ? " IS NOT NULL)" : " IS NULL)");
-    }
-    case BoundExprKind::kFunction: {
-      const auto& e = static_cast<const BoundFunction&>(expr);
-      const char* name = "COALESCE";
-      switch (e.fn) {
-        case BuiltinFn::kGetDate: name = "GETDATE"; break;
-        case BuiltinFn::kAbs: name = "ABS"; break;
-        case BuiltinFn::kLen: name = "LEN"; break;
-        case BuiltinFn::kSubstring: name = "SUBSTRING"; break;
-        case BuiltinFn::kRound: name = "ROUND"; break;
-        case BuiltinFn::kCoalesce: name = "COALESCE"; break;
-      }
-      std::string out = std::string(name) + "(";
-      for (size_t i = 0; i < e.args.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += RenderExpr(*e.args[i], namer);
-      }
-      out += ")";
-      return out;
-    }
-    case BoundExprKind::kCase: {
-      const auto& e = static_cast<const BoundCase&>(expr);
-      std::string out = "CASE";
-      for (const auto& [when, then] : e.branches) {
-        out += " WHEN " + RenderExpr(*when, namer) + " THEN " +
-               RenderExpr(*then, namer);
-      }
-      if (e.else_expr != nullptr) {
-        out += " ELSE " + RenderExpr(*e.else_expr, namer);
-      }
-      out += " END";
-      return out;
-    }
-  }
-  return "NULL";
-}
 
 const char* AggName(AggFunc f) {
   switch (f) {
@@ -126,7 +40,7 @@ class Unparser {
         const auto& o = static_cast<const LogicalFilter&>(op);
         MT_ASSIGN_OR_RETURN(std::string child, Render(*op.children[0]));
         std::string alias = NextAlias();
-        ColNamer namer = [&](int i) {
+        ColumnNamer namer = [&](int i) {
           return alias + ".c" + std::to_string(i);
         };
         std::string sql = "SELECT ";
@@ -135,20 +49,20 @@ class Unparser {
           sql += alias + ".c" + std::to_string(i) + " AS c" + std::to_string(i);
         }
         sql += " FROM (" + child + ") " + alias + " WHERE " +
-               RenderExpr(*o.predicate, namer);
+               BoundToSql(*o.predicate, namer);
         return sql;
       }
       case LogicalKind::kProject: {
         const auto& o = static_cast<const LogicalProject&>(op);
         MT_ASSIGN_OR_RETURN(std::string child, Render(*op.children[0]));
         std::string alias = NextAlias();
-        ColNamer namer = [&](int i) {
+        ColumnNamer namer = [&](int i) {
           return alias + ".c" + std::to_string(i);
         };
         std::string sql = "SELECT ";
         for (size_t i = 0; i < o.exprs.size(); ++i) {
           if (i > 0) sql += ", ";
-          sql += RenderExpr(*o.exprs[i], namer) + " AS c" + std::to_string(i);
+          sql += BoundToSql(*o.exprs[i], namer) + " AS c" + std::to_string(i);
         }
         sql += " FROM (" + child + ") " + alias;
         return sql;
@@ -160,7 +74,7 @@ class Unparser {
         std::string la = NextAlias();
         std::string ra = NextAlias();
         int lw = op.children[0]->schema.num_columns();
-        ColNamer namer = [&](int i) {
+        ColumnNamer namer = [&](int i) {
           if (i < lw) return la + ".c" + std::to_string(i);
           return ra + ".c" + std::to_string(i - lw);
         };
@@ -172,7 +86,7 @@ class Unparser {
         sql += " FROM (" + left + ") " + la;
         sql += o.join_kind == JoinKind::kInner ? " JOIN (" : " LEFT OUTER JOIN (";
         sql += right + ") " + ra + " ON ";
-        sql += o.condition != nullptr ? RenderExpr(*o.condition, namer)
+        sql += o.condition != nullptr ? BoundToSql(*o.condition, namer)
                                       : std::string("1 = 1");
         return sql;
       }
@@ -180,7 +94,7 @@ class Unparser {
         const auto& o = static_cast<const LogicalAggregate&>(op);
         MT_ASSIGN_OR_RETURN(std::string child, Render(*op.children[0]));
         std::string alias = NextAlias();
-        ColNamer namer = [&](int i) {
+        ColumnNamer namer = [&](int i) {
           return alias + ".c" + std::to_string(i);
         };
         std::string sql = "SELECT ";
@@ -188,7 +102,7 @@ class Unparser {
         std::string group_clause;
         for (const auto& g : o.group_by) {
           if (out > 0) sql += ", ";
-          std::string rendered = RenderExpr(*g, namer);
+          std::string rendered = BoundToSql(*g, namer);
           sql += rendered + " AS c" + std::to_string(out++);
           if (!group_clause.empty()) group_clause += ", ";
           group_clause += rendered;
@@ -196,7 +110,8 @@ class Unparser {
         for (const auto& a : o.aggs) {
           if (out > 0) sql += ", ";
           sql += std::string(AggName(a.func)) + "(";
-          sql += a.func == AggFunc::kCountStar ? "*" : RenderExpr(*a.arg, namer);
+          sql += a.func == AggFunc::kCountStar ? "*"
+                                               : BoundToSql(*a.arg, namer);
           sql += ") AS c" + std::to_string(out++);
         }
         sql += " FROM (" + child + ") " + alias;
@@ -207,7 +122,7 @@ class Unparser {
         const auto& o = static_cast<const LogicalSort&>(op);
         MT_ASSIGN_OR_RETURN(std::string child, Render(*op.children[0]));
         std::string alias = NextAlias();
-        ColNamer namer = [&](int i) {
+        ColumnNamer namer = [&](int i) {
           return alias + ".c" + std::to_string(i);
         };
         std::string sql = "SELECT ";
@@ -218,7 +133,7 @@ class Unparser {
         sql += " FROM (" + child + ") " + alias + " ORDER BY ";
         for (size_t i = 0; i < o.keys.size(); ++i) {
           if (i > 0) sql += ", ";
-          sql += RenderExpr(*o.keys[i].expr, namer);
+          sql += BoundToSql(*o.keys[i].expr, namer);
           if (o.keys[i].desc) sql += " DESC";
         }
         return sql;
@@ -232,7 +147,7 @@ class Unparser {
           const auto& sort = static_cast<const LogicalSort&>(*child);
           MT_ASSIGN_OR_RETURN(std::string inner, Render(*child->children[0]));
           std::string alias = NextAlias();
-          ColNamer namer = [&](int i) {
+          ColumnNamer namer = [&](int i) {
             return alias + ".c" + std::to_string(i);
           };
           std::string sql = "SELECT TOP " + std::to_string(o.limit) + " ";
@@ -243,7 +158,7 @@ class Unparser {
           sql += " FROM (" + inner + ") " + alias + " ORDER BY ";
           for (size_t i = 0; i < sort.keys.size(); ++i) {
             if (i > 0) sql += ", ";
-            sql += RenderExpr(*sort.keys[i].expr, namer);
+            sql += BoundToSql(*sort.keys[i].expr, namer);
             if (sort.keys[i].desc) sql += " DESC";
           }
           return sql;

@@ -48,36 +48,6 @@ void Value::FreeString(StringBuf* buf) {
   ::operator delete(buf);
 }
 
-int Value::Compare(const Value& other) const {
-  if (is_null_ && other.is_null_) return 0;
-  if (is_null_) return -1;
-  if (other.is_null_) return 1;
-  // Numeric types compare by value across int/double.
-  bool numeric_a = type_ == TypeId::kInt64 || type_ == TypeId::kDouble ||
-                   type_ == TypeId::kBool;
-  bool numeric_b = other.type_ == TypeId::kInt64 ||
-                   other.type_ == TypeId::kDouble ||
-                   other.type_ == TypeId::kBool;
-  if (numeric_a && numeric_b) {
-    if (type_ == TypeId::kInt64 && other.type_ == TypeId::kInt64) {
-      if (i_ < other.i_) return -1;
-      if (i_ > other.i_) return 1;
-      return 0;
-    }
-    double a = AsDouble();
-    double b = other.AsDouble();
-    if (a < b) return -1;
-    if (a > b) return 1;
-    return 0;
-  }
-  if (type_ == TypeId::kString && other.type_ == TypeId::kString) {
-    int c = AsString().compare(other.AsString());
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
-  // Mixed incomparable types: order by type id to keep a total order.
-  return type_ < other.type_ ? -1 : (type_ > other.type_ ? 1 : 0);
-}
-
 double Value::SizeBytes() const {
   if (is_null_) return 1;
   switch (type_) {

@@ -119,7 +119,35 @@ class Value {
   /// Three-way comparison: -1, 0, +1. NULL compares equal to NULL and less
   /// than any non-NULL (index-key ordering; SQL ternary logic is handled in
   /// expression evaluation, not here).
-  int Compare(const Value& other) const;
+  int Compare(const Value& other) const {
+    if (is_null_ && other.is_null_) return 0;
+    if (is_null_) return -1;
+    if (other.is_null_) return 1;
+    // Numeric types compare by value across int/double.
+    bool numeric_a = type_ == TypeId::kInt64 || type_ == TypeId::kDouble ||
+                     type_ == TypeId::kBool;
+    bool numeric_b = other.type_ == TypeId::kInt64 ||
+                     other.type_ == TypeId::kDouble ||
+                     other.type_ == TypeId::kBool;
+    if (numeric_a && numeric_b) {
+      if (type_ == TypeId::kInt64 && other.type_ == TypeId::kInt64) {
+        if (i_ < other.i_) return -1;
+        if (i_ > other.i_) return 1;
+        return 0;
+      }
+      double a = AsDouble();
+      double b = other.AsDouble();
+      if (a < b) return -1;
+      if (a > b) return 1;
+      return 0;
+    }
+    if (type_ == TypeId::kString && other.type_ == TypeId::kString) {
+      int c = AsString().compare(other.AsString());
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
+    // Mixed incomparable types: order by type id to keep a total order.
+    return type_ < other.type_ ? -1 : (type_ > other.type_ ? 1 : 0);
+  }
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
@@ -182,6 +210,37 @@ static_assert(sizeof(Value) == 16, "Value is a tag, a null flag and 8 bytes");
 /// A tuple of values. Rows flow between operators by value; copying one
 /// shares its strings' buffers.
 using Row = std::vector<Value>;
+
+/// Calls fn(i, cell) with the Value at `ordinal` of each *rows[i], i < n,
+/// read where it sits. Unless the rows are known to be in cache already
+/// (`prefetch` false), prefetches in two stages: row headers 16 rows ahead,
+/// the cell itself 8 ahead, so a cold scan overlaps its two dependent
+/// misses per row across iterations.
+template <typename Fn>
+inline void ForEachCell(const Row* const* rows, size_t n, int ordinal, Fn fn,
+                        bool prefetch = true) {
+  constexpr size_t kAhead = 16;
+  for (size_t i = 0; i < n; ++i) {
+    if (prefetch) {
+      if (i + kAhead < n) __builtin_prefetch(rows[i + kAhead]);
+      if (i + kAhead / 2 < n) {
+        __builtin_prefetch(rows[i + kAhead / 2]->data() + ordinal);
+      }
+    }
+    fn(i, (*rows[i])[ordinal]);
+  }
+}
+
+/// Reads the cell at `ordinal` of each *rows[i], i < n, in a tight
+/// prefetching loop, so that a heavier per-row loop over the same rows that
+/// follows runs from cache.
+inline void TouchCells(const Row* const* rows, size_t n, int ordinal) {
+  uint8_t seen = 0;
+  ForEachCell(rows, n, ordinal, [&seen](size_t, const Value& v) {
+    seen |= static_cast<uint8_t>(v.type());
+  });
+  asm volatile("" : : "r"(seen));  // keep the loads
+}
 
 /// Hash of a full key (composite). Used by hash-based operators.
 size_t HashRow(const Row& row);

@@ -500,10 +500,6 @@ TEST_F(DmvTest, GoldenSchemas) {
                 {"contentions", I},
                 {"wait_seconds", D},
                 {"max_wait_seconds", D}});
-  ExpectSchema(&server_, "dm_exec_vector_stats",
-               {{"vectorized_batches", I},
-                {"vectorized_rows", I},
-                {"vector_fallbacks", I}});
   ExpectSchema(&server_, "dm_db_column_histograms",
                {{"table_name", S},
                 {"column_name", S},
@@ -524,7 +520,6 @@ TEST_F(DmvTest, GoldenSchemas) {
                 {"remote_queries", I},
                 {"rows_transferred", I},
                 {"bytes_transferred", D},
-                {"vectorized_rows", I},
                 {"repl_changes_applied", I},
                 {"repl_lag_p99", D},
                 {"wait_seconds", D},
@@ -583,19 +578,6 @@ TEST_F(DmvTest, ColumnHistogramsExposeStatsBuckets) {
     EXPECT_DOUBLE_EQ(DoubleCol(*r, "rows_fraction", b), 1.0 / 32);
     EXPECT_DOUBLE_EQ(DoubleCol(*r, "est_rows", b), 200.0 / 32);
   }
-}
-
-TEST_F(DmvTest, VectorStatsCountVectorizedAggregates) {
-  // A columnar-eligible aggregate over the 20-row table: the scan feeds the
-  // aggregate typed column batches, counted per batch and per row.
-  auto r = server_.Execute("SELECT COUNT(*), SUM(x) FROM t");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  auto stats = server_.Execute("SELECT * FROM sys.dm_exec_vector_stats");
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_EQ(stats->rows.size(), 1u);
-  EXPECT_GE(IntCol(*stats, "vectorized_batches"), 1);
-  EXPECT_GE(IntCol(*stats, "vectorized_rows"), 20);
-  EXPECT_EQ(IntCol(*stats, "vector_fallbacks"), 0);
 }
 
 TEST_F(DmvTest, EntriesDroppedSurfacesRingEviction) {

@@ -405,6 +405,40 @@ TEST_F(UnparseTest, DualScanIsNotShippable) {
   EXPECT_FALSE(IsUnparsable(*plan));
 }
 
+// Shipped SQL for one query that uses every bound expression kind: CASE,
+// each builtin, LIKE and NOT LIKE, IS NULL and IS NOT NULL, both unary
+// operators, the arithmetic, comparison and logical operators, a literal of
+// each type and a parameter. The backend parses exactly this text, so it is
+// pinned byte for byte.
+TEST_F(UnparseTest, EveryExpressionKindRendersPinnedText) {
+  LogicalPtr plan = Bind(
+      "SELECT CASE WHEN c.cid > 10 THEN c.cname ELSE 'none' END, "
+      "ABS(o.total - 5), LEN(c.cname), SUBSTRING(c.cname, 1, 3), "
+      "ROUND(o.total * 2, 1), COALESCE(c.region, 'x'), GETDATE(), "
+      "-o.total, (c.cid + 1) % 7, o.okey / 2 "
+      "FROM customer c JOIN orders o ON c.cid = o.ckey "
+      "WHERE c.cname LIKE 'a%' AND c.region NOT LIKE '%x' "
+      "AND o.total IS NOT NULL AND (c.region IS NULL OR NOT (o.okey <> @p)) "
+      "AND o.total >= 1.5 AND o.total <= 100 AND c.cid < 50");
+  ASSERT_NE(plan, nullptr);
+  auto text = LogicalToSql(*plan);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(*text,
+            "SELECT CASE WHEN (q5.c0 > 10) THEN q5.c1 ELSE 'none' END AS c0, "
+            "ABS((q5.c5 - 5)) AS c1, LEN(q5.c1) AS c2, SUBSTRING(q5.c1, 1, 3) "
+            "AS c3, ROUND((q5.c5 * 2), 1) AS c4, COALESCE(q5.c2, 'x') AS c5, "
+            "GETDATE() AS c6, -(q5.c5) AS c7, ((q5.c0 + 1) % 7) AS c8, (q5.c3 "
+            "/ 2) AS c9 FROM (SELECT q4.c0 AS c0, q4.c1 AS c1, q4.c2 AS c2, "
+            "q4.c3 AS c3, q4.c4 AS c4, q4.c5 AS c5 FROM (SELECT q2.c0 AS c0, "
+            "q2.c1 AS c1, q2.c2 AS c2, q3.c0 AS c3, q3.c1 AS c4, q3.c2 AS c5 "
+            "FROM (SELECT q0.cid AS c0, q0.cname AS c1, q0.region AS c2 FROM "
+            "customer q0) q2 JOIN (SELECT q1.okey AS c0, q1.ckey AS c1, "
+            "q1.total AS c2 FROM orders q1) q3 ON (q2.c0 = q3.c1)) q4 WHERE "
+            "(((((((q4.c1 LIKE 'a%') AND (q4.c2 NOT LIKE '%x')) AND (q4.c5 IS "
+            "NOT NULL)) AND ((q4.c2 IS NULL) OR NOT ((q4.c3 <> @p)))) AND "
+            "(q4.c5 >= 1.5)) AND (q4.c5 <= 100)) AND (q4.c0 < 50))) q5");
+}
+
 // ---------------------------------------------------------------------------
 // Normalization shapes via plan text.
 // ---------------------------------------------------------------------------
