@@ -64,9 +64,13 @@
 # unbalanced refcount is a use-after-free or a leak under ASan. So does the
 # randomized in-place compare (PredicateBatchRandom), which reads each
 # row's cells where they sit, mixed type tags and NaN included.
+# The DML window tests (DmlWindow, RacingUpdatesOfOneRow, RacingDml) run
+# here as well: a row freed or its slot reused between an UPDATE's find and
+# its change is read under ASan, and the checked-arithmetic and
+# out-of-range-literal tests (IntegerOverflow, OutOfRange) under UBSan.
 # The tsan mode runs every test labeled `concurrency` (ctest -L) — the
-# multi-session engine tests and the DMV-read-during-execution tests — plus
-# the threaded bench smoke.
+# multi-session engine tests, the DMV-read-during-execution tests and the
+# DML find-to-change window tests — plus the threaded bench smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -99,9 +103,10 @@ case "$mode" in
     cmake --build --preset asan -j "$(nproc)" --target \
       replication_fault_test mtcache_resync_test property_test \
       replication_test mtcache_test engine_test fleet_test dmv_smoke \
-      batch_exec_test exec_test tpcw_test view_maintenance_test value_test
+      batch_exec_test exec_test tpcw_test view_maintenance_test value_test \
+      concurrency_test expr_test parser_test
     (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|PredicateBatchRandom|ExecTest\.|Tpcw|ViewMaintenance|ValueTest')
+      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|PredicateBatchRandom|ExecTest\.|Tpcw|ViewMaintenance|ValueTest|DmlWindow|RacingUpdatesOfOneRow|RacingDml|IntegerOverflow|OutOfRange')
     # The DMV walk under ASan: catches lifetime bugs in the virtual-table
     # row materialization that the plain build would miss.
     ./build-asan/examples/dmv_smoke

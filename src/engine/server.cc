@@ -10,56 +10,45 @@
 #include "common/wait_stats.h"
 #include "engine/view_util.h"
 #include "opt/cost_model.h"
-#include "opt/view_matching.h"
 
 namespace mtcache {
 
-namespace {
-
-// Renders an expression list as SQL.
-std::string ExprListToSql(const std::vector<ExprPtr>& exprs) {
-  std::string out;
-  for (size_t i = 0; i < exprs.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += ExprToSql(*exprs[i]);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string InsertToSql(const InsertStmt& stmt) {
-  std::string sql = "INSERT INTO " + stmt.table;
-  if (!stmt.columns.empty()) {
-    sql += " (";
-    for (size_t i = 0; i < stmt.columns.size(); ++i) {
-      if (i > 0) sql += ", ";
-      sql += stmt.columns[i];
+std::string DmlToSql(const Stmt& stmt) {
+  auto where = [](const ExprPtr& e) {
+    return e != nullptr ? " WHERE " + ExprToSql(*e) : std::string();
+  };
+  switch (stmt.kind) {
+    case StmtKind::kInsert: {
+      const auto& ins = static_cast<const InsertStmt&>(stmt);
+      std::string sql = "INSERT INTO " + ins.table;
+      for (size_t i = 0; i < ins.columns.size(); ++i) {
+        sql += (i == 0 ? " (" : ", ") + ins.columns[i];
+      }
+      if (!ins.columns.empty()) sql += ")";
+      sql += " VALUES ";
+      for (size_t r = 0; r < ins.rows.size(); ++r) {
+        sql += r == 0 ? "(" : ", (";
+        for (size_t i = 0; i < ins.rows[r].size(); ++i) {
+          sql += (i == 0 ? "" : ", ") + ExprToSql(*ins.rows[r][i]);
+        }
+        sql += ")";
+      }
+      return sql;
     }
-    sql += ")";
+    case StmtKind::kUpdate: {
+      const auto& upd = static_cast<const UpdateStmt&>(stmt);
+      std::string sql = "UPDATE " + upd.table;
+      for (size_t i = 0; i < upd.sets.size(); ++i) {
+        sql += (i == 0 ? " SET " : ", ") + upd.sets[i].first + " = " +
+               ExprToSql(*upd.sets[i].second);
+      }
+      return sql + where(upd.where);
+    }
+    default: {
+      const auto& del = static_cast<const DeleteStmt&>(stmt);
+      return "DELETE FROM " + del.table + where(del.where);
+    }
   }
-  sql += " VALUES ";
-  for (size_t r = 0; r < stmt.rows.size(); ++r) {
-    if (r > 0) sql += ", ";
-    sql += "(" + ExprListToSql(stmt.rows[r]) + ")";
-  }
-  return sql;
-}
-
-std::string UpdateToSql(const UpdateStmt& stmt) {
-  std::string sql = "UPDATE " + stmt.table + " SET ";
-  for (size_t i = 0; i < stmt.sets.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += stmt.sets[i].first + " = " + ExprToSql(*stmt.sets[i].second);
-  }
-  if (stmt.where != nullptr) sql += " WHERE " + ExprToSql(*stmt.where);
-  return sql;
-}
-
-std::string DeleteToSql(const DeleteStmt& stmt) {
-  std::string sql = "DELETE FROM " + stmt.table;
-  if (stmt.where != nullptr) sql += " WHERE " + ExprToSql(*stmt.where);
-  return sql;
 }
 
 Server::Server(ServerOptions options, SimClock* clock,
@@ -241,30 +230,24 @@ StatusOr<QueryResult> Server::Execute(const std::string& sql,
 StatusOr<QueryResult> Server::ExecuteOnSession(Session* session,
                                                const std::string& sql,
                                                ExecStats* stats) {
-  // Single-SELECT scripts use the statement plan cache keyed by SQL text,
-  // probed before parsing: a hit runs the statement its plan owns.
-  CachedPlanPtr hit = FindStatementPlan(sql);
+  // A single-statement script plans under the statement cache, keyed by its
+  // text and probed before parsing: a hit runs the statement its plan owns.
+  PlanKey key;
+  key.text = &sql;
+  key.plan = FindStatementPlan(sql);
   std::vector<StmtPtr> stmts;
-  std::shared_ptr<const SelectStmt> select;
-  if (hit == nullptr) {
+  if (key.plan == nullptr) {
     MT_ASSIGN_OR_RETURN(stmts, ParseSqlScript(sql));
-    if (stmts.size() == 1 && stmts[0]->kind == StmtKind::kSelect) {
-      select.reset(static_cast<const SelectStmt*>(stmts[0].release()));
-    }
+    if (stmts.size() == 1) key.owned = std::move(stmts[0]);
   }
   session->ResetForBatch();
-  if (hit != nullptr || select != nullptr) {
-    if (stats != nullptr) stats->local_cost += CostModel::kStatementOverhead;
-    // `select` stays referenced here: when another session published this
-    // text first, the plan ExecSelect runs owns that session's AST, not ours.
-    const SelectStmt& stmt = hit != nullptr ? *hit->stmt : *select;
-    MT_RETURN_IF_ERROR(
-        ExecSelect(stmt, session, stats, nullptr, sql, select, std::move(hit)));
-    if (session->has_result) return std::move(session->result);
-    QueryResult empty;
-    return empty;
-  }
-  Status status = ExecuteStmtList(stmts, session, stats, nullptr);
+  // `key.owned` stays referenced here: when another session published this
+  // text first, the plan in use owns that session's AST, not ours.
+  Status status =
+      key.plan != nullptr || key.owned != nullptr
+          ? ExecuteStmt(key.plan != nullptr ? *key.plan->stmt : *key.owned,
+                        session, stats, key)
+          : ExecuteStmtList(stmts, session, stats, nullptr);
   if (!status.ok()) return status;
   if (session->has_result) return std::move(session->result);
   QueryResult result;
@@ -297,9 +280,9 @@ StatusOr<QueryResult> Server::CallProcedure(const std::string& name,
 
 namespace {
 
-// Maps a DML statement onto the SELECT whose plan shows its row access path
-// (the read side of the write): `SELECT * FROM t [WHERE ...]`. The returned
-// StmtPtr owns the synthesized AST; callers downcast it to SelectStmt.
+// Maps a DML statement onto the SELECT that finds its rows (the read side of
+// the write): `SELECT * FROM t [WHERE ...]`. The returned StmtPtr owns the
+// synthesized AST; callers downcast it to SelectStmt.
 StatusOr<StmtPtr> SynthesizeAccessPath(const std::string& table,
                                        const Expr* where) {
   std::string sql = "SELECT * FROM " + table;
@@ -307,11 +290,11 @@ StatusOr<StmtPtr> SynthesizeAccessPath(const std::string& table,
   return ParseSql(sql);
 }
 
-// Resolves an EXPLAIN target to the SELECT to plan. For DML the access-path
-// SELECT is synthesized (owned by `*synthesized`); INSERT ... VALUES has no
-// read side, so its target table is scanned plan-less (`select` = null).
-StatusOr<const SelectStmt*> ResolveExplainSelect(const Stmt& stmt,
-                                                 StmtPtr* synthesized) {
+// The SELECT a statement reads through: a SELECT itself, an INSERT's source
+// query, or the access path an UPDATE or DELETE finds its rows through
+// (synthesized, owned by `*synthesized`). INSERT ... VALUES reads nothing
+// (`select` = null).
+StatusOr<const SelectStmt*> ReadSide(const Stmt& stmt, StmtPtr* synthesized) {
   switch (stmt.kind) {
     case StmtKind::kSelect:
       return static_cast<const SelectStmt*>(&stmt);
@@ -342,25 +325,7 @@ StatusOr<const SelectStmt*> ResolveExplainSelect(const Stmt& stmt,
 
 StatusOr<OptimizeResult> Server::Explain(const std::string& sql) {
   MT_ASSIGN_OR_RETURN(StmtPtr stmt, ParseSql(sql));
-  StmtPtr synthesized;
-  MT_ASSIGN_OR_RETURN(const SelectStmt* select,
-                      ResolveExplainSelect(*stmt, &synthesized));
-  if (select == nullptr) {
-    // INSERT ... VALUES: explain the target table's access path so the
-    // write-path plan is still inspectable.
-    const auto& ins = static_cast<const InsertStmt&>(*stmt);
-    MT_ASSIGN_OR_RETURN(synthesized, SynthesizeAccessPath(ins.table, nullptr));
-    select = static_cast<const SelectStmt*>(synthesized.get());
-  }
-  Binder binder = MakeBinder();
-  MT_ASSIGN_OR_RETURN(LogicalPtr logical, binder.BindSelect(*select));
-  OptimizerOptions opts = SnapshotOptimizerOptions();
-  if (select->max_staleness >= 0) {
-    opts.max_staleness = select->max_staleness;
-    opts.current_time = db_.Now();
-  }
-  Optimizer optimizer(&db_.catalog(), opts);
-  return optimizer.Optimize(*logical);
+  return OptimizeStatement(*stmt, nullptr);
 }
 
 StatusOr<QueryResult> Server::ExecuteRemote(const std::string& server_name,
@@ -395,36 +360,45 @@ StatusOr<QueryResult> Server::ExecuteRemote(const std::string& server_name,
 Status Server::ExecuteStmtList(const std::vector<StmtPtr>& stmts,
                                Session* session, ExecStats* stats,
                                CompiledProcedure* proc) {
+  PlanKey key;
+  key.proc = proc;
   for (const StmtPtr& stmt : stmts) {
-    Status status = ExecuteStmt(*stmt, session, stats, proc);
-    if (!status.ok()) {
-      // An error aborts any open explicit transaction (T-SQL-ish).
-      if (session->txn != nullptr && session->txn->active()) {
-        db_.txn_manager().Abort(session->txn.get());
-        session->txn.reset();
-      }
-      return status;
-    }
+    MT_RETURN_IF_ERROR(ExecuteStmt(*stmt, session, stats, key));
     if (session->return_requested) break;
   }
   return Status::Ok();
 }
 
 Status Server::ExecuteStmt(const Stmt& stmt, Session* session,
-                           ExecStats* stats, CompiledProcedure* proc) {
+                           ExecStats* stats, const PlanKey& key) {
+  Status status = DispatchStmt(stmt, session, stats, key);
+  if (!status.ok() && session->txn != nullptr && session->txn->active()) {
+    // An error aborts any open explicit transaction (T-SQL-ish).
+    db_.txn_manager().Abort(session->txn.get());
+    session->txn.reset();
+  }
+  return status;
+}
+
+Status Server::DispatchStmt(const Stmt& stmt, Session* session,
+                            ExecStats* stats, const PlanKey& key) {
   // Per-statement engine overhead: parsing/binding/plan-cache lookup and
   // connection protocol work.
   if (stats != nullptr) stats->local_cost += CostModel::kStatementOverhead;
+  CompiledProcedure* proc = key.proc;
   switch (stmt.kind) {
     case StmtKind::kSelect:
       return ExecSelect(static_cast<const SelectStmt&>(stmt), session, stats,
-                        proc);
+                        key);
     case StmtKind::kInsert:
-      return ExecInsert(static_cast<const InsertStmt&>(stmt), session, stats);
+      return ExecInsert(static_cast<const InsertStmt&>(stmt), session, stats,
+                        key);
     case StmtKind::kUpdate:
-      return ExecUpdate(static_cast<const UpdateStmt&>(stmt), session, stats);
+      return ExecUpdate(static_cast<const UpdateStmt&>(stmt), session, stats,
+                        key);
     case StmtKind::kDelete:
-      return ExecDelete(static_cast<const DeleteStmt&>(stmt), session, stats);
+      return ExecDelete(static_cast<const DeleteStmt&>(stmt), session, stats,
+                        key);
     case StmtKind::kCreateTable:
       return ExecCreateTable(static_cast<const CreateTableStmt&>(stmt));
     case StmtKind::kCreateIndex:
@@ -531,13 +505,42 @@ Server::CachedPlanPtr Server::FindStatementPlan(const std::string& sql) {
   return plan;
 }
 
-StatusOr<Server::CachedPlanPtr> Server::PlanSelect(
-    const SelectStmt& stmt, Session* session, CompiledProcedure* proc,
-    const std::string& cache_key, std::shared_ptr<const SelectStmt> owned) {
-  (void)session;
+StatusOr<OptimizeResult> Server::OptimizeStatement(
+    const Stmt& stmt, OptimizerDecisionStats* decisions) {
+  StmtPtr synthesized;
+  MT_ASSIGN_OR_RETURN(const SelectStmt* select, ReadSide(stmt, &synthesized));
+  if (select == nullptr) {
+    return Status::InvalidArgument("INSERT ... VALUES has no plan");
+  }
+  Binder binder = MakeBinder();
+  MT_ASSIGN_OR_RETURN(LogicalPtr logical, binder.BindSelect(*select));
+  OptimizerOptions opts = SnapshotOptimizerOptions();
+  opts.decision_stats = decisions;
+  if (select->max_staleness >= 0) {
+    opts.max_staleness = select->max_staleness;
+    opts.current_time = db_.Now();
+  }
+  // An UPDATE or DELETE changes the rows its access path finds, so the path
+  // reads the base heap, never a view that matches it.
+  if (synthesized != nullptr) opts.enable_view_matching = false;
+  Optimizer optimizer(&db_.catalog(), opts);
+  return optimizer.Optimize(*logical);
+}
+
+StatusOr<Server::CachedPlanPtr> Server::PlanStatement(const Stmt& stmt,
+                                                      const PlanKey& key) {
+  if (key.plan != nullptr) return key.plan;
   // Queries with a freshness requirement (§7 extension) are not cacheable:
   // whether a cached view qualifies depends on its staleness *now*.
-  bool cacheable = stmt.max_staleness < 0;
+  const SelectStmt* select =
+      stmt.kind == StmtKind::kSelect ? static_cast<const SelectStmt*>(&stmt)
+      : stmt.kind == StmtKind::kInsert
+          ? static_cast<const InsertStmt&>(stmt).select.get()
+          : nullptr;
+  const bool cacheable = select == nullptr || select->max_staleness < 0;
+  CompiledProcedure* proc = key.proc;
+  static const std::string kNoText;
+  const std::string& cache_key = key.text != nullptr ? *key.text : kNoText;
   // Procedure-body statements cache by statement identity, looked up here
   // under the shared lock; many sessions hit the cache in parallel. Ad-hoc
   // statements cache by SQL text, which FindStatementPlan already probed.
@@ -568,16 +571,8 @@ StatusOr<Server::CachedPlanPtr> Server::PlanSelect(
   // The span covers bind+optimize (and the cheap publish below).
   SpanScope optimize_span(
       "optimize", TraceRecorder::Global().enabled() ? cache_key : std::string());
-  Binder binder = MakeBinder();
-  MT_ASSIGN_OR_RETURN(LogicalPtr logical, binder.BindSelect(stmt));
-  OptimizerOptions opts = SnapshotOptimizerOptions();
-  opts.decision_stats = &metrics_.optimizer;
-  if (stmt.max_staleness >= 0) {
-    opts.max_staleness = stmt.max_staleness;
-    opts.current_time = db_.Now();
-  }
-  Optimizer optimizer(&db_.catalog(), opts);
-  MT_ASSIGN_OR_RETURN(OptimizeResult optimized, optimizer.Optimize(*logical));
+  MT_ASSIGN_OR_RETURN(OptimizeResult optimized,
+                      OptimizeStatement(stmt, &metrics_.optimizer));
   CachedPlan cached;
   cached.schema = optimized.plan->schema;
   cached.plan_text = PhysicalToString(*optimized.plan);
@@ -602,7 +597,7 @@ StatusOr<Server::CachedPlanPtr> Server::PlanSelect(
       NormalizeStatement(!cache_key.empty() ? cache_key : cached.label);
   cached.fingerprint_hash = FingerprintHash(cached.fingerprint);
   cached.plan = std::move(optimized.plan);
-  cached.stmt = std::move(owned);
+  cached.stmt = key.owned;
   CachedPlanPtr plan = std::make_shared<const CachedPlan>(std::move(cached));
   if (cacheable && (proc != nullptr || !cache_key.empty())) {
     ExclusiveLatchWait lock(plan_cache_mu_, WaitSite::kPlanCacheExclusive);
@@ -627,23 +622,18 @@ StatusOr<Server::CachedPlanPtr> Server::PlanSelect(
 }
 
 Status Server::ExecSelect(const SelectStmt& stmt, Session* session,
-                          ExecStats* stats, CompiledProcedure* proc,
-                          const std::string& text,
-                          std::shared_ptr<const SelectStmt> owned,
-                          CachedPlanPtr plan) {
+                          ExecStats* stats, const PlanKey& key) {
   // Root span for the whole statement; children (plan_cache_lookup, optimize,
   // execute, remote_roundtrip) attach through the thread-local span stack.
   // The ternaries avoid building detail strings when tracing is off.
   TraceRecorder& tracer = TraceRecorder::Global();
-  SpanScope query_span("query", tracer.enabled() ? text : std::string());
+  SpanScope query_span("query", tracer.enabled() && key.text != nullptr
+                                    ? *key.text
+                                    : std::string());
   const auto wall_start = std::chrono::steady_clock::now();
   // The shared_ptr keeps the plan alive for the whole execution even if the
   // cache is invalidated (and cleared) concurrently.
-  CachedPlanPtr cached = std::move(plan);
-  if (cached == nullptr) {
-    MT_ASSIGN_OR_RETURN(cached,
-                        PlanSelect(stmt, session, proc, text, std::move(owned)));
-  }
+  MT_ASSIGN_OR_RETURN(CachedPlanPtr cached, PlanStatement(stmt, key));
   // Execute against a private ExecStats so the trace records exactly this
   // statement's cost, then fold it into the caller's totals.
   ExecStats stmt_stats;
@@ -742,28 +732,6 @@ StatusOr<RowId> Server::InsertRow(StoredTable* table, const Row& row,
   return rid;
 }
 
-Status Server::DeleteRow(StoredTable* table, RowId rid, Transaction* txn,
-                         ExecStats* stats) {
-  MT_ASSIGN_OR_RETURN(Row before, table->Delete(rid, txn));
-  if (stats != nullptr) {
-    stats->local_cost +=
-        CostModel::kDeleteRowCost +
-        table->def().indexes.size() * CostModel::kIndexMaintRowCost;
-  }
-  return MaintainViews(table->def(), &before, nullptr, txn, stats);
-}
-
-Status Server::UpdateRow(StoredTable* table, RowId rid, const Row& new_row,
-                         Transaction* txn, ExecStats* stats) {
-  MT_ASSIGN_OR_RETURN(Row before, table->Update(rid, new_row, txn));
-  if (stats != nullptr) {
-    stats->local_cost +=
-        CostModel::kUpdateRowCost +
-        table->def().indexes.size() * CostModel::kIndexMaintRowCost;
-  }
-  return MaintainViews(table->def(), &before, &new_row, txn, stats);
-}
-
 Status Server::MaintainViews(const TableDef& base, const Row* before,
                              const Row* after, Transaction* txn,
                              ExecStats* stats) {
@@ -781,133 +749,43 @@ Status Server::MaintainViews(const TableDef& base, const Row* before,
   return Status::Ok();
 }
 
-StatusOr<std::vector<RowId>> Server::FindMatchingRows(StoredTable* table,
-                                                      const BoundExpr* where,
-                                                      Session* session,
-                                                      ExecStats* stats) {
-  ExecContext ctx = MakeContext(session, stats);
-  std::vector<RowId> out;
-
-  // Try an index: longest all-equality prefix wins.
-  int best_index = -1;
-  size_t best_prefix = 0;
-  std::vector<SimpleConjunct> simple;
-  if (where != nullptr) {
-    std::vector<const BoundExpr*> conjuncts;
-    CollectConjuncts(*where, &conjuncts);
-    for (const BoundExpr* c : conjuncts) {
-      SimpleConjunct sc;
-      if (ExtractSimpleConjunct(*c, &sc) && sc.op == CompareOp::kEq) {
-        simple.push_back(sc);
-      }
-    }
-    const TableDef& def = table->def();
-    for (size_t i = 0; i < def.indexes.size(); ++i) {
-      size_t prefix = 0;
-      for (int col : def.indexes[i].key_columns) {
-        bool found = false;
-        for (const SimpleConjunct& sc : simple) {
-          if (sc.column == col) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) break;
-        ++prefix;
-      }
-      if (prefix > best_prefix) {
-        best_prefix = prefix;
-        best_index = static_cast<int>(i);
-      }
+StatusOr<bool> Server::ForwardDml(const Stmt& stmt, const std::string& server,
+                                  const std::string& table, Session* session,
+                                  ExecStats* stats) {
+  std::string target = server;
+  if (target.empty()) {
+    const TableDef* def = db_.catalog().GetTable(table);
+    if (def == nullptr || !def->shadow) return false;
+    target = !def->home_server.empty()
+                 ? def->home_server
+                 : SnapshotOptimizerOptions().backend_server;
+    if (target.empty() || links_ == nullptr) {
+      return Status::InvalidArgument(
+          "cannot forward DML: no backend server linked");
     }
   }
-
-  EvalContext eval = ctx.Eval();
-  auto row_matches = [&](const Row& row) -> StatusOr<bool> {
-    if (where == nullptr) return true;
-    return EvalPredicate(*where, &row, eval);
-  };
-
-  // The scan below holds the table's shared latch while it copies out the
-  // matching rids (predicate evaluation is pure, so holding it is safe);
-  // the caller mutates the rows afterwards through the self-latching
-  // StoredTable entry points.
-  if (best_index >= 0) {
-    const TableDef& def = table->def();
-    Row prefix_key;
-    for (size_t k = 0; k < best_prefix; ++k) {
-      int col = def.indexes[best_index].key_columns[k];
-      for (const SimpleConjunct& sc : simple) {
-        if (sc.column != col) continue;
-        const auto& bin = static_cast<const BoundBinary&>(*sc.source);
-        const BoundExpr* rhs = bin.left->kind == BoundExprKind::kColumnRef
-                                   ? bin.right.get()
-                                   : bin.left.get();
-        MT_ASSIGN_OR_RETURN(Value v, EvalBound(*rhs, nullptr, eval));
-        prefix_key.push_back(std::move(v));
-        break;
-      }
-    }
-    if (stats != nullptr) stats->local_cost += CostModel::kIndexSeekCost;
-    SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-    for (auto it = table->index(best_index).SeekGe(prefix_key);
-         it.Valid() && BPlusTree::ComparePrefix(it.key(), prefix_key) == 0;
-         it.Next()) {
-      if (!table->heap().IsLive(it.rowid())) continue;
-      if (stats != nullptr) stats->local_cost += CostModel::kIndexRowCost;
-      MT_ASSIGN_OR_RETURN(bool match, row_matches(table->heap().Get(it.rowid())));
-      if (match) out.push_back(it.rowid());
-    }
-    return out;
-  }
-
-  SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-  for (RowId rid = 0; rid < table->heap().slot_count(); ++rid) {
-    if (!table->heap().IsLive(rid)) continue;
-    if (stats != nullptr) stats->local_cost += CostModel::kSeqRowCost;
-    MT_ASSIGN_OR_RETURN(bool match, row_matches(table->heap().Get(rid)));
-    if (match) out.push_back(rid);
-  }
-  return out;
-}
-
-Status Server::ForwardDml(const TableDef& table, const std::string& sql,
-                          Session* session, ExecStats* stats) {
-  const std::string backend = !table.home_server.empty()
-                                  ? table.home_server
-                                  : SnapshotOptimizerOptions().backend_server;
-  if (backend.empty() || links_ == nullptr) {
-    return Status::InvalidArgument(
-        "cannot forward DML: no backend server linked");
-  }
-  MT_ASSIGN_OR_RETURN(QueryResult result,
-                      ExecuteRemote(backend, sql, session->vars, stats));
+  MT_ASSIGN_OR_RETURN(
+      QueryResult result,
+      ExecuteRemote(target, DmlToSql(stmt), session->vars, stats));
   session->result.rows_affected = result.rows_affected;
-  return Status::Ok();
+  return true;
 }
 
 Status Server::ExecInsert(const InsertStmt& stmt, Session* session,
-                          ExecStats* stats) {
-  if (!stmt.server.empty()) {
-    MT_ASSIGN_OR_RETURN(QueryResult result,
-                        ExecuteRemote(stmt.server, InsertToSql(stmt),
-                                      session->vars, stats));
-    session->result.rows_affected = result.rows_affected;
-    return Status::Ok();
-  }
-  TableDef* def = db_.catalog().GetTable(stmt.table);
-  if (def != nullptr && def->shadow) {
-    return ForwardDml(*def, InsertToSql(stmt), session, stats);
-  }
+                          ExecStats* stats, const PlanKey& key) {
+  MT_ASSIGN_OR_RETURN(
+      bool forwarded,
+      ForwardDml(stmt, stmt.server, stmt.table, session, stats));
+  if (forwarded) return Status::Ok();
   Binder binder = MakeBinder();
   MT_ASSIGN_OR_RETURN(BoundInsert bound, binder.BindInsert(stmt));
+  const TableDef* def = bound.table;
   StoredTable* table = db_.GetStoredTable(stmt.table);
   if (table == nullptr) {
     return Status::NotFound("no storage for table " + stmt.table);
   }
 
   TxnScope scope = BeginScope(session);
-  Status status = Status::Ok();
   int64_t inserted = 0;
   ExecContext ctx = MakeContext(session, stats);
 
@@ -930,136 +808,94 @@ Status Server::ExecInsert(const InsertStmt& stmt, Session* session,
     return Status::Ok();
   };
 
-  if (bound.select != nullptr) {
-    Optimizer optimizer(&db_.catalog(), SnapshotOptimizerOptions());
-    auto optimized = optimizer.Optimize(*bound.select);
-    if (!optimized.ok()) {
-      status = optimized.status();
-    } else {
-      auto result = ExecutePlan(*optimized->plan, &ctx);
-      if (!result.ok()) {
-        status = result.status();
-      } else {
-        for (const Row& row : result->rows) {
-          status = insert_values_row(row);
-          if (!status.ok()) break;
-        }
+  Status status = [&]() -> Status {
+    if (bound.select != nullptr) {
+      MT_ASSIGN_OR_RETURN(CachedPlanPtr plan, PlanStatement(stmt, key));
+      MT_ASSIGN_OR_RETURN(QueryResult result, ExecutePlan(*plan->plan, &ctx));
+      for (const Row& row : result.rows) {
+        MT_RETURN_IF_ERROR(insert_values_row(row));
       }
+      return Status::Ok();
     }
-  } else {
     for (const auto& expr_row : bound.rows) {
       std::vector<Value> values;
       for (const BExprPtr& e : expr_row) {
-        auto v = EvalBound(*e, nullptr, ctx.Eval());
-        if (!v.ok()) {
-          status = v.status();
-          break;
-        }
-        values.push_back(v.ConsumeValue());
+        MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e, nullptr, ctx.Eval()));
+        values.push_back(std::move(v));
       }
-      if (!status.ok()) break;
-      status = insert_values_row(values);
-      if (!status.ok()) break;
+      MT_RETURN_IF_ERROR(insert_values_row(values));
     }
-  }
+    return Status::Ok();
+  }();
   MT_RETURN_IF_ERROR(EndScope(&scope, status));
   session->result.rows_affected = inserted;
   return Status::Ok();
 }
 
-Status Server::ExecUpdate(const UpdateStmt& stmt, Session* session,
-                          ExecStats* stats) {
-  if (!stmt.server.empty()) {
-    MT_ASSIGN_OR_RETURN(QueryResult result,
-                        ExecuteRemote(stmt.server, UpdateToSql(stmt),
-                                      session->vars, stats));
-    session->result.rows_affected = result.rows_affected;
-    return Status::Ok();
-  }
-  TableDef* def = db_.catalog().GetTable(stmt.table);
-  if (def != nullptr && def->shadow) {
-    return ForwardDml(*def, UpdateToSql(stmt), session, stats);
-  }
-  Binder binder = MakeBinder();
-  MT_ASSIGN_OR_RETURN(BoundUpdate bound, binder.BindUpdate(stmt));
-  StoredTable* table = db_.GetStoredTable(stmt.table);
+Status Server::ExecModify(const Stmt& stmt, const TableDef& def,
+                          const BoundExpr* where,
+                          const std::vector<std::pair<int, BExprPtr>>* sets,
+                          Session* session, ExecStats* stats,
+                          const PlanKey& key) {
+  StoredTable* table = db_.GetStoredTable(def.name);
   if (table == nullptr) {
-    return Status::NotFound("no storage for table " + stmt.table);
+    return Status::NotFound("no storage for table " + def.name);
   }
-
-  TxnScope scope = BeginScope(session);
-  Status status = Status::Ok();
-  int64_t updated = 0;
+  MT_ASSIGN_OR_RETURN(CachedPlanPtr plan, PlanStatement(stmt, key));
   ExecContext ctx = MakeContext(session, stats);
-  auto rows = FindMatchingRows(table, bound.where.get(), session, stats);
-  if (!rows.ok()) {
-    status = rows.status();
-  } else {
-    for (RowId rid : *rows) {
-      Row old_row;
-      {
-        // A racing DELETE may have freed the slot since FindMatchingRows
-        // released its latch: skip a vanished row, uncounted.
-        SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-        if (!table->heap().IsLive(rid)) continue;
-        old_row = table->heap().Get(rid);
-      }
-      Row new_row = old_row;
-      for (const auto& [ord, expr] : bound.sets) {
-        auto v = EvalBound(*expr, &old_row, ctx.Eval());
-        if (!v.ok()) {
-          status = v.status();
-          break;
-        }
-        new_row[ord] = v.ConsumeValue();
-      }
-      if (!status.ok()) break;
-      status = UpdateRow(table, rid, new_row, scope.txn, stats);
-      if (!status.ok()) break;
-      ++updated;
+  const EvalContext eval = ctx.Eval();
+  const double write_cost =
+      (sets != nullptr ? CostModel::kUpdateRowCost
+                       : CostModel::kDeleteRowCost) +
+      def.indexes.size() * CostModel::kIndexMaintRowCost;
+  TxnScope scope = BeginScope(session);
+  int64_t changed = 0;
+  Status status = [&]() -> Status {
+    MT_ASSIGN_OR_RETURN(std::vector<RowId> rows,
+                        FindRowIds(*plan->plan, &ctx));
+    if (dml_find_hook_ != nullptr) dml_find_hook_(def.name, rows);
+    for (RowId rid : rows) {
+      MT_ASSIGN_OR_RETURN(
+          std::optional<StoredTable::RowChange> change,
+          table->ModifyIfMatches(rid, where, sets, eval, scope.txn));
+      // Skipped: since the find, a racing statement freed the slot, reused
+      // it, or changed the row so that WHERE no longer holds.
+      if (!change.has_value()) continue;
+      ctx.Charge(write_cost);
+      MT_RETURN_IF_ERROR(MaintainViews(
+          def, &change->before, sets != nullptr ? &change->after : nullptr,
+          scope.txn, stats));
+      ++changed;
     }
-  }
+    return Status::Ok();
+  }();
   MT_RETURN_IF_ERROR(EndScope(&scope, status));
-  session->result.rows_affected = updated;
+  session->result.rows_affected = changed;
   return Status::Ok();
 }
 
+Status Server::ExecUpdate(const UpdateStmt& stmt, Session* session,
+                          ExecStats* stats, const PlanKey& key) {
+  MT_ASSIGN_OR_RETURN(
+      bool forwarded,
+      ForwardDml(stmt, stmt.server, stmt.table, session, stats));
+  if (forwarded) return Status::Ok();
+  Binder binder = MakeBinder();
+  MT_ASSIGN_OR_RETURN(BoundUpdate bound, binder.BindUpdate(stmt));
+  return ExecModify(stmt, *bound.table, bound.where.get(), &bound.sets,
+                    session, stats, key);
+}
+
 Status Server::ExecDelete(const DeleteStmt& stmt, Session* session,
-                          ExecStats* stats) {
-  if (!stmt.server.empty()) {
-    MT_ASSIGN_OR_RETURN(QueryResult result,
-                        ExecuteRemote(stmt.server, DeleteToSql(stmt),
-                                      session->vars, stats));
-    session->result.rows_affected = result.rows_affected;
-    return Status::Ok();
-  }
-  TableDef* def = db_.catalog().GetTable(stmt.table);
-  if (def != nullptr && def->shadow) {
-    return ForwardDml(*def, DeleteToSql(stmt), session, stats);
-  }
+                          ExecStats* stats, const PlanKey& key) {
+  MT_ASSIGN_OR_RETURN(
+      bool forwarded,
+      ForwardDml(stmt, stmt.server, stmt.table, session, stats));
+  if (forwarded) return Status::Ok();
   Binder binder = MakeBinder();
   MT_ASSIGN_OR_RETURN(BoundDelete bound, binder.BindDelete(stmt));
-  StoredTable* table = db_.GetStoredTable(stmt.table);
-  if (table == nullptr) {
-    return Status::NotFound("no storage for table " + stmt.table);
-  }
-
-  TxnScope scope = BeginScope(session);
-  Status status = Status::Ok();
-  int64_t deleted = 0;
-  auto rows = FindMatchingRows(table, bound.where.get(), session, stats);
-  if (!rows.ok()) {
-    status = rows.status();
-  } else {
-    for (RowId rid : *rows) {
-      status = DeleteRow(table, rid, scope.txn, stats);
-      if (!status.ok()) break;
-      ++deleted;
-    }
-  }
-  MT_RETURN_IF_ERROR(EndScope(&scope, status));
-  session->result.rows_affected = deleted;
-  return Status::Ok();
+  return ExecModify(stmt, *bound.table, bound.where.get(), nullptr, session,
+                    stats, key);
 }
 
 // ---------------------------------------------------------------------------
@@ -1338,12 +1174,12 @@ Status Server::ExecExplain(const ExplainStmt& stmt, Session* session) {
   // tables, index maintenance, and view maintenance (synchronous for
   // materialized views, asynchronous via replication for cached views).
   std::vector<std::string> annotations;
-  auto annotate_target = [&](const std::string& table,
-                             const std::string& forwarded_sql) {
+  auto annotate_target = [&](const std::string& table) {
     TableDef* def = db_.catalog().GetTable(table);
     if (def == nullptr) return;
     if (def->shadow) {
-      annotations.push_back("forwarded to backend as: " + forwarded_sql);
+      annotations.push_back("forwarded to backend as: " +
+                            DmlToSql(*stmt.target));
       return;
     }
     if (!def->indexes.empty()) {
@@ -1358,99 +1194,84 @@ Status Server::ExecExplain(const ExplainStmt& stmt, Session* session) {
               : "maintains view: " + view->name + " (via replication)");
     }
   };
+  bool reads = true;
   switch (stmt.target->kind) {
     case StmtKind::kInsert: {
       const auto& ins = static_cast<const InsertStmt&>(*stmt.target);
+      reads = ins.select != nullptr;
       if (ins.select == nullptr) {
         annotations.push_back("Insert(" + ins.table + ") VALUES: " +
                               std::to_string(ins.rows.size()) + " row(s)");
       } else {
         annotations.push_back("write: Insert(" + ins.table + ") from SELECT");
       }
-      annotate_target(ins.table, InsertToSql(ins));
+      annotate_target(ins.table);
       break;
     }
     case StmtKind::kUpdate: {
       const auto& upd = static_cast<const UpdateStmt&>(*stmt.target);
       annotations.push_back("write: Update(" + upd.table + ", " +
                             std::to_string(upd.sets.size()) + " column(s))");
-      annotate_target(upd.table, UpdateToSql(upd));
+      annotate_target(upd.table);
       break;
     }
     case StmtKind::kDelete: {
       const auto& del = static_cast<const DeleteStmt&>(*stmt.target);
       annotations.push_back("write: Delete(" + del.table + ")");
-      annotate_target(del.table, DeleteToSql(del));
+      annotate_target(del.table);
       break;
     }
     default:
       break;
   }
 
-  StmtPtr synthesized;
-  MT_ASSIGN_OR_RETURN(const SelectStmt* select,
-                      ResolveExplainSelect(*stmt.target, &synthesized));
-  if (select == nullptr) {
-    // INSERT ... VALUES: no read side to plan; the annotations are the plan.
-    for (const std::string& note : annotations) {
-      result.rows.push_back({Value::String(note)});
+  // INSERT ... VALUES reads nothing: its annotations are the whole plan.
+  if (reads) {
+    // The plan the statement runs: for DML, the access path to its rows.
+    MT_ASSIGN_OR_RETURN(OptimizeResult optimized,
+                        OptimizeStatement(*stmt.target, nullptr));
+    if (stmt.analyze) {
+      // EXPLAIN ANALYZE: run the plan for real under the profiler and render
+      // per-operator actuals. The parser guarantees the target is a SELECT.
+      OperatorProfile profile = MakeProfileTree(*optimized.plan);
+      ExecStats exec_stats;
+      ExecContext ctx = MakeContext(session, &exec_stats);
+      SpanScope span("explain_analyze");
+      const auto start = std::chrono::steady_clock::now();
+      MT_ASSIGN_OR_RETURN(QueryResult executed,
+                          ExecutePlan(*optimized.plan, &ctx, &profile));
+      const double elapsed = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+      AppendProfileLines(profile, 0, &result.rows);
+      char summary[160];
+      std::snprintf(summary, sizeof(summary),
+                    "actual: %lld rows in %.3f ms, estimated cost: %.2f, "
+                    "dynamic: %s, remote: %s",
+                    static_cast<long long>(executed.rows.size()), elapsed * 1e3,
+                    optimized.est_cost, optimized.dynamic_plan ? "yes" : "no",
+                    optimized.uses_remote ? "yes" : "no");
+      result.rows.push_back({Value::String(summary)});
+      QueryProfileRecord rec;
+      rec.text = "(explain analyze)";
+      rec.total_seconds = elapsed;
+      rec.root = std::move(profile);
+      metrics_.RecordProfile(std::move(rec));
+    } else {
+      // One row per plan line, plus a summary row.
+      std::string text = PhysicalToString(*optimized.plan);
+      size_t start = 0;
+      while (start < text.size()) {
+        size_t end = text.find('\n', start);
+        if (end == std::string::npos) end = text.size();
+        result.rows.push_back({Value::String(text.substr(start, end - start))});
+        start = end + 1;
+      }
+      result.rows.push_back({Value::String(
+          "estimated cost: " + std::to_string(optimized.est_cost) +
+          ", dynamic: " + (optimized.dynamic_plan ? "yes" : "no") +
+          ", remote: " + (optimized.uses_remote ? "yes" : "no"))});
     }
-    session->result = std::move(result);
-    session->has_result = true;
-    return Status::Ok();
-  }
-
-  Binder binder = MakeBinder();
-  MT_ASSIGN_OR_RETURN(LogicalPtr logical, binder.BindSelect(*select));
-  OptimizerOptions opts = SnapshotOptimizerOptions();
-  if (select->max_staleness >= 0) {
-    opts.max_staleness = select->max_staleness;
-    opts.current_time = db_.Now();
-  }
-  Optimizer optimizer(&db_.catalog(), opts);
-  MT_ASSIGN_OR_RETURN(OptimizeResult optimized, optimizer.Optimize(*logical));
-
-  if (stmt.analyze) {
-    // EXPLAIN ANALYZE: run the plan for real under the profiler and render
-    // per-operator actuals. The parser guarantees the target is a SELECT.
-    OperatorProfile profile = MakeProfileTree(*optimized.plan);
-    ExecStats exec_stats;
-    ExecContext ctx = MakeContext(session, &exec_stats);
-    SpanScope span("explain_analyze");
-    const auto start = std::chrono::steady_clock::now();
-    MT_ASSIGN_OR_RETURN(QueryResult executed,
-                        ExecutePlan(*optimized.plan, &ctx, &profile));
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    AppendProfileLines(profile, 0, &result.rows);
-    char summary[160];
-    std::snprintf(summary, sizeof(summary),
-                  "actual: %lld rows in %.3f ms, estimated cost: %.2f, "
-                  "dynamic: %s, remote: %s",
-                  static_cast<long long>(executed.rows.size()), elapsed * 1e3,
-                  optimized.est_cost, optimized.dynamic_plan ? "yes" : "no",
-                  optimized.uses_remote ? "yes" : "no");
-    result.rows.push_back({Value::String(summary)});
-    QueryProfileRecord rec;
-    rec.text = "(explain analyze)";
-    rec.total_seconds = elapsed;
-    rec.root = std::move(profile);
-    metrics_.RecordProfile(std::move(rec));
-  } else {
-    // One row per plan line, plus a summary row.
-    std::string text = PhysicalToString(*optimized.plan);
-    size_t start = 0;
-    while (start < text.size()) {
-      size_t end = text.find('\n', start);
-      if (end == std::string::npos) end = text.size();
-      result.rows.push_back({Value::String(text.substr(start, end - start))});
-      start = end + 1;
-    }
-    result.rows.push_back({Value::String(
-        "estimated cost: " + std::to_string(optimized.est_cost) +
-        ", dynamic: " + (optimized.dynamic_plan ? "yes" : "no") +
-        ", remote: " + (optimized.uses_remote ? "yes" : "no"))});
   }
   for (const std::string& note : annotations) {
     result.rows.push_back({Value::String(note)});

@@ -92,8 +92,9 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   /// Executes a script on an existing connection's Session, so local
   /// variables and an open explicit transaction persist across calls. The
   /// caller must not use the same Session from two threads at once; distinct
-  /// Sessions may execute concurrently. A single-SELECT text this server
-  /// has planned before runs from its cached plan without being parsed.
+  /// Sessions may execute concurrently. A single-statement text this server
+  /// has planned before (a SELECT, UPDATE, DELETE or INSERT ... SELECT) runs
+  /// from its cached plan without being parsed.
   StatusOr<QueryResult> ExecuteOnSession(Session* session,
                                          const std::string& sql,
                                          ExecStats* stats);
@@ -113,7 +114,9 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
                                       const std::vector<Value>& args,
                                       ExecStats* stats);
 
-  /// Parses + binds + optimizes a single SELECT without executing it.
+  /// Parses + binds + optimizes one statement without executing it: a
+  /// SELECT's plan, an INSERT's source query's, or the access path an
+  /// UPDATE or DELETE finds its rows through (the plan it runs).
   StatusOr<OptimizeResult> Explain(const std::string& sql);
 
   // RemoteExecutor: runs `sql` on the linked server `server_name`, charging
@@ -183,6 +186,13 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   /// Recomputes statistics on all stored tables (after bulk loads).
   void RecomputeStats();
 
+  /// Test-only seam between the two halves of an UPDATE or DELETE: called
+  /// with the table and the RowIds found, after the find released the
+  /// latch and before any row changes. Set before concurrent execution.
+  using DmlFindHook = std::function<void(const std::string& table,
+                                         const std::vector<RowId>& rows)>;
+  void set_dml_find_hook(DmlFindHook hook) { dml_find_hook_ = std::move(hook); }
+
  private:
   struct CachedPlan {
     PhysicalPtr plan;
@@ -202,10 +212,10 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
     // saving in cost units. Empty/0 for the overwhelming majority of plans.
     std::vector<std::string> matched_views;
     double est_saved_units = 0;
-    // The parsed statement of an ad-hoc text plan, so a later execution of
-    // the same text runs without parsing. Null for procedure-body plans,
-    // whose AST CompiledProcedure::body owns.
-    std::shared_ptr<const SelectStmt> stmt;
+    // The parsed statement of an ad-hoc text plan, of whatever kind, so a
+    // later execution of the same text runs without parsing. Null for
+    // procedure-body plans, whose AST CompiledProcedure::body owns.
+    std::shared_ptr<const Stmt> stmt;
   };
   /// Plans are handed out as shared_ptr-to-const: an executing session keeps
   /// its plan alive even if the cache is invalidated mid-flight (epoch-based
@@ -245,28 +255,39 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   struct CompiledProcedure {
     const ProcedureDef* def = nullptr;
     std::vector<StmtPtr> body;  // read-only after compilation
-    // Plans for SELECTs inside the body, keyed by statement address. This is
-    // what makes dynamic plans pay off: parameterized procedure queries are
-    // optimized once and the startup predicates pick the branch per call.
-    // Guarded by plan_cache_mu_, like the statement cache.
+    // Plans for the body's SELECT, INSERT ... SELECT, UPDATE and DELETE
+    // statements, keyed by statement address. This is what makes dynamic
+    // plans pay off: parameterized procedure queries are optimized once and
+    // the startup predicates pick the branch per call. Guarded by
+    // plan_cache_mu_, like the statement cache.
     std::map<const Stmt*, CachedPlanPtr> plans;
+  };
+
+  /// Where a statement's plan is cached: a procedure-body statement by its
+  /// identity (`proc`), a one-statement script by its `text`, whose AST
+  /// `owned` a published plan keeps. `plan` is one found by text already.
+  struct PlanKey {
+    CompiledProcedure* proc = nullptr;
+    const std::string* text = nullptr;
+    std::shared_ptr<const Stmt> owned;
+    CachedPlanPtr plan;
   };
 
   Status ExecuteStmtList(const std::vector<StmtPtr>& stmts, Session* session,
                          ExecStats* stats, CompiledProcedure* proc);
+  /// Runs one statement; an error aborts the session's open transaction.
   Status ExecuteStmt(const Stmt& stmt, Session* session, ExecStats* stats,
-                     CompiledProcedure* proc);
-  /// `text` is the statement's SQL when known (single-statement ad-hoc
-  /// scripts); it doubles as the plan-cache key and the trace label. `owned`
-  /// is that script's AST, kept by the plan if it is published. `plan` is a
-  /// plan the caller already found by text; PlanSelect runs only without one.
+                     const PlanKey& key);
+  Status DispatchStmt(const Stmt& stmt, Session* session, ExecStats* stats,
+                      const PlanKey& key);
   Status ExecSelect(const SelectStmt& stmt, Session* session, ExecStats* stats,
-                    CompiledProcedure* proc, const std::string& text = "",
-                    std::shared_ptr<const SelectStmt> owned = nullptr,
-                    CachedPlanPtr plan = nullptr);
-  Status ExecInsert(const InsertStmt& stmt, Session* session, ExecStats* stats);
-  Status ExecUpdate(const UpdateStmt& stmt, Session* session, ExecStats* stats);
-  Status ExecDelete(const DeleteStmt& stmt, Session* session, ExecStats* stats);
+                    const PlanKey& key);
+  Status ExecInsert(const InsertStmt& stmt, Session* session, ExecStats* stats,
+                    const PlanKey& key);
+  Status ExecUpdate(const UpdateStmt& stmt, Session* session, ExecStats* stats,
+                    const PlanKey& key);
+  Status ExecDelete(const DeleteStmt& stmt, Session* session, ExecStats* stats,
+                    const PlanKey& key);
   Status ExecCreateTable(const CreateTableStmt& stmt);
   Status ExecCreateIndex(const CreateIndexStmt& stmt);
   Status ExecCreateView(const CreateViewStmt& stmt, Session* session,
@@ -279,21 +300,27 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   Status ExecIf(const IfStmt& stmt, Session* session, ExecStats* stats,
                 CompiledProcedure* proc);
 
-  /// Forwards a DML statement (rendered back to SQL) to the shadow table's
-  /// home backend (§5: "all insert, delete and update requests against a
-  /// shadow table are immediately converted to remote inserts, deletes and
-  /// updates").
-  Status ForwardDml(const TableDef& table, const std::string& sql,
-                    Session* session, ExecStats* stats);
+  /// Forwards an INSERT, UPDATE or DELETE to the server that owns its
+  /// target, if not this one: `server`, a linked-server qualifier, else a
+  /// shadow table's home backend (§5: "all insert, delete and update
+  /// requests against a shadow table are immediately converted to remote
+  /// inserts, deletes and updates"). Returns whether it forwarded.
+  StatusOr<bool> ForwardDml(const Stmt& stmt, const std::string& server,
+                            const std::string& table, Session* session,
+                            ExecStats* stats);
 
   /// Applies one local write plus synchronous maintenance of regular
   /// materialized views defined over the table.
   StatusOr<RowId> InsertRow(StoredTable* table, const Row& row,
                             Transaction* txn, ExecStats* stats);
-  Status DeleteRow(StoredTable* table, RowId rid, Transaction* txn,
-                   ExecStats* stats);
-  Status UpdateRow(StoredTable* table, RowId rid, const Row& new_row,
-                   Transaction* txn, ExecStats* stats);
+
+  /// Runs an UPDATE (`sets` non-null) or DELETE: finds the rows through the
+  /// statement's cached access-path plan, then changes each that still
+  /// matches `where` (StoredTable::ModifyIfMatches).
+  Status ExecModify(const Stmt& stmt, const TableDef& def,
+                    const BoundExpr* where,
+                    const std::vector<std::pair<int, BExprPtr>>* sets,
+                    Session* session, ExecStats* stats, const PlanKey& key);
 
   /// Keeps the regular materialized views over `base` current after one
   /// base-row change: `before`/`after` are the row's images, null where the
@@ -301,31 +328,26 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   Status MaintainViews(const TableDef& base, const Row* before,
                        const Row* after, Transaction* txn, ExecStats* stats);
 
-  /// Rows of `table` satisfying `where`, using an index when an equality
-  /// prefix is available.
-  StatusOr<std::vector<RowId>> FindMatchingRows(StoredTable* table,
-                                                const BoundExpr* where,
-                                                Session* session,
-                                                ExecStats* stats);
-
   /// Probes the statement plan cache by exact SQL text, before any parsing:
   /// one shared-latch lookup, counted as a hit when it finds a plan.
   CachedPlanPtr FindStatementPlan(const std::string& sql);
 
-  /// Returns the plan for `stmt`: a procedure-plan hit under a shared lock,
-  /// or the result of optimizing outside any lock. Ad-hoc statements are not
-  /// looked up here (ExecuteOnSession probed by text before parsing), so
-  /// reaching this with a `cache_key` is a miss. Cacheable plans are inserted
-  /// under the exclusive lock with insert-or-discard semantics — if another
-  /// session optimized the same statement first, or the cache generation
-  /// changed (an invalidation ran while we optimized), this session simply
-  /// executes its own freshly-optimized plan without caching it. Uncacheable
-  /// (freshness-constrained) statements never enter the shared cache. An
-  /// ad-hoc plan keeps `owned`, the statement's AST.
-  StatusOr<CachedPlanPtr> PlanSelect(const SelectStmt& stmt, Session* session,
-                                     CompiledProcedure* proc,
-                                     const std::string& cache_key,
-                                     std::shared_ptr<const SelectStmt> owned);
+  /// The one bind/optimize path: binds the SELECT `stmt` reads (itself, an
+  /// INSERT's source, an UPDATE's or DELETE's access path, which plans with
+  /// view matching off: its RowIds must come from the base heap), applies
+  /// its freshness bound and optimizes it, counting into `decisions`.
+  StatusOr<OptimizeResult> OptimizeStatement(const Stmt& stmt,
+                                             OptimizerDecisionStats* decisions);
+
+  /// Returns the plan for `stmt`: `key.plan`, a procedure-plan hit under a
+  /// shared lock, or OptimizeStatement's, run outside any lock. Reaching
+  /// this with a `key.text` is a miss (ExecuteOnSession probed first).
+  /// Cacheable plans are inserted under the exclusive lock with
+  /// insert-or-discard semantics — if another session optimized the same
+  /// statement first, or the cache generation changed (an invalidation ran
+  /// while we optimized), this session simply executes its own plan without
+  /// caching it. Uncacheable (freshness-constrained) plans are never cached.
+  StatusOr<CachedPlanPtr> PlanStatement(const Stmt& stmt, const PlanKey& key);
 
   StatusOr<CompiledProcedure*> CompileProcedure(const std::string& name);
 
@@ -352,6 +374,7 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   Database db_;
   CachedViewHandler cached_view_handler_;
   CachedViewDropHandler cached_view_drop_handler_;
+  DmlFindHook dml_find_hook_;
 
   /// Guards the two plan caches, the cache generation, and options_.optimizer
   /// (which the optimizer reads per statement and set_optimizer_options may
@@ -374,10 +397,8 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   std::atomic<double> workload_next_capture_{0};
 };
 
-/// Renders DML ASTs back to SQL text for forwarding to the backend.
-std::string InsertToSql(const InsertStmt& stmt);
-std::string UpdateToSql(const UpdateStmt& stmt);
-std::string DeleteToSql(const DeleteStmt& stmt);
+/// Renders an INSERT, UPDATE or DELETE back to SQL text for forwarding.
+std::string DmlToSql(const Stmt& stmt);
 
 }  // namespace mtcache
 

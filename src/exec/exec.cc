@@ -425,6 +425,66 @@ class SeqScanExec : public ExecNode {
   size_t virtual_pos_ = 0;
 };
 
+// Walks the entries of `op`'s index range in key order under `table`'s
+// shared latch, after charging the seek, and calls visit(rid) for each live
+// one; the latch (and so the row at rid) is held across every visit. Counts
+// the dead entries it passes in *dead. A NULL bound matches nothing. The one
+// range walk behind IndexSeekExec and the row finding of UPDATE and DELETE.
+template <typename Visit>
+Status WalkIndexRange(const PhysIndexSeek& op, const StoredTable& table,
+                      ExecContext* ctx, int64_t* dead, Visit visit) {
+  ctx->Charge(CostModel::kIndexSeekCost);
+  Row prefix;
+  for (const BExprPtr& e : op.eq_prefix) {
+    MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e, nullptr, ctx->Eval()));
+    if (v.is_null()) return Status::Ok();  // = NULL matches nothing
+    prefix.push_back(std::move(v));
+  }
+  Value hi;
+  bool has_hi = false;
+  if (op.hi != nullptr) {
+    MT_ASSIGN_OR_RETURN(Value v, EvalBound(*op.hi, nullptr, ctx->Eval()));
+    if (v.is_null()) return Status::Ok();
+    hi = std::move(v);
+    has_hi = true;
+  }
+  Row seek = prefix;
+  if (op.lo != nullptr) {
+    MT_ASSIGN_OR_RETURN(Value v, EvalBound(*op.lo, nullptr, ctx->Eval()));
+    if (v.is_null()) return Status::Ok();
+    seek.push_back(std::move(v));
+  }
+
+  // The iterator never survives past this latch hold.
+  SharedLatchWait latch(table.latch(), WaitSite::kTableLatchShared);
+  const BPlusTree& index = table.index(op.index_ordinal);
+  BPlusTree::Iterator it;
+  if (op.lo != nullptr) {
+    it = op.lo_inclusive ? index.SeekGe(seek) : index.SeekGt(seek);
+  } else {
+    it = prefix.empty() ? index.Begin() : index.SeekGe(seek);
+  }
+  for (; it.Valid(); it.Next()) {
+    const Row& key = it.key();
+    // Stop when the equality prefix no longer matches.
+    if (!prefix.empty() && BPlusTree::ComparePrefix(key, prefix) != 0) break;
+    if (has_hi) {
+      size_t range_pos = prefix.size();
+      if (range_pos < key.size()) {
+        int c = key[range_pos].Compare(hi);
+        if (c > 0 || (c == 0 && !op.hi_inclusive)) break;
+      }
+    }
+    RowId rid = it.rowid();
+    if (!table.heap().IsLive(rid)) {
+      ++*dead;
+      continue;
+    }
+    MT_RETURN_IF_ERROR(visit(rid));
+  }
+  return Status::Ok();
+}
+
 // Index seek. The in-range row versions are pinned (refcounted, payload-free)
 // under one shared latch at Open and emitted as SeqScanExec emits its
 // snapshot.
@@ -443,62 +503,14 @@ class IndexSeekExec : public ExecNode {
     if (table == nullptr) {
       return Status::Internal("no storage for table " + op_.def->name);
     }
-    ctx->Charge(CostModel::kIndexSeekCost);
     rows_.clear();
     dead_entries_ = 0;
     emitter_.Rewind();
-
-    Row prefix;
-    for (const BExprPtr& e : op_.eq_prefix) {
-      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e, nullptr, ctx->Eval()));
-      if (v.is_null()) return Status::Ok();  // = NULL matches nothing
-      prefix.push_back(std::move(v));
-    }
-    Value hi;
-    bool has_hi = false;
-    if (op_.hi != nullptr) {
-      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*op_.hi, nullptr, ctx->Eval()));
-      if (v.is_null()) return Status::Ok();
-      hi = std::move(v);
-      has_hi = true;
-    }
-    Row seek = prefix;
-    if (op_.lo != nullptr) {
-      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*op_.lo, nullptr, ctx->Eval()));
-      if (v.is_null()) return Status::Ok();
-      seek.push_back(std::move(v));
-    }
-
-    // Walk the in-range index entries and pin the live row versions under
-    // one shared latch; the iterator never survives past this block and no
-    // payload is copied.
-    SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-    const BPlusTree& index = table->index(op_.index_ordinal);
-    BPlusTree::Iterator it;
-    if (op_.lo != nullptr) {
-      it = op_.lo_inclusive ? index.SeekGe(seek) : index.SeekGt(seek);
-    } else {
-      it = prefix.empty() ? index.Begin() : index.SeekGe(seek);
-    }
-    for (; it.Valid(); it.Next()) {
-      const Row& key = it.key();
-      // Stop when the equality prefix no longer matches.
-      if (!prefix.empty() && BPlusTree::ComparePrefix(key, prefix) != 0) break;
-      if (has_hi) {
-        size_t range_pos = prefix.size();
-        if (range_pos < key.size()) {
-          int c = key[range_pos].Compare(hi);
-          if (c > 0 || (c == 0 && !op_.hi_inclusive)) break;
-        }
-      }
-      RowId rid = it.rowid();
-      if (!table->heap().IsLive(rid)) {
-        ++dead_entries_;
-        continue;
-      }
+    // Pins the live row versions; no payload is copied.
+    return WalkIndexRange(op_, *table, ctx, &dead_entries_, [&](RowId rid) {
       rows_.push_back(table->heap().GetRef(rid));
-    }
-    return Status::Ok();
+      return Status::Ok();
+    });
   }
 
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
@@ -1901,6 +1913,61 @@ StatusOr<QueryResult> ExecutePlan(const PhysicalOp& plan, ExecContext* ctx,
   }
   root->Close();
   return result;
+}
+
+StatusOr<std::vector<RowId>> FindRowIds(const PhysicalOp& plan,
+                                        ExecContext* ctx) {
+  const bool seek = plan.kind == PhysicalKind::kIndexSeek;
+  if (!seek && plan.kind != PhysicalKind::kSeqScan) {
+    return Status::Internal("not a table access: " + PhysicalOpLabel(plan));
+  }
+  const auto& access = static_cast<const PhysTableAccess&>(plan);
+  StoredTable* table = !access.def->virtual_table && ctx->storage != nullptr
+                           ? ctx->storage->GetStoredTable(access.def->name)
+                           : nullptr;
+  if (table == nullptr) {
+    return Status::Internal("no storage for table " + access.def->name);
+  }
+  const BoundExpr* predicate = access.pushed_predicate.get();
+  const double read_cost = CostModel::ReadRowCost(
+      seek ? CostModel::kIndexRowCost : CostModel::kSeqRowCost,
+      access.row_bytes);
+  std::vector<RowId> found;
+  int64_t live = 0;
+  int64_t dead = 0;
+  const EvalContext eval = ctx->Eval();
+  // Runs under the table's shared latch; predicates are pure.
+  auto visit = [&](RowId rid) -> Status {
+    ++live;
+    if (predicate != nullptr) {
+      MT_ASSIGN_OR_RETURN(bool match, EvalPredicate(*predicate,
+                                                    &table->heap().Get(rid),
+                                                    eval));
+      if (!match) return Status::Ok();
+    }
+    found.push_back(rid);
+    return Status::Ok();
+  };
+  if (seek) {
+    MT_RETURN_IF_ERROR(WalkIndexRange(static_cast<const PhysIndexSeek&>(plan),
+                                      *table, ctx, &dead, visit));
+  } else {
+    SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
+    for (RowId rid = 0; rid < table->heap().slot_count(); ++rid) {
+      if (table->heap().IsLive(rid)) {
+        MT_RETURN_IF_ERROR(visit(rid));
+      } else {
+        ++dead;
+      }
+    }
+  }
+  // Charged as the scan operators charge: a read per slot or index entry,
+  // dead ones included, and a predicate test per live row.
+  ctx->Charge(read_cost * static_cast<double>(live + dead));
+  if (predicate != nullptr) {
+    ctx->Charge(CostModel::kFilterRowCost * static_cast<double>(live));
+  }
+  return found;
 }
 
 }  // namespace mtcache

@@ -251,6 +251,14 @@ StatusOr<std::unique_ptr<ExecNode>> BuildProfiledExecutor(
 StatusOr<QueryResult> ExecutePlan(const PhysicalOp& plan, ExecContext* ctx,
                                   OperatorProfile* profile = nullptr);
 
+/// The rows an UPDATE or DELETE changes, found through its access path:
+/// `plan` is the SeqScan or IndexSeek the optimizer chose for the
+/// statement's `SELECT * FROM t WHERE ...`, and a row qualifies when the
+/// leaf's pushed predicate holds. Charged as that scan operator would be,
+/// so the work equals the plan's estimate when the estimate is exact.
+StatusOr<std::vector<RowId>> FindRowIds(const PhysicalOp& plan,
+                                        ExecContext* ctx);
+
 }  // namespace mtcache
 
 #endif  // MTCACHE_EXEC_EXEC_H_

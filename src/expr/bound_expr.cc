@@ -1,6 +1,7 @@
 #include "expr/bound_expr.h"
 
 #include <cmath>
+#include <cstdint>
 #include <type_traits>
 
 #include "common/string_util.h"
@@ -62,6 +63,11 @@ BExprPtr CloneBound(const BoundExpr& expr) {
 
 namespace {
 
+Status IntOverflow() {
+  return Status::OutOfRange(
+      "arithmetic overflow: result exceeds the int64 range");
+}
+
 // Arithmetic with numeric promotion; NULL-in -> NULL-out.
 StatusOr<Value> EvalArith(BinaryOp op, const Value& l, const Value& r) {
   if (l.is_null() || r.is_null()) return Value::Null();
@@ -84,21 +90,31 @@ StatusOr<Value> EvalArith(BinaryOp op, const Value& l, const Value& r) {
         break;
     }
   } else {
+    // Checked: a result outside int64 fails the statement, as SUM does.
     int64_t a = l.AsInt();
     int64_t b = r.AsInt();
+    int64_t out = 0;
+    bool overflow = false;
     switch (op) {
-      case BinaryOp::kAdd: return Value::Int(a + b);
-      case BinaryOp::kSub: return Value::Int(a - b);
-      case BinaryOp::kMul: return Value::Int(a * b);
+      case BinaryOp::kAdd: overflow = __builtin_add_overflow(a, b, &out); break;
+      case BinaryOp::kSub: overflow = __builtin_sub_overflow(a, b, &out); break;
+      case BinaryOp::kMul: overflow = __builtin_mul_overflow(a, b, &out); break;
       case BinaryOp::kDiv:
         if (b == 0) return Status::InvalidArgument("division by zero");
-        return Value::Int(a / b);
+        // INT64_MIN / -1 is the one quotient int64 cannot hold.
+        overflow = b == -1 && a == INT64_MIN;
+        if (!overflow) out = a / b;
+        break;
       case BinaryOp::kMod:
         if (b == 0) return Status::InvalidArgument("division by zero");
-        return Value::Int(a % b);
-      default:
+        // Any remainder of division by -1 is 0; INT64_MIN % -1 would trap.
+        out = b == -1 ? 0 : a % b;
         break;
+      default:
+        return Status::Internal("non-arithmetic op in EvalArith");
     }
+    if (overflow) return IntOverflow();
+    return Value::Int(out);
   }
   return Status::Internal("non-arithmetic op in EvalArith");
 }
@@ -198,6 +214,7 @@ StatusOr<Value> EvalBound(const BoundExpr& expr, const Row* row,
       if (e.op == UnaryOp::kNeg) {
         if (v.is_null()) return Value::Null();
         if (v.type() == TypeId::kDouble) return Value::Double(-v.AsDouble());
+        if (v.AsInt() == INT64_MIN) return IntOverflow();
         return Value::Int(-v.AsInt());
       }
       // NOT with three-valued logic.
@@ -272,6 +289,7 @@ StatusOr<Value> EvalBound(const BoundExpr& expr, const Row* row,
           if (args[0].type() == TypeId::kDouble) {
             return Value::Double(std::fabs(args[0].AsDouble()));
           }
+          if (args[0].AsInt() == INT64_MIN) return IntOverflow();
           return Value::Int(std::llabs(args[0].AsInt()));
         case BuiltinFn::kLen:
           if (args[0].is_null()) return Value::Null();

@@ -673,6 +673,11 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
   }
 
   // --- Alternative 2..n: index seeks. ---
+  // An equality on every key column of a unique index finds at most one
+  // row: one descent whatever the table's size, where a scan grows with the
+  // table. So such a point lookup is taken even where statistics taken
+  // while the table was near empty (a shopping cart) price the scan lower.
+  bool best_is_point = false;
   if (get.def != nullptr) {
     std::vector<SimpleConjunct> simple;
     for (const BoundExpr* c : conjuncts) {
@@ -729,6 +734,8 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
         break;
       }
       if (eq_prefix.empty() && !lo && !hi) continue;
+      const bool point =
+          index.unique && eq_prefix.size() == index.key_columns.size();
 
       double seek_sel = 1.0;
       for (const SimpleConjunct* sc : used) {
@@ -770,9 +777,11 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
       }
       seek->est_cost = cost;
       ++*alternatives_;
-      if (cost < best.cost) {
+      // A point lookup beats any other access; between equals, the cheaper.
+      if (point != best_is_point ? point : cost < best.cost) {
         best.plan = std::move(seek);
         best.cost = cost;
+        best_is_point = point;
       }
     }
   }
@@ -1158,12 +1167,11 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       // never produced. Expressions stay valid because a (possibly
       // predicate-folded) scan still exposes the table schema.
       PhysicalOp* dp = delivered.plan.get();
-      std::vector<BExprPtr>* slot = nullptr;
-      if (dp->kind == PhysicalKind::kSeqScan) {
-        slot = &static_cast<PhysSeqScan*>(dp)->pushed_projection;
-      } else if (dp->kind == PhysicalKind::kIndexSeek) {
-        slot = &static_cast<PhysIndexSeek*>(dp)->pushed_projection;
-      }
+      std::vector<BExprPtr>* slot =
+          dp->kind == PhysicalKind::kSeqScan ||
+                  dp->kind == PhysicalKind::kIndexSeek
+              ? &static_cast<PhysTableAccess*>(dp)->pushed_projection
+              : nullptr;
       if (slot != nullptr && slot->empty()) {
         *slot = std::move(exprs);
         dp->schema = node.schema;

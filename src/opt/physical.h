@@ -53,39 +53,39 @@ struct PhysDualScan : PhysicalOp {
   PhysDualScan() : PhysicalOp(PhysicalKind::kDualScan) {}
 };
 
-struct PhysSeqScan : PhysicalOp {
-  PhysSeqScan() : PhysicalOp(PhysicalKind::kSeqScan) {}
+/// A read of a stored relation (PhysSeqScan or PhysIndexSeek) with the
+/// filter and projection the optimizer folded into it.
+struct PhysTableAccess : PhysicalOp {
+  using PhysicalOp::PhysicalOp;
   const TableDef* def = nullptr;
-  /// Filter folded into the scan (over the table schema): non-qualifying
+  /// Filter folded into the read (over the table schema): non-qualifying
   /// rows are never materialized or emitted. Null = emit every live row.
   BExprPtr pushed_predicate;
-  /// Projection folded into the scan (over the table schema): qualifying
-  /// rows are rewritten to these expressions at the scan. Empty = emit
-  /// stored rows unchanged. When set, `schema` is the projected schema.
+  /// Projection folded into the read (over the table schema): qualifying
+  /// rows are rewritten to these expressions. Empty = emit stored rows
+  /// unchanged. When set, `schema` is the projected schema.
   std::vector<BExprPtr> pushed_projection;
   /// Bytes per stored row the plan was priced with (the table's
   /// avg_row_bytes; 0 without statistics). Each row read is charged
-  /// CostModel::ReadRowCost(kSeqRowCost, row_bytes).
+  /// CostModel::ReadRowCost(kSeqRowCost, row_bytes) by a scan and
+  /// ReadRowCost(kIndexRowCost, row_bytes) by a seek.
   double row_bytes = 0;
+};
+
+struct PhysSeqScan : PhysTableAccess {
+  PhysSeqScan() : PhysTableAccess(PhysicalKind::kSeqScan) {}
 };
 
 /// B+-tree range access: equality on a key prefix, then an optional range on
 /// the next key column. Bounds are row-free expressions (literals/params).
-struct PhysIndexSeek : PhysicalOp {
-  PhysIndexSeek() : PhysicalOp(PhysicalKind::kIndexSeek) {}
-  const TableDef* def = nullptr;
+struct PhysIndexSeek : PhysTableAccess {
+  PhysIndexSeek() : PhysTableAccess(PhysicalKind::kIndexSeek) {}
   int index_ordinal = 0;
   std::vector<BExprPtr> eq_prefix;  // values for leading key columns
   BExprPtr lo;                      // optional lower bound on next column
   bool lo_inclusive = true;
   BExprPtr hi;                      // optional upper bound on next column
   bool hi_inclusive = true;
-  /// Residual filter / projection folded into the seek; same contract as
-  /// PhysSeqScan's pushed_predicate / pushed_projection / row_bytes (priced
-  /// at kIndexRowCost per entry).
-  BExprPtr pushed_predicate;
-  std::vector<BExprPtr> pushed_projection;
-  double row_bytes = 0;
 };
 
 struct PhysFilter : PhysicalOp {

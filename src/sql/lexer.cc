@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "common/string_util.h"
 
@@ -76,13 +77,17 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
           while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
         }
       }
-      std::string text = sql.substr(start, i - start);
-      if (is_float) {
-        tok.type = TokenType::kFloat;
-        tok.float_val = std::stod(text);
-      } else {
-        tok.type = TokenType::kInt;
-        tok.int_val = std::stoll(text);
+      const char* first = sql.data() + start;
+      const char* last = sql.data() + i;
+      tok.type = is_float ? TokenType::kFloat : TokenType::kInt;
+      // A literal int64 or double cannot hold (99999999999999999999, 1e999,
+      // 1e-999) is a parse error, not a wrapped or rounded value.
+      auto parsed = is_float ? std::from_chars(first, last, tok.float_val)
+                             : std::from_chars(first, last, tok.int_val);
+      std::string text(first, last);
+      if (parsed.ec != std::errc()) {
+        return Status::InvalidArgument("numeric literal out of range at " +
+                                       std::to_string(start) + ": " + text);
       }
       tok.text = std::move(text);
       tokens.push_back(std::move(tok));

@@ -144,10 +144,29 @@ StatusOr<Row> StoredTable::Delete(RowId rid, Transaction* txn) {
   return DeleteLocked(rid, txn);
 }
 
-StatusOr<Row> StoredTable::Update(RowId rid, const Row& new_row,
-                                  Transaction* txn) {
+StatusOr<std::optional<StoredTable::RowChange>> StoredTable::ModifyIfMatches(
+    RowId rid, const BoundExpr* where,
+    const std::vector<std::pair<int, BExprPtr>>* sets, const EvalContext& eval,
+    Transaction* txn) {
+  using Result = std::optional<RowChange>;
   ExclusiveLatchWait latch(latch_, WaitSite::kTableLatchExclusive);
-  return UpdateLocked(rid, new_row, txn);
+  if (!heap_.IsLive(rid)) return Result();
+  const Row& current = heap_.Get(rid);
+  if (where != nullptr) {
+    MT_ASSIGN_OR_RETURN(bool match, EvalPredicate(*where, &current, eval));
+    if (!match) return Result();
+  }
+  RowChange change;
+  if (sets == nullptr) {
+    MT_ASSIGN_OR_RETURN(change.before, DeleteLocked(rid, txn));
+    return Result(std::move(change));
+  }
+  change.after = current;
+  for (const auto& [ord, expr] : *sets) {
+    MT_ASSIGN_OR_RETURN(change.after[ord], EvalBound(*expr, &current, eval));
+  }
+  MT_ASSIGN_OR_RETURN(change.before, UpdateLocked(rid, change.after, txn));
+  return Result(std::move(change));
 }
 
 Status StoredTable::ApplyByKey(const ViewChange& change, Transaction* txn) {

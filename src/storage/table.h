@@ -4,12 +4,14 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/status.h"
+#include "expr/bound_expr.h"
 #include "storage/bptree.h"
 #include "storage/wal.h"
 #include "types/value.h"
@@ -71,7 +73,8 @@ class HeapTable {
 ///
 /// Concurrency: a table-granularity reader/writer latch. Every mutation
 /// entry point (logged and physical) takes the latch exclusive internally
-/// for the duration of that single row change, so DML against one table
+/// for the duration of that single row change (ModifyIfMatches re-checks
+/// the row under that same hold), so DML against one table
 /// serializes while concurrent SELECTs of other tables proceed. Readers take
 /// it shared via latch() just long enough to materialize the rows they need
 /// (scans copy matching rows at Open; they never hold the latch across
@@ -97,10 +100,26 @@ class StoredTable {
   // --- Logged, transactional mutations -------------------------------------
 
   StatusOr<RowId> Insert(const Row& row, Transaction* txn);
-  /// Delete and Update return the before image they removed, read under the
-  /// same exclusive latch as the change (the image the WAL records).
+  /// Returns the before image it removed, read under the same exclusive
+  /// latch as the change (the image the WAL records).
   StatusOr<Row> Delete(RowId rid, Transaction* txn);
-  StatusOr<Row> Update(RowId rid, const Row& new_row, Transaction* txn);
+
+  /// The images of one row an UPDATE or DELETE changed (no `after` for a
+  /// delete).
+  struct RowChange {
+    Row before;
+    Row after;
+  };
+  /// The write half of UPDATE and DELETE, for a row found earlier: under one
+  /// exclusive latch, checks that `rid` is live and its current version
+  /// satisfies `where` (null: any row), then deletes it (`sets` null) or
+  /// updates it with `sets` evaluated over that version. Returns nullopt
+  /// ("skipped"), changing nothing, when a racing statement freed, reused or
+  /// changed the row so that `where` fails; an error also changes nothing.
+  StatusOr<std::optional<RowChange>> ModifyIfMatches(
+      RowId rid, const BoundExpr* where,
+      const std::vector<std::pair<int, BExprPtr>>* sets,
+      const EvalContext& eval, Transaction* txn);
 
   /// The keyed apply that keeps a view or replication target current:
   /// locates the row by its primary key (the before image's key columns)

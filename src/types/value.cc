@@ -143,9 +143,13 @@ size_t Value::Hash() const {
     case TypeId::kDouble: {
       // Hash doubles that are whole numbers like the equal int (joins may
       // compare int columns to double expressions).
+      // The range check comes first: casting a double outside int64 (1e300,
+      // +-inf, NaN) is undefined behaviour. -2^63 is exact; 2^63 is not.
       double d = d_;
-      int64_t i = static_cast<int64_t>(d);
-      if (static_cast<double>(i) == d) return std::hash<int64_t>()(i);
+      if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
+        int64_t i = static_cast<int64_t>(d);
+        if (static_cast<double>(i) == d) return std::hash<int64_t>()(i);
+      }
       return std::hash<double>()(d);
     }
     case TypeId::kString:

@@ -141,6 +141,86 @@ TEST_F(EngineTest, EstimatedCostEqualsChargedCost) {
   EXPECT_DOUBLE_EQ(
       stats.local_cost - CostModel::kStatementOverhead - scan.est_cost,
       CostModel::SortCost(200, 5));
+
+  // UPDATE and DELETE run the plan EXPLAIN shows: an index seek on t itself
+  // (never the matching t_low), charged as estimated, plus per changed row
+  // its write, t's one index and the upkeep of t's two views. The range's
+  // histogram estimate is 11.46 rows for the 10 it finds, so its estimate is
+  // compared at the actual row count (the point seeks estimate 1 exactly).
+  const double upkeep =
+      CostModel::kIndexMaintRowCost + 2 * CostModel::kApplyRecordCost;
+  struct DmlCase {
+    const char* sql;
+    double write;
+    int64_t rows;
+  };
+  for (const DmlCase& c :
+       {DmlCase{"UPDATE t SET val = val + 1 WHERE id = 42",
+                CostModel::kUpdateRowCost + upkeep, 1},
+        DmlCase{"DELETE FROM t WHERE id = 42",
+                CostModel::kDeleteRowCost + upkeep, 1},
+        DmlCase{"DELETE FROM t WHERE id < 10",
+                CostModel::kDeleteRowCost + upkeep, 10}}) {
+    SCOPED_TRACE(c.sql);
+    auto dml_plan = server_.Explain(c.sql);
+    ASSERT_TRUE(dml_plan.ok()) << dml_plan.status().ToString();
+    std::string text = PhysicalToString(*dml_plan->plan);
+    EXPECT_NE(text.find("IndexSeek(t.t_pk)"), std::string::npos) << text;
+    EXPECT_EQ(PhysicalPlanSize(*dml_plan->plan), 1) << text;
+    ExecStats dml_stats;
+    auto done = server_.Execute(c.sql, {}, &dml_stats);
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    EXPECT_EQ(done->rows_affected, c.rows);
+    const auto& seek = static_cast<const PhysIndexSeek&>(*dml_plan->plan);
+    const double per_row =
+        CostModel::ReadRowCost(CostModel::kIndexRowCost, seek.row_bytes);
+    EXPECT_DOUBLE_EQ(
+        dml_plan->est_cost + (c.rows - seek.est_rows) * per_row +
+            c.rows * c.write,
+        dml_stats.local_cost - CostModel::kStatementOverhead)
+        << text;
+  }
+  EXPECT_EQ(Query("SELECT COUNT(*) FROM t").rows[0][0].AsInt(), 189);
+  EXPECT_EQ(Query("SELECT COUNT(*) FROM t_low").rows[0][0].AsInt(), 89);
+}
+
+TEST_F(EngineTest, UniqueKeyEqualityPlansAsSeekOnAnEmptyTable) {
+  // Statistics taken while a table was empty price a scan below one index
+  // descent. A lookup of the whole unique key seeks anyway, so its cached
+  // plan stays cheap as the table grows; other predicates go by cost.
+  Exec("CREATE TABLE cart (id INT, line INT, qty INT, PRIMARY KEY (id, line))");
+  server_.RecomputeStats();
+  for (const char* sql :
+       {"SELECT qty FROM cart WHERE id = 5 AND line = 1",
+        "UPDATE cart SET qty = 2 WHERE line = 1 AND id = 5",
+        "DELETE FROM cart WHERE id = 5 AND line = 1 AND qty > 0"}) {
+    auto plan = server_.Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(PhysicalOpLabel(*plan->plan).rfind("IndexSeek(cart.cart_pk)", 0),
+              0u)
+        << sql << "\n" << PhysicalToString(*plan->plan);
+  }
+  auto prefix = server_.Explain("DELETE FROM cart WHERE id = 5");
+  ASSERT_TRUE(prefix.ok());
+  EXPECT_EQ(PhysicalOpLabel(*prefix->plan).rfind("SeqScan(cart)", 0), 0u);
+}
+
+TEST_F(EngineTest, UpdateOverflowFailsAndLeavesRowsUnchanged) {
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, x BIGINT)");
+  Exec("INSERT INTO t VALUES (1, 5), (2, 9223372036854775807)");
+  // The SET is evaluated under the exclusive latch, from the current row:
+  // x + 1 over INT64_MAX fails the statement, and the row it already
+  // changed is rolled back with it.
+  auto r = server_.Execute("UPDATE t SET x = x + 1");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  QueryResult rows = Query("SELECT id, x FROM t ORDER BY id");
+  ASSERT_EQ(rows.rows.size(), 2u);
+  EXPECT_EQ(rows.rows[0][1].AsInt(), 5);
+  EXPECT_EQ(rows.rows[1][1].AsInt(), INT64_MAX);
+  EXPECT_EQ(Query("UPDATE t SET x = x - 1 WHERE id = 2").rows_affected, 1);
+  EXPECT_EQ(Query("SELECT x FROM t WHERE id = 2").rows[0][0].AsInt(),
+            INT64_MAX - 1);
 }
 
 TEST_F(EngineTest, JoinQuery) {
@@ -277,6 +357,59 @@ TEST_F(EngineTest, ParseFreeHitMatchesParsedExecution) {
   ASSERT_TRUE(server_.ExecuteOnSession(&session, assign, &stats).ok());
   EXPECT_EQ(server_.plan_cache_stats().hits, hits_before + 1);
   EXPECT_EQ(session.vars["@t"].AsString(), "title5");
+}
+
+TEST_F(EngineTest, DmlTextAndProcedureDmlRunFromCachedPlans) {
+  SetUpBasicTables();
+  // UPDATE and DELETE text plans once, like SELECT: the second execution
+  // of the same text is one hit and no miss (and no parse).
+  const std::string update =
+      "UPDATE item SET i_cost = i_cost + 1000.0 WHERE i_id = @id";
+  Session session;
+  ExecStats stats;
+  for (int id : {3, 4}) {
+    session.vars["@id"] = Value::Int(id);
+    const PlanCacheStats before = server_.plan_cache_stats();
+    auto r = server_.ExecuteOnSession(&session, update, &stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows_affected, 1);
+    EXPECT_EQ(server_.plan_cache_stats().hits, before.hits + (id == 4));
+    EXPECT_EQ(server_.plan_cache_stats().misses, before.misses + (id == 3));
+  }
+  QueryResult costs = Query("SELECT i_cost FROM item WHERE i_id <= 5 "
+                            "ORDER BY i_id");
+  EXPECT_DOUBLE_EQ(costs.rows[2][0].AsDouble(), 1004.5);
+  EXPECT_DOUBLE_EQ(costs.rows[3][0].AsDouble(), 1006.0);
+  EXPECT_DOUBLE_EQ(costs.rows[4][0].AsDouble(), 7.5);
+
+  const std::string del = "DELETE FROM orders WHERE o_c_id = 4";
+  ASSERT_EQ(Query(del).rows_affected, 3);
+  const int64_t hits = server_.plan_cache_stats().hits;
+  ASSERT_EQ(Query(del).rows_affected, 0);
+  EXPECT_EQ(server_.plan_cache_stats().hits, hits + 1);
+  // CREATE INDEX invalidates: the same text re-plans onto the new index,
+  // and EXPLAIN shows the seek it now runs.
+  Exec("CREATE INDEX orders_cust ON orders (o_c_id)");
+  const int64_t misses = server_.plan_cache_stats().misses;
+  EXPECT_EQ(Query("DELETE FROM orders WHERE o_c_id = 5").rows_affected, 3);
+  EXPECT_EQ(server_.plan_cache_stats().misses, misses + 1);
+  auto plan = server_.Explain("DELETE FROM orders WHERE o_c_id = 5");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(PhysicalOpLabel(*plan->plan), "IndexSeek(orders.orders_cust)");
+
+  // A procedure's UPDATE plans once per statement, not once per call.
+  Exec("CREATE PROCEDURE bump(@id INT) AS BEGIN "
+       "UPDATE item SET i_cost = i_cost + 1 WHERE i_id = @id; END");
+  const int64_t proc_misses = server_.plan_cache_stats().misses;
+  for (int id = 10; id < 15; ++id) {
+    auto r = server_.CallProcedure("bump", {Value::Int(id)}, nullptr);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows_affected, 1);
+  }
+  EXPECT_EQ(server_.plan_cache_stats().misses, proc_misses + 1);
+  EXPECT_DOUBLE_EQ(
+      Query("SELECT i_cost FROM item WHERE i_id = 14").rows[0][0].AsDouble(),
+      22.0);
 }
 
 TEST_F(EngineTest, ParseFreeHitNeverRunsAStalePlan) {

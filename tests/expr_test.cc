@@ -50,6 +50,28 @@ TEST(ExprEvalTest, DivisionByZeroIsError) {
   EXPECT_FALSE(Eval("1 % 0").ok());
 }
 
+TEST(ExprEvalTest, IntegerOverflowIsOutOfRange) {
+  // Checked like SUM: a result outside int64 fails, never wraps (signed
+  // overflow is undefined behaviour) or traps (INT64_MIN / -1 raised SIGFPE).
+  const std::string kMin = "(-9223372036854775807 - 1)";
+  for (const std::string& expr :
+       {std::string("9223372036854775807 + 1"), kMin + " - 1",
+        std::string("4611686018427387904 * 2"), "-" + kMin, kMin + " / -1",
+        kMin + " * -1", "ABS(" + kMin + ")"}) {
+    auto v = Eval(expr);
+    ASSERT_FALSE(v.ok()) << expr << " = " << v->ToString();
+    EXPECT_EQ(v.status().code(), StatusCode::kOutOfRange) << expr;
+  }
+  EXPECT_EQ(MustEval(kMin).AsInt(), INT64_MIN);
+  EXPECT_EQ(MustEval("9223372036854775806 + 1").AsInt(), INT64_MAX);
+  EXPECT_EQ(MustEval("-9223372036854775807").AsInt(), -INT64_MAX);
+  EXPECT_EQ(MustEval(kMin + " / 1").AsInt(), INT64_MIN);
+  // Every remainder of division by -1 is 0, INT64_MIN's included.
+  EXPECT_EQ(MustEval(kMin + " % -1").AsInt(), 0);
+  EXPECT_EQ(MustEval("7 % -1").AsInt(), 0);
+  EXPECT_EQ(MustEval("-7 % 2").AsInt(), -1);
+}
+
 TEST(ExprEvalTest, StringConcatenationViaPlus) {
   EXPECT_EQ(MustEval("'ab' + 'cd'").AsString(), "abcd");
 }

@@ -664,6 +664,51 @@ TEST_F(MTCacheTest, OneCacheServerTwoBackends) {
   EXPECT_DOUBLE_EQ(stats.remote_cost, 0);
 }
 
+TEST_F(MTCacheTest, OutOfRangeClientTextEndsInStatus) {
+  // Text that used to abort the process (std::out_of_range from the lexer,
+  // SIGFPE from INT64_MIN / -1) or wrap (int64 + - * and unary minus) ends
+  // in a Status on the backend and through the cache, which ships the
+  // arithmetic over its shadow `orders` to the backend; each server then
+  // answers the next statement.
+  const std::string kMin = "(okey + (-9223372036854775807 - 1) - 1)";  // okey 1
+  const std::vector<std::pair<std::string, StatusCode>> cases = {
+      {"SELECT 99999999999999999999", StatusCode::kInvalidArgument},
+      {"SELECT 1e999", StatusCode::kInvalidArgument},
+      {"SELECT okey + 9223372036854775807 FROM orders WHERE okey = 1",
+       StatusCode::kOutOfRange},
+      {"SELECT okey * 9223372036854775807 FROM orders WHERE okey = 2",
+       StatusCode::kOutOfRange},
+      {"SELECT -" + kMin + " FROM orders WHERE okey = 1",
+       StatusCode::kOutOfRange},
+      {"SELECT " + kMin + " / -1 FROM orders WHERE okey = 1",
+       StatusCode::kOutOfRange},
+  };
+  for (Server* server : {&backend_, &cache_}) {
+    SCOPED_TRACE(server->name());
+    for (const auto& [sql, code] : cases) {
+      auto r = server->Execute(sql);
+      ASSERT_FALSE(r.ok()) << sql;
+      EXPECT_EQ(r.status().code(), code) << sql << ": " << r.status().ToString();
+      auto next = server->Execute("SELECT cname FROM customer WHERE cid = 7");
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      EXPECT_EQ(next->rows[0][0].AsString(), "name7");
+    }
+    auto rem = server->Execute("SELECT " + kMin + " % -1 FROM orders "
+                               "WHERE okey = 1");
+    ASSERT_TRUE(rem.ok()) << rem.status().ToString();
+    EXPECT_EQ(rem->rows[0][0].AsInt(), 0);
+    // A SET that overflows fails the UPDATE, sent to the backend or
+    // forwarded by the cache, and the row keeps its value.
+    auto update = server->Execute(
+        "UPDATE orders SET ckey = ckey + 9223372036854775807 WHERE okey = 5");
+    ASSERT_FALSE(update.ok());
+    EXPECT_EQ(update.status().code(), StatusCode::kOutOfRange);
+    auto row = backend_.Execute("SELECT ckey FROM orders WHERE okey = 5");
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->rows[0][0].AsInt(), 6);
+  }
+}
+
 TEST_F(MTCacheTest, RefreshShadowedStatistics) {
   // Backend grows; the shadow stats are stale until refreshed.
   for (int i = 3000; i < 3500; ++i) {

@@ -64,6 +64,23 @@ TEST(LexerTest, FloatExponentForms) {
   EXPECT_EQ((*toks)[4].type, TokenType::kIdent);
 }
 
+TEST(LexerTest, OutOfRangeNumericLiteralsAreParseErrors) {
+  // Literals an int64 or a double cannot hold end in a Status; they used to
+  // throw std::out_of_range out of the lexer, which aborted the process.
+  for (const char* sql : {"SELECT 99999999999999999999",
+                          "SELECT 9223372036854775808", "SELECT 1e999",
+                          "SELECT 1e-999"}) {
+    auto toks = Tokenize(sql);
+    ASSERT_FALSE(toks.ok()) << sql;
+    EXPECT_EQ(toks.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_FALSE(ParseSql(sql).ok()) << sql;
+  }
+  auto max = Tokenize("9223372036854775807 1.7e308");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ((*max)[0].int_val, INT64_MAX);
+  EXPECT_DOUBLE_EQ((*max)[1].float_val, 1.7e308);
+}
+
 TEST(ParserTest, DoubleLiteralUnparseParseRoundTrip) {
   const double cases[] = {0.1234567891, 1e-7, 1e30, 4.0, -2.5e-9};
   for (double d : cases) {

@@ -22,6 +22,20 @@ class StorageTest : public ::testing::Test {
     return Row{Value::Int(id), Value::String(name), Value::Int(qty)};
   }
 
+  // Updates the row at `rid` to `row` through ModifyIfMatches, with a SET
+  // of literals for every column and no WHERE.
+  Status Update(RowId rid, const Row& row, Transaction* txn) {
+    std::vector<std::pair<int, BExprPtr>> sets;
+    for (size_t i = 0; i < row.size(); ++i) {
+      sets.emplace_back(static_cast<int>(i),
+                        std::make_unique<BoundLiteral>(row[i]));
+    }
+    auto change = table_->ModifyIfMatches(rid, nullptr, &sets, {}, txn);
+    if (!change.ok()) return change.status();
+    return change->has_value() ? Status::Ok()
+                               : Status::NotFound("row skipped");
+  }
+
   TableDef def_;
   LogManager log_;
   TransactionManager txn_mgr_;
@@ -71,7 +85,7 @@ TEST_F(StorageTest, DeleteMaintainsIndexes) {
 TEST_F(StorageTest, UpdateMovesIndexEntries) {
   auto txn = txn_mgr_.Begin();
   RowId rid = table_->Insert(MakeRow(1, "old", 1), txn.get()).ConsumeValue();
-  ASSERT_TRUE(table_->Update(rid, MakeRow(1, "new", 2), txn.get()).ok());
+  ASSERT_TRUE(Update(rid, MakeRow(1, "new", 2), txn.get()).ok());
   txn_mgr_.Commit(txn.get(), 0.0);
   // Name index should find "new", not "old".
   Row key = {Value::String("new")};
@@ -100,7 +114,7 @@ TEST_F(StorageTest, RollbackUndoesDeleteAndUpdate) {
 
   auto txn = txn_mgr_.Begin();
   ASSERT_TRUE(table_->Delete(r1, txn.get()).ok());
-  ASSERT_TRUE(table_->Update(r2, MakeRow(2, "bb", 20), txn.get()).ok());
+  ASSERT_TRUE(Update(r2, MakeRow(2, "bb", 20), txn.get()).ok());
   txn_mgr_.Abort(txn.get());
 
   EXPECT_EQ(table_->row_count(), 2);
@@ -127,7 +141,7 @@ TEST_F(StorageTest, WalRecordsInsertWithAfterImage) {
 TEST_F(StorageTest, WalUpdateCarriesBothImages) {
   auto txn = txn_mgr_.Begin();
   RowId rid = table_->Insert(MakeRow(1, "a", 1), txn.get()).ConsumeValue();
-  ASSERT_TRUE(table_->Update(rid, MakeRow(1, "z", 9), txn.get()).ok());
+  ASSERT_TRUE(Update(rid, MakeRow(1, "z", 9), txn.get()).ok());
   txn_mgr_.Commit(txn.get(), 0.0);
   std::vector<LogRecord> recs;
   log_.ReadFrom(0, &recs);

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -202,6 +203,23 @@ TEST(ValueTest, CompareAndHashParity) {
   EXPECT_EQ(Value::TypedNull(TypeId::kString).Compare(Value::Null()), 0);
   EXPECT_NE(empty.Hash(), Value::Null().Hash());
   EXPECT_EQ(Value::TypedNull(TypeId::kString).Hash(), Value::Null().Hash());
+}
+
+TEST(ValueTest, HashOfDoublesOutsideInt64Range) {
+  // A double int64 cannot hold hashes as a double; casting it to int64 to
+  // test for wholeness was undefined behaviour (this suite runs under UBSan).
+  for (double d : {1e300, -1e300, 0x1p63, -0x1p64,
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(Value::Double(d).Hash(), std::hash<double>()(d)) << d;
+  }
+  // Whole doubles inside the range still hash like the equal int, at both
+  // ends of it: -2^63 exactly, and the largest double below 2^63.
+  EXPECT_EQ(Value::Double(-0x1p63).Hash(), Value::Int(INT64_MIN).Hash());
+  EXPECT_EQ(Value::Double(0x1.fffffffffffffp62).Hash(),
+            Value::Int(9223372036854774784LL).Hash());
+  EXPECT_EQ(Value::Double(0.5).Hash(), std::hash<double>()(0.5));
 }
 
 TEST(ValueTest, StringLiteralRoundTripsThroughLexer) {
