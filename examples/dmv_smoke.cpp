@@ -141,6 +141,8 @@ int main() {
        "SELECT COUNT(*) FROM sys.dm_mtcache_views"},
       {"replicated changes",
        "SELECT changes_applied FROM sys.dm_repl_metrics"},
+      {"cached index entries",
+       "SELECT SUM(entries) FROM sys.dm_db_index_stats"},
   };
   bool ok = true;
   for (const Gate& gate : gates) {

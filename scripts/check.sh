@@ -68,6 +68,10 @@
 # here as well: a row freed or its slot reused between an UPDATE's find and
 # its change is read under ASan, and the checked-arithmetic and
 # out-of-range-literal tests (IntegerOverflow, OutOfRange) under UBSan.
+# The B+-tree and storage suites (BPlusTree, Storage) run here too: index
+# keys are Values stored in place in node arrays, so a string key's buffer
+# moves on every insert, split and erase, and a refcount slip is a
+# use-after-free or a leak.
 # The tsan mode runs every test labeled `concurrency` (ctest -L) — the
 # multi-session engine tests, the DMV-read-during-execution tests and the
 # DML find-to-change window tests — plus the threaded bench smoke.
@@ -104,9 +108,9 @@ case "$mode" in
       replication_fault_test mtcache_resync_test property_test \
       replication_test mtcache_test engine_test fleet_test dmv_smoke \
       batch_exec_test exec_test tpcw_test view_maintenance_test value_test \
-      concurrency_test expr_test parser_test
+      concurrency_test expr_test parser_test bptree_test storage_test
     (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|PredicateBatchRandom|ExecTest\.|Tpcw|ViewMaintenance|ValueTest|DmlWindow|RacingUpdatesOfOneRow|RacingDml|IntegerOverflow|OutOfRange')
+      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|PredicateBatchRandom|ExecTest\.|Tpcw|ViewMaintenance|ValueTest|DmlWindow|RacingUpdatesOfOneRow|RacingDml|IntegerOverflow|OutOfRange|BPlusTree|Storage')
     # The DMV walk under ASan: catches lifetime bugs in the virtual-table
     # row materialization that the plain build would miss.
     ./build-asan/examples/dmv_smoke

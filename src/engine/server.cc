@@ -25,6 +25,7 @@ std::string DmlToSql(const Stmt& stmt) {
         sql += (i == 0 ? " (" : ", ") + ins.columns[i];
       }
       if (!ins.columns.empty()) sql += ")";
+      if (ins.select != nullptr) return sql + " " + SelectToSql(*ins.select);
       sql += " VALUES ";
       for (size_t r = 0; r < ins.rows.size(); ++r) {
         sql += r == 0 ? "(" : ", (";
@@ -174,6 +175,7 @@ StatusOr<std::vector<Row>> Server::VirtualTableRows(
   DmvSource src;
   src.metrics = &metrics_;
   src.catalog = &db_.catalog();
+  src.storage = &db_;
   src.workload = &workload_;
   src.now = db_.Now();
   {

@@ -434,12 +434,14 @@ template <typename Visit>
 Status WalkIndexRange(const PhysIndexSeek& op, const StoredTable& table,
                       ExecContext* ctx, int64_t* dead, Visit visit) {
   ctx->Charge(CostModel::kIndexSeekCost);
-  Row prefix;
+  // The equality prefix, then the low bound when there is one.
+  Row seek;
   for (const BExprPtr& e : op.eq_prefix) {
     MT_ASSIGN_OR_RETURN(Value v, EvalBound(*e, nullptr, ctx->Eval()));
     if (v.is_null()) return Status::Ok();  // = NULL matches nothing
-    prefix.push_back(std::move(v));
+    seek.push_back(std::move(v));
   }
+  const size_t prefix_len = seek.size();
   Value hi;
   bool has_hi = false;
   if (op.hi != nullptr) {
@@ -448,12 +450,12 @@ Status WalkIndexRange(const PhysIndexSeek& op, const StoredTable& table,
     hi = std::move(v);
     has_hi = true;
   }
-  Row seek = prefix;
   if (op.lo != nullptr) {
     MT_ASSIGN_OR_RETURN(Value v, EvalBound(*op.lo, nullptr, ctx->Eval()));
     if (v.is_null()) return Status::Ok();
     seek.push_back(std::move(v));
   }
+  const KeyRef prefix(seek.data(), prefix_len);
 
   // The iterator never survives past this latch hold.
   SharedLatchWait latch(table.latch(), WaitSite::kTableLatchShared);
@@ -462,16 +464,15 @@ Status WalkIndexRange(const PhysIndexSeek& op, const StoredTable& table,
   if (op.lo != nullptr) {
     it = op.lo_inclusive ? index.SeekGe(seek) : index.SeekGt(seek);
   } else {
-    it = prefix.empty() ? index.Begin() : index.SeekGe(seek);
+    it = prefix_len == 0 ? index.Begin() : index.SeekGe(seek);
   }
   for (; it.Valid(); it.Next()) {
-    const Row& key = it.key();
+    KeyRef key = it.key();
     // Stop when the equality prefix no longer matches.
-    if (!prefix.empty() && BPlusTree::ComparePrefix(key, prefix) != 0) break;
+    if (prefix_len > 0 && BPlusTree::ComparePrefix(key, prefix) != 0) break;
     if (has_hi) {
-      size_t range_pos = prefix.size();
-      if (range_pos < key.size()) {
-        int c = key[range_pos].Compare(hi);
+      if (prefix_len < key.size()) {
+        int c = key[prefix_len].Compare(hi);
         if (c > 0 || (c == 0 && !op.hi_inclusive)) break;
       }
     }
@@ -836,7 +837,7 @@ class IndexNLJoinExec : public ExecNode {
     const Value& key = (*outer_row_)[op_.outer_key];
     ctx->Charge(CostModel::kIndexSeekCost);
     if (key.is_null()) return;  // NULL keys never match
-    Row seek_key{key};
+    const KeyRef seek_key(&key, 1);
     int64_t entries = 0;
     {
       SharedLatchWait latch(table_->latch(), WaitSite::kTableLatchShared);

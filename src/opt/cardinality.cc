@@ -102,7 +102,21 @@ double EstimateSelectivity(const BoundExpr& pred, const RelStats& stats) {
         if (r->kind == BoundExprKind::kLiteral && cs != nullptr) {
           const auto& lit = static_cast<const BoundLiteral&>(*r);
           if (lit.value.is_null()) return 0.0;
-          return CompareSelectivity(op, *cs, lit.value.AsStatDouble());
+          double x = lit.value.AsStatDouble();
+          // On an integer column a strict bound is the next inclusive one:
+          // x < c is x <= ceil(c) - 1, x > c is x >= floor(c) + 1.
+          bool numeric = lit.value.type() == TypeId::kInt64 ||
+                         lit.value.type() == TypeId::kDouble;
+          if (ref.type == TypeId::kInt64 && numeric) {
+            if (op == BinaryOp::kLt) {
+              op = BinaryOp::kLe;
+              x = std::ceil(x) - 1;
+            } else if (op == BinaryOp::kGt) {
+              op = BinaryOp::kGe;
+              x = std::floor(x) + 1;
+            }
+          }
+          return CompareSelectivity(op, *cs, x);
         }
         // Parameter or computed rhs: defaults.
         if (op == BinaryOp::kEq && cs != nullptr) {

@@ -185,6 +185,61 @@ std::string ExprToSql(const Expr& expr) {
   return "?";
 }
 
+namespace {
+
+std::string TableRefToSql(const TableRef& ref) {
+  std::string out = ref.derived != nullptr
+                        ? "(" + SelectToSql(*ref.derived) + ")"
+                        : (ref.server.empty() ? "" : ref.server + ".") +
+                              ref.name;
+  return ref.alias.empty() ? out : out + " " + ref.alias;
+}
+
+}  // namespace
+
+std::string SelectToSql(const SelectStmt& stmt) {
+  std::string sql = "SELECT ";
+  if (stmt.distinct) sql += "DISTINCT ";
+  if (stmt.top >= 0) sql += "TOP " + std::to_string(stmt.top) + " ";
+  for (size_t i = 0; i < stmt.items.size(); ++i) {
+    const SelectItem& item = stmt.items[i];
+    if (i > 0) sql += ", ";
+    if (i < stmt.into_vars.size() && !stmt.into_vars[i].empty()) {
+      sql += stmt.into_vars[i] + " = ";
+    }
+    if (item.star) {
+      sql += item.star_qualifier.empty() ? "*" : item.star_qualifier + ".*";
+      continue;
+    }
+    sql += ExprToSql(*item.expr);
+    if (!item.alias.empty()) sql += " AS " + item.alias;
+  }
+  for (size_t i = 0; i < stmt.from.size(); ++i) {
+    sql += (i == 0 ? " FROM " : ", ") + TableRefToSql(stmt.from[i]);
+  }
+  for (const JoinClause& join : stmt.joins) {
+    sql += join.kind == JoinKind::kLeftOuter ? " LEFT OUTER JOIN " : " JOIN ";
+    sql += TableRefToSql(join.table) + " ON " + ExprToSql(*join.on);
+  }
+  if (stmt.where != nullptr) sql += " WHERE " + ExprToSql(*stmt.where);
+  for (size_t i = 0; i < stmt.group_by.size(); ++i) {
+    sql += (i == 0 ? " GROUP BY " : ", ") + ExprToSql(*stmt.group_by[i]);
+  }
+  if (stmt.having != nullptr) sql += " HAVING " + ExprToSql(*stmt.having);
+  for (size_t i = 0; i < stmt.order_by.size(); ++i) {
+    sql += (i == 0 ? " ORDER BY " : ", ") + ExprToSql(*stmt.order_by[i].expr);
+    if (stmt.order_by[i].desc) sql += " DESC";
+  }
+  if (stmt.union_next != nullptr) {
+    sql += " UNION ALL " + SelectToSql(*stmt.union_next);
+  }
+  if (stmt.max_staleness >= 0) {
+    sql += " WITH MAXSTALENESS " +
+           Value::Double(stmt.max_staleness).ToSqlLiteral();
+  }
+  return sql;
+}
+
 std::unique_ptr<SelectStmt> CloneSelect(const SelectStmt& stmt) {
   auto out = std::make_unique<SelectStmt>();
   out->distinct = stmt.distinct;

@@ -388,6 +388,10 @@ struct RollbackTxnStmt : Stmt {
 /// Deep copy of a SELECT statement (used when a view definition is reused).
 std::unique_ptr<SelectStmt> CloneSelect(const SelectStmt& stmt);
 
+/// Renders a SELECT back to SQL text that parses to the same statement (the
+/// source query of a forwarded INSERT ... SELECT).
+std::string SelectToSql(const SelectStmt& stmt);
+
 }  // namespace mtcache
 
 #endif  // MTCACHE_SQL_AST_H_

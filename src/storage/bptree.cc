@@ -1,60 +1,57 @@
 #include "storage/bptree.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace mtcache {
 
 struct BPlusTree::Node {
   bool leaf = true;
-  // Internal: keys are separators; children.size() == keys.size() + 1 and
-  // keys[i] is the smallest (key,rid) entry under children[i+1].
-  // Leaf: keys[i]/rids[i] are the entries.
-  std::vector<Row> keys;
-  std::vector<RowId> rids;  // parallel to keys (leaf entries or separators)
+  // Entry i: key cells keys[i*width, (i+1)*width) and rowid rids[i].
+  // Leaf: the entries. Internal: the separators; children.size() ==
+  // count() + 1 and separator i is the smallest (key, rid) entry under
+  // children[i+1].
+  std::vector<Value> keys;
+  std::vector<RowId> rids;
   std::vector<std::unique_ptr<Node>> children;
   Node* next = nullptr;  // leaf chain
+
+  int count() const { return static_cast<int>(rids.size()); }
 };
 
 namespace {
 
-// Full-entry comparison: lexicographic over columns then rowid.
-int CompareEntry(const Row& a, RowId arid, const Row& b, RowId brid) {
-  size_t n = a.size() < b.size() ? a.size() : b.size();
-  for (size_t i = 0; i < n; ++i) {
-    int c = a[i].Compare(b[i]);
-    if (c != 0) return c;
-  }
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  if (arid != brid) return arid < brid ? -1 : 1;
-  return 0;
+using Node = BPlusTree::Node;
+
+constexpr size_t kMaxEntries = BPlusTree::kFanout + 1;  // a node splits here
+
+KeyRef KeyAt(const Node& node, int width, int i) {
+  return KeyRef(node.keys.data() + static_cast<size_t>(i) * width, width);
 }
 
-}  // namespace
-
-int BPlusTree::ComparePrefix(const Row& a, const Row& b) {
-  size_t n = a.size() < b.size() ? a.size() : b.size();
-  for (size_t i = 0; i < n; ++i) {
-    int c = a[i].Compare(b[i]);
-    if (c != 0) return c;
-  }
-  return 0;
+std::vector<Value>::iterator CellAt(Node* node, int width, int i) {
+  return node->keys.begin() + static_cast<ptrdiff_t>(i) * width;
 }
 
-BPlusTree::BPlusTree() : root_(std::make_unique<Node>()) {}
-BPlusTree::~BPlusTree() = default;
-BPlusTree::BPlusTree(BPlusTree&&) noexcept = default;
-BPlusTree& BPlusTree::operator=(BPlusTree&&) noexcept = default;
+// Full-entry comparison: the key's cells, then the rowid.
+int CompareEntry(const Node& node, int width, int i, KeyRef key, RowId rid) {
+  int c = BPlusTree::ComparePrefix(KeyAt(node, width, i), key);
+  if (c != 0) return c;
+  RowId r = node.rids[i];
+  return r < rid ? -1 : (r > rid ? 1 : 0);
+}
 
-namespace {
-
-// Finds the child index to descend into for an entry (key, rid).
-int ChildIndex(const BPlusTree::Node& node, const Row& key, RowId rid) {
+// Number of entries of `node` ordered before (key, rid), or with `or_equal`
+// at or before it.
+int EntryRank(const Node& node, int width, KeyRef key, RowId rid,
+              bool or_equal) {
   int lo = 0;
-  int hi = static_cast<int>(node.keys.size());
-  // First separator strictly greater than the entry -> descend left of it.
+  int hi = node.count();
   while (lo < hi) {
     int mid = (lo + hi) / 2;
-    if (CompareEntry(node.keys[mid], node.rids[mid], key, rid) <= 0) {
+    int c = CompareEntry(node, width, mid, key, rid);
+    if (c < 0 || (or_equal && c == 0)) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -63,83 +60,132 @@ int ChildIndex(const BPlusTree::Node& node, const Row& key, RowId rid) {
   return lo;
 }
 
+// Number of entries of `node` whose key prefix orders before `key`, or with
+// `or_equal` at or before it.
+int PrefixRank(const Node& node, int width, KeyRef key, bool or_equal) {
+  int lo = 0;
+  int hi = node.count();
+  while (lo < hi) {
+    int mid = (lo + hi) / 2;
+    int c = BPlusTree::ComparePrefix(KeyAt(node, width, mid), key);
+    if (c < 0 || (or_equal && c == 0)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+// Makes room for `add` more elements, growing by half the current size (at
+// least `add`) but never past `max`.
+template <typename T>
+void Reserve(std::vector<T>* v, size_t add, size_t max) {
+  if (v->size() + add <= v->capacity()) return;
+  v->reserve(std::min(max, v->size() + std::max(add, v->size() / 2)));
+}
+
+// Drops the elements from `n` on and releases the spare capacity.
+template <typename T>
+void Trim(std::vector<T>* v, size_t n) {
+  v->erase(v->begin() + static_cast<ptrdiff_t>(n), v->end());
+  v->shrink_to_fit();
+}
+
+// Inserts a copy of (key, rid) as entry `pos`.
+void InsertEntry(Node* node, int width, int pos, KeyRef key, RowId rid) {
+  Reserve(&node->keys, width, kMaxEntries * width);
+  Reserve(&node->rids, 1, kMaxEntries);
+  node->keys.insert(CellAt(node, width, pos), key.begin(), key.end());
+  node->rids.insert(node->rids.begin() + pos, rid);
+}
+
 struct SplitResult {
   bool split = false;
   Row sep_key;
   RowId sep_rid = 0;
-  std::unique_ptr<BPlusTree::Node> right;
+  std::unique_ptr<Node> right;
 };
 
-SplitResult InsertRec(BPlusTree::Node* node, const Row& key, RowId rid) {
+SplitResult InsertRec(Node* node, int width, KeyRef key, RowId rid) {
   if (node->leaf) {
-    // Position for insertion (keep sorted by (key, rid)).
-    int lo = 0;
-    int hi = static_cast<int>(node->keys.size());
-    while (lo < hi) {
-      int mid = (lo + hi) / 2;
-      if (CompareEntry(node->keys[mid], node->rids[mid], key, rid) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    node->keys.insert(node->keys.begin() + lo, key);
-    node->rids.insert(node->rids.begin() + lo, rid);
+    // Keep the leaf sorted by (key, rid).
+    InsertEntry(node, width, EntryRank(*node, width, key, rid, false), key,
+                rid);
   } else {
-    int ci = ChildIndex(*node, key, rid);
-    SplitResult child_split = InsertRec(node->children[ci].get(), key, rid);
-    if (child_split.split) {
-      node->keys.insert(node->keys.begin() + ci, std::move(child_split.sep_key));
-      node->rids.insert(node->rids.begin() + ci, child_split.sep_rid);
+    // Descend left of the first separator greater than the entry.
+    int ci = EntryRank(*node, width, key, rid, true);
+    SplitResult child = InsertRec(node->children[ci].get(), width, key, rid);
+    if (child.split) {
+      InsertEntry(node, width, ci, child.sep_key, child.sep_rid);
+      Reserve(&node->children, 1, kMaxEntries + 1);
       node->children.insert(node->children.begin() + ci + 1,
-                            std::move(child_split.right));
+                            std::move(child.right));
     }
   }
 
   SplitResult result;
-  if (static_cast<int>(node->keys.size()) <= BPlusTree::kFanout) return result;
+  if (node->count() <= BPlusTree::kFanout) return result;
 
-  // Split the node in half.
-  int mid = static_cast<int>(node->keys.size()) / 2;
-  auto right = std::make_unique<BPlusTree::Node>();
+  // Split the node in half; each half keeps exactly the capacity it fills.
+  int mid = node->count() / 2;
+  auto right = std::make_unique<Node>();
   right->leaf = node->leaf;
   if (node->leaf) {
-    right->keys.assign(node->keys.begin() + mid, node->keys.end());
+    right->keys.assign(std::make_move_iterator(CellAt(node, width, mid)),
+                       std::make_move_iterator(node->keys.end()));
     right->rids.assign(node->rids.begin() + mid, node->rids.end());
-    node->keys.resize(mid);
-    node->rids.resize(mid);
     right->next = node->next;
     node->next = right.get();
-    result.sep_key = right->keys.front();
+    result.sep_key.assign(right->keys.begin(), right->keys.begin() + width);
     result.sep_rid = right->rids.front();
   } else {
     // Separator at `mid` moves up.
-    result.sep_key = std::move(node->keys[mid]);
+    result.sep_key.assign(std::make_move_iterator(CellAt(node, width, mid)),
+                          std::make_move_iterator(CellAt(node, width, mid + 1)));
     result.sep_rid = node->rids[mid];
-    right->keys.assign(std::make_move_iterator(node->keys.begin() + mid + 1),
+    right->keys.assign(std::make_move_iterator(CellAt(node, width, mid + 1)),
                        std::make_move_iterator(node->keys.end()));
     right->rids.assign(node->rids.begin() + mid + 1, node->rids.end());
-    for (size_t i = mid + 1; i < node->children.size(); ++i) {
-      right->children.push_back(std::move(node->children[i]));
-    }
-    node->keys.resize(mid);
-    node->rids.resize(mid);
-    node->children.resize(mid + 1);
+    right->children.assign(
+        std::make_move_iterator(node->children.begin() + mid + 1),
+        std::make_move_iterator(node->children.end()));
+    Trim(&node->children, mid + 1);
   }
+  Trim(&node->keys, static_cast<size_t>(mid) * width);
+  Trim(&node->rids, mid);
   result.split = true;
   result.right = std::move(right);
   return result;
 }
 
+void AddShape(const Node& node, int64_t depth, BPlusTree::Shape* shape) {
+  shape->height = std::max(shape->height, depth);
+  ++(node.leaf ? shape->leaf_nodes : shape->inner_nodes);
+  shape->bytes += static_cast<int64_t>(
+      sizeof(Node) + node.keys.capacity() * sizeof(Value) +
+      node.rids.capacity() * sizeof(RowId) +
+      node.children.capacity() * sizeof(std::unique_ptr<Node>));
+  for (const auto& child : node.children) AddShape(*child, depth + 1, shape);
+}
+
 }  // namespace
 
-void BPlusTree::Insert(const Row& key, RowId rid) {
-  SplitResult split = InsertRec(root_.get(), key, rid);
+BPlusTree::BPlusTree(int width)
+    : width_(width), root_(std::make_unique<Node>()) {}
+BPlusTree::~BPlusTree() = default;
+BPlusTree::BPlusTree(BPlusTree&&) noexcept = default;
+BPlusTree& BPlusTree::operator=(BPlusTree&&) noexcept = default;
+
+void BPlusTree::Insert(KeyRef key, RowId rid) {
+  assert(static_cast<int>(key.size()) == width_);
+  SplitResult split = InsertRec(root_.get(), width_, key, rid);
   if (split.split) {
     auto new_root = std::make_unique<Node>();
     new_root->leaf = false;
-    new_root->keys.push_back(std::move(split.sep_key));
+    new_root->keys = std::move(split.sep_key);
     new_root->rids.push_back(split.sep_rid);
+    new_root->children.reserve(2);
     new_root->children.push_back(std::move(root_));
     new_root->children.push_back(std::move(split.right));
     root_ = std::move(new_root);
@@ -147,28 +193,34 @@ void BPlusTree::Insert(const Row& key, RowId rid) {
   ++size_;
 }
 
-bool BPlusTree::Erase(const Row& key, RowId rid) {
+bool BPlusTree::Erase(KeyRef key, RowId rid) {
+  assert(static_cast<int>(key.size()) == width_);
   Node* node = root_.get();
   while (!node->leaf) {
-    node = node->children[ChildIndex(*node, key, rid)].get();
+    node = node->children[EntryRank(*node, width_, key, rid, true)].get();
   }
-  for (size_t i = 0; i < node->keys.size(); ++i) {
-    if (CompareEntry(node->keys[i], node->rids[i], key, rid) == 0) {
-      node->keys.erase(node->keys.begin() + i);
-      node->rids.erase(node->rids.begin() + i);
-      --size_;
-      return true;
-    }
+  int pos = EntryRank(*node, width_, key, rid, false);
+  if (pos == node->count() || CompareEntry(*node, width_, pos, key, rid) != 0) {
+    return false;
   }
-  return false;
+  node->keys.erase(CellAt(node, width_, pos), CellAt(node, width_, pos + 1));
+  node->rids.erase(node->rids.begin() + pos);
+  --size_;
+  return true;
 }
 
-const Row& BPlusTree::Iterator::key() const { return node_->keys[pos_]; }
+KeyRef BPlusTree::Iterator::key() const {
+  return KeyAt(*node_, width_, pos_);
+}
 RowId BPlusTree::Iterator::rowid() const { return node_->rids[pos_]; }
 
 void BPlusTree::Iterator::Next() {
   ++pos_;
-  while (node_ != nullptr && pos_ >= static_cast<int>(node_->keys.size())) {
+  SkipExhausted();
+}
+
+void BPlusTree::Iterator::SkipExhausted() {
+  while (node_ != nullptr && pos_ >= node_->count()) {
     node_ = node_->next;
     pos_ = 0;
   }
@@ -179,67 +231,40 @@ BPlusTree::Iterator BPlusTree::Begin() const {
   while (!node->leaf) node = node->children.front().get();
   Iterator it;
   it.node_ = const_cast<Node*>(node);
-  it.pos_ = -1;
-  it.Next();
+  it.width_ = width_;
+  it.SkipExhausted();
   return it;
 }
 
-BPlusTree::Iterator BPlusTree::SeekGe(const Row& key) const {
+BPlusTree::Iterator BPlusTree::SeekGe(KeyRef key) const {
+  return Seek(key, false);
+}
+
+BPlusTree::Iterator BPlusTree::SeekGt(KeyRef key) const {
+  return Seek(key, true);
+}
+
+// Every entry past the leaf reached is at or above the separator that bounds
+// it, so the first qualifying entry is in that leaf or first in the next
+// non-empty one.
+BPlusTree::Iterator BPlusTree::Seek(KeyRef key, bool strict) const {
   const Node* node = root_.get();
   while (!node->leaf) {
-    int lo = 0;
-    int hi = static_cast<int>(node->keys.size());
-    while (lo < hi) {
-      int mid = (lo + hi) / 2;
-      if (ComparePrefix(node->keys[mid], key) >= 0) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    node = node->children[lo].get();
+    node = node->children[PrefixRank(*node, width_, key, strict)].get();
   }
   Iterator it;
-  while (node != nullptr) {
-    for (size_t i = 0; i < node->keys.size(); ++i) {
-      if (ComparePrefix(node->keys[i], key) >= 0) {
-        it.node_ = const_cast<Node*>(node);
-        it.pos_ = static_cast<int>(i);
-        return it;
-      }
-    }
-    node = node->next;
-  }
+  it.node_ = const_cast<Node*>(node);
+  it.pos_ = PrefixRank(*node, width_, key, strict);
+  it.width_ = width_;
+  it.SkipExhausted();
   return it;
 }
 
-BPlusTree::Iterator BPlusTree::SeekGt(const Row& key) const {
-  const Node* node = root_.get();
-  while (!node->leaf) {
-    int lo = 0;
-    int hi = static_cast<int>(node->keys.size());
-    while (lo < hi) {
-      int mid = (lo + hi) / 2;
-      if (ComparePrefix(node->keys[mid], key) > 0) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    node = node->children[lo].get();
-  }
-  Iterator it;
-  while (node != nullptr) {
-    for (size_t i = 0; i < node->keys.size(); ++i) {
-      if (ComparePrefix(node->keys[i], key) > 0) {
-        it.node_ = const_cast<Node*>(node);
-        it.pos_ = static_cast<int>(i);
-        return it;
-      }
-    }
-    node = node->next;
-  }
-  return it;
+BPlusTree::Shape BPlusTree::ComputeShape() const {
+  Shape shape;
+  shape.entries = size_;
+  if (root_ != nullptr) AddShape(*root_, 1, &shape);
+  return shape;
 }
 
 }  // namespace mtcache

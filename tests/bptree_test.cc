@@ -1,6 +1,10 @@
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -16,14 +20,14 @@ Row K2(int64_t a, const std::string& b) {
 }
 
 TEST(BPlusTreeTest, EmptyTreeIteration) {
-  BPlusTree tree;
+  BPlusTree tree(1);
   EXPECT_EQ(tree.size(), 0);
   EXPECT_FALSE(tree.Begin().Valid());
   EXPECT_FALSE(tree.SeekGe(K(0)).Valid());
 }
 
 TEST(BPlusTreeTest, InsertAndIterateInOrder) {
-  BPlusTree tree;
+  BPlusTree tree(1);
   for (int64_t v : {5, 1, 9, 3, 7}) tree.Insert(K(v), v * 10);
   std::vector<int64_t> keys;
   for (auto it = tree.Begin(); it.Valid(); it.Next()) {
@@ -34,7 +38,7 @@ TEST(BPlusTreeTest, InsertAndIterateInOrder) {
 }
 
 TEST(BPlusTreeTest, DuplicateKeysAllBothRetained) {
-  BPlusTree tree;
+  BPlusTree tree(1);
   tree.Insert(K(4), 1);
   tree.Insert(K(4), 2);
   tree.Insert(K(4), 3);
@@ -48,7 +52,7 @@ TEST(BPlusTreeTest, DuplicateKeysAllBothRetained) {
 }
 
 TEST(BPlusTreeTest, SeekGeLandsOnFirstQualifying) {
-  BPlusTree tree;
+  BPlusTree tree(1);
   for (int64_t v = 0; v < 100; v += 2) tree.Insert(K(v), v);
   auto it = tree.SeekGe(K(31));
   ASSERT_TRUE(it.Valid());
@@ -59,7 +63,7 @@ TEST(BPlusTreeTest, SeekGeLandsOnFirstQualifying) {
 }
 
 TEST(BPlusTreeTest, SeekGtSkipsEqual) {
-  BPlusTree tree;
+  BPlusTree tree(1);
   for (int64_t v = 0; v < 100; v += 2) tree.Insert(K(v), v);
   auto it = tree.SeekGt(K(32));
   ASSERT_TRUE(it.Valid());
@@ -67,14 +71,14 @@ TEST(BPlusTreeTest, SeekGtSkipsEqual) {
 }
 
 TEST(BPlusTreeTest, SeekPastEndInvalid) {
-  BPlusTree tree;
+  BPlusTree tree(1);
   tree.Insert(K(1), 1);
   EXPECT_FALSE(tree.SeekGe(K(2)).Valid());
   EXPECT_FALSE(tree.SeekGt(K(1)).Valid());
 }
 
 TEST(BPlusTreeTest, EraseRemovesOnlyMatchingRid) {
-  BPlusTree tree;
+  BPlusTree tree(1);
   tree.Insert(K(4), 1);
   tree.Insert(K(4), 2);
   EXPECT_TRUE(tree.Erase(K(4), 1));
@@ -86,7 +90,7 @@ TEST(BPlusTreeTest, EraseRemovesOnlyMatchingRid) {
 }
 
 TEST(BPlusTreeTest, CompositeKeyPrefixSeek) {
-  BPlusTree tree;
+  BPlusTree tree(2);
   tree.Insert(K2(1, "a"), 1);
   tree.Insert(K2(1, "b"), 2);
   tree.Insert(K2(2, "a"), 3);
@@ -101,7 +105,7 @@ TEST(BPlusTreeTest, CompositeKeyPrefixSeek) {
 }
 
 TEST(BPlusTreeTest, LargeRandomInsertEraseMatchesReferenceModel) {
-  BPlusTree tree;
+  BPlusTree tree(1);
   std::multimap<int64_t, RowId> model;
   Random rng(42);
   for (int i = 0; i < 20000; ++i) {
@@ -143,7 +147,7 @@ TEST(BPlusTreeTest, LargeRandomInsertEraseMatchesReferenceModel) {
 }
 
 TEST(BPlusTreeTest, SequentialInsertDepthStressAndFullScan) {
-  BPlusTree tree;
+  BPlusTree tree(1);
   const int64_t n = 50000;
   for (int64_t v = 0; v < n; ++v) tree.Insert(K(v), v);
   EXPECT_EQ(tree.size(), n);
@@ -156,6 +160,133 @@ TEST(BPlusTreeTest, SequentialInsertDepthStressAndFullScan) {
   auto it = tree.SeekGe(K(n / 2));
   ASSERT_TRUE(it.Valid());
   EXPECT_EQ(it.key()[0].AsInt(), n / 2);
+}
+
+// Differential check against an ordered reference model over (int, string)
+// keys with duplicates: random inserts and erases, prefix SeekGe/SeekGt on
+// one and on both columns, a key range erased whole (emptying leaves, which
+// are not rebalanced away) and filled again, and full-order walks.
+TEST(BPlusTreeTest, IntStringKeysMatchOrderedModel) {
+  using Entry = std::tuple<int64_t, std::string, RowId>;
+  BPlusTree tree(2);
+  std::set<Entry> model;
+  Random rng(2024);
+  RowId next_rid = 0;
+  auto random_key = [&rng]() {
+    return std::make_pair(rng.Uniform(0, 99),
+                          "s" + std::to_string(rng.Uniform(0, 30)));
+  };
+  auto insert = [&](int64_t a, const std::string& b) {
+    RowId rid = next_rid++;
+    tree.Insert(K2(a, b), rid);
+    model.emplace(a, b, rid);
+  };
+  auto check_order = [&]() {
+    ASSERT_EQ(tree.size(), static_cast<int64_t>(model.size()));
+    auto it = tree.Begin();
+    for (const auto& [a, b, rid] : model) {
+      ASSERT_TRUE(it.Valid());
+      ASSERT_EQ(it.key().size(), 2u);
+      ASSERT_EQ(it.key()[0].AsInt(), a);
+      ASSERT_EQ(it.key()[1].AsString(), b);
+      ASSERT_EQ(it.rowid(), rid);
+      it.Next();
+    }
+    EXPECT_FALSE(it.Valid());
+  };
+  // The tree iterator must walk the model from `from` for a few entries.
+  auto expect_at = [&](BPlusTree::Iterator it, std::set<Entry>::iterator from,
+                       const std::string& what) {
+    for (int step = 0; step < 3; ++step, ++from, it.Next()) {
+      if (from == model.end()) {
+        EXPECT_FALSE(it.Valid()) << what;
+        return;
+      }
+      ASSERT_TRUE(it.Valid()) << what;
+      EXPECT_EQ(it.key()[0].AsInt(), std::get<0>(*from)) << what;
+      EXPECT_EQ(it.key()[1].AsString(), std::get<1>(*from)) << what;
+      EXPECT_EQ(it.rowid(), std::get<2>(*from)) << what;
+    }
+  };
+  auto check_seeks = [&]() {
+    for (int probe = 0; probe < 50; ++probe) {
+      auto [a, b] = random_key();
+      constexpr RowId kMin = std::numeric_limits<RowId>::min();
+      expect_at(tree.SeekGe(K(a)), model.lower_bound({a, "", kMin}),
+                "SeekGe " + std::to_string(a));
+      expect_at(tree.SeekGt(K(a)), model.lower_bound({a + 1, "", kMin}),
+                "SeekGt " + std::to_string(a));
+      expect_at(tree.SeekGe(K2(a, b)), model.lower_bound({a, b, kMin}),
+                "SeekGe " + std::to_string(a) + "," + b);
+      // The least string above b is b followed by a NUL.
+      expect_at(tree.SeekGt(K2(a, b)),
+                model.lower_bound({a, b + std::string(1, '\0'), kMin}),
+                "SeekGt " + std::to_string(a) + "," + b);
+    }
+  };
+
+  for (int i = 0; i < 8000; ++i) {
+    if (rng.Bernoulli(0.65) || model.empty()) {
+      auto [a, b] = random_key();
+      insert(a, b);
+    } else {
+      auto [a, b] = random_key();
+      auto mit = model.lower_bound({a, b, 0});
+      if (mit == model.end()) mit = model.begin();
+      const auto& [ea, eb, erid] = *mit;
+      ASSERT_TRUE(tree.Erase(K2(ea, eb), erid));
+      EXPECT_FALSE(tree.Erase(K2(ea, eb), erid));
+      model.erase(mit);
+    }
+    if (i % 2000 == 1999) {
+      check_order();
+      check_seeks();
+    }
+  }
+
+  // Erase every entry with 20 <= a < 60: whole leaves go empty.
+  auto lo = model.lower_bound({20, "", std::numeric_limits<RowId>::min()});
+  auto hi = model.lower_bound({60, "", std::numeric_limits<RowId>::min()});
+  ASSERT_GT(std::distance(lo, hi), 4 * BPlusTree::kFanout);
+  for (auto mit = lo; mit != hi;) {
+    ASSERT_TRUE(tree.Erase(K2(std::get<0>(*mit), std::get<1>(*mit)),
+                           std::get<2>(*mit)));
+    mit = model.erase(mit);
+  }
+  check_order();
+  check_seeks();
+  auto it = tree.SeekGe(K(20));
+  ASSERT_TRUE(it.Valid());
+  EXPECT_GE(it.key()[0].AsInt(), 60);
+
+  // Fill the emptied range again.
+  for (int i = 0; i < 1500; ++i) {
+    insert(rng.Uniform(20, 59), "s" + std::to_string(rng.Uniform(0, 30)));
+  }
+  check_order();
+  check_seeks();
+
+  BPlusTree::Shape shape = tree.ComputeShape();
+  EXPECT_EQ(shape.entries, static_cast<int64_t>(model.size()));
+  EXPECT_GE(shape.height, 2);
+  EXPECT_GE(shape.leaf_nodes * (BPlusTree::kFanout + 1), shape.entries);
+  EXPECT_GT(shape.inner_nodes, 0);
+  EXPECT_GT(shape.bytes, shape.entries * 2 * static_cast<int64_t>(sizeof(Value)));
+}
+
+TEST(BPlusTreeTest, ShapeCountsNodeArraysOfASequentialBuild) {
+  BPlusTree tree(1);
+  EXPECT_EQ(tree.ComputeShape().height, 1);
+  EXPECT_EQ(tree.ComputeShape().leaf_nodes, 1);
+  const int64_t n = 10000;
+  for (int64_t v = 0; v < n; ++v) tree.Insert(K(v), v);
+  BPlusTree::Shape shape = tree.ComputeShape();
+  EXPECT_EQ(shape.entries, n);
+  EXPECT_EQ(shape.height, 3);
+  // A split leaves each half's arrays at the size they hold: a sequential
+  // build stores one 16-byte cell and one rowid per entry, plus node headers
+  // and the half-full rightmost nodes.
+  EXPECT_LE(static_cast<double>(shape.bytes) / n, 16 + 8 + 6);
 }
 
 }  // namespace

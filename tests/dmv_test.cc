@@ -509,6 +509,14 @@ TEST_F(DmvTest, GoldenSchemas) {
                 {"upper_bound", D},
                 {"rows_fraction", D},
                 {"est_rows", D}});
+  ExpectSchema(&server_, "dm_db_index_stats",
+               {{"table_name", S},
+                {"index_name", S},
+                {"entries", I},
+                {"height", I},
+                {"leaf_nodes", I},
+                {"inner_nodes", I},
+                {"bytes", I}});
   ExpectSchema(&server_, "dm_workload_snapshots",
                {{"slice_id", I},
                 {"captured_at", D},
@@ -578,6 +586,72 @@ TEST_F(DmvTest, ColumnHistogramsExposeStatsBuckets) {
     EXPECT_DOUBLE_EQ(DoubleCol(*r, "rows_fraction", b), 1.0 / 32);
     EXPECT_DOUBLE_EQ(DoubleCol(*r, "est_rows", b), 200.0 / 32);
   }
+}
+
+TEST_F(DmvTest, IndexStatsReportEveryStoredIndex) {
+  ASSERT_TRUE(server_.ExecuteScript("CREATE INDEX t_x ON t (x)").ok());
+  auto read = [this]() {
+    auto r = server_.Execute(
+        "SELECT * FROM sys.dm_db_index_stats WHERE table_name = 't'");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? *r : QueryResult{};
+  };
+  QueryResult r = read();
+  ASSERT_EQ(r.rows.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(IntCol(r, "entries", i), 20);
+    EXPECT_EQ(IntCol(r, "height", i), 1);
+    EXPECT_EQ(IntCol(r, "leaf_nodes", i), 1);
+    EXPECT_EQ(IntCol(r, "inner_nodes", i), 0);
+    // One 16-byte cell and one 8-byte rowid per entry at least.
+    EXPECT_GE(IntCol(r, "bytes", i), 20 * 24);
+  }
+  for (int i = 21; i <= 200; ++i) {
+    ASSERT_TRUE(server_
+                    .ExecuteScript("INSERT INTO t VALUES (" +
+                                   std::to_string(i) + ", 1.5)")
+                    .ok());
+  }
+  ASSERT_TRUE(server_.ExecuteScript("DELETE FROM t WHERE id > 190").ok());
+  r = read();
+  ASSERT_EQ(r.rows.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(IntCol(r, "entries", i), 190);
+    EXPECT_EQ(IntCol(r, "height", i), 2);
+    EXPECT_GE(IntCol(r, "leaf_nodes", i), 3);
+    EXPECT_EQ(IntCol(r, "inner_nodes", i), 1);
+  }
+  // Stored tables only: the DMVs themselves have no indexes.
+  auto all = server_.Execute("SELECT COUNT(*) FROM sys.dm_db_index_stats");
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->rows[0][0].AsInt(), 2);
+}
+
+TEST_F(DmvTest, IndexStatsReadableWhileRowsAreInserted) {
+  std::atomic<bool> failed{false};
+  std::thread writer([this, &failed] {
+    for (int i = 21; i <= 400 && !failed.load(); ++i) {
+      if (!server_
+               .ExecuteScript("INSERT INTO t VALUES (" + std::to_string(i) +
+                              ", 2.5)")
+               .ok()) {
+        failed.store(true);
+      }
+    }
+  });
+  int64_t last = 0;
+  for (int i = 0; i < 50; ++i) {
+    auto r = server_.Execute(
+        "SELECT entries FROM sys.dm_db_index_stats WHERE index_name = 't_pk'");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u);
+    int64_t entries = r->rows[0][0].AsInt();
+    EXPECT_GE(entries, last);
+    EXPECT_LE(entries, 400);
+    last = entries;
+  }
+  writer.join();
+  EXPECT_FALSE(failed.load());
 }
 
 TEST_F(DmvTest, EntriesDroppedSurfacesRingEviction) {

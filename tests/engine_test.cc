@@ -145,7 +145,7 @@ TEST_F(EngineTest, EstimatedCostEqualsChargedCost) {
   // UPDATE and DELETE run the plan EXPLAIN shows: an index seek on t itself
   // (never the matching t_low), charged as estimated, plus per changed row
   // its write, t's one index and the upkeep of t's two views. The range's
-  // histogram estimate is 11.46 rows for the 10 it finds, so its estimate is
+  // histogram estimate is 10.42 rows for the 10 it finds, so its estimate is
   // compared at the actual row count (the point seeks estimate 1 exactly).
   const double upkeep =
       CostModel::kIndexMaintRowCost + 2 * CostModel::kApplyRecordCost;

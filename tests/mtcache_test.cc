@@ -240,6 +240,52 @@ TEST_F(MTCacheTest, InsertAndDeleteForwardedToBackend) {
   EXPECT_EQ((*r).rows[0][0].AsInt(), 2000);
 }
 
+TEST_F(MTCacheTest, InsertSelectIntoShadowTableShipsItsQuery) {
+  // Ad-hoc text: the cache forwards the whole statement, source query
+  // included (with a join, an alias, ORDER BY and a parameter), and the
+  // backend reads the source rows itself.
+  ParamMap params;
+  params["@n"] = Value::Int(3);
+  auto ins = cache_.Execute(
+      "INSERT INTO orders (okey, ckey, odate, total) "
+      "SELECT c.cid + 5000, c.cid, o.odate, o.total * 2 FROM customer c "
+      "JOIN orders o ON o.okey = c.cid WHERE c.cid <= @n ORDER BY c.cid DESC",
+      params, nullptr);
+  ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+  EXPECT_EQ(ins->rows_affected, 3);
+  auto r = backend_.Execute(
+      "SELECT okey, ckey, odate, total FROM orders WHERE okey > 5000 "
+      "ORDER BY okey");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 3u);
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r->rows[i][0].AsInt(), 5001 + i);
+    EXPECT_EQ(r->rows[i][1].AsInt(), 1 + i);
+    EXPECT_EQ(r->rows[i][2].AsInt(), 10001 + i);
+    EXPECT_DOUBLE_EQ(r->rows[i][3].AsDouble(), 2.0 * (1 + i));
+  }
+
+  // A statement of a procedure copied to the cache forwards the same way,
+  // with the procedure's parameter bound at the backend.
+  ASSERT_TRUE(backend_
+                  .ExecuteScript(
+                      "CREATE PROCEDURE copy_orders(@lo INT) AS BEGIN "
+                      "INSERT INTO orders SELECT okey + 6000, ckey, odate, "
+                      "total FROM orders WHERE okey >= @lo AND okey < @lo + 2 "
+                      "END")
+                  .ok());
+  ASSERT_TRUE(mtcache_->CopyProcedure("copy_orders").ok());
+  auto call = cache_.CallProcedure("copy_orders", {Value::Int(10)}, nullptr);
+  ASSERT_TRUE(call.ok()) << call.status().ToString();
+  r = backend_.Execute(
+      "SELECT okey, ckey FROM orders WHERE okey > 6000 ORDER BY okey");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 2u);
+  EXPECT_EQ(r->rows[0][0].AsInt(), 6010);
+  EXPECT_EQ(r->rows[0][1].AsInt(), 11);
+  EXPECT_EQ(r->rows[1][0].AsInt(), 6011);
+}
+
 TEST_F(MTCacheTest, ProcedureForwardedWhenNotCopied) {
   ASSERT_TRUE(backend_
                   .ExecuteScript(

@@ -473,5 +473,39 @@ TEST_F(OptimizerTest, OuterJoinPredicateNotPushedToNullSide) {
   EXPECT_LT(null_pos, join_pos) << text;
 }
 
+
+// On an integer column a strict bound selects what the next inclusive bound
+// does, so it must estimate the same rows (over unique ids 0..199 with fresh
+// statistics, `id < 10` once estimated `id <= 10`'s 11.46 rows against
+// `id <= 9`'s 10.42).
+TEST(StrictRangeTest, StrictBoundOnAnIntegerColumnIsTheNextInclusiveBound) {
+  SimClock clock;
+  Server server(ServerOptions{"backend", "dbo", {}}, &clock);
+  ASSERT_TRUE(server.ExecuteScript("CREATE TABLE t (id INT PRIMARY KEY, "
+                                   "val INT, score FLOAT)")
+                  .ok());
+  std::string insert = "INSERT INTO t VALUES ";
+  for (int i = 0; i < 200; ++i) {
+    if (i > 0) insert += ", ";
+    insert += "(" + std::to_string(i) + ", " + std::to_string(i * 3) + ", " +
+              std::to_string(i) + ".0)";
+  }
+  ASSERT_TRUE(server.Execute(insert).ok());
+  server.RecomputeStats();
+  auto rows = [&server](const std::string& where) {
+    auto plan = server.Explain("SELECT * FROM t WHERE " + where);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() ? plan->est_rows : -1;
+  };
+  EXPECT_DOUBLE_EQ(rows("id < 10"), rows("id <= 9"));
+  EXPECT_DOUBLE_EQ(rows("id > 189"), rows("id >= 190"));
+  EXPECT_DOUBLE_EQ(rows("10 > id"), rows("id <= 9"));
+  EXPECT_DOUBLE_EQ(rows("id < 9.5"), rows("id <= 9"));
+  EXPECT_LT(rows("id < 10"), rows("id <= 10"));
+  EXPECT_LT(rows("id > 189"), rows("id >= 189"));
+  // A FLOAT column keeps the strict bound as written.
+  EXPECT_DOUBLE_EQ(rows("score < 10"), rows("score <= 10"));
+}
+
 }  // namespace
 }  // namespace mtcache
