@@ -5,10 +5,17 @@
 // histogram/wait-stats DMVs must be live. Exits non-zero on any violated
 // assertion, so scripts/check.sh uses it as the `profile` regression gate.
 //
+// Last, the cost audit: TPC-W shopping interactions run with profiling on,
+// their operators must have charged cost units, and a table of each
+// operator kind's self microseconds per unit (inclusive minus children,
+// from sys.dm_exec_query_profiles) is printed; the `planqual` gate keeps
+// that table as its cost-audit artifact.
+//
 // Build & run:   cmake -B build -G Ninja && cmake --build build
 //                ./build/examples/profile_smoke
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -49,14 +56,65 @@ bool AnyLineContains(const std::vector<std::string>& lines,
   return false;
 }
 
+double AsNumber(const Value& v) {
+  if (v.is_null()) return 0;
+  return v.type() == TypeId::kDouble ? v.AsDouble()
+                                     : static_cast<double>(v.AsInt());
+}
+
 double Scalar(Server* server, const std::string& sql, const char* what) {
   auto result = server->Execute(sql);
   Must(result.status(), what);
   if (result->rows.empty() || result->rows[0].empty()) Fail(what);
-  const Value& v = result->rows[0][0];
-  if (v.is_null()) return 0;
-  return v.type() == TypeId::kDouble ? v.AsDouble()
-                                     : static_cast<double>(v.AsInt());
+  return AsNumber(result->rows[0][0]);
+}
+
+// Self (exclusive) seconds and charged units of one operator kind, summed
+// over every profiled instance.
+struct SelfCost {
+  int64_t ops = 0;
+  double seconds = 0;
+  double units = 0;
+};
+
+// Folds the profile rows of statements with query_id > *last_query into
+// `by_kind`: each operator's inclusive seconds and units less its
+// children's, keyed by the label's operator name ("SeqScan(item) [pred:
+// ...]" -> "SeqScan"). Returns the summed inclusive units of those roots.
+double FoldSelfCosts(Server* server, int64_t* last_query,
+                     std::map<std::string, SelfCost>* by_kind) {
+  auto result = server->Execute(
+      "SELECT query_id, op_id, parent_id, operator, "
+      "open_seconds + next_seconds + close_seconds, charged_units "
+      "FROM sys.dm_exec_query_profiles WHERE query_id > " +
+      std::to_string(*last_query));
+  Must(result.status(), "profile rows");
+  // Rows come in pre-order, so a parent's kind is known before its
+  // children's rows subtract from it.
+  std::map<std::pair<int64_t, int64_t>, std::string> kinds;  // (query, op)
+  double root_units = 0;
+  for (const Row& row : result->rows) {
+    const int64_t query = row[0].AsInt();
+    const std::string label(row[3].AsString());
+    const std::string& kind = kinds[{query, row[1].AsInt()}] =
+        label.substr(0, label.find_first_of("([ "));
+    const double seconds = AsNumber(row[4]);
+    const double units = AsNumber(row[5]);
+    SelfCost& own = (*by_kind)[kind];
+    ++own.ops;
+    own.seconds += seconds;
+    own.units += units;
+    const int64_t parent = row[2].AsInt();
+    if (parent < 0) {
+      root_units += units;
+    } else {
+      SelfCost& up = (*by_kind)[kinds[{query, parent}]];
+      up.seconds -= seconds;
+      up.units -= units;
+    }
+    if (query > *last_query) *last_query = query;
+  }
+  return root_units;
 }
 
 }  // namespace
@@ -180,7 +238,43 @@ int main() {
     Fail("EXPLAIN UPDATE on a shadow table does not show forwarding");
   }
 
+  // 7. Cost audit over TPC-W traffic: every SELECT of 60 shopping
+  // interactions through the cache is profiled. The profile ring keeps the
+  // last 16 executions, so the rows are folded after each interaction,
+  // with profiling off so the DMV reads do not profile themselves.
+  int64_t last_query = static_cast<int64_t>(Scalar(
+      cache, "SELECT MAX(query_id) FROM sys.dm_exec_query_profiles",
+      "last profiled query"));
+  std::map<std::string, SelfCost> by_kind;
+  double charged = 0;
+  for (int i = 0; i < 60; ++i) {
+    cache->metrics().set_profiling_enabled(true);
+    Must(fleet.ExecuteInteractions(tpcw::WorkloadMix::kShopping, 1, 1),
+         "TPC-W interaction");
+    cache->metrics().set_profiling_enabled(false);
+    charged += FoldSelfCosts(cache, &last_query, &by_kind);
+  }
+  if (!(charged > 0)) {
+    Fail("profiled TPC-W statements charged no cost units");
+  }
+  std::printf("cost audit: self time per charged unit by operator over 60 "
+              "profiled TPC-W shopping interactions (%.0f units)\n",
+              charged);
+  std::printf("%-16s %8s %14s %12s %10s\n", "operator", "ops", "self_units",
+              "self_us", "us/unit");
+  for (const auto& [kind, cost] : by_kind) {
+    std::printf("%-16s %8lld %14.2f %12.1f ", kind.c_str(),
+                static_cast<long long>(cost.ops), cost.units,
+                cost.seconds * 1e6);
+    if (cost.units > 0) {
+      std::printf("%10.4f\n", cost.seconds * 1e6 / cost.units);
+    } else {
+      std::printf("%10s\n", "-");
+    }
+  }
+
   std::printf("profile smoke OK: EXPLAIN ANALYZE actuals, remote span, "
-              "profiles DMV, percentiles, wait stats, DML EXPLAIN.\n");
+              "profiles DMV, percentiles, wait stats, DML EXPLAIN, "
+              "charged units.\n");
   return 0;
 }

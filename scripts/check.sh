@@ -33,15 +33,13 @@
 #                             # BENCH_exp6_repl.json with its in-binary
 #                             # sanity gate
 #   scripts/check.sh planqual # plan-quality gate: optimizer suites
-#                             # (ctest -L opt — cardinality, histogram, and
-#                             # calibration units plus the 40-query plan
-#                             # regression corpus vs its committed golden),
-#                             # then the cost-model audit bench in smoke
-#                             # mode (measured per-unit costs beside the
-#                             # CostModel constants the optimizer and
-#                             # executor share), emitting
-#                             # BENCH_exp4_calibration.json and
-#                             # plan_quality_report.txt
+#                             # (ctest -L opt — cardinality and histogram
+#                             # units plus the 40-query plan regression
+#                             # corpus vs its committed golden), emitting
+#                             # plan_quality_report.txt, then the cost audit:
+#                             # profile_smoke's self microseconds per
+#                             # charged unit for each operator over profiled
+#                             # TPC-W traffic, emitting cost_audit.txt
 #   scripts/check.sh perfbench # real cache + backend gate: one 5 s TPC-W
 #                             # run of perfbench/run.py per workload
 #                             # (ordering, shopping_half), which fails on a
@@ -242,11 +240,9 @@ case "$mode" in
   planqual)
     cmake --preset default
     cmake --build --preset default -j "$(nproc)" --target \
-      opt_test column_histogram_test calibration_test plan_quality_test \
-      exp4_calibrate
+      opt_test column_histogram_test plan_quality_test profile_smoke
     # The optimizer-quality suites: cardinality/costing units, histogram
-    # build/merge/boundary units, the least-squares fitter, and the 40-query
-    # plan-regression corpus, which fails on any routing or access-path flip
+    # build/merge/boundary units, and the 40-query plan-regression corpus, which fails on any routing or access-path flip
     # vs tests/plan_quality_golden.txt, on a worsened per-operator Q-error,
     # and unless the histogram median Q-error strictly beats the uniform
     # baseline. The per-query report (est-vs-actual rows per operator plus
@@ -258,18 +254,15 @@ case "$mode" in
       exit 1
     }
     echo "planqual: plan-choice report at build/plan_quality_report.txt ($(grep -c '^q' build/plan_quality_report.txt) queries)"
-    # Cost-model audit smoke: fits per-unit costs from profiled probe
-    # queries, reports each beside its CostModel constant (constant, value,
-    # ratio), and gates in-binary on fit quality (anchored seq_row, R^2
-    # floor, skipped probes, core coefficients fitted). Nothing is fed back
-    # to the optimizer. The JSON line is the artifact.
-    ./build/bench/exp4_calibrate --smoke --out build/BENCH_exp4_calibration.json
-    for key in '"r_squared"' '"coefficients"' '"constant"' '"ratio"'; do
-      grep -q "$key" build/BENCH_exp4_calibration.json || {
-        echo "planqual: BENCH_exp4_calibration.json lacks $key" >&2
-        exit 1
-      }
-    done
+    # Cost audit: the profiler charges each operator the cost units the
+    # executor spends under it, beside its measured time. profile_smoke
+    # fails unless profiled TPC-W statements charged units, and prints each
+    # operator's self microseconds per unit; that table is the artifact.
+    ./build/examples/profile_smoke | tee build/cost_audit.txt
+    grep -q '^operator ' build/cost_audit.txt || {
+      echo "planqual: cost_audit.txt lacks the per-operator table" >&2
+      exit 1
+    }
     ;;
   perfbench)
     # TPC-W through a real cache + backend pair (perfbench builds its own

@@ -153,6 +153,8 @@ Status AppendProfileRows(const QueryProfileRecord& rec,
       Value::Double(op.next_seconds),
       Value::Double(op.close_seconds),
       Value::Int(op.mem_peak_bytes),
+      Value::Double(op.est_cost),
+      Value::Double(op.charged_units),
   }, rows));
   for (const OperatorProfile& child : op.children) {
     MT_RETURN_IF_ERROR(
@@ -477,7 +479,9 @@ DmvCatalog::DmvCatalog() {
        {"open_seconds", TypeId::kDouble},
        {"next_seconds", TypeId::kDouble},
        {"close_seconds", TypeId::kDouble},
-       {"mem_peak_bytes", TypeId::kInt64}});
+       {"mem_peak_bytes", TypeId::kInt64},
+       {"est_cost", TypeId::kDouble},
+       {"charged_units", TypeId::kDouble}});
   tables_[kMtcacheViews] = MakeDmv(
       kMtcacheViews,
       {{"name", TypeId::kString},

@@ -1141,17 +1141,18 @@ Status Server::ExecGrant(const GrantStmt& stmt) {
 namespace {
 
 // Renders one profile node per output row: two-space indent per plan depth,
-// actual row counts, per-phase timings (ms), and the memory high-water mark.
+// actual row counts, charged cost units, per-phase timings (ms), and the
+// memory high-water mark.
 void AppendProfileLines(const OperatorProfile& prof, int depth,
                         std::vector<Row>* rows) {
   std::string line(static_cast<size_t>(depth) * 2, ' ');
   line += prof.op_name;
-  char buf[192];
+  char buf[224];
   std::snprintf(buf, sizeof(buf),
-                " [est_rows=%.0f actual_rows=%lld opens=%lld next=%lld"
-                " open=%.3fms next=%.3fms close=%.3fms mem=%lldB]",
+                " [est_rows=%.0f actual_rows=%lld units=%.2f opens=%lld"
+                " next=%lld open=%.3fms next=%.3fms close=%.3fms mem=%lldB]",
                 prof.est_rows, static_cast<long long>(prof.actual_rows),
-                static_cast<long long>(prof.opens),
+                prof.charged_units, static_cast<long long>(prof.opens),
                 static_cast<long long>(prof.next_calls),
                 prof.open_seconds * 1e3, prof.next_seconds * 1e3,
                 prof.close_seconds * 1e3,
@@ -1246,12 +1247,16 @@ Status Server::ExecExplain(const ExplainStmt& stmt, Session* session) {
                                  std::chrono::steady_clock::now() - start)
                                  .count();
       AppendProfileLines(profile, 0, &result.rows);
-      char summary[160];
+      const double units = profile.charged_units;
+      char summary[224];
       std::snprintf(summary, sizeof(summary),
                     "actual: %lld rows in %.3f ms, estimated cost: %.2f, "
-                    "dynamic: %s, remote: %s",
+                    "charged: %.2f units, %.4f us/unit, dynamic: %s, "
+                    "remote: %s",
                     static_cast<long long>(executed.rows.size()), elapsed * 1e3,
-                    optimized.est_cost, optimized.dynamic_plan ? "yes" : "no",
+                    optimized.est_cost, units,
+                    units > 0 ? elapsed * 1e6 / units : 0.0,
+                    optimized.dynamic_plan ? "yes" : "no",
                     optimized.uses_remote ? "yes" : "no");
       result.rows.push_back({Value::String(summary)});
       QueryProfileRecord rec;

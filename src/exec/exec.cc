@@ -1743,9 +1743,10 @@ class RemoteQueryExec : public ExecNode {
 };
 
 // Timing/counting decorator around any ExecNode, writing into its mirrored
-// OperatorProfile node. Timings are recursive (a parent's NextBatch time
-// includes its children's); EXPLAIN ANALYZE renders them as-is, like SQL
-// Server's actual execution plans. Memory is sampled after Open
+// OperatorProfile node. Timings and charged cost units are recursive (a
+// parent's NextBatch time and units include its children's); EXPLAIN ANALYZE
+// renders them as-is, like SQL Server's actual execution plans, so seconds
+// over units is the measured price of a unit. Memory is sampled after Open
 // (materialize-at-Open operators peak there) and before Close (operators
 // that accumulate during NextBatch, e.g. Distinct), which brackets every
 // operator's high-water mark without per-row O(n) walks.
@@ -1756,9 +1757,12 @@ class ProfiledNode : public ExecNode {
 
   Status Open(ExecContext* ctx) override {
     ++prof_->opens;
+    stats_ = ctx->stats;
+    const double u0 = Charged();
     auto t0 = std::chrono::steady_clock::now();
     Status s = inner_->Open(ctx);
     prof_->open_seconds += Elapsed(t0);
+    prof_->charged_units += Charged() - u0;
     SampleMemory();
     return s;
   }
@@ -1766,18 +1770,22 @@ class ProfiledNode : public ExecNode {
   // next_calls counts NextBatch pulls; actual_rows the rows they returned.
   StatusOr<bool> NextBatch(ExecContext* ctx, RowBatch* batch) override {
     ++prof_->next_calls;
+    const double u0 = Charged();
     auto t0 = std::chrono::steady_clock::now();
     StatusOr<bool> more = inner_->NextBatch(ctx, batch);
     prof_->next_seconds += Elapsed(t0);
+    prof_->charged_units += Charged() - u0;
     if (more.ok() && more.value()) prof_->actual_rows += batch->size();
     return more;
   }
 
   void Close() override {
     SampleMemory();
+    const double u0 = Charged();
     auto t0 = std::chrono::steady_clock::now();
     inner_->Close();
     prof_->close_seconds += Elapsed(t0);
+    prof_->charged_units += Charged() - u0;
   }
 
   int64_t MemoryBytes() const override { return inner_->MemoryBytes(); }
@@ -1791,9 +1799,15 @@ class ProfiledNode : public ExecNode {
     int64_t bytes = inner_->MemoryBytes();
     if (bytes > prof_->mem_peak_bytes) prof_->mem_peak_bytes = bytes;
   }
+  // Units charged so far to the execution's stats (Close has no context, so
+  // Open keeps the pointer); 0 when the caller collects none.
+  double Charged() const {
+    return stats_ == nullptr ? 0 : stats_->local_cost + stats_->remote_cost;
+  }
 
   std::unique_ptr<ExecNode> inner_;
   OperatorProfile* prof_;
+  ExecStats* stats_ = nullptr;
 };
 
 // Shared builder: compiles children first (wrapped when profiling), then the

@@ -229,6 +229,9 @@ struct OperatorProfile {
   double open_seconds = 0;   // real time inside Open (recursive)
   double next_seconds = 0;   // real time inside NextBatch (recursive)
   double close_seconds = 0;  // real time inside Close (recursive)
+  /// Cost units (ExecStats local + remote) charged inside Open, NextBatch and
+  /// Close (recursive, like the seconds): the executor's side of est_cost.
+  double charged_units = 0;
   int64_t mem_peak_bytes = 0;
   std::vector<OperatorProfile> children;
 };

@@ -10,8 +10,10 @@ namespace mtcache {
 /// alternatives with these constants and the executor charges the same ones
 /// for the rows it actually processes, so estimated and measured costs are
 /// commensurable and the multi-server simulation can turn measured work into
-/// CPU service time. bench/exp4_calibrate audits the constants against
-/// measured per-operator timings; it does not replace them.
+/// CPU service time. The profiler audits the constants: EXPLAIN ANALYZE and
+/// sys.dm_exec_query_profiles report each operator's charged units beside
+/// its measured seconds (and its estimate), so any statement shows the
+/// measured microseconds per unit; nothing is fed back into the constants.
 struct CostModel {
   // Per-row operator charges.
   static constexpr double kSeqRowCost = 1.0;

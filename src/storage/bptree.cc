@@ -10,8 +10,9 @@ struct BPlusTree::Node {
   bool leaf = true;
   // Entry i: key cells keys[i*width, (i+1)*width) and rowid rids[i].
   // Leaf: the entries. Internal: the separators; children.size() ==
-  // count() + 1 and separator i is the smallest (key, rid) entry under
-  // children[i+1].
+  // count() + 1 and separator i is at or below every (key, rid) entry under
+  // children[i+1] and above every entry under children[i] (the smallest
+  // entry under children[i+1] when the split made it).
   std::vector<Value> keys;
   std::vector<RowId> rids;
   std::vector<std::unique_ptr<Node>> children;
@@ -90,6 +91,62 @@ template <typename T>
 void Trim(std::vector<T>* v, size_t n) {
   v->erase(v->begin() + static_cast<ptrdiff_t>(n), v->end());
   v->shrink_to_fit();
+}
+
+// Releases a node's spare capacity once erases leave it holding at most a
+// quarter of it. Regrowth adds half the size, so a node churning around one
+// size reallocates rarely. The key and rowid arrays fill in step, so one
+// test covers both (and the child array, one longer, in an inner node).
+void FitIfSparse(Node* node) {
+  if (node->rids.size() > node->rids.capacity() / 4) return;
+  node->keys.shrink_to_fit();
+  node->rids.shrink_to_fit();
+  node->children.shrink_to_fit();
+}
+
+bool IsEmpty(const Node& node) {
+  return node.leaf ? node.rids.empty() : node.children.empty();
+}
+
+// Removes (key, rid) from the subtree under `node`; false if absent. A leaf
+// the erase empties is unlinked from the leaf chain here and freed by its
+// parent, as is an inner node whose last child went. `left` is the subtree
+// ordered just before `node` (null at the left edge): its rightmost leaf is
+// the chain predecessor of node's leftmost one.
+bool EraseRec(Node* node, int width, KeyRef key, RowId rid, Node* left) {
+  if (node->leaf) {
+    int pos = EntryRank(*node, width, key, rid, false);
+    if (pos == node->count() ||
+        CompareEntry(*node, width, pos, key, rid) != 0) {
+      return false;
+    }
+    node->keys.erase(CellAt(node, width, pos), CellAt(node, width, pos + 1));
+    node->rids.erase(node->rids.begin() + pos);
+    if (node->rids.empty() && left != nullptr) {
+      while (!left->leaf) left = left->children.back().get();
+      left->next = node->next;
+    }
+    FitIfSparse(node);
+    return true;
+  }
+  int ci = EntryRank(*node, width, key, rid, true);
+  Node* child = node->children[ci].get();
+  if (!EraseRec(child, width, key, rid,
+                ci > 0 ? node->children[ci - 1].get() : left)) {
+    return false;
+  }
+  if (IsEmpty(*child)) {
+    // Drop the child and the separator bounding it (its lower one, or for
+    // the first child the next one up, which then bounds nothing).
+    if (node->count() > 0) {
+      int sep = ci > 0 ? ci - 1 : 0;
+      node->keys.erase(CellAt(node, width, sep), CellAt(node, width, sep + 1));
+      node->rids.erase(node->rids.begin() + sep);
+    }
+    node->children.erase(node->children.begin() + ci);
+    FitIfSparse(node);
+  }
+  return true;
 }
 
 // Inserts a copy of (key, rid) as entry `pos`.
@@ -195,16 +252,11 @@ void BPlusTree::Insert(KeyRef key, RowId rid) {
 
 bool BPlusTree::Erase(KeyRef key, RowId rid) {
   assert(static_cast<int>(key.size()) == width_);
-  Node* node = root_.get();
-  while (!node->leaf) {
-    node = node->children[EntryRank(*node, width_, key, rid, true)].get();
+  if (!EraseRec(root_.get(), width_, key, rid, nullptr)) return false;
+  // An inner root left with one child hands the tree to it.
+  while (!root_->leaf && root_->children.size() == 1) {
+    root_ = std::move(root_->children.front());
   }
-  int pos = EntryRank(*node, width_, key, rid, false);
-  if (pos == node->count() || CompareEntry(*node, width_, pos, key, rid) != 0) {
-    return false;
-  }
-  node->keys.erase(CellAt(node, width_, pos), CellAt(node, width_, pos + 1));
-  node->rids.erase(node->rids.begin() + pos);
   --size_;
   return true;
 }

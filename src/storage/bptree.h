@@ -38,9 +38,9 @@ class KeyRef {
 /// Every key has the tree's fixed width (the index's key-column count).
 /// Duplicate user keys are supported by treating (key, rowid) as the full
 /// unique key. Leaves are chained for range scans (index seeks produce
-/// ordered output). Deletion removes entries from leaves without rebalancing;
-/// for this system's insert-heavy workloads the resulting slack is
-/// irrelevant and keeps the structure simple.
+/// ordered output). Deletion removes entries without rebalancing: a node
+/// left at most a quarter full gives its spare capacity back, and an emptied
+/// node is freed (a root left with one child hands the tree to it).
 ///
 /// Layout: a node stores its keys in place, entry i's cells at
 /// [i*width, (i+1)*width) of one Value array, beside a parallel RowId array

@@ -165,7 +165,8 @@ TEST(BPlusTreeTest, SequentialInsertDepthStressAndFullScan) {
 // Differential check against an ordered reference model over (int, string)
 // keys with duplicates: random inserts and erases, prefix SeekGe/SeekGt on
 // one and on both columns, a key range erased whole (emptying leaves, which
-// are not rebalanced away) and filled again, and full-order walks.
+// are freed and unlinked from the leaf chain) and filled again, and
+// full-order walks.
 TEST(BPlusTreeTest, IntStringKeysMatchOrderedModel) {
   using Entry = std::tuple<int64_t, std::string, RowId>;
   BPlusTree tree(2);
@@ -287,6 +288,39 @@ TEST(BPlusTreeTest, ShapeCountsNodeArraysOfASequentialBuild) {
   // build stores one 16-byte cell and one rowid per entry, plus node headers
   // and the half-full rightmost nodes.
   EXPECT_LE(static_cast<double>(shape.bytes) / n, 16 + 8 + 6);
+}
+
+// Erases give memory back: a tree churned down to two entries keeps no node
+// arrays sized for the thousand it held, and no emptied leaves.
+TEST(BPlusTreeTest, ErasedTreeReleasesItsNodes) {
+  BPlusTree tree(1);
+  const int64_t n = 1000;
+  for (int64_t v = 0; v < n; ++v) tree.Insert(K(v), v);
+  const int64_t full_bytes = tree.ComputeShape().bytes;
+  for (int64_t v = 1; v < n - 1; ++v) ASSERT_TRUE(tree.Erase(K(v), v));
+  BPlusTree::Shape shape = tree.ComputeShape();
+  EXPECT_EQ(shape.entries, 2);
+  EXPECT_LT(shape.bytes * 10, full_bytes)
+      << shape.bytes << " bytes of " << full_bytes;
+  std::vector<int64_t> keys;
+  for (auto it = tree.Begin(); it.Valid(); it.Next()) {
+    keys.push_back(it.key()[0].AsInt());
+  }
+  EXPECT_EQ(keys, (std::vector<int64_t>{0, n - 1}));
+  auto it = tree.SeekGe(K(1));
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key()[0].AsInt(), n - 1);
+  // The tree takes entries again, in order, and empties to a lone leaf.
+  for (int64_t v = 1; v < n - 1; v += 7) tree.Insert(K(v), v);
+  int64_t prev = -1;
+  for (auto walk = tree.Begin(); walk.Valid(); walk.Next()) {
+    EXPECT_GT(walk.key()[0].AsInt(), prev);
+    prev = walk.key()[0].AsInt();
+  }
+  for (int64_t v = 0; v < n; ++v) tree.Erase(K(v), v);
+  EXPECT_EQ(tree.size(), 0);
+  EXPECT_FALSE(tree.Begin().Valid());
+  EXPECT_EQ(tree.ComputeShape().height, 1);
 }
 
 }  // namespace

@@ -466,7 +466,9 @@ TEST_F(DmvTest, GoldenSchemas) {
                 {"open_seconds", D},
                 {"next_seconds", D},
                 {"close_seconds", D},
-                {"mem_peak_bytes", I}});
+                {"mem_peak_bytes", I},
+                {"est_cost", D},
+                {"charged_units", D}});
   ExpectSchema(&server_, "dm_mtcache_views",
                {{"name", S},
                 {"kind", S},

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/server.h"
+#include "mtcache/mtcache.h"
 #include "opt/cost_model.h"
 #include "opt/view_matching.h"
 
@@ -75,7 +76,8 @@ TEST_F(EngineTest, PrimaryKeyLookupUsesIndexSeek) {
 // The optimizer prices plans with the CostModel constants the executor
 // charges. On plans whose cardinalities are exact, the root estimate equals
 // the measured work less the per-statement overhead, which only the
-// executor charges.
+// executor charges, and each profiled operator's charged units equal its
+// estimate.
 TEST_F(EngineTest, EstimatedCostEqualsChargedCost) {
   Exec("CREATE TABLE t (id INT PRIMARY KEY, val INT)");
   std::string insert = "INSERT INTO t VALUES ";
@@ -85,12 +87,18 @@ TEST_F(EngineTest, EstimatedCostEqualsChargedCost) {
   }
   Exec(insert);
   server_.RecomputeStats();
+  server_.metrics().set_profiling_enabled(true);
+  // The operator tree of the statement just executed.
+  auto last_profile = [](Server& server) {
+    std::vector<QueryProfileRecord> ring = server.metrics().SnapshotProfiles();
+    return ring.empty() ? OperatorProfile{} : ring.back().root;
+  };
   struct Case {
     const char* sql;
     const char* op;
     size_t rows;
   };
-  auto expect_estimate_is_charge = [this](const Case& c) {
+  auto expect_estimate_is_charge = [&](const Case& c) {
     SCOPED_TRACE(c.sql);
     auto plan = server_.Explain(c.sql);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -104,6 +112,9 @@ TEST_F(EngineTest, EstimatedCostEqualsChargedCost) {
     EXPECT_DOUBLE_EQ(plan->est_cost,
                      stats.local_cost - CostModel::kStatementOverhead)
         << text;
+    const OperatorProfile root = last_profile(server_);
+    EXPECT_EQ(root.op_name, PhysicalOpLabel(*plan->plan));
+    EXPECT_DOUBLE_EQ(root.charged_units, root.est_cost) << text;
   };
   for (const Case& c :
        {Case{"SELECT * FROM t", "SeqScan(t)", 200},
@@ -141,6 +152,50 @@ TEST_F(EngineTest, EstimatedCostEqualsChargedCost) {
   EXPECT_DOUBLE_EQ(
       stats.local_cost - CostModel::kStatementOverhead - scan.est_cost,
       CostModel::SortCost(200, 5));
+  // Per operator: the sort's units include its input's, as its estimate
+  // does, and both match.
+  const OperatorProfile top_root = last_profile(server_);
+  ASSERT_EQ(top_root.children.size(), 1u);
+  const OperatorProfile& sort_prof = top_root.children[0];
+  ASSERT_EQ(sort_prof.op_name, "Sort(top 5)");
+  ASSERT_EQ(sort_prof.children.size(), 1u);
+  EXPECT_DOUBLE_EQ(sort_prof.charged_units, sort_prof.est_cost);
+  EXPECT_DOUBLE_EQ(sort_prof.children[0].charged_units,
+                   sort_prof.children[0].est_cost);
+  EXPECT_DOUBLE_EQ(sort_prof.children[0].est_cost, scan.est_cost);
+  EXPECT_DOUBLE_EQ(top_root.charged_units, plan->est_cost);
+
+  // Cache side: a query on a shadow table plans as one RemoteQuery, whose
+  // units include the backend's whole statement (charged as remote_cost)
+  // and the transfer. Across the hop every unit the statement charged is
+  // in the profile root but the cache's own per-statement overhead.
+  {
+    LinkedServerRegistry links;
+    Server backend(ServerOptions{"backend", "dbo", {}}, &clock_, &links);
+    Server cache(ServerOptions{"cache1", "dbo", {}}, &clock_, &links);
+    ReplicationSystem repl(&clock_);
+    ASSERT_TRUE(backend.ExecuteScript(
+                    "CREATE TABLE r (id INT PRIMARY KEY, val INT); "
+                    "INSERT INTO r" + insert.substr(insert.find(" VALUES")))
+                    .ok());
+    backend.RecomputeStats();
+    auto setup = MTCache::Setup(&cache, &backend, &repl);
+    ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+    cache.metrics().set_profiling_enabled(true);
+    const std::string remote = "SELECT val FROM r WHERE id < 50";
+    auto remote_plan = cache.Explain(remote);
+    ASSERT_TRUE(remote_plan.ok()) << remote_plan.status().ToString();
+    EXPECT_TRUE(remote_plan->uses_remote);
+    ExecStats cache_stats;
+    auto rows = cache.Execute(remote, {}, &cache_stats);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->rows.size(), 50u);
+    const OperatorProfile root = last_profile(cache);
+    EXPECT_EQ(root.op_name.rfind("RemoteQuery", 0), 0u) << root.op_name;
+    EXPECT_GT(cache_stats.remote_cost, 0);
+    EXPECT_DOUBLE_EQ(root.charged_units + CostModel::kStatementOverhead,
+                     cache_stats.local_cost + cache_stats.remote_cost);
+  }
 
   // UPDATE and DELETE run the plan EXPLAIN shows: an index seek on t itself
   // (never the matching t_low), charged as estimated, plus per changed row
