@@ -70,6 +70,9 @@
 # keys are Values stored in place in node arrays, so a string key's buffer
 # moves on every insert, split and erase, and a refcount slip is a
 # use-after-free or a leak.
+# The DMV suites (Dmv) run here too: trace-ring entries and profiles hold
+# their plan's statement info by reference, so an info freed with an
+# invalidated plan is a use-after-free when the ring is read.
 # The tsan mode runs every test labeled `concurrency` (ctest -L) — the
 # multi-session engine tests, the DMV-read-during-execution tests and the
 # DML find-to-change window tests — plus the threaded bench smoke.
@@ -106,9 +109,9 @@ case "$mode" in
       replication_fault_test mtcache_resync_test property_test \
       replication_test mtcache_test engine_test fleet_test dmv_smoke \
       batch_exec_test exec_test tpcw_test view_maintenance_test value_test \
-      concurrency_test expr_test parser_test bptree_test storage_test
+      concurrency_test expr_test parser_test bptree_test storage_test dmv_test
     (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|PredicateBatchRandom|ExecTest\.|Tpcw|ViewMaintenance|ValueTest|DmlWindow|RacingUpdatesOfOneRow|RacingDml|IntegerOverflow|OutOfRange|BPlusTree|Storage')
+      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache|EngineTest|FleetTest|BatchDiff|BatchLifetime|BatchScanMemory|PredicateBatchNull|PredicateBatchRandom|ExecTest\.|Tpcw|ViewMaintenance|ValueTest|DmlWindow|RacingUpdatesOfOneRow|RacingDml|IntegerOverflow|OutOfRange|BPlusTree|Storage|Dmv')
     # The DMV walk under ASan: catches lifetime bugs in the virtual-table
     # row materialization that the plain build would miss.
     ./build-asan/examples/dmv_smoke

@@ -1,6 +1,7 @@
 #include "engine/dmv.h"
 
 #include <cmath>
+#include <string_view>
 
 #include "common/wait_stats.h"
 #include "exec/exec.h"
@@ -83,8 +84,10 @@ StatusOr<std::vector<Row>> QueryStatsRows(const DmvSource& src,
                                           const VirtualRowFilter& filter) {
   std::vector<Row> rows;
   // Keyed by normalized fingerprint: literal variants share one row, with
-  // the first raw SQL retained as sample_text.
+  // one raw SQL retained as sample_text. A rollup exists from its first
+  // plan on; it has a row once a statement has executed under it.
   for (const auto& [text, rollup] : src.metrics->SnapshotRollups()) {
+    if (rollup.executions == 0) continue;
     MT_RETURN_IF_ERROR(EmitRow(filter, Row{
         Value::String(FingerprintHex(rollup.query_hash)),
         Value::String(text),
@@ -113,10 +116,10 @@ StatusOr<std::vector<Row>> RequestsRows(const DmvSource& src,
   for (const QueryTrace& t : src.metrics->SnapshotTrace()) {
     MT_RETURN_IF_ERROR(EmitRow(filter, Row{
         Value::Int(t.query_id),
-        Value::String(t.text),
-        Value::String(t.routing),
-        Value::Double(t.est_cost),
-        Value::Double(t.measured_cost),
+        Value::String(t.info->label),
+        Value::String(t.info->routing),
+        Value::Double(t.info->est_cost),
+        Value::Double(t.stats.local_cost + t.stats.remote_cost),
         Value::Double(t.stats.local_cost),
         Value::Double(t.stats.remote_cost),
         Value::Int(t.rows_returned),
@@ -124,7 +127,7 @@ StatusOr<std::vector<Row>> RequestsRows(const DmvSource& src,
         Value::Int(t.stats.remote_queries),
         Value::Double(t.elapsed_seconds),
         Value::Int(dropped),
-        Value::String(t.plan),
+        Value::String(t.info->plan_text),
     }, &rows));
   }
   return rows;
@@ -140,8 +143,8 @@ Status AppendProfileRows(const QueryProfileRecord& rec,
   int64_t op_id = (*next_id)++;
   MT_RETURN_IF_ERROR(EmitRow(filter, Row{
       Value::Int(rec.query_id),
-      Value::String(FingerprintHex(rec.query_hash)),
-      Value::String(rec.text),
+      Value::String(FingerprintHex(rec.info->query_hash)),
+      Value::String(rec.info->label),
       Value::Int(op_id),
       Value::Int(parent_id),
       Value::String(op.op_name),
@@ -389,15 +392,16 @@ StatusOr<std::vector<Row>> WorkloadQueryDeltasRows(
   return rows;
 }
 
-// Cumulative per-cached-view offload attribution since server start. The
-// seconds column converts optimizer units through the workload repository's
-// calibration knob (cost_unit_seconds).
+// Cumulative per-cached-view offload attribution since server start, for
+// each view a statement has executed through. The seconds column converts
+// optimizer units at the server's measured seconds per charged unit.
 StatusOr<std::vector<Row>> ViewOffloadRows(const DmvSource& src,
                                            const VirtualRowFilter& filter) {
   std::vector<Row> rows;
   const double unit_seconds =
-      src.workload != nullptr ? src.workload->cost_unit_seconds() : 0;
+      MeasuredSecondsPerUnit(src.metrics->SnapshotRollups());
   for (const auto& [view, s] : src.metrics->SnapshotViewOffload()) {
+    if (s.matches == 0) continue;
     MT_RETURN_IF_ERROR(EmitRow(filter, Row{
         Value::String(view),
         Value::Int(s.matches),
@@ -599,47 +603,30 @@ StatusOr<std::vector<Row>> DmvRows(const std::string& name,
   if (src.metrics == nullptr || src.catalog == nullptr) {
     return Status::Internal("DMV source not wired");
   }
-  if (name == std::string("sys.") + kPlanCache) {
+  // The name after `sys.`, compared without building a prefixed string.
+  const std::string_view bare = name.rfind("sys.", 0) == 0
+                                    ? std::string_view(name).substr(4)
+                                    : std::string_view();
+  if (bare == kPlanCache || bare == kReplMetrics) {
     std::vector<Row> rows;
-    MT_RETURN_IF_ERROR(EmitRow(filter, PlanCacheRow(src), &rows));
+    MT_RETURN_IF_ERROR(EmitRow(
+        filter, bare == kPlanCache ? PlanCacheRow(src) : ReplMetricsRow(src),
+        &rows));
     return rows;
   }
-  if (name == std::string("sys.") + kQueryStats) {
-    return QueryStatsRows(src, filter);
-  }
-  if (name == std::string("sys.") + kRequests) {
-    return RequestsRows(src, filter);
-  }
-  if (name == std::string("sys.") + kMtcacheViews) {
-    return MtcacheViewsRows(src, filter);
-  }
-  if (name == std::string("sys.") + kReplMetrics) {
-    std::vector<Row> rows;
-    MT_RETURN_IF_ERROR(EmitRow(filter, ReplMetricsRow(src), &rows));
-    return rows;
-  }
-  if (name == std::string("sys.") + kQueryProfiles) {
-    return QueryProfilesRows(src, filter);
-  }
-  if (name == std::string("sys.") + kReplLagHistogram) {
-    return ReplLagHistogramRows(src, filter);
-  }
-  if (name == std::string("sys.") + kWaitStats) return WaitStatsRows(filter);
-  if (name == std::string("sys.") + kColumnHistograms) {
-    return ColumnHistogramsRows(src, filter);
-  }
-  if (name == std::string("sys.") + kIndexStats) {
-    return IndexStatsRows(src, filter);
-  }
-  if (name == std::string("sys.") + kWorkloadSnapshots) {
-    return WorkloadSnapshotsRows(src, filter);
-  }
-  if (name == std::string("sys.") + kWorkloadQueryDeltas) {
+  if (bare == kQueryStats) return QueryStatsRows(src, filter);
+  if (bare == kRequests) return RequestsRows(src, filter);
+  if (bare == kMtcacheViews) return MtcacheViewsRows(src, filter);
+  if (bare == kQueryProfiles) return QueryProfilesRows(src, filter);
+  if (bare == kReplLagHistogram) return ReplLagHistogramRows(src, filter);
+  if (bare == kWaitStats) return WaitStatsRows(filter);
+  if (bare == kColumnHistograms) return ColumnHistogramsRows(src, filter);
+  if (bare == kIndexStats) return IndexStatsRows(src, filter);
+  if (bare == kWorkloadSnapshots) return WorkloadSnapshotsRows(src, filter);
+  if (bare == kWorkloadQueryDeltas) {
     return WorkloadQueryDeltasRows(src, filter);
   }
-  if (name == std::string("sys.") + kViewOffload) {
-    return ViewOffloadRows(src, filter);
-  }
+  if (bare == kViewOffload) return ViewOffloadRows(src, filter);
   return Status::NotFound("unknown DMV: " + name);
 }
 

@@ -61,8 +61,8 @@ struct DmvSource {
   const Catalog* catalog = nullptr;  // for dm_mtcache_views
   // For dm_db_index_stats. Null = that DMV renders empty.
   StorageProvider* storage = nullptr;
-  // For dm_workload_snapshots / dm_workload_query_deltas and the seconds
-  // conversion of dm_mtcache_view_offload. Null = those DMVs render empty.
+  // For dm_workload_snapshots / dm_workload_query_deltas. Null = those DMVs
+  // render empty.
   const WorkloadRepository* workload = nullptr;
   double now = 0;                    // staleness = now - freshness_time
   int64_t cached_statements = 0;       // ad-hoc statement cache entries

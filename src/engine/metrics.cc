@@ -2,45 +2,45 @@
 
 namespace mtcache {
 
-int64_t MetricsRegistry::RecordStatement(QueryTrace trace) {
+StatementInfoPtr MetricsRegistry::BindCounters(
+    StatementInfo info, const std::string& sample_text,
+    const std::vector<std::string>& views) {
   std::lock_guard<SpinLock> guard(ring_lock_);
-  trace.query_id = next_query_id_++;
-  // Literal variants share a fingerprint, so their stats land in one rollup;
-  // statements recorded without one (DML paths, procedure markers) key by
-  // their raw text as before.
-  StatementRollup& rollup =
-      rollups_[trace.fingerprint.empty() ? trace.text : trace.fingerprint];
-  if (rollup.executions == 0) {
-    rollup.query_hash = trace.query_hash;
-    rollup.sample_text = trace.text;
+  auto [it, inserted] = rollups_.try_emplace(info.fingerprint);
+  if (inserted) {
+    it->second.query_hash = info.query_hash;
+    it->second.sample_text = sample_text;
   }
+  info.rollup = &it->second;
+  for (const std::string& view : views) {
+    info.views.push_back(&view_offload_[view]);
+  }
+  return std::make_shared<const StatementInfo>(std::move(info));
+}
+
+int64_t MetricsRegistry::RecordStatement(StatementInfoPtr info,
+                                         const ExecStats& stats, int64_t rows,
+                                         double elapsed_seconds) {
+  std::lock_guard<SpinLock> guard(ring_lock_);
+  StatementRollup& rollup = *info->rollup;
   ++rollup.executions;
-  rollup.totals.Add(trace.stats);
-  rollup.rows_returned += trace.rows_returned;
-  rollup.latency.Record(trace.elapsed_seconds);
-  rollup.elapsed_seconds += trace.elapsed_seconds;
-  int64_t id = trace.query_id;
-  trace_.push_back(std::move(trace));
+  rollup.totals.Add(stats);
+  rollup.rows_returned += rows;
+  rollup.latency.Record(elapsed_seconds);
+  rollup.elapsed_seconds += elapsed_seconds;
+  for (ViewOffloadStats* view : info->views) {
+    ++view->matches;
+    if (stats.remote_queries == 0) ++view->roundtrips_avoided;
+    view->est_saved_units += info->est_saved_units;
+  }
+  const int64_t id = next_query_id_++;
+  trace_.push_back(QueryTrace{id, std::move(info), stats, rows,
+                              elapsed_seconds});
   while (trace_.size() > trace_capacity_) {
     trace_.pop_front();
     ++entries_dropped_;
   }
   return id;
-}
-
-void MetricsRegistry::RecordViewOffload(const std::vector<std::string>& views,
-                                        bool roundtrip_avoided,
-                                        double est_saved_units) {
-  std::lock_guard<SpinLock> guard(ring_lock_);
-  for (const std::string& view : views) {
-    ViewOffloadStats& s = view_offload_[view];
-    ++s.matches;
-    if (roundtrip_avoided) ++s.roundtrips_avoided;
-    // The optimizer's per-plan saving is attributed in full to each matched
-    // view; multi-view plans are rare and the advisor consumes the per-view
-    // ranking, not the absolute sum.
-    s.est_saved_units += est_saved_units;
-  }
 }
 
 void MetricsRegistry::RecordProfile(QueryProfileRecord profile) {

@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -68,35 +69,16 @@ struct ReplMetricsSnapshot {
   std::vector<ReplLagBucket> lag_buckets;
 };
 
-/// One entry of the per-query trace ring (sys.dm_exec_requests): the last N
-/// statements with their text, chosen plan shape, routing decision, and
-/// measured cost.
-struct QueryTrace {
-  int64_t query_id = 0;       // monotonically increasing per server
-  std::string text;           // statement SQL (or a procedure-body marker)
-  /// Normalized statement (literals -> `?`, case/whitespace-folded), computed
-  /// once at plan-cache entry. Empty = fall back to `text` as rollup key.
-  std::string fingerprint;
-  uint64_t query_hash = 0;    // FNV-1a of `fingerprint`
-  std::string plan;           // physical plan rendering, computed at plan time
-  std::string routing;        // "local" | "remote" | "dynamic"
-  double est_cost = 0;        // optimizer estimate for the cached plan
-  double measured_cost = 0;   // local + remote cost actually charged
-  ExecStats stats;            // full per-statement measurement
-  int64_t rows_returned = 0;
-  double elapsed_seconds = 0;  // real wall-clock time for the statement
-};
-
 /// Per-fingerprint rollup (sys.dm_exec_query_stats), aggregated over all
 /// executions since server start. Keyed by the normalized statement so
-/// literal variants fold into one row; `sample_text` keeps the first raw SQL
-/// observed for the fingerprint. `latency` buckets real elapsed seconds per
-/// execution — the p50/p95/p99 columns come from here, replacing what used to
-/// be avg/max-only scalars.
+/// literal variants fold into one row; `sample_text` keeps the raw SQL of the
+/// first plan built for the fingerprint (a procedure statement's own SQL).
+/// `latency` buckets real elapsed seconds per execution: the p50/p95/p99
+/// columns come from here.
 struct StatementRollup {
   int64_t executions = 0;
   ExecStats totals;
-  int64_t rows_returned = 0;
+  int64_t rows_returned = 0;  // rows a SELECT returned or a write changed
   LogHistogram latency;
   uint64_t query_hash = 0;
   std::string sample_text;
@@ -104,8 +86,7 @@ struct StatementRollup {
 };
 
 /// Cumulative per-cached-view offload attribution: how much backend work this
-/// view absorbed. Folded under the registry lock on the (cold) view-matched
-/// execution path; sys.dm_mtcache_view_offload and the workload repository
+/// view absorbed. sys.dm_mtcache_view_offload and the workload repository
 /// render from snapshots.
 struct ViewOffloadStats {
   int64_t matches = 0;             // executions whose plan read the view
@@ -113,15 +94,44 @@ struct ViewOffloadStats {
   double est_saved_units = 0;      // optimizer units: cost(no view) - cost
 };
 
+/// What every execution of one plan is recorded under: built once with the
+/// plan, immutable, and shared by reference by the cached plan and by each
+/// trace-ring entry and profile of its executions, so a record copies no
+/// string. `rollup` and `views` point into the registry's maps.
+struct StatementInfo {
+  // The statement text, `<proc> stmt#<position>` for a procedure statement
+  // (its depth-first position in the body), or "(ad-hoc)" for a statement
+  // of a multi-statement script.
+  std::string label;
+  std::string fingerprint;  // NormalizeStatement(label): the rollup key
+  uint64_t query_hash = 0;  // FNV-1a of `fingerprint`
+  std::string plan_text;    // PhysicalToString rendering of the plan
+  std::string routing;      // "local" | "remote" | "dynamic"
+  double est_cost = 0;      // optimizer estimate for the plan
+  StatementRollup* rollup = nullptr;
+  // The views the plan reads by substitution; each is credited in full with
+  // the optimizer's estimated per-execution saving in cost units.
+  std::vector<ViewOffloadStats*> views;
+  double est_saved_units = 0;
+};
+using StatementInfoPtr = std::shared_ptr<const StatementInfo>;
+
+/// One entry of the per-query trace ring (sys.dm_exec_requests): one of the
+/// last N executions, with its plan's info and its measured cost.
+struct QueryTrace {
+  int64_t query_id = 0;  // monotonically increasing per server
+  StatementInfoPtr info;
+  ExecStats stats;  // full per-statement measurement
+  int64_t rows_returned = 0;
+  double elapsed_seconds = 0;  // real wall-clock time for the statement
+};
+
 /// One retained query profile (sys.dm_exec_query_profiles): the full
 /// per-operator actuals tree for a profiled execution (EXPLAIN ANALYZE or
 /// SET STATISTICS PROFILE ON).
 struct QueryProfileRecord {
   int64_t query_id = 0;
-  std::string text;
-  /// Fingerprint hash of the profiled statement; 0 when no statement text
-  /// was available (EXPLAIN ANALYZE records outside the statement path).
-  uint64_t query_hash = 0;
+  StatementInfoPtr info;
   double total_seconds = 0;
   OperatorProfile root;
 };
@@ -130,24 +140,28 @@ struct QueryProfileRecord {
 /// reads. Sub-structs are plain public fields of relaxed atomics — the owning
 /// Server (and, via installed pointers, the optimizer and executor) bump them
 /// in place from any session thread; the registry itself adds the trace ring
-/// and per-statement rollups on top, guarded by a small spinlock (appends are
-/// a deque push + map fold, far cheaper than a mutex park).
+/// and per-statement rollups on top, guarded by a small spinlock (a record is
+/// a deque push and a fold through pointers, far cheaper than a mutex park).
 class MetricsRegistry {
  public:
   PlanCacheStats plan_cache;
   OptimizerDecisionStats optimizer;
   ChoosePlanRuntimeStats chooseplan;
 
-  /// Records one executed SELECT: appends to the trace ring (evicting the
-  /// oldest entry past capacity) and folds the measurement into the
-  /// per-fingerprint rollup. Assigns and returns the query id. Thread-safe.
-  int64_t RecordStatement(QueryTrace trace);
+  /// Points a plan's `info` at the rollup of its fingerprint and at the
+  /// offload counters of each of `views`, creating any that are new (a new
+  /// rollup takes `sample_text`), and publishes it. Thread-safe.
+  StatementInfoPtr BindCounters(StatementInfo info,
+                                const std::string& sample_text,
+                                const std::vector<std::string>& views);
 
-  /// Folds one view-matched execution into the per-view offload attribution.
-  /// Called only when the plan actually substituted cached/materialized views
-  /// (zero cost on the common non-matched path). Thread-safe.
-  void RecordViewOffload(const std::vector<std::string>& views,
-                         bool roundtrip_avoided, double est_saved_units);
+  /// Records one execution of a planned statement under one lock take:
+  /// folds it into the counters `info` points to, with no lookup, and
+  /// appends it to the trace ring (evicting the oldest entry past capacity).
+  /// Assigns and returns the query id. Thread-safe.
+  int64_t RecordStatement(StatementInfoPtr info, const ExecStats& stats,
+                          int64_t rows, double elapsed_seconds);
+
   std::map<std::string, ViewOffloadStats> SnapshotViewOffload() const {
     std::lock_guard<SpinLock> guard(ring_lock_);
     return view_offload_;
@@ -162,7 +176,7 @@ class MetricsRegistry {
   }
 
   /// Server-wide profiling switch (in addition to the per-session
-  /// SET STATISTICS PROFILE). One relaxed load on the SELECT path when off.
+  /// SET STATISTICS PROFILE). One relaxed load per SELECT when off.
   bool profiling_enabled() const { return profiling_enabled_.load() != 0; }
   void set_profiling_enabled(bool on) { profiling_enabled_.store(on ? 1 : 0); }
 
@@ -171,13 +185,10 @@ class MetricsRegistry {
   /// consumers can tell the window truncated.
   int64_t entries_dropped() const { return entries_dropped_.load(); }
 
-  /// Direct references into the ring/rollups — only valid while no other
+  /// A direct reference into the ring — only valid while no other
   /// thread is executing statements (single-threaded tests, post-run
   /// inspection). Concurrent readers must use the Snapshot* copies.
   const std::deque<QueryTrace>& trace() const { return trace_; }
-  const std::map<std::string, StatementRollup>& rollups() const {
-    return rollups_;
-  }
 
   /// Consistent copies taken under the ring lock: every row in the snapshot
   /// is a fully-recorded statement, never a torn entry. The DMV layer
@@ -200,7 +211,6 @@ class MetricsRegistry {
       ++entries_dropped_;
     }
   }
-  size_t trace_capacity() const { return trace_capacity_; }
 
   using ReplMetricsProvider = std::function<ReplMetricsSnapshot()>;
   /// Installed by the layer owning the ReplicationSystem (MTCache::Setup or
@@ -218,7 +228,9 @@ class MetricsRegistry {
   std::deque<QueryTrace> trace_;
   size_t trace_capacity_ = 32;
   int64_t next_query_id_ = 1;
-  std::map<std::string, StatementRollup> rollups_;  // keyed by fingerprint
+  // Keyed by fingerprint and by view name. Nodes are never erased and do not
+  // move, so StatementInfo pointers into them stay valid.
+  std::map<std::string, StatementRollup> rollups_;
   std::map<std::string, ViewOffloadStats> view_offload_;
   std::deque<QueryProfileRecord> profiles_;
   size_t profile_capacity_ = 16;

@@ -13,45 +13,6 @@
 
 namespace mtcache {
 
-std::string DmlToSql(const Stmt& stmt) {
-  auto where = [](const ExprPtr& e) {
-    return e != nullptr ? " WHERE " + ExprToSql(*e) : std::string();
-  };
-  switch (stmt.kind) {
-    case StmtKind::kInsert: {
-      const auto& ins = static_cast<const InsertStmt&>(stmt);
-      std::string sql = "INSERT INTO " + ins.table;
-      for (size_t i = 0; i < ins.columns.size(); ++i) {
-        sql += (i == 0 ? " (" : ", ") + ins.columns[i];
-      }
-      if (!ins.columns.empty()) sql += ")";
-      if (ins.select != nullptr) return sql + " " + SelectToSql(*ins.select);
-      sql += " VALUES ";
-      for (size_t r = 0; r < ins.rows.size(); ++r) {
-        sql += r == 0 ? "(" : ", (";
-        for (size_t i = 0; i < ins.rows[r].size(); ++i) {
-          sql += (i == 0 ? "" : ", ") + ExprToSql(*ins.rows[r][i]);
-        }
-        sql += ")";
-      }
-      return sql;
-    }
-    case StmtKind::kUpdate: {
-      const auto& upd = static_cast<const UpdateStmt&>(stmt);
-      std::string sql = "UPDATE " + upd.table;
-      for (size_t i = 0; i < upd.sets.size(); ++i) {
-        sql += (i == 0 ? " SET " : ", ") + upd.sets[i].first + " = " +
-               ExprToSql(*upd.sets[i].second);
-      }
-      return sql + where(upd.where);
-    }
-    default: {
-      const auto& del = static_cast<const DeleteStmt&>(stmt);
-      return "DELETE FROM " + del.table + where(del.where);
-    }
-  }
-}
-
 Server::Server(ServerOptions options, SimClock* clock,
                LinkedServerRegistry* links)
     : options_(std::move(options)), clock_(clock), links_(links),
@@ -390,17 +351,10 @@ Status Server::DispatchStmt(const Stmt& stmt, Session* session,
   CompiledProcedure* proc = key.proc;
   switch (stmt.kind) {
     case StmtKind::kSelect:
-      return ExecSelect(static_cast<const SelectStmt&>(stmt), session, stats,
-                        key);
     case StmtKind::kInsert:
-      return ExecInsert(static_cast<const InsertStmt&>(stmt), session, stats,
-                        key);
     case StmtKind::kUpdate:
-      return ExecUpdate(static_cast<const UpdateStmt&>(stmt), session, stats,
-                        key);
     case StmtKind::kDelete:
-      return ExecDelete(static_cast<const DeleteStmt&>(stmt), session, stats,
-                        key);
+      return ExecPlanned(stmt, session, stats, key);
     case StmtKind::kCreateTable:
       return ExecCreateTable(static_cast<const CreateTableStmt&>(stmt));
     case StmtKind::kCreateIndex:
@@ -547,13 +501,11 @@ StatusOr<Server::CachedPlanPtr> Server::PlanStatement(const Stmt& stmt,
   // under the shared lock; many sessions hit the cache in parallel. Ad-hoc
   // statements cache by SQL text, which FindStatementPlan already probed.
   int64_t generation_at_lookup = 0;
-  size_t proc_plan_count = 0;
   {
     SpanScope lookup_span("plan_cache_lookup");
     SharedLatchWait lock(plan_cache_mu_, WaitSite::kPlanCacheShared);
     generation_at_lookup = plan_cache_generation_;
     if (cacheable && proc != nullptr) {
-      proc_plan_count = proc->plans.size();
       auto it = proc->plans.find(&stmt);
       if (it != proc->plans.end()) {
         ++metrics_.plan_cache.hits;
@@ -576,28 +528,16 @@ StatusOr<Server::CachedPlanPtr> Server::PlanStatement(const Stmt& stmt,
   MT_ASSIGN_OR_RETURN(OptimizeResult optimized,
                       OptimizeStatement(stmt, &metrics_.optimizer));
   CachedPlan cached;
-  cached.schema = optimized.plan->schema;
-  cached.plan_text = PhysicalToString(*optimized.plan);
-  cached.est_cost = optimized.est_cost;
-  cached.uses_remote = optimized.uses_remote;
-  cached.dynamic_plan = optimized.dynamic_plan;
-  cached.matched_views = std::move(optimized.matched_views);
-  cached.est_saved_units = optimized.est_saved_units;
   if (!cache_key.empty()) {
-    cached.label = cache_key;
+    cached.info = MakeStatementInfo(optimized, cache_key, cache_key);
   } else if (proc != nullptr) {
-    cached.label = proc->def->name +
-                   (cacheable ? " stmt#" + std::to_string(proc_plan_count)
-                              : " stmt (uncached)");
+    cached.info = MakeStatementInfo(
+        optimized,
+        proc->def->name + " stmt#" + std::to_string(proc->positions.at(&stmt)),
+        StmtToSql(stmt));
   } else {
-    cached.label = "(ad-hoc)";
+    cached.info = MakeStatementInfo(optimized, "(ad-hoc)", "(ad-hoc)");
   }
-  // Fingerprint once per optimization; every execution through this plan
-  // (cache hits included) reuses it, so literal variants of the same shape
-  // roll up into one dm_exec_query_stats row at zero per-execution cost.
-  cached.fingerprint =
-      NormalizeStatement(!cache_key.empty() ? cache_key : cached.label);
-  cached.fingerprint_hash = FingerprintHash(cached.fingerprint);
   cached.plan = std::move(optimized.plan);
   cached.stmt = key.owned;
   CachedPlanPtr plan = std::make_shared<const CachedPlan>(std::move(cached));
@@ -623,63 +563,56 @@ StatusOr<Server::CachedPlanPtr> Server::PlanStatement(const Stmt& stmt,
   return plan;
 }
 
-Status Server::ExecSelect(const SelectStmt& stmt, Session* session,
-                          ExecStats* stats, const PlanKey& key) {
-  // Root span for the whole statement; children (plan_cache_lookup, optimize,
-  // execute, remote_roundtrip) attach through the thread-local span stack.
-  // The ternaries avoid building detail strings when tracing is off.
-  TraceRecorder& tracer = TraceRecorder::Global();
-  SpanScope query_span("query", tracer.enabled() && key.text != nullptr
-                                    ? *key.text
-                                    : std::string());
-  const auto wall_start = std::chrono::steady_clock::now();
-  // The shared_ptr keeps the plan alive for the whole execution even if the
-  // cache is invalidated (and cleared) concurrently.
-  MT_ASSIGN_OR_RETURN(CachedPlanPtr cached, PlanStatement(stmt, key));
-  // Execute against a private ExecStats so the trace records exactly this
-  // statement's cost, then fold it into the caller's totals.
-  ExecStats stmt_stats;
-  ExecContext ctx = MakeContext(session, &stmt_stats);
-  // Profiled when the session asked (SET STATISTICS PROFILE ON) or the
-  // server-wide switch is up; off = one relaxed load, no decorators built.
-  const bool profiled = session->stats_profile || metrics_.profiling_enabled();
-  OperatorProfile profile;
-  if (profiled) profile = MakeProfileTree(*cached->plan);
-  auto result_or = [&]() -> StatusOr<QueryResult> {
-    SpanScope exec_span("execute",
-                        tracer.enabled() ? cached->label : std::string());
-    return ExecutePlan(*cached->plan, &ctx, profiled ? &profile : nullptr);
-  }();
-  if (stats != nullptr) stats->Add(stmt_stats);
-  if (!result_or.ok()) return result_or.status();
-  QueryResult result = result_or.ConsumeValue();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+StatementInfoPtr Server::MakeStatementInfo(const OptimizeResult& optimized,
+                                           std::string label,
+                                           const std::string& sample_text) {
+  // Fingerprinted once per plan, so literal variants of one shape roll up
+  // into one dm_exec_query_stats row at no per-execution cost.
+  StatementInfo info;
+  info.fingerprint = NormalizeStatement(label);
+  info.query_hash = FingerprintHash(info.fingerprint);
+  info.label = std::move(label);
+  info.plan_text = PhysicalToString(*optimized.plan);
+  info.routing = optimized.dynamic_plan  ? "dynamic"
+                 : optimized.uses_remote ? "remote"
+                                         : "local";
+  info.est_cost = optimized.est_cost;
+  info.est_saved_units = optimized.est_saved_units;
+  return metrics_.BindCounters(std::move(info), sample_text,
+                               optimized.matched_views);
+}
 
-  QueryTrace trace;
-  trace.text = cached->label;
-  trace.fingerprint = cached->fingerprint;
-  trace.query_hash = cached->fingerprint_hash;
-  trace.plan = cached->plan_text;
-  trace.routing = cached->dynamic_plan ? "dynamic"
-                  : cached->uses_remote ? "remote"
-                                        : "local";
-  trace.est_cost = cached->est_cost;
-  trace.measured_cost = stmt_stats.local_cost + stmt_stats.remote_cost;
-  trace.stats = stmt_stats;
-  trace.rows_returned = static_cast<int64_t>(result.rows.size());
-  trace.elapsed_seconds = elapsed;
-  const int64_t query_id = metrics_.RecordStatement(std::move(trace));
-  if (!cached->matched_views.empty()) {
-    // Runtime offload attribution: the plan read cached/materialized views;
-    // it avoided a backend roundtrip iff this execution issued none (a
-    // dynamic plan that fell back to its remote branch did not).
-    metrics_.RecordViewOffload(cached->matched_views,
-                               stmt_stats.remote_queries == 0,
-                               cached->est_saved_units);
-  }
+Status Server::ExecPlanned(const Stmt& stmt, Session* session,
+                           ExecStats* stats, const PlanKey& key) {
+  const auto wall_start = std::chrono::steady_clock::now();
+  // Private stats, so the record holds exactly this statement's cost.
+  ExecStats own;
+  PlannedRun run;
+  Status status = [&]() -> Status {
+    switch (stmt.kind) {
+      case StmtKind::kSelect:
+        return ExecSelect(static_cast<const SelectStmt&>(stmt), session, &own,
+                          key, &run);
+      case StmtKind::kInsert:
+        return ExecInsert(static_cast<const InsertStmt&>(stmt), session, &own,
+                          key, &run);
+      case StmtKind::kUpdate:
+        return ExecUpdate(static_cast<const UpdateStmt&>(stmt), session, &own,
+                          key, &run);
+      default:
+        return ExecDelete(static_cast<const DeleteStmt&>(stmt), session, &own,
+                          key, &run);
+    }
+  }();
+  if (stats != nullptr) stats->Add(own);
+  if (!status.ok() || run.info == nullptr) return status;
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
+  // The ring takes this execution's reference unless the profile needs it.
+  const int64_t query_id = metrics_.RecordStatement(
+      run.profile.has_value() ? run.info : std::move(run.info), own, run.rows,
+      elapsed);
   // Cadence-armed workload capture: one relaxed load when disarmed (~always).
   // The CAS winner captures; racers see the advanced deadline and move on.
   const double capture_interval =
@@ -693,15 +626,42 @@ Status Server::ExecSelect(const SelectStmt& stmt, Session* session,
       workload_.Capture(metrics_, sim_now);
     }
   }
-  if (profiled) {
-    QueryProfileRecord rec;
-    rec.query_id = query_id;
-    rec.text = cached->label;
-    rec.query_hash = cached->fingerprint_hash;
-    rec.total_seconds = elapsed;
-    rec.root = std::move(profile);
-    metrics_.RecordProfile(std::move(rec));
+  if (run.profile.has_value()) {
+    metrics_.RecordProfile(QueryProfileRecord{query_id, std::move(run.info),
+                                              elapsed,
+                                              std::move(*run.profile)});
   }
+  return Status::Ok();
+}
+
+Status Server::ExecSelect(const SelectStmt& stmt, Session* session,
+                          ExecStats* stats, const PlanKey& key,
+                          PlannedRun* run) {
+  // Root span for the whole statement; children (plan_cache_lookup, optimize,
+  // execute, remote_roundtrip) attach through the thread-local span stack.
+  // The ternaries avoid building detail strings when tracing is off.
+  TraceRecorder& tracer = TraceRecorder::Global();
+  SpanScope query_span("query", tracer.enabled() && key.text != nullptr
+                                    ? *key.text
+                                    : std::string());
+  // The shared_ptr keeps the plan alive for the whole execution even if the
+  // cache is invalidated (and cleared) concurrently.
+  MT_ASSIGN_OR_RETURN(CachedPlanPtr cached, PlanStatement(stmt, key));
+  ExecContext ctx = MakeContext(session, stats);
+  // Profiled when the session asked (SET STATISTICS PROFILE ON) or the
+  // server-wide switch is up; off = one relaxed load, no decorators built.
+  if (session->stats_profile || metrics_.profiling_enabled()) {
+    run->profile = MakeProfileTree(*cached->plan);
+  }
+  auto result_or = [&]() -> StatusOr<QueryResult> {
+    SpanScope exec_span(
+        "execute", tracer.enabled() ? cached->info->label : std::string());
+    return ExecutePlan(*cached->plan, &ctx,
+                       run->profile.has_value() ? &*run->profile : nullptr);
+  }();
+  MT_ASSIGN_OR_RETURN(QueryResult result, std::move(result_or));
+  run->info = cached->info;
+  run->rows = static_cast<int64_t>(result.rows.size());
   if (!stmt.into_vars.empty()) {
     // Scalar assignment: bind the first row's values to the variables. With
     // no rows the variables keep their previous values (T-SQL semantics).
@@ -768,13 +728,14 @@ StatusOr<bool> Server::ForwardDml(const Stmt& stmt, const std::string& server,
   }
   MT_ASSIGN_OR_RETURN(
       QueryResult result,
-      ExecuteRemote(target, DmlToSql(stmt), session->vars, stats));
+      ExecuteRemote(target, StmtToSql(stmt), session->vars, stats));
   session->result.rows_affected = result.rows_affected;
   return true;
 }
 
 Status Server::ExecInsert(const InsertStmt& stmt, Session* session,
-                          ExecStats* stats, const PlanKey& key) {
+                          ExecStats* stats, const PlanKey& key,
+                          PlannedRun* run) {
   MT_ASSIGN_OR_RETURN(
       bool forwarded,
       ForwardDml(stmt, stmt.server, stmt.table, session, stats));
@@ -813,6 +774,7 @@ Status Server::ExecInsert(const InsertStmt& stmt, Session* session,
   Status status = [&]() -> Status {
     if (bound.select != nullptr) {
       MT_ASSIGN_OR_RETURN(CachedPlanPtr plan, PlanStatement(stmt, key));
+      run->info = plan->info;
       MT_ASSIGN_OR_RETURN(QueryResult result, ExecutePlan(*plan->plan, &ctx));
       for (const Row& row : result.rows) {
         MT_RETURN_IF_ERROR(insert_values_row(row));
@@ -831,6 +793,7 @@ Status Server::ExecInsert(const InsertStmt& stmt, Session* session,
   }();
   MT_RETURN_IF_ERROR(EndScope(&scope, status));
   session->result.rows_affected = inserted;
+  run->rows = inserted;
   return Status::Ok();
 }
 
@@ -838,12 +801,13 @@ Status Server::ExecModify(const Stmt& stmt, const TableDef& def,
                           const BoundExpr* where,
                           const std::vector<std::pair<int, BExprPtr>>* sets,
                           Session* session, ExecStats* stats,
-                          const PlanKey& key) {
+                          const PlanKey& key, PlannedRun* run) {
   StoredTable* table = db_.GetStoredTable(def.name);
   if (table == nullptr) {
     return Status::NotFound("no storage for table " + def.name);
   }
   MT_ASSIGN_OR_RETURN(CachedPlanPtr plan, PlanStatement(stmt, key));
+  run->info = plan->info;
   ExecContext ctx = MakeContext(session, stats);
   const EvalContext eval = ctx.Eval();
   const double write_cost =
@@ -873,11 +837,13 @@ Status Server::ExecModify(const Stmt& stmt, const TableDef& def,
   }();
   MT_RETURN_IF_ERROR(EndScope(&scope, status));
   session->result.rows_affected = changed;
+  run->rows = changed;
   return Status::Ok();
 }
 
 Status Server::ExecUpdate(const UpdateStmt& stmt, Session* session,
-                          ExecStats* stats, const PlanKey& key) {
+                          ExecStats* stats, const PlanKey& key,
+                          PlannedRun* run) {
   MT_ASSIGN_OR_RETURN(
       bool forwarded,
       ForwardDml(stmt, stmt.server, stmt.table, session, stats));
@@ -885,11 +851,12 @@ Status Server::ExecUpdate(const UpdateStmt& stmt, Session* session,
   Binder binder = MakeBinder();
   MT_ASSIGN_OR_RETURN(BoundUpdate bound, binder.BindUpdate(stmt));
   return ExecModify(stmt, *bound.table, bound.where.get(), &bound.sets,
-                    session, stats, key);
+                    session, stats, key, run);
 }
 
 Status Server::ExecDelete(const DeleteStmt& stmt, Session* session,
-                          ExecStats* stats, const PlanKey& key) {
+                          ExecStats* stats, const PlanKey& key,
+                          PlannedRun* run) {
   MT_ASSIGN_OR_RETURN(
       bool forwarded,
       ForwardDml(stmt, stmt.server, stmt.table, session, stats));
@@ -897,7 +864,7 @@ Status Server::ExecDelete(const DeleteStmt& stmt, Session* session,
   Binder binder = MakeBinder();
   MT_ASSIGN_OR_RETURN(BoundDelete bound, binder.BindDelete(stmt));
   return ExecModify(stmt, *bound.table, bound.where.get(), nullptr, session,
-                    stats, key);
+                    stats, key, run);
 }
 
 // ---------------------------------------------------------------------------
@@ -1182,7 +1149,7 @@ Status Server::ExecExplain(const ExplainStmt& stmt, Session* session) {
     if (def == nullptr) return;
     if (def->shadow) {
       annotations.push_back("forwarded to backend as: " +
-                            DmlToSql(*stmt.target));
+                            StmtToSql(*stmt.target));
       return;
     }
     if (!def->indexes.empty()) {
@@ -1260,7 +1227,8 @@ Status Server::ExecExplain(const ExplainStmt& stmt, Session* session) {
                     optimized.uses_remote ? "yes" : "no");
       result.rows.push_back({Value::String(summary)});
       QueryProfileRecord rec;
-      rec.text = "(explain analyze)";
+      const std::string text = StmtToSql(*stmt.target);
+      rec.info = MakeStatementInfo(optimized, text, text);
       rec.total_seconds = elapsed;
       rec.root = std::move(profile);
       metrics_.RecordProfile(std::move(rec));
@@ -1292,6 +1260,26 @@ Status Server::ExecExplain(const ExplainStmt& stmt, Session* session) {
 // Stored procedures
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Numbers `stmts` and the statements nested in them depth-first, in body
+// order, continuing from the positions already taken.
+void NumberStatements(const std::vector<StmtPtr>& stmts,
+                      std::unordered_map<const Stmt*, int>* positions) {
+  for (const StmtPtr& stmt : stmts) {
+    positions->emplace(stmt.get(), static_cast<int>(positions->size()));
+    if (stmt->kind == StmtKind::kIf) {
+      const auto& branch = static_cast<const IfStmt&>(*stmt);
+      NumberStatements(branch.then_branch, positions);
+      NumberStatements(branch.else_branch, positions);
+    } else if (stmt->kind == StmtKind::kWhile) {
+      NumberStatements(static_cast<const WhileStmt&>(*stmt).body, positions);
+    }
+  }
+}
+
+}  // namespace
+
 StatusOr<Server::CompiledProcedure*> Server::CompileProcedure(
     const std::string& name) {
   // std::map nodes are stable, so the returned pointer survives concurrent
@@ -1310,6 +1298,7 @@ StatusOr<Server::CompiledProcedure*> Server::CompileProcedure(
   CompiledProcedure proc;
   proc.def = def;
   MT_ASSIGN_OR_RETURN(proc.body, ParseSqlScript(def->body_source));
+  NumberStatements(proc.body, &proc.positions);
   ExclusiveLatchWait lock(plan_cache_mu_, WaitSite::kPlanCacheExclusive);
   auto [inserted_it, ok] = procedure_cache_.emplace(name, std::move(proc));
   return &inserted_it->second;

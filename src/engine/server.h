@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -196,22 +197,8 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
  private:
   struct CachedPlan {
     PhysicalPtr plan;
-    Schema schema;
-    // Trace metadata, captured once at optimize time.
-    std::string label;      // statement text (or a procedure-body marker)
-    std::string plan_text;  // PhysicalToString rendering of the plan
-    // Fingerprint of the statement (literals -> `?`, case/whitespace-folded)
-    // and its FNV-1a hash, computed once here so cache hits pay nothing.
-    std::string fingerprint;
-    uint64_t fingerprint_hash = 0;
-    double est_cost = 0;
-    bool uses_remote = false;
-    bool dynamic_plan = false;
-    // View-matching attribution: which cached/materialized views the plan
-    // reads via substitution, and the optimizer's estimated per-execution
-    // saving in cost units. Empty/0 for the overwhelming majority of plans.
-    std::vector<std::string> matched_views;
-    double est_saved_units = 0;
+    // What each execution of the plan is recorded under, built once with it.
+    StatementInfoPtr info;
     // The parsed statement of an ad-hoc text plan, of whatever kind, so a
     // later execution of the same text runs without parsing. Null for
     // procedure-body plans, whose AST CompiledProcedure::body owns.
@@ -255,6 +242,9 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   struct CompiledProcedure {
     const ProcedureDef* def = nullptr;
     std::vector<StmtPtr> body;  // read-only after compilation
+    // Each body statement's depth-first position, through IF and WHILE
+    // branches, which its label `<proc> stmt#<position>` names.
+    std::unordered_map<const Stmt*, int> positions;
     // Plans for the body's SELECT, INSERT ... SELECT, UPDATE and DELETE
     // statements, keyed by statement address. This is what makes dynamic
     // plans pay off: parameterized procedure queries are optimized once and
@@ -280,14 +270,28 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
                      const PlanKey& key);
   Status DispatchStmt(const Stmt& stmt, Session* session, ExecStats* stats,
                       const PlanKey& key);
+
+  /// What a statement reports for its record: its plan's info (null when it
+  /// ran no plan here, as INSERT ... VALUES and forwarded writes do), the
+  /// rows it returned or changed, and its operator profile if profiled.
+  struct PlannedRun {
+    StatementInfoPtr info;
+    int64_t rows = 0;
+    std::optional<OperatorProfile> profile;
+  };
+
+  /// Runs a SELECT, INSERT, UPDATE or DELETE and records it if it ran a
+  /// plan: the one place every planned statement is recorded.
+  Status ExecPlanned(const Stmt& stmt, Session* session, ExecStats* stats,
+                     const PlanKey& key);
   Status ExecSelect(const SelectStmt& stmt, Session* session, ExecStats* stats,
-                    const PlanKey& key);
+                    const PlanKey& key, PlannedRun* run);
   Status ExecInsert(const InsertStmt& stmt, Session* session, ExecStats* stats,
-                    const PlanKey& key);
+                    const PlanKey& key, PlannedRun* run);
   Status ExecUpdate(const UpdateStmt& stmt, Session* session, ExecStats* stats,
-                    const PlanKey& key);
+                    const PlanKey& key, PlannedRun* run);
   Status ExecDelete(const DeleteStmt& stmt, Session* session, ExecStats* stats,
-                    const PlanKey& key);
+                    const PlanKey& key, PlannedRun* run);
   Status ExecCreateTable(const CreateTableStmt& stmt);
   Status ExecCreateIndex(const CreateIndexStmt& stmt);
   Status ExecCreateView(const CreateViewStmt& stmt, Session* session,
@@ -320,7 +324,8 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   Status ExecModify(const Stmt& stmt, const TableDef& def,
                     const BoundExpr* where,
                     const std::vector<std::pair<int, BExprPtr>>* sets,
-                    Session* session, ExecStats* stats, const PlanKey& key);
+                    Session* session, ExecStats* stats, const PlanKey& key,
+                    PlannedRun* run);
 
   /// Keeps the regular materialized views over `base` current after one
   /// base-row change: `before`/`after` are the row's images, null where the
@@ -348,6 +353,11 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   /// while we optimized), this session simply executes its own plan without
   /// caching it. Uncacheable (freshness-constrained) plans are never cached.
   StatusOr<CachedPlanPtr> PlanStatement(const Stmt& stmt, const PlanKey& key);
+
+  /// Builds the info a plan's executions are recorded under.
+  StatementInfoPtr MakeStatementInfo(const OptimizeResult& optimized,
+                                     std::string label,
+                                     const std::string& sample_text);
 
   StatusOr<CompiledProcedure*> CompileProcedure(const std::string& name);
 
@@ -396,9 +406,6 @@ class Server : public RemoteExecutor, public VirtualTableProvider {
   std::atomic<double> workload_capture_interval_{0};
   std::atomic<double> workload_next_capture_{0};
 };
-
-/// Renders an INSERT, UPDATE or DELETE back to SQL text for forwarding.
-std::string DmlToSql(const Stmt& stmt);
 
 }  // namespace mtcache
 

@@ -79,6 +79,17 @@ std::string FingerprintHex(uint64_t hash) {
   return std::string(buf);
 }
 
+double MeasuredSecondsPerUnit(
+    const std::map<std::string, StatementRollup>& rollups) {
+  double seconds = 0;
+  double units = 0;
+  for (const auto& [key, rollup] : rollups) {
+    seconds += rollup.elapsed_seconds;
+    units += rollup.totals.local_cost + rollup.totals.remote_cost;
+  }
+  return units > 0 ? seconds / units : 0;
+}
+
 WorkloadSlice WorkloadRepository::Capture(const MetricsRegistry& metrics,
                                           double now) {
   // The whole capture — counter reads AND baseline advance — serializes on
@@ -87,78 +98,75 @@ WorkloadSlice WorkloadRepository::Capture(const MetricsRegistry& metrics,
   // Lock order is strictly repository -> registry (the snapshot calls below
   // take the registry's ring lock); nothing takes them in reverse.
   std::lock_guard<SpinLock> guard(mu_);
-  const std::map<std::string, StatementRollup> rollups =
-      metrics.SnapshotRollups();
-  const std::map<std::string, ViewOffloadStats> offload =
-      metrics.SnapshotViewOffload();
+  Totals cur;
+  cur.captured_at = now;
+  cur.rollups = metrics.SnapshotRollups();
+  cur.views = metrics.SnapshotViewOffload();
   const ReplMetricsSnapshot repl = metrics.repl_snapshot();
-
-  const int64_t plan_hits = metrics.plan_cache.hits;
-  const int64_t plan_misses = metrics.plan_cache.misses;
-  const int64_t vm_hits = metrics.optimizer.view_match_hits;
-
-  double wait_seconds = 0;
-  int64_t wait_contentions = 0;
+  cur.plan_cache_hits = metrics.plan_cache.hits;
+  cur.plan_cache_misses = metrics.plan_cache.misses;
+  cur.view_match_hits = metrics.optimizer.view_match_hits;
+  cur.repl_changes_applied = repl.changes_applied;
   const WaitStats& ws = GlobalWaitStats();
   for (int i = 0; i < static_cast<int>(WaitSite::kCount); ++i) {
     const WaitSiteStats& s = ws.at(static_cast<WaitSite>(i));
-    wait_seconds += s.wait_seconds;
-    wait_contentions += s.contentions;
+    cur.wait_seconds += s.wait_seconds;
+    cur.wait_contentions += s.contentions;
   }
 
-  int64_t statements = 0;
-  int64_t remote_queries = 0;
-  int64_t rows_transferred = 0;
-  double bytes_transferred = 0;
-  for (const auto& [key, rollup] : rollups) {
-    statements += rollup.executions;
-    remote_queries += rollup.totals.remote_queries;
-    rows_transferred += rollup.totals.rows_transferred;
-    bytes_transferred += rollup.totals.bytes_transferred;
-  }
-
-  const double unit_seconds = cost_unit_seconds_.load();
-
+  const Totals& base = baseline_;
   WorkloadSlice slice;
   slice.slice_id = next_slice_id_++;
   slice.captured_at = now;
-  slice.interval_seconds = baseline_.valid ? now - baseline_.captured_at : 0;
-  slice.statements = statements - baseline_.statements;
-  slice.plan_cache_hits = plan_hits - baseline_.plan_cache_hits;
-  slice.plan_cache_misses = plan_misses - baseline_.plan_cache_misses;
-  slice.view_match_hits = vm_hits - baseline_.view_match_hits;
-  slice.remote_queries = remote_queries - baseline_.remote_queries;
-  slice.rows_transferred = rows_transferred - baseline_.rows_transferred;
-  slice.bytes_transferred = bytes_transferred - baseline_.bytes_transferred;
+  slice.interval_seconds = base.captured_at >= 0 ? now - base.captured_at : 0;
+  slice.plan_cache_hits = cur.plan_cache_hits - base.plan_cache_hits;
+  slice.plan_cache_misses = cur.plan_cache_misses - base.plan_cache_misses;
+  slice.view_match_hits = cur.view_match_hits - base.view_match_hits;
   slice.repl_changes_applied =
-      repl.changes_applied - baseline_.repl_changes_applied;
+      cur.repl_changes_applied - base.repl_changes_applied;
   slice.repl_lag_p99 = repl.latency_p99;
-  slice.wait_seconds = wait_seconds - baseline_.wait_seconds;
-  slice.wait_contentions = wait_contentions - baseline_.wait_contentions;
+  slice.wait_seconds = cur.wait_seconds - base.wait_seconds;
+  slice.wait_contentions = cur.wait_contentions - base.wait_contentions;
 
-  for (const auto& [key, rollup] : rollups) {
-    const QueryBaseline& base = baseline_.queries[key];  // zero if new
+  // Per-fingerprint and per-view deltas against the previous totals (zero
+  // for a key that is new); a key idle this slice is omitted, and the
+  // slice-wide sums add up the keys that moved.
+  static const StatementRollup kNoRollup;
+  for (const auto& [key, rollup] : cur.rollups) {
+    auto it = base.rollups.find(key);
+    const StatementRollup& prev = it != base.rollups.end() ? it->second
+                                                           : kNoRollup;
     WorkloadQueryDelta d;
-    d.executions = rollup.executions - base.executions;
-    if (d.executions == 0) continue;  // fingerprint idle this slice
+    d.executions = rollup.executions - prev.executions;
+    if (d.executions == 0) continue;
     d.query_hash = FingerprintHex(rollup.query_hash);
     d.statement = key;
     d.sample_text = rollup.sample_text;
-    d.rows_returned = rollup.rows_returned - base.rows_returned;
-    d.local_cost = rollup.totals.local_cost - base.local_cost;
-    d.remote_cost = rollup.totals.remote_cost - base.remote_cost;
-    d.remote_queries = rollup.totals.remote_queries - base.remote_queries;
-    d.elapsed_seconds = rollup.elapsed_seconds - base.elapsed_seconds;
+    d.rows_returned = rollup.rows_returned - prev.rows_returned;
+    d.local_cost = rollup.totals.local_cost - prev.totals.local_cost;
+    d.remote_cost = rollup.totals.remote_cost - prev.totals.remote_cost;
+    d.remote_queries =
+        rollup.totals.remote_queries - prev.totals.remote_queries;
+    d.elapsed_seconds = rollup.elapsed_seconds - prev.elapsed_seconds;
+    slice.statements += d.executions;
+    slice.remote_queries += d.remote_queries;
+    slice.rows_transferred +=
+        rollup.totals.rows_transferred - prev.totals.rows_transferred;
+    slice.bytes_transferred +=
+        rollup.totals.bytes_transferred - prev.totals.bytes_transferred;
     slice.queries.push_back(std::move(d));
   }
-  for (const auto& [view, stats] : offload) {
-    const ViewBaseline& base = baseline_.views[view];
+  const double unit_seconds = MeasuredSecondsPerUnit(cur.rollups);
+  for (const auto& [view, stats] : cur.views) {
+    auto it = base.views.find(view);
+    const ViewOffloadStats prev =
+        it != base.views.end() ? it->second : ViewOffloadStats{};
     WorkloadViewDelta d;
-    d.matches = stats.matches - base.matches;
+    d.matches = stats.matches - prev.matches;
     if (d.matches == 0) continue;
     d.view = view;
-    d.roundtrips_avoided = stats.roundtrips_avoided - base.roundtrips_avoided;
-    d.est_saved_units = stats.est_saved_units - base.est_saved_units;
+    d.roundtrips_avoided = stats.roundtrips_avoided - prev.roundtrips_avoided;
+    d.est_saved_units = stats.est_saved_units - prev.est_saved_units;
     d.est_saved_seconds = d.est_saved_units * unit_seconds;
     slice.offload_matches += d.matches;
     slice.offload_roundtrips_avoided += d.roundtrips_avoided;
@@ -166,35 +174,7 @@ WorkloadSlice WorkloadRepository::Capture(const MetricsRegistry& metrics,
     slice.offload_est_saved_seconds += d.est_saved_seconds;
     slice.views.push_back(std::move(d));
   }
-
-  // Advance the baseline to the totals just read.
-  baseline_.valid = true;
-  baseline_.captured_at = now;
-  baseline_.statements = statements;
-  baseline_.plan_cache_hits = plan_hits;
-  baseline_.plan_cache_misses = plan_misses;
-  baseline_.view_match_hits = vm_hits;
-  baseline_.remote_queries = remote_queries;
-  baseline_.rows_transferred = rows_transferred;
-  baseline_.bytes_transferred = bytes_transferred;
-  baseline_.repl_changes_applied = repl.changes_applied;
-  baseline_.wait_seconds = wait_seconds;
-  baseline_.wait_contentions = wait_contentions;
-  for (const auto& [key, rollup] : rollups) {
-    QueryBaseline& base = baseline_.queries[key];
-    base.executions = rollup.executions;
-    base.rows_returned = rollup.rows_returned;
-    base.local_cost = rollup.totals.local_cost;
-    base.remote_cost = rollup.totals.remote_cost;
-    base.remote_queries = rollup.totals.remote_queries;
-    base.elapsed_seconds = rollup.elapsed_seconds;
-  }
-  for (const auto& [view, stats] : offload) {
-    ViewBaseline& base = baseline_.views[view];
-    base.matches = stats.matches;
-    base.roundtrips_avoided = stats.roundtrips_avoided;
-    base.est_saved_units = stats.est_saved_units;
-  }
+  baseline_ = std::move(cur);
 
   ring_.push_back(slice);
   while (ring_.size() > capacity_) {

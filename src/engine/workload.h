@@ -20,9 +20,8 @@ namespace mtcache {
 /// single spaces — so `SELECT * FROM t WHERE id = 7` and
 /// `select *  from T where id=42` share one fingerprint and their stats
 /// aggregate into one dm_exec_query_stats row. The fingerprint is computed
-/// once per plan-cache *miss* (at CachedPlan construction); cache hits reuse
-/// the stored fingerprint, so the per-execution cost is one extra string copy
-/// into the trace record.
+/// once per plan-cache *miss*, into the plan's StatementInfo; every execution
+/// of the plan records through that shared info and copies no string.
 ///
 /// The *repository* turns the since-boot counters of MetricsRegistry into a
 /// bounded ring of time slices: each Capture() reads the cumulative totals,
@@ -47,11 +46,16 @@ uint64_t FingerprintHash(const std::string& normalized);
 /// `query_hash` column (string, not int64: the full unsigned range survives).
 std::string FingerprintHex(uint64_t hash);
 
+/// Measured seconds per charged cost unit: Σ elapsed seconds / Σ (local +
+/// remote) units over `rollups`, or 0 before any execution.
+double MeasuredSecondsPerUnit(
+    const std::map<std::string, StatementRollup>& rollups);
+
 /// Per-fingerprint delta over one slice (sys.dm_workload_query_deltas).
 struct WorkloadQueryDelta {
   std::string query_hash;   // FingerprintHex of the normalized statement
   std::string statement;    // normalized text (the rollup key)
-  std::string sample_text;  // first raw SQL observed for this fingerprint
+  std::string sample_text;  // the rollup's sample SQL
   int64_t executions = 0;
   int64_t rows_returned = 0;
   double local_cost = 0;
@@ -66,7 +70,7 @@ struct WorkloadViewDelta {
   int64_t matches = 0;             // executions whose plan read this view
   int64_t roundtrips_avoided = 0;  // of those, ran with zero remote queries
   double est_saved_units = 0;      // optimizer units: cost(no view) - cost
-  double est_saved_seconds = 0;    // units * cost_unit_seconds
+  double est_saved_seconds = 0;    // units * MeasuredSecondsPerUnit
 };
 
 /// One captured time slice: counter deltas since the previous capture plus
@@ -76,7 +80,7 @@ struct WorkloadSlice {
   int64_t slice_id = 0;        // monotone per repository, never reused
   double captured_at = 0;      // sim-clock seconds at capture
   double interval_seconds = 0;  // captured_at - previous capture (0 = first)
-  int64_t statements = 0;      // SELECT executions recorded
+  int64_t statements = 0;      // planned-statement executions recorded
   int64_t plan_cache_hits = 0;
   int64_t plan_cache_misses = 0;
   int64_t view_match_hits = 0;
@@ -117,44 +121,18 @@ class WorkloadRepository {
   int64_t slices_dropped() const { return slices_dropped_.load(); }
   int64_t slices_captured() const { return slices_captured_.load(); }
 
-  /// Seconds one optimizer cost unit represents, for the estimated-backend-
-  /// seconds-saved columns. Optimizer units are the CostModel work units the
-  /// executor charges, and the DES maps units to seconds via unit_rate; the
-  /// default matches sim::FleetConfig::unit_rate = 100000 units/sec. The
-  /// fleet harness overrides this with 1/unit_rate per server.
-  double cost_unit_seconds() const { return cost_unit_seconds_.load(); }
-  void set_cost_unit_seconds(double s) { cost_unit_seconds_.store(s); }
-
  private:
-  /// Cumulative per-fingerprint totals at the previous capture.
-  struct QueryBaseline {
-    int64_t executions = 0;
-    int64_t rows_returned = 0;
-    double local_cost = 0;
-    double remote_cost = 0;
-    int64_t remote_queries = 0;
-    double elapsed_seconds = 0;
-  };
-  struct ViewBaseline {
-    int64_t matches = 0;
-    int64_t roundtrips_avoided = 0;
-    double est_saved_units = 0;
-  };
-  struct Baseline {
-    bool valid = false;  // false until the first capture
-    double captured_at = 0;
-    int64_t statements = 0;
+  /// The cumulative counters as read at one capture (all zero before one).
+  struct Totals {
+    double captured_at = -1;  // -1 until the first capture
     int64_t plan_cache_hits = 0;
     int64_t plan_cache_misses = 0;
     int64_t view_match_hits = 0;
-    int64_t remote_queries = 0;
-    int64_t rows_transferred = 0;
-    double bytes_transferred = 0;
-      int64_t repl_changes_applied = 0;
+    int64_t repl_changes_applied = 0;
     double wait_seconds = 0;
     int64_t wait_contentions = 0;
-    std::map<std::string, QueryBaseline> queries;
-    std::map<std::string, ViewBaseline> views;
+    std::map<std::string, StatementRollup> rollups;
+    std::map<std::string, ViewOffloadStats> views;
   };
 
   // Guards ring_, baseline_, next_slice_id_. Captures are rare (cadence or
@@ -162,12 +140,11 @@ class WorkloadRepository {
   // rollup map — happens via MetricsRegistry's lock, not this one.
   mutable SpinLock mu_;
   std::deque<WorkloadSlice> ring_;
-  Baseline baseline_;
+  Totals baseline_;  // the totals at the previous capture
   int64_t next_slice_id_ = 1;
   size_t capacity_ = 64;
   RelaxedInt64 slices_dropped_;
   RelaxedInt64 slices_captured_;
-  RelaxedDouble cost_unit_seconds_ = 1.0 / 100000;
 };
 
 }  // namespace mtcache

@@ -134,12 +134,7 @@ Status Fleet::BuildSystem() {
     MT_RETURN_IF_ERROR(tpcw::SetupTpcwCache(mtcaches_.back().get(),
                                             config_.tpcw,
                                             config_.cached_fraction));
-    // The machine model defines the units->seconds conversion for this
-    // fleet, so offload attribution ("backend seconds saved") in the
-    // workload DMVs uses the same rate the DES replays work at.
-    caches_.back()->workload().set_cost_unit_seconds(1.0 / config_.unit_rate);
   }
-  backend_->workload().set_cost_unit_seconds(1.0 / config_.unit_rate);
   // Per-cache session drivers with disjoint client id spaces; residue class
   // num_caches is reserved for the profiling driver.
   for (int i = 0; i < config_.num_caches; ++i) {

@@ -240,6 +240,49 @@ std::string SelectToSql(const SelectStmt& stmt) {
   return sql;
 }
 
+std::string StmtToSql(const Stmt& stmt) {
+  auto where = [](const ExprPtr& e) {
+    return e != nullptr ? " WHERE " + ExprToSql(*e) : std::string();
+  };
+  switch (stmt.kind) {
+    case StmtKind::kSelect:
+      return SelectToSql(static_cast<const SelectStmt&>(stmt));
+    case StmtKind::kInsert: {
+      const auto& ins = static_cast<const InsertStmt&>(stmt);
+      std::string sql = "INSERT INTO " + ins.table;
+      for (size_t i = 0; i < ins.columns.size(); ++i) {
+        sql += (i == 0 ? " (" : ", ") + ins.columns[i];
+      }
+      if (!ins.columns.empty()) sql += ")";
+      if (ins.select != nullptr) return sql + " " + SelectToSql(*ins.select);
+      sql += " VALUES ";
+      for (size_t r = 0; r < ins.rows.size(); ++r) {
+        sql += r == 0 ? "(" : ", (";
+        for (size_t i = 0; i < ins.rows[r].size(); ++i) {
+          sql += (i == 0 ? "" : ", ") + ExprToSql(*ins.rows[r][i]);
+        }
+        sql += ")";
+      }
+      return sql;
+    }
+    case StmtKind::kUpdate: {
+      const auto& upd = static_cast<const UpdateStmt&>(stmt);
+      std::string sql = "UPDATE " + upd.table;
+      for (size_t i = 0; i < upd.sets.size(); ++i) {
+        sql += (i == 0 ? " SET " : ", ") + upd.sets[i].first + " = " +
+               ExprToSql(*upd.sets[i].second);
+      }
+      return sql + where(upd.where);
+    }
+    case StmtKind::kDelete: {
+      const auto& del = static_cast<const DeleteStmt&>(stmt);
+      return "DELETE FROM " + del.table + where(del.where);
+    }
+    default:
+      return std::string();
+  }
+}
+
 std::unique_ptr<SelectStmt> CloneSelect(const SelectStmt& stmt) {
   auto out = std::make_unique<SelectStmt>();
   out->distinct = stmt.distinct;

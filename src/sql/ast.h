@@ -392,6 +392,13 @@ std::unique_ptr<SelectStmt> CloneSelect(const SelectStmt& stmt);
 /// source query of a forwarded INSERT ... SELECT).
 std::string SelectToSql(const SelectStmt& stmt);
 
+/// Renders a SELECT, INSERT, UPDATE or DELETE back to SQL text that parses
+/// to the same statement: the text a cache forwards a write as, EXPLAIN's
+/// note of it, and a procedure statement's sample text. A write's target is
+/// rendered without its linked-server qualifier, because the text runs on
+/// the server that owns the target. Other kinds render as empty.
+std::string StmtToSql(const Stmt& stmt);
+
 }  // namespace mtcache
 
 #endif  // MTCACHE_SQL_AST_H_

@@ -185,6 +185,81 @@ TEST_F(ConcurrencyTest, ParseFreeHitsRaceInvalidation) {
   EXPECT_EQ(stats.hits + stats.misses, kSessions * kIterations);
 }
 
+TEST_F(ConcurrencyTest, RecordedExecutionsAreExactUnderInvalidation) {
+  // Four sessions each run kIterations cached point SELECTs and as many
+  // cached point UPDATEs, on keys no other session touches, while the main
+  // thread flushes the plan cache and reads the trace ring. Every execution
+  // folds into its fingerprint's rollup exactly once, whichever plan (and
+  // info) it ran under, and every ring row keeps its label and plan.
+  const std::string kSelect = "SELECT i_cost FROM item WHERE i_id = @id";
+  const std::string kUpdate =
+      "UPDATE item SET i_cost = i_cost + 1 WHERE i_id = @id";
+  constexpr int kSessions = 4;
+  constexpr int kIterations = 100;
+  constexpr int kKeysPerSession = 10;
+  ThreadErrors errors;
+  std::atomic<int> running{kSessions};
+  std::vector<std::thread> sessions;
+  for (int t = 0; t < kSessions; ++t) {
+    sessions.emplace_back([&, t] {
+      Session session;
+      ExecStats stats;
+      for (int i = 0; i < kIterations; ++i) {
+        session.vars["@id"] =
+            Value::Int(t * kKeysPerSession + i % kKeysPerSession + 1);
+        for (const std::string* text : {&kSelect, &kUpdate}) {
+          auto r = server_.ExecuteOnSession(&session, *text, &stats);
+          if (!r.ok()) {
+            errors.Record(r.status().ToString());
+            break;
+          }
+        }
+      }
+      running.fetch_sub(1, std::memory_order_relaxed);
+    });
+  }
+  int64_t flushes = 0;
+  while (running.load(std::memory_order_relaxed) > 0) {
+    server_.InvalidatePlanCache();
+    ++flushes;
+    auto r = server_.Execute("SELECT statement, plan FROM sys.dm_exec_requests");
+    if (!r.ok()) {
+      errors.Record(r.status().ToString());
+      break;
+    }
+    for (const Row& row : r->rows) {
+      if (row[0].AsString().empty() || row[1].AsString().empty()) {
+        errors.Record("a dm_exec_requests row lost its label or plan");
+      }
+    }
+  }
+  for (std::thread& t : sessions) t.join();
+  EXPECT_EQ(errors.count(), 0) << errors.first();
+  EXPECT_GT(flushes, 0);
+
+  for (const std::string& fingerprint :
+       {std::string("select i_cost from item where i_id = @id"),
+        std::string("update item set i_cost = i_cost + ? where i_id = @id")}) {
+    auto r = server_.Execute(
+        "SELECT executions, rows_returned FROM sys.dm_exec_query_stats "
+        "WHERE statement = '" + fingerprint + "'");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u) << fingerprint;
+    EXPECT_EQ(r->rows[0][0].AsInt(), kSessions * kIterations) << fingerprint;
+    // Each SELECT returns its one row and each UPDATE changes one.
+    EXPECT_EQ(r->rows[0][1].AsInt(), kSessions * kIterations) << fingerprint;
+  }
+  // Every session's keys took exactly their share of the increments.
+  for (int id = 1; id <= kSessions * kKeysPerSession; ++id) {
+    auto r = server_.Execute("SELECT i_cost FROM item WHERE i_id = " +
+                             std::to_string(id));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_DOUBLE_EQ(r->rows[0][0].AsDouble(),
+                     id * 1.5 + kIterations / kKeysPerSession)
+        << "i_id " << id;
+  }
+}
+
 TEST_F(ConcurrencyTest, DmvReadsRaceWithStatementExecution) {
   ThreadErrors errors;
   std::atomic<bool> stop{false};

@@ -1,4 +1,5 @@
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,9 +129,9 @@ TEST_F(DmvTest, TraceRingKeepsLastNStatements) {
             .ok());
   }
   ASSERT_EQ(server_.metrics().trace().size(), 4u);
-  EXPECT_EQ(server_.metrics().trace().back().text,
+  EXPECT_EQ(server_.metrics().trace().back().info->label,
             "SELECT id FROM t WHERE id = 6");
-  EXPECT_EQ(server_.metrics().trace().front().text,
+  EXPECT_EQ(server_.metrics().trace().front().info->label,
             "SELECT id FROM t WHERE id = 3");
   // Ids stay monotonic across eviction.
   EXPECT_EQ(server_.metrics().trace().back().query_id,
@@ -170,9 +171,9 @@ TEST_F(DmvTest, QueryStatsAggregateAcrossLiteralVariants) {
   ASSERT_TRUE(server_.Execute("select  ID from T where id = 3").ok());
   // The trace ring still records each original spelling, fingerprint
   // alongside (checked before the DMV query appends its own entry).
-  EXPECT_EQ(server_.metrics().trace().back().text,
+  EXPECT_EQ(server_.metrics().trace().back().info->label,
             "select  ID from T where id = 3");
-  EXPECT_EQ(server_.metrics().trace().back().fingerprint,
+  EXPECT_EQ(server_.metrics().trace().back().info->fingerprint,
             "select id from t where id = ?");
   auto r = server_.Execute(
       "SELECT * FROM sys.dm_exec_query_stats "
@@ -184,14 +185,124 @@ TEST_F(DmvTest, QueryStatsAggregateAcrossLiteralVariants) {
   EXPECT_NE(StringCol(*r, "query_hash"), "0000000000000000");
 }
 
+TEST_F(DmvTest, UpdatesRollUpWithRowsAffected) {
+  // Writes are recorded like reads: one parameterized UPDATE text run five
+  // times is one dm_exec_query_stats row whose rows_returned counts the
+  // rows the executions changed (2 per execution here).
+  const std::string kUpdate = "UPDATE t SET x = x + 1 WHERE id <= @n";
+  ParamMap params;
+  params["@n"] = Value::Int(2);
+  for (int i = 0; i < 5; ++i) {
+    auto r = server_.Execute(kUpdate, params, nullptr);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows_affected, 2);
+  }
+  EXPECT_EQ(server_.metrics().trace().back().info->label, kUpdate);
+  EXPECT_EQ(server_.metrics().trace().back().rows_returned, 2);
+  auto r = server_.Execute(
+      "SELECT executions, rows_returned, local_cost, sample_text FROM "
+      "sys.dm_exec_query_stats "
+      "WHERE statement = 'update t set x = x + ? where id <= @n'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(IntCol(*r, "executions"), 5);
+  EXPECT_EQ(IntCol(*r, "rows_returned"), 10);
+  EXPECT_GT(DoubleCol(*r, "local_cost"), 0);
+  EXPECT_EQ(StringCol(*r, "sample_text"), kUpdate);
+}
+
+TEST_F(DmvTest, ProcedureStatementKeepsItsLabelAcrossReplanning) {
+  // A procedure statement is labelled by its depth-first position in the
+  // body (the IF is #0, its THEN branch #1, its ELSE branch #2), not by the
+  // order its plans were built in, so an invalidation that replans the
+  // branches in the other order cannot merge two statements into one row.
+  ASSERT_TRUE(server_
+                  .ExecuteScript(
+                      "CREATE TABLE a (k INT PRIMARY KEY, v INT); "
+                      "CREATE TABLE b (k INT PRIMARY KEY, w INT); "
+                      "INSERT INTO a VALUES (1, 10); "
+                      "INSERT INTO b VALUES (1, 20); "
+                      "CREATE PROCEDURE p(@x INT) AS BEGIN "
+                      "IF @x = 1 BEGIN SELECT v FROM a END "
+                      "ELSE BEGIN SELECT w FROM b END "
+                      "END")
+                  .ok());
+  auto call = [this](int x, int64_t expected) {
+    auto r = server_.CallProcedure("p", {Value::Int(x)}, nullptr);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u);
+    EXPECT_EQ(r->rows[0][0].AsInt(), expected);
+  };
+  call(2, 20);  // ELSE first
+  call(1, 10);
+  server_.RecomputeStats();
+  call(1, 10);  // THEN first
+  call(2, 20);
+  auto r = server_.Execute(
+      "SELECT statement, executions, sample_text FROM sys.dm_exec_query_stats");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::map<std::string, std::pair<int64_t, std::string>> procedure_rows;
+  for (size_t i = 0; i < r->rows.size(); ++i) {
+    const std::string statement = StringCol(*r, "statement", i);
+    if (statement.rfind("p stmt#", 0) != 0) continue;
+    procedure_rows[statement] = {IntCol(*r, "executions", i),
+                                 StringCol(*r, "sample_text", i)};
+  }
+  ASSERT_EQ(procedure_rows.size(), 2u);
+  EXPECT_EQ(procedure_rows["p stmt#1"].first, 2);
+  EXPECT_EQ(procedure_rows["p stmt#1"].second, "SELECT v FROM a");
+  EXPECT_EQ(procedure_rows["p stmt#2"].first, 2);
+  EXPECT_EQ(procedure_rows["p stmt#2"].second, "SELECT w FROM b");
+}
+
+TEST_F(DmvTest, RecordsOutliveTheirInvalidatedPlans) {
+  // Ring entries and profiles share their plan's info by reference. After
+  // the plan cache drops every plan, each retained row must still render
+  // its label, plan and hash; under ASan a dangling info fails here.
+  const std::string kSelect = "SELECT x FROM t WHERE id = 3";
+  const std::string kUpdate = "UPDATE t SET x = 7.5 WHERE id = 4";
+  ASSERT_TRUE(server_.Execute(kSelect).ok());
+  ASSERT_TRUE(server_.Execute(kUpdate).ok());
+  auto explained =
+      server_.Execute("EXPLAIN ANALYZE SELECT x FROM t WHERE id = 4");
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  server_.InvalidatePlanCache();
+
+  auto requests =
+      server_.Execute("SELECT statement, routing, plan FROM sys.dm_exec_requests");
+  ASSERT_TRUE(requests.ok()) << requests.status().ToString();
+  ASSERT_EQ(requests->rows.size(), 2u);
+  EXPECT_EQ(StringCol(*requests, "statement", 0), kSelect);
+  EXPECT_EQ(StringCol(*requests, "statement", 1), kUpdate);
+  for (size_t i = 0; i < requests->rows.size(); ++i) {
+    EXPECT_EQ(StringCol(*requests, "routing", i), "local");
+    EXPECT_FALSE(StringCol(*requests, "plan", i).empty());
+  }
+
+  // EXPLAIN ANALYZE builds its info like a planned statement: its profile
+  // carries the statement's text and query hash.
+  auto profiles = server_.Execute(
+      "SELECT statement, query_hash, operator FROM sys.dm_exec_query_profiles "
+      "WHERE parent_id = -1");
+  ASSERT_TRUE(profiles.ok()) << profiles.status().ToString();
+  ASSERT_EQ(profiles->rows.size(), 1u);
+  EXPECT_EQ(StringCol(*profiles, "statement"),
+            "SELECT x FROM t WHERE (id = 4)");
+  EXPECT_EQ(StringCol(*profiles, "query_hash"),
+            FingerprintHex(FingerprintHash(
+                NormalizeStatement("SELECT x FROM t WHERE (id = 4)"))));
+  EXPECT_FALSE(StringCol(*profiles, "operator").empty());
+}
+
 TEST_F(DmvTest, TraceRecordsLocalRoutingAndMeasuredCost) {
   ASSERT_TRUE(server_.Execute("SELECT COUNT(*) FROM t").ok());
   const QueryTrace& t = server_.metrics().trace().back();
-  EXPECT_EQ(t.routing, "local");
-  EXPECT_GT(t.measured_cost, 0);
+  EXPECT_EQ(t.info->routing, "local");
+  EXPECT_GT(t.stats.local_cost, 0);
   EXPECT_DOUBLE_EQ(t.stats.remote_cost, 0);
   EXPECT_EQ(t.rows_returned, 1);
-  EXPECT_NE(t.plan.find("SeqScan"), std::string::npos) << t.plan;
+  EXPECT_NE(t.info->plan_text.find("SeqScan"), std::string::npos)
+      << t.info->plan_text;
 }
 
 TEST_F(DmvTest, DmvsAreReadOnlyAndUnknownNamesRejected) {
@@ -249,7 +360,7 @@ TEST_F(DmvMtcacheTest, ViewMatchHitsAndMissesCounted) {
       cache_.Execute("SELECT cid, cname FROM customer WHERE cid = 77").ok());
   EXPECT_EQ(cache_.metrics().optimizer.view_match_hits, 1);
   EXPECT_EQ(cache_.metrics().optimizer.view_match_misses, 0);
-  EXPECT_EQ(cache_.metrics().trace().back().routing, "local");
+  EXPECT_EQ(cache_.metrics().trace().back().info->routing, "local");
 
   // Outside the view region with a constant predicate: decided statically,
   // a definite miss that ships the query to the backend.
@@ -257,7 +368,7 @@ TEST_F(DmvMtcacheTest, ViewMatchHitsAndMissesCounted) {
       cache_.Execute("SELECT cid, cname FROM customer WHERE cid = 250").ok());
   EXPECT_EQ(cache_.metrics().optimizer.view_match_misses, 1);
   EXPECT_EQ(cache_.metrics().optimizer.remote_plans, 1);
-  EXPECT_EQ(cache_.metrics().trace().back().routing, "remote");
+  EXPECT_EQ(cache_.metrics().trace().back().info->routing, "remote");
   EXPECT_GT(cache_.metrics().trace().back().stats.remote_cost, 0);
 }
 
@@ -272,7 +383,7 @@ TEST_F(DmvMtcacheTest, ChoosePlanBranchCountersFollowTheParameter) {
   EXPECT_EQ(cache_.metrics().chooseplan.local_branches, 1);
   EXPECT_EQ(cache_.metrics().chooseplan.remote_branches, 0);
   EXPECT_GE(cache_.metrics().chooseplan.guards_evaluated, 2);
-  EXPECT_EQ(cache_.metrics().trace().back().routing, "dynamic");
+  EXPECT_EQ(cache_.metrics().trace().back().info->routing, "dynamic");
 
   // Same cached plan, parameter outside the view: the remote arm runs.
   params["@cid"] = Value::Int(250);
@@ -369,6 +480,31 @@ TEST_F(DmvMtcacheTest, ReplMetricsDmvAfterFaultedRun) {
   EXPECT_EQ(IntCol(*b, "txns_applied"), 0);
 }
 
+TEST_F(DmvMtcacheTest, ForwardedWriteIsRecordedByTheBackend) {
+  // A cache forwards every write to the backend (paper section 5.2), so the
+  // write is a statement the backend plans, runs and records; the cache,
+  // which ran no plan for it, records none.
+  auto r = cache_.Execute("UPDATE customer SET cbalance = 5.0 WHERE cid = 7");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows_affected, 1);
+  const std::string forwarded =
+      "UPDATE customer SET cbalance = 5.0 WHERE (cid = 7)";
+  auto b = backend_.Execute(
+      "SELECT executions, rows_returned, sample_text "
+      "FROM sys.dm_exec_query_stats WHERE statement = '" +
+      NormalizeStatement(forwarded) + "'");
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_EQ(b->rows.size(), 1u);
+  EXPECT_EQ(IntCol(*b, "executions"), 1);
+  EXPECT_EQ(IntCol(*b, "rows_returned"), 1);
+  EXPECT_EQ(StringCol(*b, "sample_text"), forwarded);
+  auto c = cache_.Execute(
+      "SELECT COUNT(*) FROM sys.dm_exec_query_stats "
+      "WHERE sample_text = '" + forwarded + "'");
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  EXPECT_EQ(c->rows[0][0].AsInt(), 0);
+}
+
 TEST_F(DmvMtcacheTest, DmvQueriesAreLocalOnlyDespiteBackendLink) {
   // A DMV scan on the cache server must never ship to the backend, even
   // though every shadow table around it does.
@@ -376,7 +512,7 @@ TEST_F(DmvMtcacheTest, DmvQueriesAreLocalOnlyDespiteBackendLink) {
   auto r = cache_.Execute("SELECT * FROM sys.dm_plan_cache", {}, &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(stats.remote_cost, 0);
-  EXPECT_EQ(cache_.metrics().trace().back().routing, "local");
+  EXPECT_EQ(cache_.metrics().trace().back().info->routing, "local");
 }
 
 // ---------------------------------------------------------------------------
@@ -690,14 +826,14 @@ TEST_F(DmvTest, ProfileRingKeepsLastNTrees) {
   server_.metrics().set_profiling_enabled(false);
   auto profiles = server_.metrics().SnapshotProfiles();
   ASSERT_EQ(profiles.size(), 16u);  // ring capacity: last 16 kept
-  EXPECT_EQ(profiles.back().text, "SELECT id FROM t WHERE id = 20");
-  EXPECT_EQ(profiles.front().text, "SELECT id FROM t WHERE id = 5");
+  EXPECT_EQ(profiles.back().info->label, "SELECT id FROM t WHERE id = 20");
+  EXPECT_EQ(profiles.front().info->label, "SELECT id FROM t WHERE id = 5");
   // Profile ids come from the same sequence as the trace ring, so a profile
   // joins back to its dm_exec_requests row.
   EXPECT_GT(profiles.back().query_id, profiles.front().query_id);
   for (const auto& rec : profiles) {
-    EXPECT_EQ(rec.root.actual_rows, 1) << rec.text;
-    EXPECT_GT(rec.root.opens, 0) << rec.text;
+    EXPECT_EQ(rec.root.actual_rows, 1) << rec.info->label;
+    EXPECT_GT(rec.root.opens, 0) << rec.info->label;
   }
   // The DMV flattening: every profiled tree contributes a root row op_id=0
   // with parent_id=-1 joined to its query_id.

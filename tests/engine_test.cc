@@ -470,7 +470,9 @@ TEST_F(EngineTest, DmlTextAndProcedureDmlRunFromCachedPlans) {
 TEST_F(EngineTest, ParseFreeHitNeverRunsAStalePlan) {
   SetUpBasicTables();
   const std::string text = "SELECT o_id FROM orders WHERE o_c_id = 4";
-  auto last_plan = [this] { return server_.metrics().trace().back().plan; };
+  auto last_plan = [this] {
+    return server_.metrics().trace().back().info->plan_text;
+  };
   ASSERT_EQ(Query(text).rows.size(), 3u);
   EXPECT_EQ(last_plan().find("IndexSeek"), std::string::npos) << last_plan();
 

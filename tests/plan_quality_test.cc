@@ -267,7 +267,7 @@ class PlanQualityTest : public ::testing::Test {
     const auto profiles = cache_.metrics().SnapshotProfiles();
     bool found = false;
     for (auto it = profiles.rbegin(); it != profiles.rend(); ++it) {
-      if (it->text == spec.sql) {
+      if (it->info->label == spec.sql) {
         CollectQerr(it->root, &out.max_qerr, &out.op_detail);
         found = true;
         break;

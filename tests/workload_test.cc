@@ -283,25 +283,38 @@ TEST_F(WorkloadOffloadTest, ViewMatchesAttributeSavingsAndRoundtrips) {
   EXPECT_GT(offload["cust200"].est_saved_units, 0)
       << "local plan must be estimated cheaper than the remote original";
 
-  // The slice carries the same attribution as a delta, with the seconds
-  // conversion applied.
-  cache_.workload().set_cost_unit_seconds(0.5);
+  // The slice carries the same attribution as a delta, converted to seconds
+  // at the server's measured seconds per charged unit: the elapsed seconds
+  // of its executions over the units they were charged.
+  double seconds = 0;
+  double units = 0;
+  for (const auto& [key, rollup] : cache_.metrics().SnapshotRollups()) {
+    seconds += rollup.elapsed_seconds;
+    units += rollup.totals.local_cost + rollup.totals.remote_cost;
+  }
+  ASSERT_GT(units, 0);
+  const double unit_seconds = seconds / units;
+  EXPECT_GT(unit_seconds, 0);
+  EXPECT_DOUBLE_EQ(MeasuredSecondsPerUnit(cache_.metrics().SnapshotRollups()),
+                   unit_seconds);
   WorkloadSlice s = cache_.CaptureWorkloadSnapshot();
   ASSERT_EQ(s.views.size(), 1u);
   EXPECT_EQ(s.views[0].view, "cust200");
   EXPECT_EQ(s.views[0].matches, 3);
   EXPECT_EQ(s.offload_roundtrips_avoided, 3);
   EXPECT_DOUBLE_EQ(s.views[0].est_saved_seconds,
-                   s.views[0].est_saved_units * 0.5);
+                   s.views[0].est_saved_units * unit_seconds);
 
   // The DMV view renders cumulative attribution.
   auto r = cache_.Execute(
-      "SELECT matches, roundtrips_avoided FROM sys.dm_mtcache_view_offload "
-      "WHERE view_name = 'cust200'");
+      "SELECT matches, roundtrips_avoided, est_saved_units, est_saved_seconds "
+      "FROM sys.dm_mtcache_view_offload WHERE view_name = 'cust200'");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->rows.size(), 1u);
   EXPECT_EQ(r->rows[0][0].AsInt(), 3);
   EXPECT_EQ(r->rows[0][1].AsInt(), 3);
+  EXPECT_DOUBLE_EQ(r->rows[0][3].AsDouble(),
+                   r->rows[0][2].AsDouble() * unit_seconds);
 
   // A second capture with no traffic: the view is idle, no delta emitted.
   WorkloadSlice s2 = cache_.CaptureWorkloadSnapshot();
